@@ -58,7 +58,6 @@ from .translator import (
     CheckpointSeries,
     load_checkpoint,
     load_series,
-    save_series_manifest,
     train_toy,
 )
 
@@ -113,6 +112,8 @@ class RunManifest:
 
 def sha256_path(path: Path) -> str:
     """Checksum a file, or a directory as the digest of its sorted file digests."""
+    if not path.exists():
+        raise ValidationError(f"not found: {path}")
     digest = hashlib.sha256()
     if path.is_dir():
         for sub in sorted(p for p in path.rglob("*") if p.is_file()):
@@ -192,18 +193,24 @@ def cmd_train(args: argparse.Namespace) -> int:
     series = train_toy(
         pairs, args.iterations, args.out, direction=args.direction, alpha=args.alpha
     )
-    save_series_manifest(series, args.out)
     log.info("trained %d checkpoints into %s", len(series), args.out)
     return EXIT_OK
 
 
-def _load_single(ckpt_arg: str | None, series_arg: str | None, what: str):
-    """A model argument is either one checkpoint dir or a series (its last is used)."""
+def _load_model(
+    ckpt_arg: str | None, series_arg: str | None, newest: int, missing: str
+) -> tuple[CheckpointSeries, Path]:
+    """The checkpoints a command decodes with, and the directory they came from.
+
+    A model is one checkpoint directory or a series, of which only the newest
+    ``newest`` checkpoints are loaded (all of them, if it has fewer).
+    """
     if ckpt_arg:
-        return load_checkpoint(ckpt_arg)
+        ckpt = load_checkpoint(ckpt_arg)
+        return CheckpointSeries(checkpoints=(ckpt,), direction=ckpt.direction), Path(ckpt_arg)
     if series_arg:
-        return load_series(series_arg).checkpoints[-1]
-    raise ValidationError(f"{what}: pass --ckpt/--series (or the --bwd-* variant)")
+        return load_series(series_arg, newest), Path(series_arg)
+    raise ValidationError(missing)
 
 
 def _method_params(args: argparse.Namespace) -> MethodParams:
@@ -223,22 +230,26 @@ def cmd_generate(args: argparse.Namespace) -> int:
     warnings: list[MethodWarning] = []
     inputs: dict[str, str] = {"prompts": sha256_path(Path(args.prompts))}
 
+    # each method loads only the newest checkpoints it decodes with
+    if args.method == "ensemble":
+        fwd, fwd_path = _load_model(None, args.series, params.m, "ensemble: pass --series")
+    else:
+        fwd, fwd_path = _load_model(
+            args.ckpt, args.series, 1, f"{args.method}: pass --ckpt or --series"
+        )
+    inputs["model"] = sha256_path(fwd_path)
     if args.method == "nbest":
-        ckpt = _load_single(args.ckpt, args.series, "nbest")
-        inputs["model"] = sha256_path(Path(args.ckpt or args.series))
-        sets = nbest_predict(ckpt, prompts, params, policy, warnings)
+        sets = nbest_predict(fwd.checkpoints[-1], prompts, params, policy, warnings)
     elif args.method == "paraphrase":
-        fwd = _load_single(args.ckpt, args.series, "paraphrase forward model")
-        bwd = _load_single(args.bwd_ckpt, args.bwd_series, "paraphrase backward model")
-        inputs["model"] = sha256_path(Path(args.ckpt or args.series))
-        inputs["bwd_model"] = sha256_path(Path(args.bwd_ckpt or args.bwd_series))
-        sets = paraphrase_predict(fwd, bwd, prompts, params, policy, warnings)
-    else:  # ensemble
-        if not args.series:
-            raise ValidationError("ensemble: pass --series")
-        series = load_series(args.series)
-        inputs["model"] = sha256_path(Path(args.series))
-        sets = multi_checkpoint_predict(series, prompts, params, policy, warnings)
+        bwd, bwd_path = _load_model(
+            args.bwd_ckpt, args.bwd_series, 1, "paraphrase: pass --bwd-ckpt or --bwd-series"
+        )
+        inputs["bwd_model"] = sha256_path(bwd_path)
+        sets = paraphrase_predict(
+            fwd.checkpoints[-1], bwd.checkpoints[-1], prompts, params, policy, warnings
+        )
+    else:
+        sets = multi_checkpoint_predict(fwd, prompts, params, policy, warnings)
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as sink:
         write_predictions(sets, sink)
@@ -335,8 +346,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     golds = parse_gold(_read_text(args.gold), policy)
     prompts = parse_prompts(_read_text(args.prompts))
-    fwd_series = load_series(args.series)
-    bwd_series = load_series(args.bwd_series) if args.bwd_series else None
+    # the ensemble cells need the newest max(m) checkpoints (a cell whose m
+    # exceeds the series still fails as an NA row); the rest need the newest one
+    fwd_series = load_series(args.series, max(spec.m_values, default=1))
+    bwd_series = None
+    if spec.n_prime_values and args.bwd_series:
+        bwd_series = load_series(args.bwd_series, 1)
 
     header = "method\tparam\tprecision\tweighted_recall\tweighted_f1\n"
     n_cells = len(spec.n_values) + len(spec.n_prime_values) + len(spec.m_values)

@@ -7,19 +7,13 @@ detokenize, de-duplicate. A failure on one prompt degrades that prompt to an
 empty candidate list and a warning record; it never aborts the batch. Every
 method is deterministic: identical inputs produce byte-identical prediction
 files.
-
-Per-prompt decoding may run on a small thread pool capped by the
-STAPLE_FORGE_THREADS environment variable (default: serial); results are
-always assembled in prompt input order.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 from .corpus import DEFAULT_POLICY, NormalizationPolicy, PredictionSet, Prompt, normalize
 from .errors import ValidationError
@@ -27,11 +21,6 @@ from .textproc import detokenize, tokenize
 from .translator import BeamParams, Checkpoint, CheckpointSeries, decode_nbest
 
 log = logging.getLogger(__name__)
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-THREADS_ENV = "STAPLE_FORGE_THREADS"
 
 
 @dataclass(frozen=True)
@@ -68,23 +57,6 @@ def dedup(candidates: Iterable[str], policy: NormalizationPolicy = DEFAULT_POLIC
         seen.add(key)
         out.append(cand)
     return out
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        log.warning("ignoring non-integer %s=%r", THREADS_ENV, raw)
-        return 1
-
-
-def _map_prompts(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    cap = _thread_cap()
-    if cap == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
 
 
 def _source_tokens(text: str, policy: NormalizationPolicy) -> list[str]:
@@ -128,7 +100,7 @@ def nbest_predict(
             warn = MethodWarning(prompt.id, "nbest", str(exc))
             return PredictionSet(prompt.id, ()), [warn]
 
-    results = _map_prompts(one, prompts)
+    results = [one(prompt) for prompt in prompts]
     if warnings is not None:
         for _, warns in results:
             warnings.extend(warns)
@@ -184,7 +156,7 @@ def paraphrase_predict(
             warn = MethodWarning(prompt.id, "paraphrase", str(exc))
             return PredictionSet(prompt.id, ()), [warn]
 
-    results = _map_prompts(one, prompts)
+    results = [one(prompt) for prompt in prompts]
     if warnings is not None:
         for _, warns in results:
             warnings.extend(warns)

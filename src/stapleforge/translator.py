@@ -23,8 +23,22 @@ directory per checkpoint:
 
 ``<s> </s> <other> <unk>`` are reserved tokens. Probabilities are stored with
 12 significant digits; model values are canonicalized to that precision when
-built, so a saved checkpoint loads back bit-exactly. A training run's
-checkpoints live in ``ckpt-0001/ ... ckpt-NNNN/`` under one series directory.
+built, so a saved checkpoint loads back bit-exactly.
+
+A training run's checkpoints live in ``ckpt-0001/ ... ckpt-NNNN/`` under one
+series directory, indexed by its ``series.tsv``:
+
+    direction<TAB>fwd
+    ckpt-0001<TAB>corpus_loglik
+    ...
+
+one row per checkpoint, iterations strictly increasing and log-likelihoods
+non-decreasing. The index is the source of truth: training rewrites it
+atomically after each checkpoint is complete, so an interrupted run leaves an
+index of complete checkpoints, and a ``ckpt-*`` directory it does not list is
+never loaded. ``load_series`` reads the index and loads only the newest
+checkpoints a caller decodes with, each checked against its index row.
+Training refuses a directory that already holds a series.
 """
 
 from __future__ import annotations
@@ -34,6 +48,7 @@ import itertools
 import logging
 import math
 import os
+import re
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -57,6 +72,10 @@ BACKOFF = "<unk>"
 RESERVED_TOKENS = (BOS, EOS, UNSEEN, BACKOFF)
 
 EXHAUSTIVE_LIMIT = 10**6
+
+DIRECTIONS = ("fwd", "bwd")
+SERIES_INDEX = "series.tsv"
+_CKPT_NAME = re.compile(r"ckpt-([0-9]{4,})")
 
 LexiconTable = dict[str, dict[str, float]]
 
@@ -206,9 +225,21 @@ class BeamParams:
             raise ValidationError(f"top_k_lexicon must be >= 1, got {self.top_k_lexicon}")
 
 
-def _created_at() -> str:
-    epoch = int(os.environ.get("SOURCE_DATE_EPOCH", time.time()))
-    return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+def _timestamp(epoch: float) -> str:
+    return datetime.fromtimestamp(int(epoch), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def _pinned_created_at() -> str | None:
+    """The checkpoint timestamp SOURCE_DATE_EPOCH pins, or None when it is unset."""
+    raw = os.environ.get("SOURCE_DATE_EPOCH")
+    if raw is None:
+        return None
+    try:
+        return _timestamp(int(raw))
+    except (ValueError, OverflowError, OSError):
+        raise ValidationError(
+            f"SOURCE_DATE_EPOCH must be an integer number of seconds, got {raw!r}"
+        ) from None
 
 
 def corpus_loglikelihood(
@@ -239,11 +270,22 @@ def train_toy(
 ) -> CheckpointSeries:
     """EM-train the lexicon, persisting a checkpoint after every iteration.
 
-    checkpoint_dir=None trains in memory only. Training is deterministic: no
-    randomness anywhere, and iteration order is the corpus order.
+    checkpoint_dir=None trains in memory only. Otherwise the directory must
+    not already hold a series, and series.tsv is rewritten after every saved
+    checkpoint. Training is deterministic: no randomness anywhere, and
+    iteration order is the corpus order.
     """
     if iterations < 1:
         raise ValidationError(f"iterations must be >= 1, got {iterations}")
+    if direction not in DIRECTIONS:
+        raise ValidationError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    pinned_created_at = _pinned_created_at()
+    out_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
+    if out_dir is not None and out_dir.is_dir():
+        if any(p.name == SERIES_INDEX or p.name.startswith("ckpt-") for p in out_dir.iterdir()):
+            raise ValidationError(
+                f"{out_dir} already holds a checkpoint series; train into a new directory"
+            )
     pairs: list[tuple[TokenSeq, TokenSeq]] = []
     for src, tgt in parallel:
         if not src or not tgt:
@@ -263,7 +305,6 @@ def train_toy(
     }
 
     lm = build_bigram_lm([tgt for _, tgt in pairs], alpha=alpha)
-    out_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -289,12 +330,13 @@ def train_toy(
             lexicon=lexicon,
             lm=lm,
             corpus_loglik=loglik,
-            created_at=_created_at(),
+            created_at=pinned_created_at or _timestamp(time.time()),
             direction=direction,
         )
-        if out_dir is not None:
-            save_checkpoint(ckpt, out_dir / f"ckpt-{it:04d}")
         checkpoints.append(ckpt)
+        if out_dir is not None:
+            save_checkpoint(ckpt, out_dir / _checkpoint_name(it))
+            _write_series_index(out_dir, checkpoints, direction)
         log.info("iteration %d: corpus log-likelihood %.6f", it, loglik)
     return CheckpointSeries(checkpoints=tuple(checkpoints), direction=direction)
 
@@ -483,24 +525,77 @@ def load_checkpoint(directory: Path | str) -> Checkpoint:
     )
 
 
-def load_series(directory: Path | str) -> CheckpointSeries:
-    """Load every ckpt-* subdirectory; validates ordering and EM monotonicity."""
+def _checkpoint_name(iteration: int) -> str:
+    return f"ckpt-{iteration:04d}"
+
+
+def _write_series_index(
+    directory: Path, checkpoints: Sequence[Checkpoint], direction: str
+) -> None:
+    """Replace series.tsv atomically, so readers only ever see a whole index."""
+    lines = [f"direction\t{direction}\n"]
+    for ckpt in checkpoints:
+        lines.append(f"{_checkpoint_name(ckpt.iteration)}\t{ckpt.corpus_loglik!r}\n")
+    partial = directory / (SERIES_INDEX + ".partial")
+    partial.write_text("".join(lines), encoding="utf-8", newline="\n")
+    os.replace(partial, directory / SERIES_INDEX)
+
+
+def _read_series_index(directory: Path) -> tuple[str, list[tuple[int, float]]]:
+    """Parse and validate series.tsv: its direction and (iteration, loglik) rows."""
+    path = directory / SERIES_INDEX
+    if not path.is_file():
+        raise CheckpointError(f"missing series index: {path}")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    head = lines[0].split("\t") if lines else []
+    if len(head) != 2 or head[0] != "direction" or head[1] not in DIRECTIONS:
+        raise CheckpointError(f"{path}: first row must be 'direction<TAB>fwd|bwd'")
+    rows: list[tuple[int, float]] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        cols = line.split("\t")
+        match = _CKPT_NAME.fullmatch(cols[0])
+        if len(cols) != 2 or match is None or _checkpoint_name(int(match[1])) != cols[0]:
+            raise CheckpointError(f"{path} row {lineno}: expected 'ckpt-NNNN<TAB>loglik': {line!r}")
+        try:
+            loglik = float(cols[1])
+        except ValueError:
+            raise CheckpointError(f"{path} row {lineno}: bad log-likelihood {cols[1]!r}") from None
+        if not math.isfinite(loglik):
+            raise CheckpointError(f"{path} row {lineno}: log-likelihood is not finite")
+        iteration = int(match[1])
+        if rows and iteration <= rows[-1][0]:
+            raise CheckpointError(f"{path} row {lineno}: iterations must strictly increase")
+        if rows and loglik < rows[-1][1] - 1e-9:
+            raise CheckpointError(f"{path} row {lineno}: log-likelihood decreases")
+        rows.append((iteration, loglik))
+    if not rows:
+        raise CheckpointError(f"{path} lists no checkpoints")
+    return head[1], rows
+
+
+def load_series(directory: Path | str, newest: int | None = None) -> CheckpointSeries:
+    """Load the checkpoints series.tsv lists: the newest ``newest`` of them, or all.
+
+    Directories the index does not list are ignored. Each loaded checkpoint
+    must agree with its index row on iteration, direction and log-likelihood.
+    """
     directory = Path(directory)
     if not directory.is_dir():
         raise CheckpointError(f"checkpoint series directory not found: {directory}")
-    subdirs = sorted(p for p in directory.iterdir() if p.is_dir() and p.name.startswith("ckpt-"))
-    if not subdirs:
-        raise CheckpointError(f"no ckpt-* checkpoints under {directory}")
-    checkpoints = tuple(load_checkpoint(p) for p in subdirs)
-    directions = {c.direction for c in checkpoints}
-    if len(directions) != 1:
-        raise CheckpointError(f"mixed directions in series {directory}: {sorted(directions)}")
-    return CheckpointSeries(checkpoints=checkpoints, direction=checkpoints[0].direction)
-
-
-def save_series_manifest(series: CheckpointSeries, directory: Path | str) -> None:
-    directory = Path(directory)
-    lines = [f"direction\t{series.direction}\n"]
-    for ckpt in series.checkpoints:
-        lines.append(f"ckpt-{ckpt.iteration:04d}\t{ckpt.corpus_loglik!r}\n")
-    (directory / "series.tsv").write_text("".join(lines), encoding="utf-8", newline="\n")
+    if newest is not None and newest < 1:
+        raise ValidationError(f"newest must be >= 1, got {newest}")
+    direction, rows = _read_series_index(directory)
+    if newest is not None:
+        rows = rows[-newest:]
+    checkpoints = []
+    for iteration, loglik in rows:
+        path = directory / _checkpoint_name(iteration)
+        ckpt = load_checkpoint(path)
+        if (ckpt.iteration, ckpt.direction, ckpt.corpus_loglik) != (iteration, direction, loglik):
+            raise CheckpointError(
+                f"{path} (iteration {ckpt.iteration}, {ckpt.direction}, loglik "
+                f"{ckpt.corpus_loglik!r}) does not match its {SERIES_INDEX} row "
+                f"(iteration {iteration}, {direction}, loglik {loglik!r})"
+            )
+        checkpoints.append(ckpt)
+    return CheckpointSeries(checkpoints=tuple(checkpoints), direction=direction)

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import shutil
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
+import stapleforge.translator as translator
 from stapleforge.cli import main
 from stapleforge.translator import load_series
 
@@ -110,6 +115,30 @@ class TestTrain:
         assert "cat" in fwd.checkpoints[-1].lexicon
         assert "gato" in bwd.checkpoints[-1].lexicon
         assert bwd.direction == "bwd"
+
+    @pytest.mark.parametrize("epoch", ["not-a-number", "1.5"])
+    def test_bad_source_date_epoch_exits_2(self, tmp_path, fixtures_path, monkeypatch,
+                                           capsys, epoch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        rc = run_cli(["train", "--parallel", str(fixtures_path / "toy_parallel.tsv"),
+                      "--iterations", "2", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "SOURCE_DATE_EPOCH" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_retrain_into_existing_series_exits_2(self, tmp_path, fixtures_path):
+        """Training 8 iterations and then 3 into one directory once left a
+        series.tsv listing 3 checkpoints beside ckpt-0004..0008 of the old
+        run, and --series decoded with the old run's iteration 8."""
+        parallel = str(fixtures_path / "toy_parallel.tsv")
+        out = tmp_path / "series"
+        assert run_cli(["train", "--parallel", parallel, "--iterations", "8",
+                        "--out", str(out)]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert run_cli(["train", "--parallel", parallel, "--iterations", "3",
+                        "--out", str(out)]) == 2
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert [c.iteration for c in load_series(out).checkpoints] == list(range(1, 9))
 
     def test_malformed_parallel_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
@@ -355,3 +384,114 @@ class TestMoreCliEdges:
         assert rc == 0
         # "an" occurs 2x per banana (x2) and 2x in bandana: joint count 6
         assert model.read_text().splitlines()[1] == "a\tn"
+
+
+@pytest.fixture()
+def loads(monkeypatch):
+    """Counts checkpoint loads per series directory name."""
+    counts: Counter[str] = Counter()
+    real_load = translator.load_checkpoint
+
+    def counting_load(directory):
+        counts[Path(directory).parent.name] += 1
+        return real_load(directory)
+
+    monkeypatch.setattr(translator, "load_checkpoint", counting_load)
+    return counts
+
+
+class TestSeriesLoading:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["generate", "--method", "nbest"], {"fwd": 1}),
+            (["generate", "--method", "paraphrase", "--bwd-series", "{bwd}"],
+             {"fwd": 1, "bwd": 1}),
+            (["generate", "--method", "ensemble", "--m", "3"], {"fwd": 3}),
+            (["sweep", "--gold", "{gold}", "--m", "2,4", "--bwd-series", "{bwd}"],
+             {"fwd": 4, "bwd": 1}),
+            (["sweep", "--gold", "{gold}", "--m", "2,4", "--n-prime", "",
+              "--bwd-series", "{bwd}"], {"fwd": 4}),
+            (["sweep", "--gold", "{gold}", "--m", "", "--n-prime", ""], {"fwd": 1}),
+        ],
+        ids=["nbest", "paraphrase", "ensemble", "sweep", "sweep-no-paraphrase",
+             "sweep-no-ensemble"],
+    )
+    def test_commands_load_only_the_checkpoints_they_decode_with(
+        self, trained_world, fixtures_path, tmp_path, loads, argv, expected
+    ):
+        paths = {"bwd": str(trained_world / "bwd"), "gold": str(fixtures_path / "toy_gold.txt")}
+        argv = [arg.format(**paths) for arg in argv]
+        rc = run_cli([*argv, "--series", str(trained_world / "fwd"),
+                      "--prompts", str(fixtures_path / "toy_prompts.txt"),
+                      "--out", str(tmp_path / "out.txt")])
+        assert rc == 0
+        assert dict(loads) == expected
+
+    def test_unlisted_checkpoint_is_ignored(self, trained_world, fixtures_path, tmp_path):
+        """A stray ckpt-0009 that series.tsv does not list changes no output."""
+        parallel = str(fixtures_path / "toy_parallel.tsv")
+        assert run_cli(["train", "--parallel", parallel, "--iterations", "9",
+                        "--out", str(tmp_path / "nine")]) == 0
+        stray = tmp_path / "stray"
+        shutil.copytree(trained_world / "fwd", stray)
+        shutil.copytree(tmp_path / "nine" / "ckpt-0009", stray / "ckpt-0009")
+        prompts = str(fixtures_path / "toy_prompts.txt")
+        gold = str(fixtures_path / "toy_gold.txt")
+        outputs = {}
+        for series in ("clean", "stray"):
+            path = str(trained_world / "fwd") if series == "clean" else str(stray)
+            for method in ("nbest", "ensemble"):
+                out = tmp_path / f"{series}_{method}.txt"
+                assert run_cli(["generate", "--method", method, "--series", path, "--m", "5",
+                                "--prompts", prompts, "--out", str(out)]) == 0
+                outputs[series, method] = out.read_bytes()
+            table = tmp_path / f"{series}_table.tsv"
+            assert run_cli(["sweep", "--series", path, "--gold", gold, "--prompts", prompts,
+                            "--n", "5", "--n-prime", "", "--m", "1,5",
+                            "--out", str(table)]) == 0
+            outputs[series, "sweep"] = table.read_bytes()
+        for what in ("nbest", "ensemble", "sweep"):
+            assert outputs["stray", what] == outputs["clean", what]
+
+    @pytest.mark.parametrize("field", ["loglik", "direction"])
+    def test_index_disagreeing_with_checkpoint_exits_2(
+        self, trained_world, fixtures_path, tmp_path, capsys, field
+    ):
+        series = tmp_path / "fwd"
+        shutil.copytree(trained_world / "fwd", series)
+        rows = (series / "series.tsv").read_text(encoding="utf-8").splitlines()
+        if field == "loglik":
+            rows[-1] = rows[-1].split("\t")[0] + "\t-0.5"
+        else:
+            rows[0] = "direction\tbwd"
+        (series / "series.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        rc = run_cli(["generate", "--method", "nbest", "--series", str(series),
+                      "--prompts", str(fixtures_path / "toy_prompts.txt"),
+                      "--out", str(tmp_path / "out.txt")])
+        assert rc == 2
+        assert "does not match its series.tsv row" in capsys.readouterr().err
+
+    def test_unloaded_missing_backward_series_exits_2(
+        self, trained_world, fixtures_path, tmp_path, capsys
+    ):
+        """Without paraphrase cells the backward series is not loaded, but the
+        manifest still checksums it, so a missing one is an input error."""
+        rc = run_cli(["sweep", "--series", str(trained_world / "fwd"),
+                      "--bwd-series", str(tmp_path / "nowhere"), "--n-prime", "",
+                      "--gold", str(fixtures_path / "toy_gold.txt"),
+                      "--prompts", str(fixtures_path / "toy_prompts.txt"),
+                      "--out", str(tmp_path / "table.tsv")])
+        assert rc == 2
+        assert "not found" in capsys.readouterr().err
+
+    def test_missing_index_exits_2(self, trained_world, fixtures_path, tmp_path, capsys):
+        series = tmp_path / "fwd"
+        shutil.copytree(trained_world / "fwd", series)
+        (series / "series.tsv").unlink()
+        rc = run_cli(["sweep", "--series", str(series),
+                      "--gold", str(fixtures_path / "toy_gold.txt"),
+                      "--prompts", str(fixtures_path / "toy_prompts.txt"),
+                      "--out", str(tmp_path / "table.tsv")])
+        assert rc == 2
+        assert "missing series index" in capsys.readouterr().err

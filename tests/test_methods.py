@@ -191,12 +191,3 @@ class TestDeterminism:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
-
-    def test_thread_cap_does_not_change_results(
-        self, toy_fwd_series, toy_prompts, monkeypatch
-    ):
-        ckpt = toy_fwd_series.checkpoints[-1]
-        serial = nbest_predict(ckpt, toy_prompts, params(n=8))
-        monkeypatch.setenv("STAPLE_FORGE_THREADS", "4")
-        threaded = nbest_predict(ckpt, toy_prompts, params(n=8))
-        assert serial == threaded

@@ -3,9 +3,11 @@ from __future__ import annotations
 import logging
 import math
 import random
+import shutil
 
 import pytest
 
+import stapleforge.translator as translator
 from oracles import gen_random_checkpoint, gen_random_parallel
 from stapleforge.errors import CheckpointError, SearchSpaceError, ValidationError
 from stapleforge.translator import (
@@ -54,6 +56,10 @@ class TestTrainToy:
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValidationError):
             train_toy(HAND_CORPUS, 0, None)
+
+    def test_unknown_direction_rejected(self):
+        with pytest.raises(ValidationError, match="direction"):
+            train_toy(HAND_CORPUS, 1, None, direction="sideways")
 
     def test_all_pairs_unusable_rejected(self):
         with pytest.raises(ValidationError):
@@ -235,6 +241,14 @@ class TestPersistence:
         assert loaded == series
         assert (tmp_path / "s" / "ckpt-0002").is_dir()
 
+    def test_series_newest_loads_only_the_last_checkpoints(self, hand_series, tmp_path):
+        series_dir = tmp_path / "series"
+        newest = load_series(series_dir, 2)
+        assert newest == CheckpointSeries(hand_series.checkpoints[-2:])
+        assert load_series(series_dir, 10) == hand_series
+        with pytest.raises(ValidationError, match="newest"):
+            load_series(series_dir, 0)
+
     def test_series_rejects_decreasing_loglik(self):
         rng = random.Random(3)
         a = gen_random_checkpoint(rng)
@@ -257,3 +271,115 @@ class TestEmMonotonicityProperty:
             lls = [c.corpus_loglik for c in series.checkpoints]
             for a, b in zip(lls, lls[1:]):
                 assert b >= a - 1e-9
+
+
+def index_rows(series_dir):
+    return (series_dir / "series.tsv").read_text(encoding="utf-8").splitlines()
+
+
+class TestSeriesIndex:
+    def test_index_lists_every_checkpoint(self, hand_series, tmp_path):
+        rows = index_rows(tmp_path / "series")
+        assert rows == ["direction\tfwd"] + [
+            f"ckpt-{c.iteration:04d}\t{c.corpus_loglik!r}" for c in hand_series.checkpoints
+        ]
+
+    def test_interrupted_run_leaves_an_index_of_complete_checkpoints(
+        self, tmp_path, monkeypatch
+    ):
+        real_save = translator.save_checkpoint
+
+        def save_until_third(ckpt, directory):
+            if ckpt.iteration == 3:
+                raise OSError("disk full")
+            real_save(ckpt, directory)
+
+        monkeypatch.setattr(translator, "save_checkpoint", save_until_third)
+        with pytest.raises(OSError):
+            train_toy(HAND_CORPUS, 4, tmp_path / "s")
+        assert [c.iteration for c in load_series(tmp_path / "s").checkpoints] == [1, 2]
+
+    def test_missing_index_rejected(self, hand_series, tmp_path):
+        (tmp_path / "series" / "series.tsv").unlink()
+        with pytest.raises(CheckpointError, match="missing series index"):
+            load_series(tmp_path / "series")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rows: ["direction\tsideways"] + rows[1:],
+            lambda rows: rows[1:],
+            lambda rows: rows[:1],
+            lambda rows: rows[:1] + [rows[1].replace("ckpt-0001", "ckpt-1")] + rows[2:],
+            lambda rows: rows[:1] + [rows[1] + "\textra"] + rows[2:],
+            lambda rows: rows[:1] + [rows[1].split("\t")[0] + "\tnan"] + rows[2:],
+            lambda rows: [rows[0], rows[2], rows[1], rows[3]],
+            lambda rows: rows + [rows[-1]],
+        ],
+        ids=["direction", "no-header", "no-rows", "name", "columns", "loglik",
+             "order", "repeat"],
+    )
+    def test_malformed_index_rejected(self, hand_series, tmp_path, edit):
+        series_dir = tmp_path / "series"
+        rows = edit(index_rows(series_dir))
+        (series_dir / "series.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(CheckpointError):
+            load_series(series_dir)
+
+    def test_decreasing_index_loglik_rejected(self, hand_series, tmp_path):
+        series_dir = tmp_path / "series"
+        rows = index_rows(series_dir)
+        rows[-1] = f"ckpt-0003\t{hand_series.checkpoints[0].corpus_loglik - 1.0!r}"
+        (series_dir / "series.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(CheckpointError, match="decreases"):
+            load_series(series_dir)
+
+    @pytest.mark.parametrize("field", ["iteration", "direction", "loglik"])
+    def test_index_row_must_match_its_checkpoint(self, hand_series, tmp_path, field):
+        series_dir = tmp_path / "series"
+        rows = index_rows(series_dir)
+        if field == "iteration":
+            # a checkpoint of iteration 2 filed under a name claiming iteration 4
+            shutil.copytree(series_dir / "ckpt-0002", series_dir / "ckpt-0004")
+            rows.append("ckpt-0004\t" + rows[-1].split("\t")[1])
+        elif field == "direction":
+            rows[0] = "direction\tbwd"
+        else:
+            rows[-1] = rows[-1].split("\t")[0] + "\t-0.0"
+        (series_dir / "series.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(CheckpointError, match="does not match"):
+            load_series(series_dir)
+
+    def test_unlisted_checkpoints_are_ignored(self, tmp_path):
+        """A stale run's newer checkpoints left beside a shorter series."""
+        train_toy(HAND_CORPUS, 3, tmp_path / "short")
+        train_toy(gen_random_parallel(random.Random(5)), 5, tmp_path / "long")
+        for name in ("ckpt-0004", "ckpt-0005"):
+            shutil.copytree(tmp_path / "long" / name, tmp_path / "short" / name)
+        loaded = load_series(tmp_path / "short")
+        assert [c.iteration for c in loaded.checkpoints] == [1, 2, 3]
+        assert load_series(tmp_path / "short", 1).checkpoints[0].iteration == 3
+
+    @pytest.mark.parametrize("entry", ["series.tsv", "ckpt-0009"])
+    def test_train_refuses_a_directory_holding_a_series(self, tmp_path, entry):
+        out = tmp_path / "s"
+        (out / entry).mkdir(parents=True)
+        with pytest.raises(ValidationError, match="already holds a checkpoint series"):
+            train_toy(HAND_CORPUS, 1, out)
+        assert [p.name for p in out.iterdir()] == [entry]
+
+    def test_train_into_an_existing_empty_directory(self, tmp_path):
+        (tmp_path / "s").mkdir()
+        assert len(train_toy(HAND_CORPUS, 2, tmp_path / "s")) == 2
+
+    @pytest.mark.parametrize("epoch", ["abc", "1.5", "", "100000000000000000000"])
+    def test_bad_source_date_epoch_rejected_before_training(self, tmp_path, monkeypatch, epoch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        with pytest.raises(ValidationError, match="SOURCE_DATE_EPOCH"):
+            train_toy(HAND_CORPUS, 2, tmp_path / "s")
+        assert not (tmp_path / "s").exists()
+
+    def test_pinned_epoch_stamps_every_checkpoint(self, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "86400")
+        series = train_toy(HAND_CORPUS, 2, None)
+        assert {c.created_at for c in series.checkpoints} == {"1970-01-02T00:00:00Z"}
