@@ -6,7 +6,8 @@ Library surface, by module:
   file parsing and writing
 - :mod:`stapleforge.textproc`: tokenizer and byte-pair encoding
 - :mod:`stapleforge.metrics`: per-prompt and corpus-level weighted F1
-- :mod:`stapleforge.translator`: EM toy translator, beam decoding, checkpoints
+- :mod:`stapleforge.translator`: EM toy translator, exact k-best
+  lattice decoding, checkpoints
 - :mod:`stapleforge.methods`: n-best / paraphrase / ensemble prediction
 - :mod:`stapleforge.cli`: the ``stapleforge`` command
 """

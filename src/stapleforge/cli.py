@@ -54,8 +54,9 @@ from .methods import (
 )
 from .textproc import bpe_apply, bpe_decode, bpe_learn, load_bpe, save_bpe, tokenize
 from .translator import (
-    BeamParams,
+    SERIES_INDEX,
     CheckpointSeries,
+    checkpoint_name,
     load_checkpoint,
     load_series,
     train_toy,
@@ -110,13 +111,21 @@ class RunManifest:
         return "".join(lines)
 
 
-def sha256_path(path: Path) -> str:
-    """Checksum a file, or a directory as the digest of its sorted file digests."""
+def sha256_path(path: Path, members: Sequence[str] | None = None) -> str:
+    """Checksum a file, or a directory as the digest of its sorted file digests.
+
+    ``members`` restricts a directory's digest to those entries under it, each
+    a file or a subdirectory.
+    """
     if not path.exists():
         raise ValidationError(f"not found: {path}")
     digest = hashlib.sha256()
     if path.is_dir():
-        for sub in sorted(p for p in path.rglob("*") if p.is_file()):
+        roots = [path] if members is None else [path / m for m in members]
+        for root in roots:
+            if not root.exists():
+                raise ValidationError(f"not found: {root}")
+        for sub in sorted(p for root in roots for p in (root, *root.rglob("*")) if p.is_file()):
             digest.update(str(sub.relative_to(path)).encode("utf-8"))
             digest.update(b"\x00")
             digest.update(hashlib.sha256(sub.read_bytes()).hexdigest().encode("ascii"))
@@ -178,8 +187,8 @@ def _parse_parallel(
         if not line.strip():
             continue
         cols = line.split("\t")
-        if len(cols) < 2:
-            raise ValidationError("expected 'source<TAB>target'", lineno)
+        if len(cols) != 2:
+            raise ValidationError(f"expected 'source<TAB>target', got {len(cols)} columns", lineno)
         src, tgt = cols[0], cols[1]
         if swap:
             src, tgt = tgt, src
@@ -197,29 +206,33 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _series_checksum(directory: Path, series: CheckpointSeries | None) -> str:
+    """Checksum a series' index and the checkpoints loaded from it, if any."""
+    loaded = series.checkpoints if series is not None else ()
+    members = [SERIES_INDEX, *(checkpoint_name(c.iteration) for c in loaded)]
+    return sha256_path(directory, members)
+
+
 def _load_model(
     ckpt_arg: str | None, series_arg: str | None, newest: int, missing: str
-) -> tuple[CheckpointSeries, Path]:
-    """The checkpoints a command decodes with, and the directory they came from.
+) -> tuple[CheckpointSeries, str]:
+    """The checkpoints a command decodes with, and the checksum of their files.
 
     A model is one checkpoint directory or a series, of which only the newest
     ``newest`` checkpoints are loaded (all of them, if it has fewer).
     """
     if ckpt_arg:
         ckpt = load_checkpoint(ckpt_arg)
-        return CheckpointSeries(checkpoints=(ckpt,), direction=ckpt.direction), Path(ckpt_arg)
+        series = CheckpointSeries(checkpoints=(ckpt,), direction=ckpt.direction)
+        return series, sha256_path(Path(ckpt_arg))
     if series_arg:
-        return load_series(series_arg, newest), Path(series_arg)
+        series = load_series(series_arg, newest)
+        return series, _series_checksum(Path(series_arg), series)
     raise ValidationError(missing)
 
 
 def _method_params(args: argparse.Namespace) -> MethodParams:
-    beam = BeamParams(
-        beam_width=args.beam,
-        n_best=min(args.n, args.beam),
-        top_k_lexicon=args.top_k,
-    )
-    return MethodParams(n=args.n, n_prime=args.n_prime, m=args.m, beam=beam)
+    return MethodParams(n=args.n, n_prime=args.n_prime, m=args.m, top_k_lexicon=args.top_k)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -232,19 +245,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
     # each method loads only the newest checkpoints it decodes with
     if args.method == "ensemble":
-        fwd, fwd_path = _load_model(None, args.series, params.m, "ensemble: pass --series")
+        fwd, inputs["model"] = _load_model(None, args.series, params.m, "ensemble: pass --series")
     else:
-        fwd, fwd_path = _load_model(
+        fwd, inputs["model"] = _load_model(
             args.ckpt, args.series, 1, f"{args.method}: pass --ckpt or --series"
         )
-    inputs["model"] = sha256_path(fwd_path)
     if args.method == "nbest":
         sets = nbest_predict(fwd.checkpoints[-1], prompts, params, policy, warnings)
     elif args.method == "paraphrase":
-        bwd, bwd_path = _load_model(
+        bwd, inputs["bwd_model"] = _load_model(
             args.bwd_ckpt, args.bwd_series, 1, "paraphrase: pass --bwd-ckpt or --bwd-series"
         )
-        inputs["bwd_model"] = sha256_path(bwd_path)
         sets = paraphrase_predict(
             fwd.checkpoints[-1], bwd.checkpoints[-1], prompts, params, policy, warnings
         )
@@ -259,7 +270,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
         parameters={
             "method": args.method,
             "n": str(args.n),
-            "beam": str(args.beam),
             "n_prime": str(args.n_prime),
             "m": str(args.m),
             "policy": args.policy,
@@ -283,10 +293,9 @@ def _sweep_cells(
     prompts,
     golds,
     policy: NormalizationPolicy,
-    beam_width: int,
     top_k: int,
 ) -> tuple[list[str], int]:
-    """One table row per (method, parameter) cell; failures become NA rows."""
+    """One table row per (method, parameter) cell; bad-input failures become NA rows."""
     last = fwd_series.checkpoints[-1]
     rows: list[str] = []
     successes = 0
@@ -301,13 +310,12 @@ def _sweep_cells(
                 f"\t{_percent(score.mean_weighted_recall)}\t{_percent(score.macro_f1)}\n"
             )
             successes += 1
-        except Exception as exc:
+        except StapleForgeError as exc:
             log.warning("sweep cell %s %s failed: %s", method, param, exc)
             rows.append(f"{method}\t{param}\tNA\tNA\tNA\n")
 
     def params_for(n: int, n_prime: int = 3, m: int = 1) -> MethodParams:
-        beam = BeamParams(beam_width=beam_width, n_best=min(n, beam_width), top_k_lexicon=top_k)
-        return MethodParams(n=n, n_prime=n_prime, m=m, beam=beam)
+        return MethodParams(n=n, n_prime=n_prime, m=m, top_k_lexicon=top_k)
 
     for n in spec.n_values:
         run_cell("nbest", f"n={n}", lambda n=n: nbest_predict(last, prompts, params_for(n), policy))
@@ -346,12 +354,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     golds = parse_gold(_read_text(args.gold), policy)
     prompts = parse_prompts(_read_text(args.prompts))
+    inputs = {
+        "gold": sha256_path(Path(args.gold)),
+        "prompts": sha256_path(Path(args.prompts)),
+    }
     # the ensemble cells need the newest max(m) checkpoints (a cell whose m
     # exceeds the series still fails as an NA row); the rest need the newest one
     fwd_series = load_series(args.series, max(spec.m_values, default=1))
+    inputs["series"] = _series_checksum(Path(args.series), fwd_series)
     bwd_series = None
     if spec.n_prime_values and args.bwd_series:
         bwd_series = load_series(args.bwd_series, 1)
+    if args.bwd_series:
+        inputs["bwd_series"] = _series_checksum(Path(args.bwd_series), bwd_series)
 
     header = "method\tparam\tprecision\tweighted_recall\tweighted_f1\n"
     n_cells = len(spec.n_values) + len(spec.n_prime_values) + len(spec.m_values)
@@ -366,18 +381,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         prompts,
         golds,
         policy,
-        beam_width=args.beam,
         top_k=args.top_k,
     )
     _write_text(args.out, header + "".join(rows))
 
-    inputs = {
-        "gold": sha256_path(Path(args.gold)),
-        "prompts": sha256_path(Path(args.prompts)),
-        "series": sha256_path(Path(args.series)),
-    }
-    if args.bwd_series:
-        inputs["bwd_series"] = sha256_path(Path(args.bwd_series))
     manifest = RunManifest(
         command="sweep",
         parameters={
@@ -385,7 +392,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "n_prime_values": ",".join(map(str, spec.n_prime_values)),
             "m_values": ",".join(map(str, spec.m_values)),
             "fixed_n": str(spec.fixed_n),
-            "beam": str(args.beam),
             "policy": args.policy,
         },
         input_checksums=inputs,
@@ -475,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompts", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--beam", type=int, default=100)
     p.add_argument("--n-prime", dest="n_prime", type=int, default=3)
     p.add_argument("--m", type=int, default=6)
     p.add_argument("--top-k", dest="top_k", type=int, default=8)
@@ -494,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--m", dest="m_values", type=_int_list, default=list(DEFAULT_SWEEP_M))
     p.add_argument("--fixed-n", dest="fixed_n", type=int, default=10)
-    p.add_argument("--beam", type=int, default=100)
     p.add_argument("--top-k", dest="top_k", type=int, default=8)
     p.add_argument("--policy", choices=sorted(POLICIES), default="default")
     p.set_defaults(func=cmd_sweep)

@@ -25,6 +25,7 @@ Matching elsewhere in the toolkit compares sentences only after applying a
 from __future__ import annotations
 
 import logging
+import re
 import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,6 +36,8 @@ from .errors import ParseError, ValidationError
 log = logging.getLogger(__name__)
 
 WEIGHT_SUM_TOLERANCE = 1e-6
+# the weight literal grammar; the range (0, 1] is checked on the value
+WEIGHT_LITERAL = re.compile(r"[0-9]+(?:\.[0-9]{1,6})?")
 
 
 @dataclass(frozen=True)
@@ -171,10 +174,13 @@ def parse_gold(stream: str, policy: NormalizationPolicy = DEFAULT_POLICY) -> lis
                 raise ParseError(f"expected 'translation|weight': {line!r}", lineno)
             text, weight_str = line.rsplit("|", 1)
             text = text.strip()
-            try:
-                weight = float(weight_str)
-            except ValueError:
-                raise ParseError(f"bad weight literal {weight_str!r}", lineno) from None
+            if WEIGHT_LITERAL.fullmatch(weight_str) is None:
+                raise ParseError(
+                    f"bad weight literal {weight_str!r} (expected a decimal like 0.26739, "
+                    f"'.' separator, at most 6 fractional digits)",
+                    lineno,
+                )
+            weight = float(weight_str)
             key = normalize(text, policy)
             if not key:
                 raise ValidationError(f"translation is empty after normalization: {text!r}", lineno)

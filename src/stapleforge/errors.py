@@ -29,7 +29,3 @@ class ValidationError(StapleForgeError):
 
 class CheckpointError(StapleForgeError):
     """A checkpoint directory is missing, unreadable, or fails its integrity check."""
-
-
-class SearchSpaceError(StapleForgeError):
-    """Exhaustive enumeration refused because the candidate space is too large."""

@@ -3,22 +3,23 @@ multi-checkpoint ensembles.
 
 All three methods turn prompts into PredictionSets and share the same source
 path: normalize the prompt under the active policy, tokenize, decode,
-detokenize, de-duplicate. A failure on one prompt degrades that prompt to an
-empty candidate list and a warning record; it never aborts the batch. Every
-method is deterministic: identical inputs produce byte-identical prediction
-files.
+detokenize, de-duplicate. Bad input on one prompt (a StapleForgeError)
+degrades that prompt to an empty candidate list and a warning record; it never
+aborts the batch. Any other exception is a programming error and propagates.
+Every method is deterministic: identical inputs produce byte-identical
+prediction files.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 from .corpus import DEFAULT_POLICY, NormalizationPolicy, PredictionSet, Prompt, normalize
-from .errors import ValidationError
+from .errors import StapleForgeError, ValidationError
 from .textproc import detokenize, tokenize
-from .translator import BeamParams, Checkpoint, CheckpointSeries, decode_nbest
+from .translator import Checkpoint, CheckpointSeries, DecodeParams, decode_nbest
 
 log = logging.getLogger(__name__)
 
@@ -28,7 +29,7 @@ class MethodParams:
     n: int = 10
     n_prime: int = 3
     m: int = 6
-    beam: BeamParams = field(default_factory=BeamParams)
+    top_k_lexicon: int = 8
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -37,6 +38,8 @@ class MethodParams:
             raise ValidationError(f"n_prime must be >= 1, got {self.n_prime}")
         if self.m < 1:
             raise ValidationError(f"m must be >= 1, got {self.m}")
+        if self.top_k_lexicon < 1:
+            raise ValidationError(f"top_k_lexicon must be >= 1, got {self.top_k_lexicon}")
 
 
 @dataclass(frozen=True)
@@ -68,16 +71,30 @@ def _source_tokens(text: str, policy: NormalizationPolicy) -> list[str]:
 def _decode_sentences(
     ckpt: Checkpoint, text: str, n: int, params: MethodParams, policy: NormalizationPolicy
 ) -> list[str]:
-    beam = replace(params.beam, n_best=n)
-    hyps = decode_nbest(ckpt, _source_tokens(text, policy), beam)
+    decode = DecodeParams(n_best=n, top_k_lexicon=params.top_k_lexicon)
+    hyps = decode_nbest(ckpt, _source_tokens(text, policy), decode)
     return [detokenize(h.tokens) for h in hyps if h.tokens]
 
 
-def _check_beam(params: MethodParams) -> None:
-    if params.n > params.beam.beam_width:
-        raise ValidationError(
-            f"n={params.n} exceeds beam_width={params.beam.beam_width}"
-        )
+def _per_prompt(
+    prompts: Sequence[Prompt],
+    stage: str,
+    candidates: Callable[[Prompt], list[str]],
+    warnings: list[MethodWarning] | None,
+) -> list[PredictionSet]:
+    """One PredictionSet per prompt; bad input degrades only its own prompt."""
+    sets: list[PredictionSet] = []
+    for prompt in prompts:
+        try:
+            cands = candidates(prompt)
+            problem = "" if cands else "no candidates"
+        except StapleForgeError as exc:  # degrade, never abort the batch
+            log.warning("prompt %s: %s failed: %s", prompt.id, stage, exc)
+            cands, problem = [], str(exc)
+        if problem and warnings is not None:
+            warnings.append(MethodWarning(prompt.id, stage, problem))
+        sets.append(PredictionSet(prompt.id, tuple(cands)))
+    return sets
 
 
 def nbest_predict(
@@ -88,23 +105,11 @@ def nbest_predict(
     warnings: list[MethodWarning] | None = None,
 ) -> list[PredictionSet]:
     """Top-n decoded translations per prompt, de-duplicated in score order."""
-    _check_beam(params)
 
-    def one(prompt: Prompt) -> tuple[PredictionSet, list[MethodWarning]]:
-        try:
-            cands = dedup(_decode_sentences(ckpt, prompt.text, params.n, params, policy), policy)
-            warns = [] if cands else [MethodWarning(prompt.id, "nbest", "no candidates")]
-            return PredictionSet(prompt.id, tuple(cands)), warns
-        except Exception as exc:  # degrade, never abort the batch
-            log.warning("prompt %s: n-best decoding failed: %s", prompt.id, exc)
-            warn = MethodWarning(prompt.id, "nbest", str(exc))
-            return PredictionSet(prompt.id, ()), [warn]
+    def candidates(prompt: Prompt) -> list[str]:
+        return dedup(_decode_sentences(ckpt, prompt.text, params.n, params, policy), policy)
 
-    results = [one(prompt) for prompt in prompts]
-    if warnings is not None:
-        for _, warns in results:
-            warnings.extend(warns)
-    return [pset for pset, _ in results]
+    return _per_prompt(prompts, "nbest", candidates, warnings)
 
 
 def paraphrase_predict(
@@ -123,44 +128,26 @@ def paraphrase_predict(
     is the union of steps 1 and 3, step-1 order first, so it is a superset of
     the plain n-best output.
     """
-    _check_beam(params)
-    if params.n_prime > params.beam.beam_width:
-        raise ValidationError(
-            f"n_prime={params.n_prime} exceeds beam_width={params.beam.beam_width}"
-        )
     if fwd.direction == bwd.direction:
         raise ValidationError(
             f"paraphrasing needs opposite-direction checkpoints, got "
             f"{fwd.direction!r} and {bwd.direction!r}"
         )
 
-    def one(prompt: Prompt) -> tuple[PredictionSet, list[MethodWarning]]:
-        try:
-            step1 = dedup(_decode_sentences(fwd, prompt.text, params.n, params, policy), policy)
-            pool: list[str] = []
-            for sent in step1:
-                pool.extend(_decode_sentences(bwd, sent, params.n_prime, params, policy))
-            prompt_key = normalize(prompt.text, policy)
-            paraphrases = [
-                p for p in dedup(pool, policy) if normalize(p, policy) != prompt_key
-            ]
-            step3: list[str] = []
-            for para in paraphrases:
-                best = _decode_sentences(fwd, para, 1, params, policy)
-                step3.extend(best[:1])
-            cands = dedup(step1 + step3, policy)
-            warns = [] if cands else [MethodWarning(prompt.id, "paraphrase", "no candidates")]
-            return PredictionSet(prompt.id, tuple(cands)), warns
-        except Exception as exc:
-            log.warning("prompt %s: paraphrasing failed: %s", prompt.id, exc)
-            warn = MethodWarning(prompt.id, "paraphrase", str(exc))
-            return PredictionSet(prompt.id, ()), [warn]
+    def candidates(prompt: Prompt) -> list[str]:
+        step1 = dedup(_decode_sentences(fwd, prompt.text, params.n, params, policy), policy)
+        pool: list[str] = []
+        for sent in step1:
+            pool.extend(_decode_sentences(bwd, sent, params.n_prime, params, policy))
+        prompt_key = normalize(prompt.text, policy)
+        paraphrases = [p for p in dedup(pool, policy) if normalize(p, policy) != prompt_key]
+        step3: list[str] = []
+        for para in paraphrases:
+            best = _decode_sentences(fwd, para, 1, params, policy)
+            step3.extend(best[:1])
+        return dedup(step1 + step3, policy)
 
-    results = [one(prompt) for prompt in prompts]
-    if warnings is not None:
-        for _, warns in results:
-            warnings.extend(warns)
-    return [pset for pset, _ in results]
+    return _per_prompt(prompts, "paraphrase", candidates, warnings)
 
 
 def multi_checkpoint_predict(

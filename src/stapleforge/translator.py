@@ -7,8 +7,16 @@ once from the target side. There is no NULL source word: decoding is monotone
 word for word, emitting one target word per source word from the lexicon's
 top-k candidates (unknown source words copy through at a fixed penalty), and
 hypotheses are scored by average log-likelihood. Ties are broken
-lexicographically by token sequence everywhere, so search and its exhaustive
-oracle agree element for element whenever the beam saturates the space.
+lexicographically by token sequence.
+
+Decoding is exact k-best search over a lattice, not a beam: every hypothesis
+has one word per source word and the bigram LM's state is just the last word,
+so a position has at most top-k states, and keeping the n best partial
+hypotheses per state finds the n best sequences exactly. The paper's beam of
+width 100 searches neural models that condition on the whole prefix; this
+model has no such search problem, so that width has no counterpart here.
+Totals are summed in the same order as by exhaustive enumeration, which the
+decoder matches element for element.
 
 A checkpoint is persisted after every EM iteration. On-disk layout, one
 directory per checkpoint:
@@ -44,7 +52,6 @@ Training refuses a directory that already holds a series.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import logging
 import math
 import os
@@ -56,7 +63,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import CheckpointError, SearchSpaceError, ValidationError
+from .errors import CheckpointError, ValidationError
 from .textproc import TokenSeq
 
 log = logging.getLogger(__name__)
@@ -70,8 +77,6 @@ EOS = "</s>"
 UNSEEN = "<other>"
 BACKOFF = "<unk>"
 RESERVED_TOKENS = (BOS, EOS, UNSEEN, BACKOFF)
-
-EXHAUSTIVE_LIMIT = 10**6
 
 DIRECTIONS = ("fwd", "bwd")
 SERIES_INDEX = "series.tsv"
@@ -205,22 +210,13 @@ class Hypothesis:
 
 
 @dataclass(frozen=True)
-class BeamParams:
-    beam_width: int = 100
+class DecodeParams:
     n_best: int = 10
-    max_len_ratio: float = 2.0
     top_k_lexicon: int = 8
 
     def __post_init__(self) -> None:
-        if self.beam_width < 1:
-            raise ValidationError(f"beam_width must be >= 1, got {self.beam_width}")
-        if not (1 <= self.n_best <= self.beam_width):
-            raise ValidationError(
-                f"n_best must satisfy 1 <= n_best <= beam_width, got "
-                f"n_best={self.n_best}, beam_width={self.beam_width}"
-            )
-        if self.max_len_ratio <= 0:
-            raise ValidationError(f"max_len_ratio must be > 0, got {self.max_len_ratio}")
+        if self.n_best < 1:
+            raise ValidationError(f"n_best must be >= 1, got {self.n_best}")
         if self.top_k_lexicon < 1:
             raise ValidationError(f"top_k_lexicon must be >= 1, got {self.top_k_lexicon}")
 
@@ -335,7 +331,7 @@ def train_toy(
         )
         checkpoints.append(ckpt)
         if out_dir is not None:
-            save_checkpoint(ckpt, out_dir / _checkpoint_name(it))
+            save_checkpoint(ckpt, out_dir / checkpoint_name(it))
             _write_series_index(out_dir, checkpoints, direction)
         log.info("iteration %d: corpus log-likelihood %.6f", it, loglik)
     return CheckpointSeries(checkpoints=tuple(checkpoints), direction=direction)
@@ -353,61 +349,40 @@ def emission_candidates(
 
 
 def decode_nbest(
-    ckpt: Checkpoint, source: Sequence[str], params: BeamParams
+    ckpt: Checkpoint, source: Sequence[str], params: DecodeParams
 ) -> list[Hypothesis]:
-    """Monotone beam search returning the n-best hypotheses by average log-likelihood."""
+    """The exact n-best hypotheses by average log-likelihood (k-best Viterbi).
+
+    The states of a position are its candidate words (the bigram LM's
+    history). Each state keeps the n best ``(-total, tokens)`` entries that
+    reach it; every entry of a state is extended by the same emission and LM
+    scores, so pruning to n per state never drops a member of the overall
+    n-best (barring two partial totals that differ only in rounding and tie
+    once extended). The LM is consulted once per (state, word) pair.
+    """
     if not source:
         return [Hypothesis(tokens=(), total_logprob=0.0)]
-    beam: list[tuple[float, tuple[str, ...]]] = [(0.0, ())]
+    n = params.n_best
+    logprob = ckpt.lm.logprob
+    # negation is exact, so plain tuple order is the key (-total, tokens)
+    states: dict[str, list[tuple[float, tuple[str, ...]]]] = {BOS: [(0.0, ())]}
     for src_word in source:
         cands = emission_candidates(ckpt.lexicon, src_word, params.top_k_lexicon)
-        extended: list[tuple[float, tuple[str, ...]]] = []
-        for total, toks in beam:
-            prev = toks[-1] if toks else BOS
-            for word, emit_lp in cands:
-                extended.append((total + emit_lp + ckpt.lm.logprob(prev, word), toks + (word,)))
-        extended.sort(key=lambda h: (-h[0], h[1]))
-        beam = extended[: params.beam_width]
-    hyps = [Hypothesis(tokens=toks, total_logprob=total) for total, toks in beam]
-    hyps.sort(key=lambda h: (-h.avg_logprob, h.tokens))
-    return hyps[: params.n_best]
-
-
-def exhaustive_nbest(
-    ckpt: Checkpoint, source: Sequence[str], n_best: int, top_k_lexicon: int = 8
-) -> list[Hypothesis]:
-    """Enumerate the full candidate space under the same emission model.
-
-    This is the testing oracle for decode_nbest; it refuses spaces larger than
-    10^6 sequences.
-    """
-    if n_best < 1:
-        raise ValidationError(f"n_best must be >= 1, got {n_best}")
-    if not source:
-        return [Hypothesis(tokens=(), total_logprob=0.0)]
-    per_position = [
-        emission_candidates(ckpt.lexicon, w, top_k_lexicon) for w in source
-    ]
-    size = 1
-    for cands in per_position:
-        size *= len(cands)
-        if size > EXHAUSTIVE_LIMIT:
-            raise SearchSpaceError(
-                f"candidate space holds at least {size} sequences "
-                f"(limit {EXHAUSTIVE_LIMIT}); refusing to enumerate"
-            )
-    hyps: list[Hypothesis] = []
-    for combo in itertools.product(*per_position):
-        total = 0.0
-        prev = BOS
-        toks: list[str] = []
-        for word, emit_lp in combo:
-            total = total + emit_lp + ckpt.lm.logprob(prev, word)
-            toks.append(word)
-            prev = word
-        hyps.append(Hypothesis(tokens=tuple(toks), total_logprob=total))
-    hyps.sort(key=lambda h: (-h.avg_logprob, h.tokens))
-    return hyps[:n_best]
+        extended = {}
+        for word, emit_lp in cands:
+            pool: list[tuple[float, tuple[str, ...]]] = []
+            for prev, entries in states.items():
+                lm_lp = logprob(prev, word)
+                # -((total + emit_lp) + lm_lp), summed left to right like every total
+                pool.extend([((neg - emit_lp) - lm_lp, toks) for neg, toks in entries])
+            pool.sort()  # every entry gains the same last word, so prefixes decide ties
+            extended[word] = [(neg, toks + (word,)) for neg, toks in pool[:n]]
+        states = extended
+    length = len(source)
+    ranked = sorted(
+        (neg / length, toks, neg) for entries in states.values() for neg, toks in entries
+    )
+    return [Hypothesis(tokens=toks, total_logprob=-neg) for _, toks, neg in ranked[:n]]
 
 
 def _checksum(lexicon_text: str, lm_text: str) -> str:
@@ -525,7 +500,7 @@ def load_checkpoint(directory: Path | str) -> Checkpoint:
     )
 
 
-def _checkpoint_name(iteration: int) -> str:
+def checkpoint_name(iteration: int) -> str:
     return f"ckpt-{iteration:04d}"
 
 
@@ -535,7 +510,7 @@ def _write_series_index(
     """Replace series.tsv atomically, so readers only ever see a whole index."""
     lines = [f"direction\t{direction}\n"]
     for ckpt in checkpoints:
-        lines.append(f"{_checkpoint_name(ckpt.iteration)}\t{ckpt.corpus_loglik!r}\n")
+        lines.append(f"{checkpoint_name(ckpt.iteration)}\t{ckpt.corpus_loglik!r}\n")
     partial = directory / (SERIES_INDEX + ".partial")
     partial.write_text("".join(lines), encoding="utf-8", newline="\n")
     os.replace(partial, directory / SERIES_INDEX)
@@ -554,7 +529,7 @@ def _read_series_index(directory: Path) -> tuple[str, list[tuple[int, float]]]:
     for lineno, line in enumerate(lines[1:], start=2):
         cols = line.split("\t")
         match = _CKPT_NAME.fullmatch(cols[0])
-        if len(cols) != 2 or match is None or _checkpoint_name(int(match[1])) != cols[0]:
+        if len(cols) != 2 or match is None or checkpoint_name(int(match[1])) != cols[0]:
             raise CheckpointError(f"{path} row {lineno}: expected 'ckpt-NNNN<TAB>loglik': {line!r}")
         try:
             loglik = float(cols[1])
@@ -589,7 +564,7 @@ def load_series(directory: Path | str, newest: int | None = None) -> CheckpointS
         rows = rows[-newest:]
     checkpoints = []
     for iteration, loglik in rows:
-        path = directory / _checkpoint_name(iteration)
+        path = directory / checkpoint_name(iteration)
         ckpt = load_checkpoint(path)
         if (ckpt.iteration, ckpt.direction, ckpt.corpus_loglik) != (iteration, direction, loglik):
             raise CheckpointError(

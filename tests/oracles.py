@@ -1,15 +1,19 @@
 """Independent oracles and random-instance generators used by the tests.
 
 Everything here deliberately re-derives results from first principles rather
-than calling the implementation paths it checks: the BPE oracle rescans the
-whole corpus every round, and the scoring oracle evaluates the metric
-definitions directly on normalized sets.
+than calling the implementation paths it checks: the decoding oracle
+enumerates every candidate sequence, the BPE oracle rescans the whole corpus
+every round, and the scoring oracle evaluates the metric definitions directly
+on normalized sets.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from collections import Counter
+from typing import Sequence
 
 from stapleforge.corpus import (
     GoldSet,
@@ -19,9 +23,57 @@ from stapleforge.corpus import (
     WeightedTranslation,
     normalize,
 )
-from stapleforge.translator import Checkpoint, build_bigram_lm, quantize
+from stapleforge.errors import ValidationError
+from stapleforge.translator import (
+    BOS,
+    Checkpoint,
+    Hypothesis,
+    build_bigram_lm,
+    emission_candidates,
+    quantize,
+)
 
 EOW = "</w>"
+EXHAUSTIVE_LIMIT = 10**6
+
+
+class SearchSpaceError(Exception):
+    """Exhaustive enumeration refused because the candidate space is too large."""
+
+
+def exhaustive_nbest(
+    ckpt: Checkpoint, source: Sequence[str], n_best: int, top_k_lexicon: int = 8
+) -> list[Hypothesis]:
+    """Enumerate the full candidate space under the decoder's emission model.
+
+    This is the testing oracle for decode_nbest; it refuses spaces larger than
+    10^6 sequences.
+    """
+    if n_best < 1:
+        raise ValidationError(f"n_best must be >= 1, got {n_best}")
+    if not source:
+        return [Hypothesis(tokens=(), total_logprob=0.0)]
+    per_position = [emission_candidates(ckpt.lexicon, w, top_k_lexicon) for w in source]
+    size = 1
+    for cands in per_position:
+        size *= len(cands)
+        if size > EXHAUSTIVE_LIMIT:
+            raise SearchSpaceError(
+                f"candidate space holds at least {size} sequences "
+                f"(limit {EXHAUSTIVE_LIMIT}); refusing to enumerate"
+            )
+    hyps: list[Hypothesis] = []
+    for combo in itertools.product(*per_position):
+        total = 0.0
+        prev = BOS
+        toks: list[str] = []
+        for word, emit_lp in combo:
+            total = total + emit_lp + ckpt.lm.logprob(prev, word)
+            toks.append(word)
+            prev = word
+        hyps.append(Hypothesis(tokens=tuple(toks), total_logprob=total))
+    hyps.sort(key=lambda h: (-h.avg_logprob, h.tokens))
+    return hyps[:n_best]
 
 
 def bpe_learn_oracle(corpus: list[list[str]], num_merges: int) -> list[tuple[str, str]]:
@@ -104,6 +156,42 @@ def gen_random_checkpoint(rng: random.Random) -> Checkpoint:
         created_at="1970-01-01T00:00:00Z",
         direction="fwd",
     )
+
+
+def gen_random_lattice(
+    rng: random.Random, max_space: int = 20_000
+) -> tuple[Checkpoint, list[str]]:
+    """A random checkpoint with up to 8 candidates per source word, and a 4-6
+    word source over it (OOV words included), for decoder exactness tests.
+
+    Sources are redrawn until their lattice holds at most ``max_space``
+    sequences, which keeps the exhaustive oracle fast.
+    """
+    tvocab = [f"t{i}" for i in range(rng.randint(8, 12))]
+    lexicon: dict[str, dict[str, float]] = {}
+    for i in range(rng.randint(2, 4)):
+        targets = rng.sample(tvocab, rng.randint(2, 8))
+        raw = [rng.uniform(0.05, 1.0) for _ in targets]
+        total = sum(raw)
+        lexicon[f"s{i}"] = {t: quantize(x / total) for t, x in zip(targets, raw)}
+    lm_corpus = [
+        [rng.choice(tvocab) for _ in range(rng.randint(1, 6))] for _ in range(rng.randint(2, 12))
+    ]
+    lm = build_bigram_lm(lm_corpus, alpha=rng.choice([0.01, 0.1, 1.0]))
+    ckpt = Checkpoint(
+        iteration=1,
+        lexicon=lexicon,
+        lm=lm,
+        corpus_loglik=-1.0,
+        created_at="1970-01-01T00:00:00Z",
+        direction="fwd",
+    )
+    words = [*lexicon, "oov"]
+    width = {w: len(lexicon.get(w, ())) or 1 for w in words}
+    while True:
+        source = [rng.choice(words) for _ in range(rng.randint(4, 6))]
+        if math.prod(width[w] for w in source) <= max_space:
+            return ckpt, source
 
 
 def gen_random_gold(rng: random.Random, prompt_id: str = "g") -> GoldSet:

@@ -12,7 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import bpe_learn_oracle, gen_random_checkpoint, gen_random_gold, gen_random_parallel
+from oracles import (
+    bpe_learn_oracle,
+    exhaustive_nbest,
+    gen_random_gold,
+    gen_random_lattice,
+    gen_random_parallel,
+)
 from stapleforge.cli import main
 from stapleforge.corpus import (
     DEFAULT_POLICY,
@@ -23,7 +29,7 @@ from stapleforge.corpus import (
 from stapleforge.methods import MethodParams, multi_checkpoint_predict, nbest_predict, paraphrase_predict
 from stapleforge.metrics import match_sets, score_corpus, score_prompt
 from stapleforge.textproc import bpe_apply, bpe_decode, bpe_learn
-from stapleforge.translator import BeamParams, decode_nbest, exhaustive_nbest, train_toy
+from stapleforge.translator import DecodeParams, decode_nbest, train_toy
 
 TABLE_WEIGHTS = ["0.26739", "0.16168", "0.11109", "0.08778", "0.05717"]
 
@@ -33,7 +39,7 @@ def _pass(name: str, detail: str = "") -> None:
 
 
 def _params(n=10, n_prime=3, m=1):
-    return MethodParams(n=n, n_prime=n_prime, m=m, beam=BeamParams(beam_width=100, n_best=n))
+    return MethodParams(n=n, n_prime=n_prime, m=m)
 
 
 def test_criterion_1_metric_fixture_exactness(fixtures_path):
@@ -121,21 +127,18 @@ def test_criterion_3b_paraphrase_superset(
     )
 
 
-def test_criterion_3c_beam_oracle_equivalence():
+def test_criterion_3c_decoder_oracle_equivalence():
     started = time.monotonic()
     rng = random.Random(31415)
     for i in range(200):
-        ckpt = gen_random_checkpoint(rng)
-        source = [
-            rng.choice(list(ckpt.lexicon) + ["oov"]) for _ in range(rng.randint(1, 3))
-        ]
-        n = rng.randint(1, 10)
-        beam = decode_nbest(ckpt, source, BeamParams(beam_width=1000, n_best=n, top_k_lexicon=5))
-        oracle = exhaustive_nbest(ckpt, source, n, top_k_lexicon=5)
-        assert beam == oracle, f"instance {i}: beam and oracle disagree"
+        ckpt, source = gen_random_lattice(rng)
+        n = rng.randint(1, 30)
+        got = decode_nbest(ckpt, source, DecodeParams(n_best=n, top_k_lexicon=8))
+        oracle = exhaustive_nbest(ckpt, source, n, top_k_lexicon=8)
+        assert got == oracle, f"instance {i}: decoder and oracle disagree"
     elapsed = time.monotonic() - started
     assert elapsed < 10.0
-    _pass("3c beam-oracle-equivalence", f"(200/200 instances, {elapsed:.2f}s)")
+    _pass("3c decoder-oracle-equivalence", f"(200/200 instances, {elapsed:.2f}s)")
 
 
 def test_criterion_3d_em_monotonicity():
@@ -236,14 +239,14 @@ def test_criterion_5_end_to_end_smoke(tmp_path, fixtures_path):
 
     runs = {
         "nbest": ["generate", "--method", "nbest", "--series", str(tmp_path / "fwd"),
-                  "--prompts", prompts, "--n", "10", "--beam", "100",
+                  "--prompts", prompts, "--n", "10",
                   "--out", str(tmp_path / "pred_nbest.txt")],
         "paraphrase": ["generate", "--method", "paraphrase", "--series", str(tmp_path / "fwd"),
                        "--bwd-series", str(tmp_path / "bwd"), "--prompts", prompts,
-                       "--n", "10", "--beam", "100", "--n-prime", "3",
+                       "--n", "10", "--n-prime", "3",
                        "--out", str(tmp_path / "pred_paraphrase.txt")],
         "ensemble": ["generate", "--method", "ensemble", "--series", str(tmp_path / "fwd"),
-                     "--prompts", prompts, "--n", "10", "--beam", "100", "--m", "5",
+                     "--prompts", prompts, "--n", "10", "--m", "5",
                      "--out", str(tmp_path / "pred_ensemble.txt")],
     }
     for method, argv in runs.items():

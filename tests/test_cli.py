@@ -148,6 +148,15 @@ class TestTrain:
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_extra_parallel_column_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("the cat\to gato\nthe dog\to cão\textra\n", encoding="utf-8")
+        rc = run_cli(["train", "--parallel", str(bad), "--iterations", "1",
+                      "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestGenerate:
     def test_nbest_n1_single_candidate(self, trained_world, fixtures_path, tmp_path):
@@ -177,7 +186,7 @@ class TestGenerate:
         assert rc == 0
         manifest = (tmp_path / "pred.txt.manifest.tsv").read_text()
         assert "param:n\t10" in manifest
-        assert "param:beam\t100" in manifest
+        assert "param:beam" not in manifest  # decoding is exact: there is no beam width
         assert "param:n_prime\t3" in manifest
         assert "param:m\t6" in manifest
         assert "tool_version\t" in manifest
@@ -446,13 +455,59 @@ class TestSeriesLoading:
                 assert run_cli(["generate", "--method", method, "--series", path, "--m", "5",
                                 "--prompts", prompts, "--out", str(out)]) == 0
                 outputs[series, method] = out.read_bytes()
+                outputs[series, method, "manifest"] = Path(f"{out}.manifest.tsv").read_bytes()
             table = tmp_path / f"{series}_table.tsv"
             assert run_cli(["sweep", "--series", path, "--gold", gold, "--prompts", prompts,
                             "--n", "5", "--n-prime", "", "--m", "1,5",
                             "--out", str(table)]) == 0
             outputs[series, "sweep"] = table.read_bytes()
+            outputs[series, "sweep", "manifest"] = Path(f"{table}.manifest.tsv").read_bytes()
         for what in ("nbest", "ensemble", "sweep"):
             assert outputs["stray", what] == outputs["clean", what]
+            # the manifest checksums only series.tsv and the checkpoints loaded
+            assert outputs["stray", what, "manifest"] == outputs["clean", what, "manifest"]
+
+    def test_model_checksum_covers_only_loaded_checkpoints(
+        self, trained_world, fixtures_path, tmp_path
+    ):
+        """Editing a checkpoint the command did not load leaves its manifest
+        unchanged; editing the index or a loaded checkpoint changes it."""
+        prompts = str(fixtures_path / "toy_prompts.txt")
+        series = tmp_path / "fwd"
+        shutil.copytree(trained_world / "fwd", series)
+
+        def manifest() -> str:
+            out = tmp_path / "pred.txt"
+            assert run_cli(["generate", "--method", "ensemble", "--m", "2",
+                            "--series", str(series), "--prompts", prompts,
+                            "--out", str(out)]) == 0
+            rows = Path(f"{out}.manifest.tsv").read_text().splitlines()
+            return next(row for row in rows if row.startswith("input:model\t"))
+
+        before = manifest()
+        (series / "ckpt-0001" / "note.txt").write_text("not loaded", encoding="utf-8")
+        assert manifest() == before
+        (series / "ckpt-0004" / "note.txt").write_text("loaded", encoding="utf-8")
+        assert manifest() != before
+
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_programming_error_exits_1(
+        self, trained_world, fixtures_path, tmp_path, monkeypatch, capsys, command
+    ):
+        """A bug is not bad input: it must not become empty predictions or NA rows."""
+        def boom(*args, **kwargs):
+            raise TypeError("decoder bug")
+
+        monkeypatch.setattr("stapleforge.methods.decode_nbest", boom)
+        argv = {
+            "generate": ["generate", "--method", "nbest"],
+            "sweep": ["sweep", "--gold", str(fixtures_path / "toy_gold.txt")],
+        }[command]
+        rc = run_cli([*argv, "--series", str(trained_world / "fwd"),
+                      "--prompts", str(fixtures_path / "toy_prompts.txt"),
+                      "--out", str(tmp_path / "out.txt")])
+        assert rc == 1
+        assert "decoder bug" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["loglik", "direction"])
     def test_index_disagreeing_with_checkpoint_exits_2(

@@ -79,6 +79,17 @@ class TestParseGold:
         with pytest.raises(ParseError, match="line 2"):
             parse_gold("p|x\nfoo|abc\n")
 
+    @pytest.mark.parametrize("literal", ["1e-1", "0.1234567", "0.5_0", "+0.5", ".5", "0,5",
+                                         "1.", " 0.5", "0.5 ", "nan", "inf", "٠.٥"])
+    def test_weight_outside_documented_format_rejected(self, literal):
+        with pytest.raises(ParseError, match="line 3.*bad weight literal"):
+            parse_gold(f"p|x\nbar|0.1\nfoo|{literal}\n")
+
+    @pytest.mark.parametrize("literal, value", [("0.26739", 0.26739), ("1.0", 1.0), ("1", 1.0),
+                                                ("0.000001", 1e-06), ("1.000000", 1.0)])
+    def test_weight_in_documented_format_accepted(self, literal, value):
+        assert parse_gold(f"p|x\nfoo|{literal}\n")[0].translations[0].weight == value
+
     def test_duplicate_translation_rejected(self):
         stream = "p|x\nOlá!|0.5\nolá|0.3\n"
         with pytest.raises(ValidationError, match="duplicate"):

@@ -13,16 +13,11 @@ from stapleforge.methods import (
     paraphrase_predict,
 )
 from stapleforge.metrics import score_corpus
-from stapleforge.translator import BeamParams, Checkpoint, build_bigram_lm
+from stapleforge.translator import Checkpoint, build_bigram_lm
 
 
-def params(n=10, n_prime=3, m=1, beam_width=100, top_k=8):
-    return MethodParams(
-        n=n,
-        n_prime=n_prime,
-        m=m,
-        beam=BeamParams(beam_width=beam_width, n_best=min(n, beam_width), top_k_lexicon=top_k),
-    )
+def params(n=10, n_prime=3, m=1, top_k=8):
+    return MethodParams(n=n, n_prime=n_prime, m=m, top_k_lexicon=top_k)
 
 
 @pytest.fixture(scope="module")
@@ -75,14 +70,9 @@ class TestNbestPredict:
             for s, l in zip(smaller, larger):
                 assert l.candidates[: len(s.candidates)] == s.candidates
 
-    def test_n_above_beam_width_rejected(self, toy_fwd_series, toy_prompts):
-        ckpt = toy_fwd_series.checkpoints[-1]
-        with pytest.raises(ValidationError, match="beam_width"):
-            nbest_predict(ckpt, toy_prompts, params(n=10, beam_width=5))
-
     def test_failure_degrades_to_empty_set(self, toy_fwd_series, toy_prompts, monkeypatch):
         def boom(*args, **kwargs):
-            raise RuntimeError("decoder exploded")
+            raise ValidationError("bad input")
 
         monkeypatch.setattr("stapleforge.methods.decode_nbest", boom)
         warnings: list[MethodWarning] = []
@@ -91,6 +81,24 @@ class TestNbestPredict:
         )
         assert all(s.candidates == () for s in sets)
         assert {w.prompt_id for w in warnings} == {p.id for p in toy_prompts}
+        assert {w.message for w in warnings} == {"bad input"}
+
+    @pytest.mark.parametrize("method", ["nbest", "paraphrase", "ensemble"])
+    def test_programming_error_propagates(
+        self, toy_fwd_series, toy_bwd_series, toy_prompts, monkeypatch, method
+    ):
+        def boom(*args, **kwargs):
+            raise TypeError("decoder bug")
+
+        monkeypatch.setattr("stapleforge.methods.decode_nbest", boom)
+        fwd, bwd = toy_fwd_series.checkpoints[-1], toy_bwd_series.checkpoints[-1]
+        run = {
+            "nbest": lambda: nbest_predict(fwd, toy_prompts, params()),
+            "paraphrase": lambda: paraphrase_predict(fwd, bwd, toy_prompts, params()),
+            "ensemble": lambda: multi_checkpoint_predict(toy_fwd_series, toy_prompts, params(m=2)),
+        }[method]
+        with pytest.raises(TypeError, match="decoder bug"):
+            run()
 
     def test_no_normalization_equivalent_duplicates(self, toy_fwd_series, toy_prompts):
         sets = nbest_predict(toy_fwd_series.checkpoints[-1], toy_prompts, params(n=10))
@@ -131,6 +139,23 @@ class TestParaphrasePredict:
         ckpt = toy_fwd_series.checkpoints[-1]
         with pytest.raises(ValidationError, match="direction"):
             paraphrase_predict(ckpt, ckpt, toy_prompts, params())
+
+    def test_failure_degrades_to_empty_set(
+        self, toy_fwd_series, toy_bwd_series, toy_prompts, monkeypatch
+    ):
+        def boom(*args, **kwargs):
+            raise ValidationError("bad input")
+
+        monkeypatch.setattr("stapleforge.methods.decode_nbest", boom)
+        warnings: list[MethodWarning] = []
+        sets = paraphrase_predict(
+            toy_fwd_series.checkpoints[-1], toy_bwd_series.checkpoints[-1], toy_prompts,
+            params(), warnings=warnings,
+        )
+        assert all(s.candidates == () for s in sets)
+        assert [(w.prompt_id, w.stage) for w in warnings] == [
+            (p.id, "paraphrase") for p in toy_prompts
+        ]
 
 
 class TestMultiCheckpointPredict:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import random
@@ -8,18 +9,24 @@ import shutil
 import pytest
 
 import stapleforge.translator as translator
-from oracles import gen_random_checkpoint, gen_random_parallel
-from stapleforge.errors import CheckpointError, SearchSpaceError, ValidationError
+from oracles import (
+    SearchSpaceError,
+    exhaustive_nbest,
+    gen_random_checkpoint,
+    gen_random_lattice,
+    gen_random_parallel,
+)
+from stapleforge.errors import CheckpointError, ValidationError
 from stapleforge.translator import (
     BOS,
     EOS,
-    BeamParams,
     Checkpoint,
     CheckpointSeries,
+    DecodeParams,
     build_bigram_lm,
     corpus_loglikelihood,
     decode_nbest,
-    exhaustive_nbest,
+    emission_candidates,
     load_checkpoint,
     load_series,
     save_checkpoint,
@@ -110,14 +117,12 @@ class TestBigramLm:
         assert ("y", EOS) in lm.bigram_logprob
 
 
-class TestBeamParams:
+class TestDecodeParams:
     def test_invariants(self):
-        with pytest.raises(ValidationError):
-            BeamParams(beam_width=5, n_best=6)
-        with pytest.raises(ValidationError):
-            BeamParams(n_best=0)
-        with pytest.raises(ValidationError):
-            BeamParams(max_len_ratio=0.0)
+        with pytest.raises(ValidationError, match="n_best"):
+            DecodeParams(n_best=0)
+        with pytest.raises(ValidationError, match="top_k_lexicon"):
+            DecodeParams(top_k_lexicon=0)
 
 
 class TestDecode:
@@ -132,42 +137,42 @@ class TestDecode:
         )
 
     def test_two_best_order(self, skewed_ckpt):
-        hyps = decode_nbest(skewed_ckpt, ["a"], BeamParams(beam_width=10, n_best=2))
+        hyps = decode_nbest(skewed_ckpt, ["a"], DecodeParams(n_best=2))
         assert [h.tokens for h in hyps] == [("x",), ("z",)]
         assert hyps[0].avg_logprob > hyps[1].avg_logprob
 
     def test_top1_is_argmax(self, skewed_ckpt):
-        top2 = decode_nbest(skewed_ckpt, ["a"], BeamParams(beam_width=10, n_best=2))
-        top1 = decode_nbest(skewed_ckpt, ["a"], BeamParams(beam_width=10, n_best=1))
+        top2 = decode_nbest(skewed_ckpt, ["a"], DecodeParams(n_best=2))
+        top1 = decode_nbest(skewed_ckpt, ["a"], DecodeParams(n_best=1))
         assert top1 == top2[:1]
 
     def test_empty_source(self, skewed_ckpt):
-        hyps = decode_nbest(skewed_ckpt, [], BeamParams())
+        hyps = decode_nbest(skewed_ckpt, [], DecodeParams())
         assert len(hyps) == 1
         assert hyps[0].tokens == () and hyps[0].total_logprob == 0.0
 
     def test_unknown_word_copies_through(self, skewed_ckpt):
-        hyps = decode_nbest(skewed_ckpt, ["mystery"], BeamParams(n_best=1))
+        hyps = decode_nbest(skewed_ckpt, ["mystery"], DecodeParams(n_best=1))
         assert hyps[0].tokens == ("mystery",)
 
     def test_avg_identity(self, skewed_ckpt):
-        for hyp in decode_nbest(skewed_ckpt, ["a", "a"], BeamParams(beam_width=16, n_best=4)):
+        for hyp in decode_nbest(skewed_ckpt, ["a", "a"], DecodeParams(n_best=4)):
             assert hyp.avg_logprob * max(1, len(hyp.tokens)) == hyp.total_logprob
 
     def test_nbest_nesting(self, skewed_ckpt):
-        params = lambda k: BeamParams(beam_width=64, n_best=k)
+        params = lambda k: DecodeParams(n_best=k)
         src = ["a", "a", "a"]
         lists = [decode_nbest(skewed_ckpt, src, params(k)) for k in range(1, 8)]
         for shorter, longer in zip(lists, lists[1:]):
             assert longer[: len(shorter)] == shorter
 
     def test_matches_exhaustive_oracle(self, skewed_ckpt):
-        got = decode_nbest(skewed_ckpt, ["a", "a"], BeamParams(beam_width=100, n_best=4))
+        got = decode_nbest(skewed_ckpt, ["a", "a"], DecodeParams(n_best=4))
         want = exhaustive_nbest(skewed_ckpt, ["a", "a"], 4)
         assert got == want
 
     def test_duplicate_free(self, skewed_ckpt):
-        hyps = decode_nbest(skewed_ckpt, ["a", "a"], BeamParams(beam_width=16, n_best=4))
+        hyps = decode_nbest(skewed_ckpt, ["a", "a"], DecodeParams(n_best=4))
         assert len({h.tokens for h in hyps}) == len(hyps)
 
 
@@ -193,20 +198,33 @@ class TestExhaustive:
         hyps = exhaustive_nbest(ckpt, src, 1000, top_k_lexicon=8)
         assert len(hyps) == len(ckpt.lexicon[src[0]])
 
-    def test_random_beam_oracle_equivalence(self):
+    def test_random_decoder_oracle_equivalence(self):
         rng = random.Random(2024)
-        for _ in range(50):
-            ckpt = gen_random_checkpoint(rng)
-            length = rng.randint(1, 3)
-            source = [
-                rng.choice(list(ckpt.lexicon) + ["oov"]) for _ in range(length)
+        for i in range(50):
+            ckpt, source = gen_random_lattice(rng)
+            n = rng.randint(1, 30)
+            got = decode_nbest(ckpt, source, DecodeParams(n_best=n, top_k_lexicon=8))
+            assert got == exhaustive_nbest(ckpt, source, n, top_k_lexicon=8), f"instance {i}"
+
+    def test_small_top_k_matches_oracle(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            ckpt, source = gen_random_lattice(rng)
+            k = rng.randint(1, 4)
+            got = decode_nbest(ckpt, source, DecodeParams(n_best=12, top_k_lexicon=k))
+            assert got == exhaustive_nbest(ckpt, source, 12, top_k_lexicon=k)
+
+    def test_decoder_returns_whole_space_when_n_exceeds_it(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            ckpt, source = gen_random_lattice(rng, max_space=2_000)
+            per_position = [
+                [w for w, _ in emission_candidates(ckpt.lexicon, s, 8)] for s in source
             ]
-            n = rng.randint(1, 10)
-            got = decode_nbest(
-                ckpt, source, BeamParams(beam_width=1000, n_best=n, top_k_lexicon=5)
-            )
-            want = exhaustive_nbest(ckpt, source, n, top_k_lexicon=5)
-            assert got == want
+            space = set(itertools.product(*per_position))
+            hyps = decode_nbest(ckpt, source, DecodeParams(n_best=len(space) + 5))
+            assert len(hyps) == len(space)
+            assert {h.tokens for h in hyps} == space
 
 
 class TestPersistence:
