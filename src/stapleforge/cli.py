@@ -10,11 +10,15 @@ runs:
     bpe       learn / apply / decode byte-pair encodings
     fixtures  print the path of the bundled fixture corpora
 
-Every command that writes an output file also writes a ``<out>.manifest.tsv``
-recording the command, resolved parameters, input checksums, tool version and
+``generate`` and every ``sweep`` cell run a method through the one entry
+point ``methods.predict``; a sweep cell whose method cannot run on the models
+given (paraphrase without ``--bwd-series``, ``m`` beyond the series) is an NA
+row. Both commands write a ``<out>.manifest.tsv`` recording the command,
+resolved parameters (``top_k`` included), input checksums, tool version and
 output checksums; identical inputs reproduce identical outputs and manifests.
-Wall-clock duration is reported on stderr only, so manifests stay
-byte-reproducible.
+``generate`` also writes ``<out>.warnings.tsv``, one row per degraded prompt
+whose stage is the method's name. Wall-clock duration is reported on stderr
+only, so manifests stay byte-reproducible.
 
 Exit codes: 0 success, 2 input/validation error, 3 empty-work error,
 1 internal error.
@@ -28,9 +32,9 @@ import io
 import logging
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import __version__
 from .corpus import (
@@ -45,13 +49,7 @@ from .corpus import (
 )
 from .errors import StapleForgeError, ValidationError
 from .metrics import score_corpus, summary_line, write_report
-from .methods import (
-    MethodParams,
-    MethodWarning,
-    multi_checkpoint_predict,
-    nbest_predict,
-    paraphrase_predict,
-)
+from .methods import METHODS, MethodParams, MethodWarning, checkpoints_read, predict
 from .textproc import bpe_apply, bpe_decode, bpe_learn, load_bpe, save_bpe, tokenize
 from .translator import (
     SERIES_INDEX,
@@ -74,19 +72,6 @@ POLICIES = {"default": DEFAULT_POLICY, "exact": EXACT_POLICY}
 DEFAULT_SWEEP_N = (5, 10, 15, 20)
 DEFAULT_SWEEP_N_PRIME = (1, 3, 5)
 DEFAULT_SWEEP_M = (2, 4, 6, 8)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    n_values: tuple[int, ...] = DEFAULT_SWEEP_N
-    n_prime_values: tuple[int, ...] = DEFAULT_SWEEP_N_PRIME
-    m_values: tuple[int, ...] = DEFAULT_SWEEP_M
-    fixed_n: int = 10
-
-    def __post_init__(self) -> None:
-        for v in (*self.n_values, *self.n_prime_values, *self.m_values, self.fixed_n):
-            if v < 1:
-                raise ValidationError(f"sweep values must be >= 1, got {v}")
 
 
 @dataclass
@@ -206,61 +191,46 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _series_checksum(directory: Path, series: CheckpointSeries | None) -> str:
-    """Checksum a series' index and the checkpoints loaded from it, if any."""
-    loaded = series.checkpoints if series is not None else ()
-    members = [SERIES_INDEX, *(checkpoint_name(c.iteration) for c in loaded)]
-    return sha256_path(directory, members)
-
-
 def _load_model(
     ckpt_arg: str | None, series_arg: str | None, newest: int, missing: str
-) -> tuple[CheckpointSeries, str]:
+) -> tuple[CheckpointSeries | None, str]:
     """The checkpoints a command decodes with, and the checksum of their files.
 
     A model is one checkpoint directory or a series, of which only the newest
-    ``newest`` checkpoints are loaded (all of them, if it has fewer).
+    ``newest`` checkpoints are loaded (all of them, if it has fewer). The
+    checksum covers ``series.tsv`` and the checkpoints loaded, so with
+    ``newest`` 0 nothing is loaded and it covers ``series.tsv`` alone.
     """
     if ckpt_arg:
         ckpt = load_checkpoint(ckpt_arg)
         series = CheckpointSeries(checkpoints=(ckpt,), direction=ckpt.direction)
         return series, sha256_path(Path(ckpt_arg))
     if series_arg:
-        series = load_series(series_arg, newest)
-        return series, _series_checksum(Path(series_arg), series)
+        series = load_series(series_arg, newest) if newest else None
+        loaded = series.checkpoints if series is not None else ()
+        members = [SERIES_INDEX, *(checkpoint_name(c.iteration) for c in loaded)]
+        return series, sha256_path(Path(series_arg), members)
     raise ValidationError(missing)
-
-
-def _method_params(args: argparse.Namespace) -> MethodParams:
-    return MethodParams(n=args.n, n_prime=args.n_prime, m=args.m, top_k_lexicon=args.top_k)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     started = time.monotonic()
     policy = POLICIES[args.policy]
     prompts = parse_prompts(_read_text(args.prompts))
-    params = _method_params(args)
-    warnings: list[MethodWarning] = []
+    params = MethodParams(n=args.n, n_prime=args.n_prime, m=args.m, top_k_lexicon=args.top_k)
     inputs: dict[str, str] = {"prompts": sha256_path(Path(args.prompts))}
-
-    # each method loads only the newest checkpoints it decodes with
-    if args.method == "ensemble":
-        fwd, inputs["model"] = _load_model(None, args.series, params.m, "ensemble: pass --series")
-    else:
-        fwd, inputs["model"] = _load_model(
-            args.ckpt, args.series, 1, f"{args.method}: pass --ckpt or --series"
-        )
-    if args.method == "nbest":
-        sets = nbest_predict(fwd.checkpoints[-1], prompts, params, policy, warnings)
-    elif args.method == "paraphrase":
+    n_fwd, n_bwd = checkpoints_read(args.method, params)
+    fwd, inputs["model"] = _load_model(
+        args.ckpt, args.series, n_fwd, f"{args.method}: pass --ckpt or --series"
+    )
+    bwd = None
+    if n_bwd:
         bwd, inputs["bwd_model"] = _load_model(
-            args.bwd_ckpt, args.bwd_series, 1, "paraphrase: pass --bwd-ckpt or --bwd-series"
+            args.bwd_ckpt, args.bwd_series, n_bwd,
+            f"{args.method}: pass --bwd-ckpt or --bwd-series",
         )
-        sets = paraphrase_predict(
-            fwd.checkpoints[-1], bwd.checkpoints[-1], prompts, params, policy, warnings
-        )
-    else:
-        sets = multi_checkpoint_predict(fwd, prompts, params, policy, warnings)
+    warnings: list[MethodWarning] = []
+    sets = predict(args.method, fwd, bwd, prompts, params, policy, warnings)
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as sink:
         write_predictions(sets, sink)
@@ -272,6 +242,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "n": str(args.n),
             "n_prime": str(args.n_prime),
             "m": str(args.m),
+            "top_k": str(args.top_k),
             "policy": args.policy,
         },
         input_checksums=inputs,
@@ -286,112 +257,61 @@ def _percent(x: float) -> str:
     return f"{100.0 * x:.2f}"
 
 
-def _sweep_cells(
-    spec: SweepSpec,
-    fwd_series: CheckpointSeries,
-    bwd_series: CheckpointSeries | None,
-    prompts,
-    golds,
-    policy: NormalizationPolicy,
-    top_k: int,
-) -> tuple[list[str], int]:
-    """One table row per (method, parameter) cell; bad-input failures become NA rows."""
-    last = fwd_series.checkpoints[-1]
-    rows: list[str] = []
-    successes = 0
-
-    def run_cell(method: str, param: str, fn: Callable[[], list]) -> None:
-        nonlocal successes
-        try:
-            sets = fn()
-            score = score_corpus(golds, sets, policy)
-            rows.append(
-                f"{method}\t{param}\t{_percent(score.mean_precision)}"
-                f"\t{_percent(score.mean_weighted_recall)}\t{_percent(score.macro_f1)}\n"
-            )
-            successes += 1
-        except StapleForgeError as exc:
-            log.warning("sweep cell %s %s failed: %s", method, param, exc)
-            rows.append(f"{method}\t{param}\tNA\tNA\tNA\n")
-
-    def params_for(n: int, n_prime: int = 3, m: int = 1) -> MethodParams:
-        return MethodParams(n=n, n_prime=n_prime, m=m, top_k_lexicon=top_k)
-
-    for n in spec.n_values:
-        run_cell("nbest", f"n={n}", lambda n=n: nbest_predict(last, prompts, params_for(n), policy))
-    for np_ in spec.n_prime_values:
-        if bwd_series is None:
-            log.warning("sweep cell paraphrase n'=%d skipped: no --bwd-series", np_)
-            rows.append(f"paraphrase\tn'={np_}\tNA\tNA\tNA\n")
-            continue
-        bwd_last = bwd_series.checkpoints[-1]
-        run_cell(
-            "paraphrase",
-            f"n'={np_}",
-            lambda np_=np_: paraphrase_predict(
-                last, bwd_last, prompts, params_for(spec.fixed_n, n_prime=np_), policy
-            ),
-        )
-    for m in spec.m_values:
-        run_cell(
-            "ensemble",
-            f"m={m}",
-            lambda m=m: multi_checkpoint_predict(
-                fwd_series, prompts, params_for(spec.fixed_n, m=m), policy
-            ),
-        )
-    return rows, successes
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.monotonic()
     policy = POLICIES[args.policy]
-    spec = SweepSpec(
-        n_values=tuple(args.n_values),
-        n_prime_values=tuple(args.n_prime_values),
-        m_values=tuple(args.m_values),
-        fixed_n=args.fixed_n,
-    )
+    # nbest cells vary n; paraphrase cells vary n' and ensemble cells m at
+    # n = fixed_n. Building the params validates every value before any work.
+    base = MethodParams(n=args.fixed_n, top_k_lexicon=args.top_k)
+    cells = [
+        *(("nbest", f"n={v}", replace(base, n=v)) for v in args.n_values),
+        *(("paraphrase", f"n'={v}", replace(base, n_prime=v)) for v in args.n_prime_values),
+        *(("ensemble", f"m={v}", replace(base, m=v)) for v in args.m_values),
+    ]
     golds = parse_gold(_read_text(args.gold), policy)
     prompts = parse_prompts(_read_text(args.prompts))
     inputs = {
         "gold": sha256_path(Path(args.gold)),
         "prompts": sha256_path(Path(args.prompts)),
     }
-    # the ensemble cells need the newest max(m) checkpoints (a cell whose m
-    # exceeds the series still fails as an NA row); the rest need the newest one
-    fwd_series = load_series(args.series, max(spec.m_values, default=1))
-    inputs["series"] = _series_checksum(Path(args.series), fwd_series)
-    bwd_series = None
-    if spec.n_prime_values and args.bwd_series:
-        bwd_series = load_series(args.bwd_series, 1)
+    # load what the most demanding cell reads; a cell needing more checkpoints
+    # than the series holds becomes an NA row
+    n_fwd = max((checkpoints_read(method, p)[0] for method, _, p in cells), default=1)
+    n_bwd = max((checkpoints_read(method, p)[1] for method, _, p in cells), default=0)
+    fwd, inputs["series"] = _load_model(None, args.series, n_fwd, "sweep: pass --series")
+    bwd = None
     if args.bwd_series:
-        inputs["bwd_series"] = _series_checksum(Path(args.bwd_series), bwd_series)
+        bwd, inputs["bwd_series"] = _load_model(
+            None, args.bwd_series, n_bwd, "sweep: pass --bwd-series"
+        )
 
     header = "method\tparam\tprecision\tweighted_recall\tweighted_f1\n"
-    n_cells = len(spec.n_values) + len(spec.n_prime_values) + len(spec.m_values)
-    if n_cells == 0:
+    if not cells:
         _write_text(args.out, header)
         log.warning("empty sweep specification: nothing to run")
         return EXIT_EMPTY
-    rows, successes = _sweep_cells(
-        spec,
-        fwd_series,
-        bwd_series,
-        prompts,
-        golds,
-        policy,
-        top_k=args.top_k,
-    )
+    rows: list[str] = []
+    for method, label, params in cells:
+        try:
+            sets = predict(method, fwd, bwd, prompts, params, policy)
+            score = score_corpus(golds, sets, policy)
+            rows.append(
+                f"{method}\t{label}\t{_percent(score.mean_precision)}"
+                f"\t{_percent(score.mean_weighted_recall)}\t{_percent(score.macro_f1)}\n"
+            )
+        except StapleForgeError as exc:
+            log.warning("sweep cell %s %s failed: %s", method, label, exc)
+            rows.append(f"{method}\t{label}\tNA\tNA\tNA\n")
     _write_text(args.out, header + "".join(rows))
 
     manifest = RunManifest(
         command="sweep",
         parameters={
-            "n_values": ",".join(map(str, spec.n_values)),
-            "n_prime_values": ",".join(map(str, spec.n_prime_values)),
-            "m_values": ",".join(map(str, spec.m_values)),
-            "fixed_n": str(spec.fixed_n),
+            "n_values": ",".join(map(str, args.n_values)),
+            "n_prime_values": ",".join(map(str, args.n_prime_values)),
+            "m_values": ",".join(map(str, args.m_values)),
+            "fixed_n": str(args.fixed_n),
+            "top_k": str(args.top_k),
             "policy": args.policy,
         },
         input_checksums=inputs,
@@ -399,7 +319,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         duration_seconds=time.monotonic() - started,
     )
     _write_manifest(manifest, args.out)
-    if successes == 0:
+    if all(row.endswith("\tNA\n") for row in rows):
         log.error("every sweep cell failed")
         return EXIT_INPUT
     return EXIT_OK
@@ -473,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", help="produce a prediction file with one method")
-    p.add_argument("--method", choices=["nbest", "paraphrase", "ensemble"], required=True)
-    p.add_argument("--ckpt", help="checkpoint directory (nbest/paraphrase forward model)")
+    p.add_argument("--method", choices=METHODS, required=True)
+    p.add_argument("--ckpt", help="checkpoint directory (a one-checkpoint forward model)")
     p.add_argument("--series", help="series directory (its last checkpoint, or the ensemble)")
     p.add_argument("--bwd-ckpt", dest="bwd_ckpt", help="backward checkpoint (paraphrase)")
     p.add_argument("--bwd-series", dest="bwd_series", help="backward series (paraphrase)")
@@ -528,11 +448,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         logging.basicConfig(
             level=logging.INFO, format="stapleforge: %(message)s", stream=sys.stderr
         )
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "generate" and args.method == "paraphrase":
-        if not (args.bwd_ckpt or args.bwd_series):
-            parser.error("generate --method paraphrase requires --bwd-ckpt or --bwd-series")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except StapleForgeError as exc:

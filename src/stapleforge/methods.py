@@ -1,13 +1,15 @@
 """Translation-set generation: n-best lists, round-trip paraphrasing, and
 multi-checkpoint ensembles.
 
-All three methods turn prompts into PredictionSets and share the same source
-path: normalize the prompt under the active policy, tokenize, decode,
-detokenize, de-duplicate. Bad input on one prompt (a StapleForgeError)
-degrades that prompt to an empty candidate list and a warning record; it never
-aborts the batch. Any other exception is a programming error and propagates.
-Every method is deterministic: identical inputs produce byte-identical
-prediction files.
+``predict`` is the one entry point: it runs a method on the newest forward
+and backward checkpoints the method reads (``checkpoints_read``), so callers
+load those and nothing else. Each method is one per-prompt composition over
+the same source path: normalize the prompt under the active policy, tokenize,
+decode, detokenize, de-duplicate. Bad input on one prompt (a StapleForgeError)
+degrades that prompt to an empty candidate list and one warning record whose
+stage is the method's name; it never aborts the batch. Any other exception is
+a programming error and propagates. Every method is deterministic: identical
+inputs produce byte-identical prediction files.
 """
 
 from __future__ import annotations
@@ -163,13 +165,44 @@ def multi_checkpoint_predict(
             f"m={params.m} exceeds the series length {len(series)}"
         )
     latest_first = list(reversed(series.checkpoints[-params.m :]))
-    per_checkpoint = [
-        nbest_predict(ckpt, prompts, params, policy, warnings) for ckpt in latest_first
-    ]
-    merged: list[PredictionSet] = []
-    for i, prompt in enumerate(prompts):
+
+    def candidates(prompt: Prompt) -> list[str]:
         pooled: list[str] = []
-        for sets in per_checkpoint:
-            pooled.extend(sets[i].candidates)
-        merged.append(PredictionSet(prompt.id, tuple(dedup(pooled, policy))))
-    return merged
+        for ckpt in latest_first:
+            pooled.extend(_decode_sentences(ckpt, prompt.text, params.n, params, policy))
+        return dedup(pooled, policy)
+
+    return _per_prompt(prompts, "ensemble", candidates, warnings)
+
+
+METHODS = ("nbest", "paraphrase", "ensemble")
+
+
+def checkpoints_read(method: str, params: MethodParams) -> tuple[int, int]:
+    """How many of the newest forward and backward checkpoints ``method`` reads."""
+    return {"nbest": (1, 0), "paraphrase": (1, 1), "ensemble": (params.m, 0)}[method]
+
+
+def predict(
+    method: str,
+    fwd: CheckpointSeries,
+    bwd: CheckpointSeries | None,
+    prompts: Sequence[Prompt],
+    params: MethodParams,
+    policy: NormalizationPolicy = DEFAULT_POLICY,
+    warnings: list[MethodWarning] | None = None,
+) -> list[PredictionSet]:
+    """Run ``method`` on the newest checkpoints of ``fwd`` (and ``bwd``) it reads.
+
+    A method that cannot run on the models given (paraphrase without a
+    backward model, an ensemble larger than the series) raises ValidationError.
+    """
+    if method == "ensemble":
+        return multi_checkpoint_predict(fwd, prompts, params, policy, warnings)
+    if method == "nbest":
+        return nbest_predict(fwd.checkpoints[-1], prompts, params, policy, warnings)
+    if bwd is None:
+        raise ValidationError("paraphrase needs a backward model")
+    return paraphrase_predict(
+        fwd.checkpoints[-1], bwd.checkpoints[-1], prompts, params, policy, warnings
+    )

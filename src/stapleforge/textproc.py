@@ -85,7 +85,6 @@ class BpeModel:
     """An ordered merge inventory; list position is the merge rank."""
 
     merges: tuple[tuple[str, str], ...]
-    eow_marker: str = EOW
 
     def __post_init__(self) -> None:
         if len(set(self.merges)) != len(self.merges):

@@ -189,6 +189,7 @@ class TestGenerate:
         assert "param:beam" not in manifest  # decoding is exact: there is no beam width
         assert "param:n_prime\t3" in manifest
         assert "param:m\t6" in manifest
+        assert "param:top_k\t8" in manifest
         assert "tool_version\t" in manifest
         assert "duration" not in manifest  # reruns must be byte-identical
         assert (tmp_path / "pred.txt.warnings.tsv").read_text().startswith("prompt_id\t")
@@ -201,6 +202,17 @@ class TestGenerate:
                       "--prompts", str(fixtures_path / "toy_prompts.txt"),
                       "--out", str(tmp_path / "x.txt")])
         assert rc == 2
+
+    def test_ensemble_degraded_prompt_warns_once(self, trained_world, fixtures_path, tmp_path):
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text((fixtures_path / "toy_prompts.txt").read_text() + "px|?!\n",
+                           encoding="utf-8")
+        out = tmp_path / "ens.txt"
+        assert run_cli(["generate", "--method", "ensemble", "--m", "3",
+                        "--series", str(trained_world / "fwd"),
+                        "--prompts", str(prompts), "--out", str(out)]) == 0
+        rows = (tmp_path / "ens.txt.warnings.tsv").read_text().splitlines()[1:]
+        assert rows == ["px\tensemble\tno candidates"]
 
     def test_paraphrase_runs_with_backward_series(self, trained_world, fixtures_path, tmp_path):
         out = tmp_path / "para.txt"
@@ -282,31 +294,55 @@ class TestSweep:
         assert rows[("paraphrase", "n'=3")] == ["NA", "NA", "NA"]
         assert rows[("nbest", "n=5")] != ["NA", "NA", "NA"]
 
+    @pytest.mark.parametrize(
+        "sweep_args, generate_args, cell",
+        [
+            (["--n", "5", "--n-prime", "", "--m", ""], ["--method", "nbest", "--n", "5"],
+             "nbest\tn=5"),
+            (["--n", "", "--n-prime", "2", "--m", "", "--bwd-series", "{bwd}"],
+             ["--method", "paraphrase", "--n-prime", "2", "--bwd-series", "{bwd}"],
+             "paraphrase\tn'=2"),
+            (["--n", "", "--n-prime", "", "--m", "3"], ["--method", "ensemble", "--m", "3"],
+             "ensemble\tm=3"),
+        ],
+        ids=["nbest", "paraphrase", "ensemble"],
+    )
     def test_cells_match_independent_generate_and_score(
-        self, trained_world, fixtures_path, tmp_path, capsys
+        self, trained_world, fixtures_path, tmp_path, capsys, sweep_args, generate_args, cell
     ):
+        bwd = str(trained_world / "bwd")
+        common = ["--series", str(trained_world / "fwd"),
+                  "--prompts", str(fixtures_path / "toy_prompts.txt")]
         table = tmp_path / "table.tsv"
-        rc = run_cli(["sweep", "--series", str(trained_world / "fwd"),
-                      "--gold", str(fixtures_path / "toy_gold.txt"),
-                      "--prompts", str(fixtures_path / "toy_prompts.txt"),
-                      "--out", str(table), "--n", "5", "--n-prime", "", "--m", "3"])
+        rc = run_cli(["sweep", *common, "--gold", str(fixtures_path / "toy_gold.txt"),
+                      "--out", str(table), "--fixed-n", "5",
+                      *(a.format(bwd=bwd) for a in sweep_args)])
         assert rc == 0
         pred = tmp_path / "pred.txt"
         report = tmp_path / "report.tsv"
-        assert run_cli(["generate", "--method", "nbest", "--series", str(trained_world / "fwd"),
-                        "--prompts", str(fixtures_path / "toy_prompts.txt"),
-                        "--out", str(pred), "--n", "5"]) == 0
+        assert run_cli(["generate", *common, "--out", str(pred), "--n", "5",
+                        *(a.format(bwd=bwd) for a in generate_args)]) == 0
         assert run_cli(["score", "--gold", str(fixtures_path / "toy_gold.txt"),
                         "--pred", str(pred), "--out", str(report)]) == 0
         capsys.readouterr()
         macro_row = report.read_text().splitlines()[-1].split("\t")
         expected = [f"{100 * float(v):.2f}" for v in macro_row[1:]]
-        nbest_row = [
-            line.split("\t")[2:]
-            for line in table.read_text().splitlines()
-            if line.startswith("nbest\tn=5")
-        ][0]
-        assert nbest_row == expected
+        rows = [line.split("\t")[2:] for line in table.read_text().splitlines()
+                if line.startswith(cell + "\t")]
+        assert rows == [expected]
+
+    def test_manifest_records_parameters(self, trained_world, fixtures_path, tmp_path):
+        out = tmp_path / "table.tsv"
+        assert run_cli(["sweep", "--series", str(trained_world / "fwd"),
+                        "--gold", str(fixtures_path / "toy_gold.txt"),
+                        "--prompts", str(fixtures_path / "toy_prompts.txt"),
+                        "--out", str(out), "--n", "5", "--n-prime", "", "--m", "2",
+                        "--top-k", "4"]) == 0
+        manifest = (tmp_path / "table.tsv.manifest.tsv").read_text().splitlines()
+        assert [row for row in manifest if row.startswith("param:")] == [
+            "param:fixed_n\t10", "param:m_values\t2", "param:n_prime_values\t",
+            "param:n_values\t5", "param:policy\tdefault", "param:top_k\t4",
+        ]
 
     def test_ensemble_recall_non_decreasing_in_table(
         self, trained_world, fixtures_path, tmp_path
@@ -325,6 +361,32 @@ class TestSweep:
         ]
         assert len(recalls) == 5
         assert recalls == sorted(recalls)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--n", "0"],
+        ["sweep", "--n-prime", "0"],
+        ["sweep", "--m", "0"],
+        ["sweep", "--fixed-n", "0"],
+        ["sweep", "--top-k", "0"],
+        ["generate", "--method", "nbest", "--n", "0"],
+        ["generate", "--method", "ensemble", "--m", "0"],
+        ["generate", "--method", "nbest", "--top-k", "0"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_non_positive_method_value_exits_2_and_writes_nothing(
+    trained_world, fixtures_path, tmp_path, capsys, argv
+):
+    extra = ["--gold", str(fixtures_path / "toy_gold.txt")] if argv[0] == "sweep" else []
+    out = tmp_path / "out.txt"
+    rc = run_cli([*argv, *extra, "--series", str(trained_world / "fwd"),
+                  "--prompts", str(fixtures_path / "toy_prompts.txt"), "--out", str(out)])
+    assert rc == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_version_flag(capsys):

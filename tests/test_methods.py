@@ -11,6 +11,7 @@ from stapleforge.methods import (
     multi_checkpoint_predict,
     nbest_predict,
     paraphrase_predict,
+    predict,
 )
 from stapleforge.metrics import score_corpus
 from stapleforge.translator import Checkpoint, build_bigram_lm
@@ -180,6 +181,14 @@ class TestMultiCheckpointPredict:
         with pytest.raises(ValidationError, match=r"m=9 exceeds the series length 5"):
             multi_checkpoint_predict(toy_fwd_series, toy_prompts, params(m=9))
 
+    def test_degraded_prompt_warns_once(self, toy_fwd_series, toy_prompts):
+        warnings: list[MethodWarning] = []
+        sets = multi_checkpoint_predict(
+            toy_fwd_series, [*toy_prompts, Prompt("px", "?!")], params(m=3), warnings=warnings
+        )
+        assert sets[-1].candidates == ()
+        assert warnings == [MethodWarning("px", "ensemble", "no candidates")]
+
     def test_recall_monotone_in_m(self, toy_fwd_series, toy_prompts, toy_golds):
         previous = None
         for m in range(1, len(toy_fwd_series) + 1):
@@ -200,6 +209,27 @@ class TestMultiCheckpointPredict:
             toy_golds, multi_checkpoint_predict(toy_fwd_series, toy_prompts, params(n=10, m=5))
         )
         assert large.mean_weighted_recall > small.mean_weighted_recall
+
+
+class TestPredict:
+    def test_runs_each_method_on_its_newest_checkpoints(
+        self, toy_fwd_series, toy_bwd_series, toy_prompts
+    ):
+        fwd, bwd = toy_fwd_series.checkpoints[-1], toy_bwd_series.checkpoints[-1]
+        p = params(n=4, n_prime=2, m=3)
+        assert predict("nbest", toy_fwd_series, None, toy_prompts, p) == nbest_predict(
+            fwd, toy_prompts, p
+        )
+        assert predict(
+            "paraphrase", toy_fwd_series, toy_bwd_series, toy_prompts, p
+        ) == paraphrase_predict(fwd, bwd, toy_prompts, p)
+        assert predict("ensemble", toy_fwd_series, None, toy_prompts, p) == (
+            multi_checkpoint_predict(toy_fwd_series, toy_prompts, p)
+        )
+
+    def test_paraphrase_without_backward_model_rejected(self, toy_fwd_series, toy_prompts):
+        with pytest.raises(ValidationError, match="backward model"):
+            predict("paraphrase", toy_fwd_series, None, toy_prompts, params())
 
 
 class TestDeterminism:
