@@ -29,9 +29,11 @@ directory per checkpoint:
                  unseen in-vocabulary successor) and "<unk>" unigram-backoff
                  rows used when the history itself is out of vocabulary
 
-``<s> </s> <other> <unk>`` are reserved tokens. Probabilities are stored with
-12 significant digits; model values are canonicalized to that precision when
-built, so a saved checkpoint loads back bit-exactly.
+``<s> </s> <other> <unk>`` are reserved tokens, and training rejects a corpus
+that uses one. Probabilities are stored with 12 significant digits; model
+values are canonicalized to that precision when built, so a saved checkpoint
+loads back bit-exactly. Loading verifies the checksum and parses every value;
+a malformed checkpoint raises ``CheckpointError`` naming its directory.
 
 A training run's checkpoints live in ``ckpt-0001/ ... ckpt-NNNN/`` under one
 series directory, indexed by its ``series.tsv``:
@@ -47,21 +49,28 @@ index of complete checkpoints, and a ``ckpt-*`` directory it does not list is
 never loaded. ``load_series`` reads the index and loads only the newest
 checkpoints a caller decodes with, each checked against its index row.
 Training refuses a directory that already holds a series.
+
+A loaded series holds its shared state once, as a trained one does: the
+checkpoints of a series have the same lm.tsv, which is parsed once into one
+``BigramLm`` they all refer to, and words are interned, so every checkpoint
+and the LM share one string per word.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import math
 import os
 import re
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import CheckpointError, ValidationError
 from .textproc import TokenSeq
@@ -83,6 +92,7 @@ SERIES_INDEX = "series.tsv"
 _CKPT_NAME = re.compile(r"ckpt-([0-9]{4,})")
 
 LexiconTable = dict[str, dict[str, float]]
+_T = TypeVar("_T")
 
 
 def quantize(x: float, digits: int = 12) -> float:
@@ -268,8 +278,10 @@ def train_toy(
 
     checkpoint_dir=None trains in memory only. Otherwise the directory must
     not already hold a series, and series.tsv is rewritten after every saved
-    checkpoint. Training is deterministic: no randomness anywhere, and
-    iteration order is the corpus order.
+    checkpoint. A pair using a reserved token is rejected before anything is
+    written: the LM file gives those tokens their own meaning. Training is
+    deterministic: no randomness anywhere, and iteration order is the corpus
+    order.
     """
     if iterations < 1:
         raise ValidationError(f"iterations must be >= 1, got {iterations}")
@@ -283,7 +295,13 @@ def train_toy(
                 f"{out_dir} already holds a checkpoint series; train into a new directory"
             )
     pairs: list[tuple[TokenSeq, TokenSeq]] = []
-    for src, tgt in parallel:
+    for number, (src, tgt) in enumerate(parallel, start=1):
+        reserved = [w for w in (*src, *tgt) if w in RESERVED_TOKENS]
+        if reserved:
+            raise ValidationError(
+                f"sentence pair {number} uses the reserved token {reserved[0]!r}: "
+                f"{src!r} -> {tgt!r}"
+            )
         if not src or not tgt:
             log.warning("skipping sentence pair with an empty side: %r -> %r", src, tgt)
             continue
@@ -437,6 +455,50 @@ def _read_file(directory: Path, name: str) -> str:
     return path.read_text(encoding="utf-8")
 
 
+def _bad_row(name: str, lineno: int, line: str) -> str:
+    """Why a lexicon.tsv or lm.tsv row is not ``word<TAB>word<TAB>number``."""
+    what = "corrupt" if line.count("\t") != 2 else "non-numeric value in"
+    return f"{what} {name} row {lineno}: {line!r}"
+
+
+@functools.lru_cache(maxsize=1)
+def _parse_lm(lm_text: str, alpha: float) -> BigramLm:
+    """The LM an lm.tsv text holds; raises ValueError naming a malformed row.
+
+    Memoized on the whole text: every checkpoint of a series has the same
+    lm.tsv (training estimates the LM once), so a loaded series holds one LM,
+    as a trained one does, and a different text is parsed afresh.
+    """
+    intern = sys.intern
+    bigram: dict[tuple[str, str], float] = {}
+    unseen: dict[str, float] = {}
+    unigram: dict[str, float] = {}
+    for lineno, line in enumerate(lm_text.splitlines(), start=1):
+        try:
+            w1, w2, raw = line.split("\t")
+            lp = float(raw)
+        except ValueError:
+            raise ValueError(_bad_row("lm.tsv", lineno, line)) from None
+        if w2 == UNSEEN:
+            unseen[intern(w1)] = lp
+        elif w1 == BACKOFF:
+            unigram[intern(w2)] = lp
+        else:
+            bigram[(intern(w1), intern(w2))] = lp
+    return BigramLm(
+        bigram_logprob=bigram, unseen_logprob=unseen, unigram_logprob=unigram, alpha=alpha
+    )
+
+
+def _meta_value(
+    meta: dict[str, str], key: str, convert: Callable[[str], _T], directory: Path
+) -> _T:
+    try:
+        return convert(meta[key])
+    except ValueError:
+        raise CheckpointError(f"bad {key} {meta[key]!r} in meta.tsv of {directory}") from None
+
+
 def load_checkpoint(directory: Path | str) -> Checkpoint:
     directory = Path(directory)
     meta_text = _read_file(directory, "meta.tsv")
@@ -454,47 +516,44 @@ def load_checkpoint(directory: Path | str) -> Checkpoint:
     for key in ("iteration", "direction", "corpus_loglik", "created_at", "alpha", "checksum"):
         if key not in meta:
             raise CheckpointError(f"meta.tsv in {directory} is missing key {key!r}")
+    if meta["direction"] not in DIRECTIONS:
+        raise CheckpointError(f"bad direction {meta['direction']!r} in meta.tsv of {directory}")
+    iteration = _meta_value(meta, "iteration", int, directory)
+    corpus_loglik = _meta_value(meta, "corpus_loglik", float, directory)
+    alpha = _meta_value(meta, "alpha", float, directory)
     if meta["checksum"] != _checksum(lexicon_text, lm_text):
         raise CheckpointError(f"checksum mismatch for checkpoint {directory}")
 
+    # interned words: all loaded checkpoints, and the LM, share one string per word
+    intern = sys.intern
     lexicon: LexiconTable = {}
     for lineno, line in enumerate(lexicon_text.splitlines(), start=1):
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise CheckpointError(f"corrupt lexicon.tsv row {lineno} in {directory}: {line!r}")
-        lexicon.setdefault(cols[0], {})[cols[1]] = float(cols[2])
+        try:
+            e, f, raw = line.split("\t")
+            prob = float(raw)
+        except ValueError:
+            raise CheckpointError(
+                f"{_bad_row('lexicon.tsv', lineno, line)} (in {directory})"
+            ) from None
+        row = lexicon.get(e)
+        if row is None:
+            row = lexicon[intern(e)] = {}
+        row[intern(f)] = prob
+    try:
+        lm = _parse_lm(lm_text, alpha)
+    except ValueError as exc:
+        raise CheckpointError(f"{exc} (in {directory})") from None
     for e, row in lexicon.items():
         total = sum(row.values())
         if abs(total - 1.0) > 1e-9:
             raise CheckpointError(
                 f"lexicon row for {e!r} sums to {total!r}, expected 1 (in {directory})"
             )
-
-    bigram: dict[tuple[str, str], float] = {}
-    unseen: dict[str, float] = {}
-    unigram: dict[str, float] = {}
-    for lineno, line in enumerate(lm_text.splitlines(), start=1):
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise CheckpointError(f"corrupt lm.tsv row {lineno} in {directory}: {line!r}")
-        w1, w2, lp = cols[0], cols[1], float(cols[2])
-        if w2 == UNSEEN:
-            unseen[w1] = lp
-        elif w1 == BACKOFF:
-            unigram[w2] = lp
-        else:
-            bigram[(w1, w2)] = lp
-    lm = BigramLm(
-        bigram_logprob=bigram,
-        unseen_logprob=unseen,
-        unigram_logprob=unigram,
-        alpha=float(meta["alpha"]),
-    )
     return Checkpoint(
-        iteration=int(meta["iteration"]),
+        iteration=iteration,
         lexicon=lexicon,
         lm=lm,
-        corpus_loglik=float(meta["corpus_loglik"]),
+        corpus_loglik=corpus_loglik,
         created_at=meta["created_at"],
         direction=meta["direction"],
     )

@@ -1,4 +1,5 @@
-"""Independent oracles and random-instance generators used by the tests.
+"""Independent oracles and random-instance generators used by the tests, plus
+a helper that edits a checkpoint's model files behind its checksum.
 
 Everything here deliberately re-derives results from first principles rather
 than calling the implementation paths it checks: the decoding oracle
@@ -9,10 +10,12 @@ on normalized sets.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
 from collections import Counter
+from pathlib import Path
 from typing import Sequence
 
 from stapleforge.corpus import (
@@ -204,3 +207,19 @@ def gen_random_gold(rng: random.Random, prompt_id: str = "g") -> GoldSet:
             WeightedTranslation(text=t, weight=w) for t, w in zip(texts, weights)
         ),
     )
+
+
+def rewrite_model_file(ckpt_dir: Path, name: str, text: str) -> None:
+    """Replace a checkpoint's lexicon.tsv or lm.tsv with ``text`` and restamp
+    meta.tsv's checksum (sha256 over lexicon.tsv, a NUL byte, then lm.tsv), so
+    that only the loader's row checks can reject the new file."""
+    (ckpt_dir / name).write_text(text, encoding="utf-8", newline="\n")
+    digest = hashlib.sha256()
+    digest.update((ckpt_dir / "lexicon.tsv").read_bytes())
+    digest.update(b"\x00")
+    digest.update((ckpt_dir / "lm.tsv").read_bytes())
+    meta = ckpt_dir / "meta.tsv"
+    rows = [row for row in meta.read_text(encoding="utf-8").splitlines()
+            if not row.startswith("checksum\t")]
+    rows.append(f"checksum\t{digest.hexdigest()}")
+    meta.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")

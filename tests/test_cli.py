@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import stapleforge.translator as translator
+from oracles import rewrite_model_file
 from stapleforge.cli import main
 from stapleforge.translator import load_series
 
@@ -155,6 +156,15 @@ class TestTrain:
                       "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_reserved_token_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        parallel = tmp_path / "p.tsv"
+        parallel.write_text("the cat\to gato\nthe dog\to <unk> cão\n", encoding="utf-8")
+        rc = run_cli(["train", "--parallel", str(parallel), "--iterations", "1",
+                      "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "reserved token '<unk>'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -612,3 +622,39 @@ class TestSeriesLoading:
                       "--out", str(tmp_path / "table.tsv")])
         assert rc == 2
         assert "missing series index" in capsys.readouterr().err
+
+
+def _edit_first_row(path: Path, edit) -> str:
+    rows = path.read_text(encoding="utf-8").splitlines()
+    rows[0] = edit(rows[0])
+    return "\n".join(rows) + "\n"
+
+
+CHECKPOINT_FAULTS = {
+    "missing-lm": lambda ckpt: (ckpt / "lm.tsv").unlink(),
+    "checksum": lambda ckpt: (ckpt / "lexicon.tsv").write_text(
+        _edit_first_row(ckpt / "lexicon.tsv", lambda row: row + "0"), encoding="utf-8"),
+    "meta-value": lambda ckpt: (ckpt / "meta.tsv").write_text(
+        _edit_first_row(ckpt / "meta.tsv", lambda row: "iteration\ttwo"), encoding="utf-8"),
+    "two-column-row": lambda ckpt: rewrite_model_file(ckpt, "lexicon.tsv", _edit_first_row(
+        ckpt / "lexicon.tsv", lambda row: row.rsplit("\t", 1)[0])),
+    "non-numeric-prob": lambda ckpt: rewrite_model_file(ckpt, "lexicon.tsv", _edit_first_row(
+        ckpt / "lexicon.tsv", lambda row: row.rsplit("\t", 1)[0] + "\tzero")),
+}
+
+
+@pytest.mark.parametrize("fault", list(CHECKPOINT_FAULTS))
+@pytest.mark.parametrize("model", ["--ckpt", "--series"])
+def test_checkpoint_fault_exits_2_and_writes_nothing(
+    trained_world, fixtures_path, tmp_path, capsys, model, fault
+):
+    series = tmp_path / "fwd"
+    shutil.copytree(trained_world / "fwd", series)
+    CHECKPOINT_FAULTS[fault](series / "ckpt-0005")
+    out = tmp_path / "out.txt"
+    rc = run_cli(["generate", "--method", "nbest",
+                  model, str(series / "ckpt-0005" if model == "--ckpt" else series),
+                  "--prompts", str(fixtures_path / "toy_prompts.txt"), "--out", str(out)])
+    assert rc == 2
+    assert "ckpt-0005" in capsys.readouterr().err
+    assert list(tmp_path.glob("out.txt*")) == []

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import logging
 import math
@@ -15,6 +16,7 @@ from oracles import (
     gen_random_checkpoint,
     gen_random_lattice,
     gen_random_parallel,
+    rewrite_model_file,
 )
 from stapleforge.errors import CheckpointError, ValidationError
 from stapleforge.translator import (
@@ -67,6 +69,16 @@ class TestTrainToy:
     def test_unknown_direction_rejected(self):
         with pytest.raises(ValidationError, match="direction"):
             train_toy(HAND_CORPUS, 1, None, direction="sideways")
+
+    @pytest.mark.parametrize("token", ["<s>", "</s>", "<other>", "<unk>"])
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_reserved_token_rejected_before_anything_is_written(self, tmp_path, token, side):
+        """A target-side "<other>" or "<unk>" used to save an lm.tsv that loads
+        back as another LM, with a valid checksum."""
+        pair = (["a", token], ["x"]) if side == "source" else (["b"], ["x", token])
+        with pytest.raises(ValidationError, match=f"pair 2 uses the reserved token '{token}'"):
+            train_toy([(["a"], ["x"]), pair], 2, tmp_path / "s")
+        assert not (tmp_path / "s").exists()
 
     def test_all_pairs_unusable_rejected(self):
         with pytest.raises(ValidationError):
@@ -279,6 +291,93 @@ class TestPersistence:
         )
         with pytest.raises(ValidationError, match="decreases"):
             CheckpointSeries(checkpoints=(a, b))
+
+
+def set_meta(ckpt_dir, key, value):
+    meta = ckpt_dir / "meta.tsv"
+    rows = [f"{key}\t{value}" if row.startswith(f"{key}\t") else row
+            for row in meta.read_text(encoding="utf-8").splitlines()]
+    meta.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+class TestCheckpointFaults:
+    @pytest.mark.parametrize(
+        "key, value",
+        [("iteration", "two"), ("corpus_loglik", "x"), ("alpha", "x"), ("direction", "sideways")],
+    )
+    def test_bad_meta_value_rejected(self, hand_series, tmp_path, key, value):
+        ckpt = tmp_path / "series" / "ckpt-0001"
+        set_meta(ckpt, key, value)
+        expected = f"bad {key} '{value}' in meta.tsv of .*ckpt-0001"
+        with pytest.raises(CheckpointError, match=expected):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize(
+        "name, edit, reason",
+        [
+            ("lexicon.tsv", lambda row: row.rsplit("\t", 1)[0] + "\tabc",
+             "non-numeric value in lexicon.tsv row 1"),
+            ("lexicon.tsv", lambda row: row.rsplit("\t", 1)[0], "corrupt lexicon.tsv row 1"),
+            ("lm.tsv", lambda row: row.rsplit("\t", 1)[0] + "\t",
+             "non-numeric value in lm.tsv row 1"),
+            ("lm.tsv", lambda row: row + "\t0.5", "corrupt lm.tsv row 1"),
+        ],
+        ids=["lexicon-value", "lexicon-columns", "lm-value", "lm-columns"],
+    )
+    def test_malformed_model_row_rejected(self, hand_series, tmp_path, name, edit, reason):
+        """Rows whose checksum was restamped, so only the row checks can catch them."""
+        ckpt = tmp_path / "series" / "ckpt-0001"
+        rows = (ckpt / name).read_text(encoding="utf-8").splitlines()
+        rows[0] = edit(rows[0])
+        rewrite_model_file(ckpt, name, "\n".join(rows) + "\n")
+        with pytest.raises(CheckpointError, match=f"{reason}: .* \\(in .*ckpt-0001\\)"):
+            load_checkpoint(ckpt)
+
+
+class TestLoadedModelSharing:
+    """A loaded series holds what its checkpoints share once, as a trained one does."""
+
+    def test_series_holds_one_lm(self, tmp_path):
+        trained = train_toy(HAND_CORPUS, 3, tmp_path / "s")
+        loaded = load_series(tmp_path / "s")
+        assert loaded == trained
+        lm = loaded.checkpoints[0].lm
+        assert all(c.lm is lm for c in loaded.checkpoints)
+        text = (tmp_path / "s" / "ckpt-0003" / "lm.tsv").read_text(encoding="utf-8")
+        assert lm == translator._parse_lm.__wrapped__(text, lm.alpha)
+
+    def test_distinct_lm_files_load_distinct_lms(self, tmp_path):
+        trained = train_toy(HAND_CORPUS, 3, tmp_path / "s")
+        lm = trained.checkpoints[0].lm
+        other = build_bigram_lm([["y", "x", "x"]])
+        save_checkpoint(dataclasses.replace(trained.checkpoints[1], lm=other),
+                        tmp_path / "s" / "ckpt-0002")
+        set_meta(tmp_path / "s" / "ckpt-0003", "alpha", "0.5")  # meta is not checksummed
+        lms = [c.lm for c in load_series(tmp_path / "s").checkpoints]
+        assert other != lm
+        assert lms == [lm, other, dataclasses.replace(lm, alpha=0.5)]
+
+    def test_corrupt_lm_row_names_its_own_directory_with_an_lm_cached(self, tmp_path):
+        train_toy(HAND_CORPUS, 3, tmp_path / "s")
+        second = tmp_path / "s" / "ckpt-0002"
+        text = (second / "lm.tsv").read_text(encoding="utf-8")
+        rewrite_model_file(second, "lm.tsv", text.replace("\t", " ", 1))
+        load_checkpoint(tmp_path / "s" / "ckpt-0001")
+        with pytest.raises(CheckpointError, match=r"corrupt lm.tsv row 1: .* \(in .*ckpt-0002\)"):
+            load_series(tmp_path / "s")
+
+    def test_loaded_checkpoints_share_word_strings(self, tmp_path):
+        # multi-character words: CPython already shares one-character strings
+        train_toy(gen_random_parallel(random.Random(11)), 2, tmp_path / "s")
+        first, second = load_series(tmp_path / "s").checkpoints
+
+        def words(ckpt):
+            return {w: w for e, row in ckpt.lexicon.items() for w in (e, *row)}
+
+        a, b = words(first), words(second)
+        assert a.keys() == b.keys() and all(len(w) > 1 for w in a)
+        assert all(a[w] is b[w] for w in a)
+        assert all(w is a[w] for w in first.lm.unigram_logprob if w in a)
 
 
 class TestEmMonotonicityProperty:
