@@ -7,7 +7,7 @@ runs:
     train     EM-train a toy translator, persisting per-iteration checkpoints
     generate  produce a prediction file with one method (nbest | paraphrase | ensemble)
     sweep     run the full method/parameter grid and tabulate scores
-    bpe       learn / apply / decode byte-pair encodings
+    bpe       learn / apply / decode byte-pair encodings (decode needs no model)
     fixtures  print the path of the bundled fixture corpora
 
 ``generate`` and every ``sweep`` cell run a method through the one entry
@@ -18,7 +18,9 @@ resolved parameters (``top_k`` included), input checksums, tool version and
 output checksums; identical inputs reproduce identical outputs and manifests.
 ``generate`` also writes ``<out>.warnings.tsv``, one row per degraded prompt
 whose stage is the method's name. Wall-clock duration is reported on stderr
-only, so manifests stay byte-reproducible.
+only, so manifests stay byte-reproducible. ``train`` is byte-reproducible
+too, with no environment variable: a checkpoint records nothing about when
+it was written.
 
 Exit codes: 0 success, 2 input/validation error, 3 empty-work error,
 1 internal error.
@@ -32,7 +34,7 @@ import io
 import logging
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -74,28 +76,6 @@ DEFAULT_SWEEP_N_PRIME = (1, 3, 5)
 DEFAULT_SWEEP_M = (2, 4, 6, 8)
 
 
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict[str, str]
-    input_checksums: dict[str, str]
-    output_checksums: dict[str, str]
-    tool_version: str = __version__
-    duration_seconds: float = 0.0
-
-    def render(self) -> str:
-        # duration is deliberately not persisted: manifests must be
-        # byte-identical across reruns with identical inputs
-        lines = [f"command\t{self.command}\n", f"tool_version\t{self.tool_version}\n"]
-        for key in sorted(self.parameters):
-            lines.append(f"param:{key}\t{self.parameters[key]}\n")
-        for key in sorted(self.input_checksums):
-            lines.append(f"input:{key}\t{self.input_checksums[key]}\n")
-        for key in sorted(self.output_checksums):
-            lines.append(f"output:{key}\t{self.output_checksums[key]}\n")
-        return "".join(lines)
-
-
 def sha256_path(path: Path, members: Sequence[str] | None = None) -> str:
     """Checksum a file, or a directory as the digest of its sorted file digests.
 
@@ -131,9 +111,26 @@ def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _write_manifest(manifest: RunManifest, out_path: str) -> None:
-    _write_text(out_path + ".manifest.tsv", manifest.render())
-    log.info("%s finished in %.3f s", manifest.command, manifest.duration_seconds)
+def _write_manifest(
+    out_path: str,
+    command: str,
+    parameters: dict[str, str],
+    inputs: dict[str, str],
+    outputs: dict[str, str],
+    started: float,
+) -> None:
+    """Write ``<out>.manifest.tsv``: the command, the tool version, then the
+    ``param:``, ``input:`` and ``output:`` rows, each group sorted by key.
+
+    The duration since ``started`` is only logged: manifests must be
+    byte-identical across reruns with identical inputs.
+    """
+    lines = [f"command\t{command}\n", f"tool_version\t{__version__}\n"]
+    for group, rows in (("param", parameters), ("input", inputs), ("output", outputs)):
+        for key in sorted(rows):
+            lines.append(f"{group}:{key}\t{rows[key]}\n")
+    _write_text(out_path + ".manifest.tsv", "".join(lines))
+    log.info("%s finished in %.3f s", command, time.monotonic() - started)
 
 
 def _write_warnings(warnings: list[MethodWarning], out_path: str) -> None:
@@ -203,7 +200,7 @@ def _load_model(
     """
     if ckpt_arg:
         ckpt = load_checkpoint(ckpt_arg)
-        series = CheckpointSeries(checkpoints=(ckpt,), direction=ckpt.direction)
+        series = CheckpointSeries(checkpoints=(ckpt,))
         return series, sha256_path(Path(ckpt_arg))
     if series_arg:
         series = load_series(series_arg, newest) if newest else None
@@ -235,21 +232,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8", newline="\n") as sink:
         write_predictions(sets, sink)
     _write_warnings(warnings, args.out)
-    manifest = RunManifest(
-        command="generate",
-        parameters={
-            "method": args.method,
-            "n": str(args.n),
-            "n_prime": str(args.n_prime),
-            "m": str(args.m),
-            "top_k": str(args.top_k),
-            "policy": args.policy,
-        },
-        input_checksums=inputs,
-        output_checksums={"predictions": sha256_path(Path(args.out))},
-        duration_seconds=time.monotonic() - started,
-    )
-    _write_manifest(manifest, args.out)
+    parameters = {
+        "method": args.method,
+        "n": str(args.n),
+        "n_prime": str(args.n_prime),
+        "m": str(args.m),
+        "top_k": str(args.top_k),
+        "policy": args.policy,
+    }
+    outputs = {"predictions": sha256_path(Path(args.out))}
+    _write_manifest(args.out, "generate", parameters, inputs, outputs, started)
     return EXIT_OK
 
 
@@ -304,21 +296,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows.append(f"{method}\t{label}\tNA\tNA\tNA\n")
     _write_text(args.out, header + "".join(rows))
 
-    manifest = RunManifest(
-        command="sweep",
-        parameters={
-            "n_values": ",".join(map(str, args.n_values)),
-            "n_prime_values": ",".join(map(str, args.n_prime_values)),
-            "m_values": ",".join(map(str, args.m_values)),
-            "fixed_n": str(args.fixed_n),
-            "top_k": str(args.top_k),
-            "policy": args.policy,
-        },
-        input_checksums=inputs,
-        output_checksums={"table": sha256_path(Path(args.out))},
-        duration_seconds=time.monotonic() - started,
-    )
-    _write_manifest(manifest, args.out)
+    parameters = {
+        "n_values": ",".join(map(str, args.n_values)),
+        "n_prime_values": ",".join(map(str, args.n_prime_values)),
+        "m_values": ",".join(map(str, args.m_values)),
+        "fixed_n": str(args.fixed_n),
+        "top_k": str(args.top_k),
+        "policy": args.policy,
+    }
+    outputs = {"table": sha256_path(Path(args.out))}
+    _write_manifest(args.out, "sweep", parameters, inputs, outputs, started)
     if all(row.endswith("\tNA\n") for row in rows):
         log.error("every sweep cell failed")
         return EXIT_INPUT
@@ -337,12 +324,12 @@ def cmd_bpe(args: argparse.Namespace) -> int:
             save_bpe(model, sink)
         return EXIT_OK
 
-    model = load_bpe(_read_text(args.model))
+    model = load_bpe(_read_text(args.model)) if args.bpe_command == "apply" else None
     source = _read_text(args.input) if args.input else sys.stdin.read()
     out_lines = []
     for line in source.splitlines():
         toks = line.split()
-        result = bpe_apply(model, toks) if args.bpe_command == "apply" else bpe_decode(toks)
+        result = bpe_decode(toks) if model is None else bpe_apply(model, toks)
         out_lines.append(" ".join(result) + "\n")
     text = "".join(out_lines)
     if args.out:
@@ -433,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_bpe)
     for name in ("apply", "decode"):
         b = bpe_sub.add_parser(name)
-        b.add_argument("--model", required=True)
+        if name == "apply":
+            b.add_argument("--model", required=True)
         b.add_argument("--input")
         b.add_argument("--out")
         b.set_defaults(func=cmd_bpe)

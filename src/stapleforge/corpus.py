@@ -19,7 +19,9 @@ Prediction files use the same block layout with bare translation lines (no
 weights). A prompts file is just the header lines, one ``id|text`` per line.
 
 Matching elsewhere in the toolkit compares sentences only after applying a
-:class:`NormalizationPolicy`; the all-false policy is exact string match.
+:class:`NormalizationPolicy`: ``DEFAULT_POLICY`` canonicalizes (NFC,
+lowercase, strip punctuation, collapse whitespace) and ``EXACT_POLICY`` is
+exact string match.
 """
 
 from __future__ import annotations
@@ -42,18 +44,13 @@ WEIGHT_LITERAL = re.compile(r"[0-9]+(?:\.[0-9]{1,6})?")
 
 @dataclass(frozen=True)
 class NormalizationPolicy:
-    """Pure configuration for sentence canonicalization before matching."""
+    """How sentences are compared: canonicalized (the default) or exactly."""
 
-    lowercase: bool = True
-    strip_punctuation: bool = True
-    collapse_whitespace: bool = True
-    unicode_nfc: bool = True
+    exact: bool = False
 
 
 DEFAULT_POLICY = NormalizationPolicy()
-EXACT_POLICY = NormalizationPolicy(
-    lowercase=False, strip_punctuation=False, collapse_whitespace=False, unicode_nfc=False
-)
+EXACT_POLICY = NormalizationPolicy(exact=True)
 
 
 @lru_cache(maxsize=None)
@@ -62,24 +59,20 @@ def is_punct(ch: str) -> bool:
 
 
 def normalize(text: str, policy: NormalizationPolicy = DEFAULT_POLICY) -> str:
-    """Canonicalize a sentence under the given policy.
+    """Canonicalize a sentence: the text itself under an exact policy, else
+    NFC, lowercase, strip Unicode punctuation, collapse whitespace, NFC.
 
     Deterministic and idempotent for every Unicode input; an empty result is
     legal and signals an all-punctuation input.
     """
-    if policy.unicode_nfc:
-        text = unicodedata.normalize("NFC", text)
-    if policy.lowercase:
-        text = text.lower()
-    if policy.strip_punctuation:
-        text = "".join(ch for ch in text if not is_punct(ch))
-    if policy.collapse_whitespace:
-        text = " ".join(text.split())
-    if policy.unicode_nfc:
-        # removing characters can juxtapose a base letter with a combining
-        # mark; re-composing keeps normalize(normalize(x)) == normalize(x)
-        text = unicodedata.normalize("NFC", text)
-    return text
+    if policy.exact:
+        return text
+    text = unicodedata.normalize("NFC", text).lower()
+    text = "".join(ch for ch in text if not is_punct(ch))
+    text = " ".join(text.split())
+    # removing characters can juxtapose a base letter with a combining mark;
+    # re-composing keeps normalize(normalize(x)) == normalize(x)
+    return unicodedata.normalize("NFC", text)
 
 
 @dataclass(frozen=True)

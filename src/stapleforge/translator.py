@@ -22,7 +22,7 @@ A checkpoint is persisted after every EM iteration. On-disk layout, one
 directory per checkpoint:
 
     meta.tsv     key<TAB>value rows: iteration, direction, corpus_loglik,
-                 created_at, alpha, checksum (sha256 over the two model files)
+                 alpha, checksum (sha256 over the two model files)
     lexicon.tsv  source<TAB>target<TAB>prob, sorted
     lm.tsv       w1<TAB>w2<TAB>logprob, sorted, including <s>/</s> boundary
                  rows, one "<other>" row per history (add-alpha mass for an
@@ -32,8 +32,11 @@ directory per checkpoint:
 ``<s> </s> <other> <unk>`` are reserved tokens, and training rejects a corpus
 that uses one. Probabilities are stored with 12 significant digits; model
 values are canonicalized to that precision when built, so a saved checkpoint
-loads back bit-exactly. Loading verifies the checksum and parses every value;
-a malformed checkpoint raises ``CheckpointError`` naming its directory.
+loads back bit-exactly. Loading verifies the checksum and parses every value:
+probabilities must be finite and non-negative, and every other value finite.
+A malformed checkpoint raises ``CheckpointError`` naming its directory.
+Nothing in a checkpoint depends on when it was written, so training the same
+corpus twice gives byte-identical series directories.
 
 A training run's checkpoints live in ``ckpt-0001/ ... ckpt-NNNN/`` under one
 series directory, indexed by its ``series.tsv``:
@@ -65,10 +68,8 @@ import math
 import os
 import re
 import sys
-import time
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -95,11 +96,11 @@ LexiconTable = dict[str, dict[str, float]]
 _T = TypeVar("_T")
 
 
-def quantize(x: float, digits: int = 12) -> float:
+def quantize(x: float) -> float:
     """Round to 12 significant digits, the persisted precision of model values."""
     if x == 0.0 or not math.isfinite(x):
         return x
-    return float(f"{x:.{digits}g}")
+    return float(f"{x:.12g}")
 
 
 @dataclass(frozen=True, eq=True)
@@ -125,6 +126,8 @@ class BigramLm:
 
 
 def build_bigram_lm(target_corpus: Iterable[TokenSeq], alpha: float = 0.1) -> BigramLm:
+    if not 0.0 < alpha < math.inf:
+        raise ValidationError(f"alpha must be finite and > 0, got {alpha!r}")
     unigram_counts: Counter[str] = Counter()
     bigram_counts: Counter[tuple[str, str]] = Counter()
     vocab: set[str] = set()
@@ -177,7 +180,6 @@ class Checkpoint:
     lexicon: LexiconTable
     lm: BigramLm
     corpus_loglik: float
-    created_at: str
     direction: str = "fwd"
 
     def __post_init__(self) -> None:
@@ -190,7 +192,6 @@ class Checkpoint:
 @dataclass(frozen=True)
 class CheckpointSeries:
     checkpoints: tuple[Checkpoint, ...]
-    direction: str = "fwd"
 
     def __post_init__(self) -> None:
         iters = [c.iteration for c in self.checkpoints]
@@ -229,23 +230,6 @@ class DecodeParams:
             raise ValidationError(f"n_best must be >= 1, got {self.n_best}")
         if self.top_k_lexicon < 1:
             raise ValidationError(f"top_k_lexicon must be >= 1, got {self.top_k_lexicon}")
-
-
-def _timestamp(epoch: float) -> str:
-    return datetime.fromtimestamp(int(epoch), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _pinned_created_at() -> str | None:
-    """The checkpoint timestamp SOURCE_DATE_EPOCH pins, or None when it is unset."""
-    raw = os.environ.get("SOURCE_DATE_EPOCH")
-    if raw is None:
-        return None
-    try:
-        return _timestamp(int(raw))
-    except (ValueError, OverflowError, OSError):
-        raise ValidationError(
-            f"SOURCE_DATE_EPOCH must be an integer number of seconds, got {raw!r}"
-        ) from None
 
 
 def corpus_loglikelihood(
@@ -287,7 +271,6 @@ def train_toy(
         raise ValidationError(f"iterations must be >= 1, got {iterations}")
     if direction not in DIRECTIONS:
         raise ValidationError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    pinned_created_at = _pinned_created_at()
     out_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if out_dir is not None and out_dir.is_dir():
         if any(p.name == SERIES_INDEX or p.name.startswith("ckpt-") for p in out_dir.iterdir()):
@@ -344,7 +327,6 @@ def train_toy(
             lexicon=lexicon,
             lm=lm,
             corpus_loglik=loglik,
-            created_at=pinned_created_at or _timestamp(time.time()),
             direction=direction,
         )
         checkpoints.append(ckpt)
@@ -352,7 +334,7 @@ def train_toy(
             save_checkpoint(ckpt, out_dir / checkpoint_name(it))
             _write_series_index(out_dir, checkpoints, direction)
         log.info("iteration %d: corpus log-likelihood %.6f", it, loglik)
-    return CheckpointSeries(checkpoints=tuple(checkpoints), direction=direction)
+    return CheckpointSeries(checkpoints=tuple(checkpoints))
 
 
 def emission_candidates(
@@ -437,7 +419,6 @@ def save_checkpoint(ckpt: Checkpoint, directory: Path | str) -> None:
         ("iteration", str(ckpt.iteration)),
         ("direction", ckpt.direction),
         ("corpus_loglik", repr(ckpt.corpus_loglik)),
-        ("created_at", ckpt.created_at),
         ("alpha", repr(ckpt.lm.alpha)),
         ("checksum", _checksum(lexicon_text, lm_text)),
     ]
@@ -479,6 +460,8 @@ def _parse_lm(lm_text: str, alpha: float) -> BigramLm:
             lp = float(raw)
         except ValueError:
             raise ValueError(_bad_row("lm.tsv", lineno, line)) from None
+        if not math.isfinite(lp):
+            raise ValueError(f"non-finite value in lm.tsv row {lineno}: {line!r}")
         if w2 == UNSEEN:
             unseen[intern(w1)] = lp
         elif w1 == BACKOFF:
@@ -488,6 +471,13 @@ def _parse_lm(lm_text: str, alpha: float) -> BigramLm:
     return BigramLm(
         bigram_logprob=bigram, unseen_logprob=unseen, unigram_logprob=unigram, alpha=alpha
     )
+
+
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
 
 
 def _meta_value(
@@ -513,14 +503,14 @@ def load_checkpoint(directory: Path | str) -> Checkpoint:
         if len(cols) != 2:
             raise CheckpointError(f"corrupt meta.tsv row in {directory}: {line!r}")
         meta[cols[0]] = cols[1]
-    for key in ("iteration", "direction", "corpus_loglik", "created_at", "alpha", "checksum"):
+    for key in ("iteration", "direction", "corpus_loglik", "alpha", "checksum"):
         if key not in meta:
             raise CheckpointError(f"meta.tsv in {directory} is missing key {key!r}")
     if meta["direction"] not in DIRECTIONS:
         raise CheckpointError(f"bad direction {meta['direction']!r} in meta.tsv of {directory}")
     iteration = _meta_value(meta, "iteration", int, directory)
-    corpus_loglik = _meta_value(meta, "corpus_loglik", float, directory)
-    alpha = _meta_value(meta, "alpha", float, directory)
+    corpus_loglik = _meta_value(meta, "corpus_loglik", _finite_float, directory)
+    alpha = _meta_value(meta, "alpha", _finite_float, directory)
     if meta["checksum"] != _checksum(lexicon_text, lm_text):
         raise CheckpointError(f"checksum mismatch for checkpoint {directory}")
 
@@ -545,16 +535,20 @@ def load_checkpoint(directory: Path | str) -> Checkpoint:
         raise CheckpointError(f"{exc} (in {directory})") from None
     for e, row in lexicon.items():
         total = sum(row.values())
-        if abs(total - 1.0) > 1e-9:
+        # a nan or infinite entry makes the total nan or infinite, failing this too
+        if not abs(total - 1.0) <= 1e-9:
             raise CheckpointError(
                 f"lexicon row for {e!r} sums to {total!r}, expected 1 (in {directory})"
+            )
+        if min(row.values()) < 0.0:
+            raise CheckpointError(
+                f"lexicon row for {e!r} holds a negative probability (in {directory})"
             )
     return Checkpoint(
         iteration=iteration,
         lexicon=lexicon,
         lm=lm,
         corpus_loglik=corpus_loglik,
-        created_at=meta["created_at"],
         direction=meta["direction"],
     )
 
@@ -632,4 +626,4 @@ def load_series(directory: Path | str, newest: int | None = None) -> CheckpointS
                 f"(iteration {iteration}, {direction}, loglik {loglik!r})"
             )
         checkpoints.append(ckpt)
-    return CheckpointSeries(checkpoints=tuple(checkpoints), direction=direction)
+    return CheckpointSeries(checkpoints=tuple(checkpoints))

@@ -156,7 +156,6 @@ def gen_random_checkpoint(rng: random.Random) -> Checkpoint:
         lexicon=lexicon,
         lm=lm,
         corpus_loglik=-1.0,
-        created_at="1970-01-01T00:00:00Z",
         direction="fwd",
     )
 
@@ -186,7 +185,6 @@ def gen_random_lattice(
         lexicon=lexicon,
         lm=lm,
         corpus_loglik=-1.0,
-        created_at="1970-01-01T00:00:00Z",
         direction="fwd",
     )
     words = [*lexicon, "oov"]

@@ -115,17 +115,19 @@ class TestTrain:
         bwd = load_series(trained_world / "bwd")
         assert "cat" in fwd.checkpoints[-1].lexicon
         assert "gato" in bwd.checkpoints[-1].lexicon
-        assert bwd.direction == "bwd"
+        assert {c.direction for c in bwd.checkpoints} == {"bwd"}
+        assert {c.direction for c in fwd.checkpoints} == {"fwd"}
 
-    @pytest.mark.parametrize("epoch", ["not-a-number", "1.5"])
-    def test_bad_source_date_epoch_exits_2(self, tmp_path, fixtures_path, monkeypatch,
-                                           capsys, epoch):
-        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    @pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf"])
+    def test_bad_alpha_exits_2_and_writes_nothing(self, tmp_path, fixtures_path, capsys,
+                                                  alpha):
+        """--alpha 0 and -1 used to crash (exit 1) and nan and inf to train an
+        all-nan LM that generate then decoded with."""
         rc = run_cli(["train", "--parallel", str(fixtures_path / "toy_parallel.tsv"),
-                      "--iterations", "2", "--out", str(tmp_path / "out")])
+                      "--iterations", "2", "--out", str(tmp_path / "out"), f"--alpha={alpha}"])
         assert rc == 2
-        assert "SOURCE_DATE_EPOCH" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert "alpha must be finite and > 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_retrain_into_existing_series_exits_2(self, tmp_path, fixtures_path):
         """Training 8 iterations and then 3 into one directory once left a
@@ -266,8 +268,7 @@ class TestBpe:
         back = tmp_path / "back.txt"
         assert run_cli(["bpe", "apply", "--model", str(model), "--input", str(inp),
                         "--out", str(seg)]) == 0
-        assert run_cli(["bpe", "decode", "--model", str(model), "--input", str(seg),
-                        "--out", str(back)]) == 0
+        assert run_cli(["bpe", "decode", "--input", str(seg), "--out", str(back)]) == 0
         assert back.read_text() == inp.read_text()
 
     def test_bad_model_file_exits_2(self, tmp_path):
@@ -411,17 +412,46 @@ def test_fixtures_command(capsys):
 
 
 class TestReproducibility:
-    def test_retrain_byte_identical_under_pinned_epoch(
+    def test_retrain_byte_identical_whatever_source_date_epoch(
         self, fixtures_path, tmp_path, monkeypatch
     ):
-        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        """Checkpoints record nothing about when they were written, so no
+        environment variable is needed for byte-identical retraining."""
         parallel = str(fixtures_path / "toy_parallel.tsv")
-        for name in ("one", "two"):
+        trees = []
+        for epoch in (None, "0", "86400", "not-a-number"):
+            if epoch is None:
+                monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+            else:
+                monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+            out = tmp_path / f"epoch-{epoch}"
             assert run_cli(["train", "--parallel", parallel, "--iterations", "2",
-                            "--out", str(tmp_path / name)]) == 0
-        for rel in ("ckpt-0001/meta.tsv", "ckpt-0001/lexicon.tsv", "ckpt-0001/lm.tsv",
-                    "ckpt-0002/meta.tsv", "series.tsv"):
-            assert (tmp_path / "one" / rel).read_bytes() == (tmp_path / "two" / rel).read_bytes()
+                            "--out", str(out)]) == 0
+            trees.append({str(p.relative_to(out)): p.read_bytes()
+                          for p in out.rglob("*") if p.is_file()})
+        assert len(trees[0]) == 7  # series.tsv and 3 files per checkpoint
+        assert all(tree == trees[0] for tree in trees)
+
+    def test_series_with_created_at_rows_still_loads(self, trained_world, fixtures_path,
+                                                    tmp_path):
+        """meta.tsv files written before checkpoints stopped recording a
+        created_at row load as before: the loader ignores keys it does not use."""
+        old = tmp_path / "old"
+        shutil.copytree(trained_world / "fwd", old)
+        for meta in old.glob("ckpt-*/meta.tsv"):
+            with meta.open("a", encoding="utf-8", newline="\n") as sink:
+                sink.write("created_at\t2020-09-13T12:26:40Z\n")
+        prompts = str(fixtures_path / "toy_prompts.txt")
+        outputs = {}
+        for name, series in (("new", trained_world / "fwd"), ("old", old)):
+            out = tmp_path / f"{name}.txt"
+            assert run_cli(["generate", "--method", "ensemble", "--m", "5", "--series",
+                            str(series), "--prompts", prompts, "--out", str(out)]) == 0
+            manifest = Path(f"{out}.manifest.tsv").read_text(encoding="utf-8").splitlines()
+            # the model checksum covers meta.tsv, so only that row may differ
+            outputs[name] = (out.read_bytes(),
+                             [row for row in manifest if not row.startswith("input:model\t")])
+        assert outputs["old"] == outputs["new"]
 
     def test_generate_reruns_byte_identical(self, trained_world, fixtures_path, tmp_path):
         out = tmp_path / "pred.txt"
@@ -630,6 +660,23 @@ def _edit_first_row(path: Path, edit) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _set_meta_row(path: Path, key: str, value: str) -> str:
+    rows = [f"{key}\t{value}" if row.startswith(f"{key}\t") else row
+            for row in path.read_text(encoding="utf-8").splitlines()]
+    return "\n".join(rows) + "\n"
+
+
+def _negative_entry_in_a_row_summing_to_1(path: Path) -> str:
+    """lexicon.tsv with its first two probabilities, of one source word, moved
+    by +1 and -1: the row still sums to 1 but holds a negative probability."""
+    rows = path.read_text(encoding="utf-8").splitlines()
+    (key0, p0), (key1, p1) = (row.rsplit("\t", 1) for row in rows[:2])
+    assert key0.split("\t")[0] == key1.split("\t")[0]
+    rows[0] = f"{key0}\t{float(p0) + 1.0!r}"
+    rows[1] = f"{key1}\t{float(p1) - 1.0!r}"
+    return "\n".join(rows) + "\n"
+
+
 CHECKPOINT_FAULTS = {
     "missing-lm": lambda ckpt: (ckpt / "lm.tsv").unlink(),
     "checksum": lambda ckpt: (ckpt / "lexicon.tsv").write_text(
@@ -640,6 +687,17 @@ CHECKPOINT_FAULTS = {
         ckpt / "lexicon.tsv", lambda row: row.rsplit("\t", 1)[0])),
     "non-numeric-prob": lambda ckpt: rewrite_model_file(ckpt, "lexicon.tsv", _edit_first_row(
         ckpt / "lexicon.tsv", lambda row: row.rsplit("\t", 1)[0] + "\tzero")),
+    # nan passes the row-sum check: abs(nan - 1.0) > 1e-9 is False
+    "nan-prob": lambda ckpt: rewrite_model_file(ckpt, "lexicon.tsv", _edit_first_row(
+        ckpt / "lexicon.tsv", lambda row: row.rsplit("\t", 1)[0] + "\tnan")),
+    "negative-prob": lambda ckpt: rewrite_model_file(
+        ckpt, "lexicon.tsv", _negative_entry_in_a_row_summing_to_1(ckpt / "lexicon.tsv")),
+    "inf-lm-value": lambda ckpt: rewrite_model_file(ckpt, "lm.tsv", _edit_first_row(
+        ckpt / "lm.tsv", lambda row: row.rsplit("\t", 1)[0] + "\tinf")),
+    "nan-alpha": lambda ckpt: (ckpt / "meta.tsv").write_text(
+        _set_meta_row(ckpt / "meta.tsv", "alpha", "nan"), encoding="utf-8"),
+    "inf-loglik": lambda ckpt: (ckpt / "meta.tsv").write_text(
+        _set_meta_row(ckpt / "meta.tsv", "corpus_loglik", "-inf"), encoding="utf-8"),
 }
 
 

@@ -33,7 +33,6 @@ def identity_pair():
             lexicon=lexicon,
             lm=lm,
             corpus_loglik=-1.0,
-            created_at="1970-01-01T00:00:00Z",
             direction=direction,
         )
 

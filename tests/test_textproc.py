@@ -20,6 +20,12 @@ from stapleforge.textproc import (
     tokenize,
 )
 
+# what a learned merge can hold: no whitespace or control characters, which
+# tokenization splits on, so no tab or line break of the model file
+symbols = st.text(
+    alphabet=st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp")), min_size=1
+)
+
 BPE_FIXTURE = [["low"]] * 5 + [["lower"]] * 2 + [["newest"]] * 6 + [["widest"]] * 3
 
 
@@ -156,6 +162,13 @@ class TestModelFile:
         save_bpe(model, buf)
         assert load_bpe(buf.getvalue()) == model
         assert buf.getvalue().splitlines()[0] == "#bpe v1 eow=</w>"
+
+    @given(st.lists(st.tuples(symbols, symbols), unique=True, max_size=12))
+    def test_load_inverts_save(self, merges):
+        model = BpeModel(merges=tuple(merges))
+        buf = io.StringIO()
+        save_bpe(model, buf)
+        assert load_bpe(buf.getvalue()) == model
 
     def test_bad_header_rejected(self):
         with pytest.raises(ParseError):
