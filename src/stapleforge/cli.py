@@ -10,6 +10,10 @@ runs:
     bpe       learn / apply / decode byte-pair encodings (decode needs no model)
     fixtures  print the path of the bundled fixture corpora
 
+Models read canonical text only (``textproc.sentence_tokens``), so only
+``score`` and ``sweep`` take ``--policy``, which chooses how sentences are
+compared; ``sweep`` records it in its manifest.
+
 ``generate`` and every ``sweep`` cell run a method through the one entry
 point ``methods.predict``; a sweep cell whose method cannot run on the models
 given (paraphrase without ``--bwd-series``, ``m`` beyond the series) is an NA
@@ -42,8 +46,6 @@ from . import __version__
 from .corpus import (
     DEFAULT_POLICY,
     EXACT_POLICY,
-    NormalizationPolicy,
-    normalize,
     parse_gold,
     parse_predictions,
     parse_prompts,
@@ -52,7 +54,7 @@ from .corpus import (
 from .errors import StapleForgeError, ValidationError
 from .metrics import score_corpus, summary_line, write_report
 from .methods import METHODS, MethodParams, MethodWarning, checkpoints_read, predict
-from .textproc import bpe_apply, bpe_decode, bpe_learn, load_bpe, save_bpe, tokenize
+from .textproc import bpe_apply, bpe_decode, bpe_learn, load_bpe, save_bpe, sentence_tokens
 from .translator import (
     SERIES_INDEX,
     CheckpointSeries,
@@ -161,9 +163,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_parallel(
-    text: str, swap: bool, policy: NormalizationPolicy
-) -> list[tuple[list[str], list[str]]]:
+def _parse_parallel(text: str, swap: bool) -> list[tuple[list[str], list[str]]]:
     pairs: list[tuple[list[str], list[str]]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -174,13 +174,12 @@ def _parse_parallel(
         src, tgt = cols[0], cols[1]
         if swap:
             src, tgt = tgt, src
-        pairs.append((tokenize(normalize(src, policy)), tokenize(normalize(tgt, policy))))
+        pairs.append((sentence_tokens(src), sentence_tokens(tgt)))
     return pairs
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    policy = POLICIES[args.policy]
-    pairs = _parse_parallel(_read_text(args.parallel), args.direction == "bwd", policy)
+    pairs = _parse_parallel(_read_text(args.parallel), args.direction == "bwd")
     series = train_toy(
         pairs, args.iterations, args.out, direction=args.direction, alpha=args.alpha
     )
@@ -212,7 +211,6 @@ def _load_model(
 
 def cmd_generate(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    policy = POLICIES[args.policy]
     prompts = parse_prompts(_read_text(args.prompts))
     params = MethodParams(n=args.n, n_prime=args.n_prime, m=args.m, top_k_lexicon=args.top_k)
     inputs: dict[str, str] = {"prompts": sha256_path(Path(args.prompts))}
@@ -227,7 +225,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             f"{args.method}: pass --bwd-ckpt or --bwd-series",
         )
     warnings: list[MethodWarning] = []
-    sets = predict(args.method, fwd, bwd, prompts, params, policy, warnings)
+    sets = predict(args.method, fwd, bwd, prompts, params, warnings)
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as sink:
         write_predictions(sets, sink)
@@ -238,7 +236,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "n_prime": str(args.n_prime),
         "m": str(args.m),
         "top_k": str(args.top_k),
-        "policy": args.policy,
     }
     outputs = {"predictions": sha256_path(Path(args.out))}
     _write_manifest(args.out, "generate", parameters, inputs, outputs, started)
@@ -285,7 +282,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows: list[str] = []
     for method, label, params in cells:
         try:
-            sets = predict(method, fwd, bwd, prompts, params, policy)
+            sets = predict(method, fwd, bwd, prompts, params)
             score = score_corpus(golds, sets, policy)
             rows.append(
                 f"{method}\t{label}\t{_percent(score.mean_precision)}"
@@ -314,11 +311,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_bpe(args: argparse.Namespace) -> int:
     if args.bpe_command == "learn":
-        policy = POLICIES[args.policy]
         corpus = []
         for path in args.inputs:
-            for line in _read_text(path).splitlines():
-                corpus.append(tokenize(normalize(line, policy)))
+            corpus.extend(sentence_tokens(line) for line in _read_text(path).splitlines())
         model = bpe_learn(corpus, args.merges)
         with open(args.out, "w", encoding="utf-8", newline="\n") as sink:
             save_bpe(model, sink)
@@ -375,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, required=True)
     p.add_argument("--out", required=True, help="series directory for ckpt-NNNN/")
     p.add_argument("--direction", choices=["fwd", "bwd"], default="fwd")
-    p.add_argument("--policy", choices=sorted(POLICIES), default="default")
     p.add_argument("--alpha", type=float, default=0.1, help="LM smoothing constant")
     p.set_defaults(func=cmd_train)
 
@@ -391,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-prime", dest="n_prime", type=int, default=3)
     p.add_argument("--m", type=int, default=6)
     p.add_argument("--top-k", dest="top_k", type=int, default=8)
-    p.add_argument("--policy", choices=sorted(POLICIES), default="default")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("sweep", help="run the method/parameter grid and tabulate scores")
@@ -416,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--input", dest="inputs", action="append", required=True)
     b.add_argument("--merges", type=int, default=500)
     b.add_argument("--out", required=True)
-    b.add_argument("--policy", choices=sorted(POLICIES), default="default")
     b.set_defaults(func=cmd_bpe)
     for name in ("apply", "decode"):
         b = bpe_sub.add_parser(name)

@@ -17,11 +17,13 @@ than 1 (published sets are often truncated) and are never renormalized.
 
 Prediction files use the same block layout with bare translation lines (no
 weights). A prompts file is just the header lines, one ``id|text`` per line.
+Every header is read alike: split on the first ``|``, both sides stripped,
+the id non-empty and unique within its file.
 
 Matching elsewhere in the toolkit compares sentences only after applying a
 :class:`NormalizationPolicy`: ``DEFAULT_POLICY`` canonicalizes (NFC,
 lowercase, strip punctuation, collapse whitespace) and ``EXACT_POLICY`` is
-exact string match.
+exact string match. Models read canonical text whatever the policy.
 """
 
 from __future__ import annotations
@@ -141,12 +143,24 @@ def _blocks(stream: str) -> Iterable[list[tuple[int, str]]]:
         yield block
 
 
-def _parse_header(lineno: int, line: str) -> Prompt:
+def _read_header(lineno: int, line: str, seen: set[str]) -> tuple[str, str]:
+    """The stripped id and text of a header; the id must be non-empty and not
+    in ``seen``, the file's ids so far, to which it is added."""
     if "|" not in line:
         raise ParseError(f"malformed header (expected 'id|prompt'): {line!r}", lineno)
-    pid, text = line.split("|", 1)
+    pid, text = (part.strip() for part in line.split("|", 1))
+    if not pid:
+        raise ValidationError("prompt id must be non-empty", lineno)
+    if pid in seen:
+        raise ValidationError(f"duplicate prompt id {pid!r}", lineno)
+    seen.add(pid)
+    return pid, text
+
+
+def _parse_prompt(lineno: int, line: str, seen: set[str]) -> Prompt:
+    pid, text = _read_header(lineno, line, seen)
     try:
-        return Prompt(id=pid.strip(), text=text.strip())
+        return Prompt(id=pid, text=text)
     except ValidationError as exc:
         raise ValidationError(str(exc), lineno) from None
 
@@ -154,9 +168,10 @@ def _parse_header(lineno: int, line: str) -> Prompt:
 def parse_gold(stream: str, policy: NormalizationPolicy = DEFAULT_POLICY) -> list[GoldSet]:
     """Parse a gold corpus. Translations come back sorted by weight, non-increasing."""
     golds: list[GoldSet] = []
+    ids: set[str] = set()
     for block in _blocks(stream):
         header_lineno, header = block[0]
-        prompt = _parse_header(header_lineno, header)
+        prompt = _parse_prompt(header_lineno, header, ids)
         if len(block) == 1:
             raise ValidationError(f"empty block for prompt {prompt.id!r}", header_lineno)
         translations: list[WeightedTranslation] = []
@@ -207,17 +222,9 @@ def parse_predictions(
     module logger: nothing is discarded silently.
     """
     sets: list[PredictionSet] = []
-    seen_ids: set[str] = set()
+    ids: set[str] = set()
     for block in _blocks(stream):
-        header_lineno, header = block[0]
-        if "|" not in header:
-            raise ParseError(f"malformed header (expected 'id|prompt'): {header!r}", header_lineno)
-        pid = header.split("|", 1)[0].strip()
-        if not pid:
-            raise ValidationError("prompt id must be non-empty", header_lineno)
-        if pid in seen_ids:
-            raise ValidationError(f"duplicate prompt id {pid!r}", header_lineno)
-        seen_ids.add(pid)
+        pid, _ = _read_header(*block[0], ids)
         candidates: list[str] = []
         keys: set[str] = set()
         for lineno, line in block[1:]:
@@ -254,14 +261,9 @@ def write_predictions(sets: Iterable[PredictionSet], sink: TextIO) -> None:
 def parse_prompts(stream: str) -> list[Prompt]:
     """Parse a prompts file: one ``id|text`` line per prompt, blank lines ignored."""
     prompts: list[Prompt] = []
-    seen: set[str] = set()
+    ids: set[str] = set()
     for lineno, raw in enumerate(stream.splitlines(), start=1):
         line = (raw.lstrip("﻿") if lineno == 1 else raw).strip()
-        if not line:
-            continue
-        prompt = _parse_header(lineno, line)
-        if prompt.id in seen:
-            raise ValidationError(f"duplicate prompt id {prompt.id!r}", lineno)
-        seen.add(prompt.id)
-        prompts.append(prompt)
+        if line:
+            prompts.append(_parse_prompt(lineno, line, ids))
     return prompts

@@ -4,12 +4,14 @@ multi-checkpoint ensembles.
 ``predict`` is the one entry point: it runs a method on the newest forward
 and backward checkpoints the method reads (``checkpoints_read``), so callers
 load those and nothing else. Each method is one per-prompt composition over
-the same source path: normalize the prompt under the active policy, tokenize,
-decode, detokenize, de-duplicate. Bad input on one prompt (a StapleForgeError)
-degrades that prompt to an empty candidate list and one warning record whose
-stage is the method's name; it never aborts the batch. Any other exception is
-a programming error and propagates. Every method is deterministic: identical
-inputs produce byte-identical prediction files.
+the same source path: canonical tokens (``textproc.sentence_tokens``),
+decode, detokenize, de-duplicate. Candidates are canonical sentences, so
+de-duplicating them is the same under every normalization policy. Bad input
+on one prompt (a StapleForgeError) degrades that prompt to an empty candidate
+list and one warning record whose stage is the method's name; it never
+aborts the batch. Any other exception is a programming error and propagates.
+Every method is deterministic: identical inputs produce byte-identical
+prediction files.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .corpus import DEFAULT_POLICY, NormalizationPolicy, PredictionSet, Prompt, normalize
+from .corpus import DEFAULT_POLICY, PredictionSet, Prompt, normalize
 from .errors import StapleForgeError, ValidationError
-from .textproc import detokenize, tokenize
+from .textproc import detokenize, sentence_tokens
 from .translator import Checkpoint, CheckpointSeries, DecodeParams, decode_nbest
 
 log = logging.getLogger(__name__)
@@ -51,12 +53,12 @@ class MethodWarning:
     message: str
 
 
-def dedup(candidates: Iterable[str], policy: NormalizationPolicy = DEFAULT_POLICY) -> list[str]:
-    """Stable first-occurrence de-duplication under the normalization policy."""
+def dedup(candidates: Iterable[str]) -> list[str]:
+    """Stable first-occurrence de-duplication of sentences by canonical form."""
     seen: set[str] = set()
     out: list[str] = []
     for cand in candidates:
-        key = normalize(cand, policy)
+        key = normalize(cand, DEFAULT_POLICY)
         if key in seen:
             continue
         seen.add(key)
@@ -64,17 +66,9 @@ def dedup(candidates: Iterable[str], policy: NormalizationPolicy = DEFAULT_POLIC
     return out
 
 
-def _source_tokens(text: str, policy: NormalizationPolicy) -> list[str]:
-    # normalization runs before tokenization so decode-time tokens match the
-    # trained lexicon (the training pipeline does the same)
-    return tokenize(normalize(text, policy))
-
-
-def _decode_sentences(
-    ckpt: Checkpoint, text: str, n: int, params: MethodParams, policy: NormalizationPolicy
-) -> list[str]:
+def _decode_sentences(ckpt: Checkpoint, text: str, n: int, params: MethodParams) -> list[str]:
     decode = DecodeParams(n_best=n, top_k_lexicon=params.top_k_lexicon)
-    hyps = decode_nbest(ckpt, _source_tokens(text, policy), decode)
+    hyps = decode_nbest(ckpt, sentence_tokens(text), decode)
     return [detokenize(h.tokens) for h in hyps if h.tokens]
 
 
@@ -103,13 +97,12 @@ def nbest_predict(
     ckpt: Checkpoint,
     prompts: Sequence[Prompt],
     params: MethodParams,
-    policy: NormalizationPolicy = DEFAULT_POLICY,
     warnings: list[MethodWarning] | None = None,
 ) -> list[PredictionSet]:
     """Top-n decoded translations per prompt, de-duplicated in score order."""
 
     def candidates(prompt: Prompt) -> list[str]:
-        return dedup(_decode_sentences(ckpt, prompt.text, params.n, params, policy), policy)
+        return dedup(_decode_sentences(ckpt, prompt.text, params.n, params))
 
     return _per_prompt(prompts, "nbest", candidates, warnings)
 
@@ -119,7 +112,6 @@ def paraphrase_predict(
     bwd: Checkpoint,
     prompts: Sequence[Prompt],
     params: MethodParams,
-    policy: NormalizationPolicy = DEFAULT_POLICY,
     warnings: list[MethodWarning] | None = None,
 ) -> list[PredictionSet]:
     """Extend each n-best list via round-trip paraphrases.
@@ -137,17 +129,17 @@ def paraphrase_predict(
         )
 
     def candidates(prompt: Prompt) -> list[str]:
-        step1 = dedup(_decode_sentences(fwd, prompt.text, params.n, params, policy), policy)
+        step1 = dedup(_decode_sentences(fwd, prompt.text, params.n, params))
         pool: list[str] = []
         for sent in step1:
-            pool.extend(_decode_sentences(bwd, sent, params.n_prime, params, policy))
-        prompt_key = normalize(prompt.text, policy)
-        paraphrases = [p for p in dedup(pool, policy) if normalize(p, policy) != prompt_key]
+            pool.extend(_decode_sentences(bwd, sent, params.n_prime, params))
+        prompt_key = normalize(prompt.text, DEFAULT_POLICY)
+        paraphrases = [p for p in dedup(pool) if normalize(p, DEFAULT_POLICY) != prompt_key]
         step3: list[str] = []
         for para in paraphrases:
-            best = _decode_sentences(fwd, para, 1, params, policy)
+            best = _decode_sentences(fwd, para, 1, params)
             step3.extend(best[:1])
-        return dedup(step1 + step3, policy)
+        return dedup(step1 + step3)
 
     return _per_prompt(prompts, "paraphrase", candidates, warnings)
 
@@ -156,7 +148,6 @@ def multi_checkpoint_predict(
     series: CheckpointSeries,
     prompts: Sequence[Prompt],
     params: MethodParams,
-    policy: NormalizationPolicy = DEFAULT_POLICY,
     warnings: list[MethodWarning] | None = None,
 ) -> list[PredictionSet]:
     """Union of n-best outputs from the m most recent checkpoints, latest first."""
@@ -169,8 +160,8 @@ def multi_checkpoint_predict(
     def candidates(prompt: Prompt) -> list[str]:
         pooled: list[str] = []
         for ckpt in latest_first:
-            pooled.extend(_decode_sentences(ckpt, prompt.text, params.n, params, policy))
-        return dedup(pooled, policy)
+            pooled.extend(_decode_sentences(ckpt, prompt.text, params.n, params))
+        return dedup(pooled)
 
     return _per_prompt(prompts, "ensemble", candidates, warnings)
 
@@ -189,7 +180,6 @@ def predict(
     bwd: CheckpointSeries | None,
     prompts: Sequence[Prompt],
     params: MethodParams,
-    policy: NormalizationPolicy = DEFAULT_POLICY,
     warnings: list[MethodWarning] | None = None,
 ) -> list[PredictionSet]:
     """Run ``method`` on the newest checkpoints of ``fwd`` (and ``bwd``) it reads.
@@ -198,11 +188,9 @@ def predict(
     backward model, an ensemble larger than the series) raises ValidationError.
     """
     if method == "ensemble":
-        return multi_checkpoint_predict(fwd, prompts, params, policy, warnings)
+        return multi_checkpoint_predict(fwd, prompts, params, warnings)
     if method == "nbest":
-        return nbest_predict(fwd.checkpoints[-1], prompts, params, policy, warnings)
+        return nbest_predict(fwd.checkpoints[-1], prompts, params, warnings)
     if bwd is None:
         raise ValidationError("paraphrase needs a backward model")
-    return paraphrase_predict(
-        fwd.checkpoints[-1], bwd.checkpoints[-1], prompts, params, policy, warnings
-    )
+    return paraphrase_predict(fwd.checkpoints[-1], bwd.checkpoints[-1], prompts, params, warnings)

@@ -1,5 +1,9 @@
 """Rule-based tokenization and joint byte-pair encoding.
 
+``sentence_tokens`` is the one way text becomes model tokens: the default
+normalization, then the tokenizer. Training, BPE learning and decoding all
+call it, so a model reads canonical text whatever policy compares sentences.
+
 The tokenizer is a small documented rule set (it is not a port of any
 existing tool): split on whitespace, then split each chunk into maximal runs
 of Unicode punctuation vs. everything else. An apostrophe or hyphen with a
@@ -28,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
-from .corpus import is_punct
+from .corpus import DEFAULT_POLICY, is_punct, normalize
 from .errors import ParseError, ValidationError
 
 log = logging.getLogger(__name__)
@@ -49,6 +53,11 @@ def tokenize(text: str) -> TokenSeq:
     for chunk in text.split():
         tokens.extend(_split_chunk(chunk))
     return tokens
+
+
+def sentence_tokens(text: str) -> TokenSeq:
+    """The tokens a model reads for a sentence: its canonical form, tokenized."""
+    return tokenize(normalize(text, DEFAULT_POLICY))
 
 
 def _split_chunk(chunk: str) -> list[str]:

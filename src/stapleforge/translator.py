@@ -33,7 +33,8 @@ directory per checkpoint:
 that uses one. Probabilities are stored with 12 significant digits; model
 values are canonicalized to that precision when built, so a saved checkpoint
 loads back bit-exactly. Loading verifies the checksum and parses every value:
-probabilities must be finite and non-negative, and every other value finite.
+the iteration must be a positive decimal integer as written, probabilities
+finite and non-negative, and every other value finite.
 A malformed checkpoint raises ``CheckpointError`` naming its directory.
 Nothing in a checkpoint depends on when it was written, so training the same
 corpus twice gives byte-identical series directories.
@@ -90,7 +91,9 @@ RESERVED_TOKENS = (BOS, EOS, UNSEEN, BACKOFF)
 
 DIRECTIONS = ("fwd", "bwd")
 SERIES_INDEX = "series.tsv"
-_CKPT_NAME = re.compile(r"ckpt-([0-9]{4,})")
+# iterations count from 1: a positive decimal integer, zero-padded in names
+_ITERATION = re.compile(r"[1-9][0-9]*")
+_CKPT_NAME = re.compile(rf"ckpt-0*({_ITERATION.pattern})")
 
 LexiconTable = dict[str, dict[str, float]]
 _T = TypeVar("_T")
@@ -152,6 +155,12 @@ def build_bigram_lm(target_corpus: Iterable[TokenSeq], alpha: float = 0.1) -> Bi
     for (w1, _), c in bigram_counts.items():
         context_totals[w1] += c
 
+    n_events = sum(unigram_counts.values())
+    denom_u = n_events + alpha * v
+    # denom_u is the largest denominator and alpha the smallest numerator, so
+    # when their ratio is positive and finite every log-probability is finite
+    if not (math.isfinite(denom_u) and alpha / denom_u > 0.0):
+        raise ValidationError(f"alpha={alpha!r} makes language-model values non-finite")
     bigram_logprob: dict[tuple[str, str], float] = {}
     unseen_logprob: dict[str, float] = {}
     for w1 in histories:
@@ -161,8 +170,6 @@ def build_bigram_lm(target_corpus: Iterable[TokenSeq], alpha: float = 0.1) -> Bi
         denom = context_totals[w1] + alpha * v
         bigram_logprob[(w1, w2)] = quantize(math.log((c + alpha) / denom))
 
-    n_events = sum(unigram_counts.values())
-    denom_u = n_events + alpha * v
     unigram_logprob = {
         w: quantize(math.log((unigram_counts[w] + alpha) / denom_u)) for w in support
     }
@@ -473,6 +480,12 @@ def _parse_lm(lm_text: str, alpha: float) -> BigramLm:
     )
 
 
+def _iteration(raw: str) -> int:
+    if _ITERATION.fullmatch(raw) is None:
+        raise ValueError(raw)
+    return int(raw)
+
+
 def _finite_float(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -508,7 +521,7 @@ def load_checkpoint(directory: Path | str) -> Checkpoint:
             raise CheckpointError(f"meta.tsv in {directory} is missing key {key!r}")
     if meta["direction"] not in DIRECTIONS:
         raise CheckpointError(f"bad direction {meta['direction']!r} in meta.tsv of {directory}")
-    iteration = _meta_value(meta, "iteration", int, directory)
+    iteration = _meta_value(meta, "iteration", _iteration, directory)
     corpus_loglik = _meta_value(meta, "corpus_loglik", _finite_float, directory)
     alpha = _meta_value(meta, "alpha", _finite_float, directory)
     if meta["checksum"] != _checksum(lexicon_text, lm_text):

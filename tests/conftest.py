@@ -3,8 +3,8 @@ from __future__ import annotations
 import pytest
 
 from stapleforge.cli import fixtures_dir
-from stapleforge.corpus import DEFAULT_POLICY, normalize, parse_gold, parse_prompts
-from stapleforge.textproc import tokenize
+from stapleforge.corpus import parse_gold, parse_prompts
+from stapleforge.textproc import sentence_tokens
 from stapleforge.translator import train_toy
 
 
@@ -17,9 +17,7 @@ def load_toy_pairs(swap: bool = False) -> list[tuple[list[str], list[str]]]:
         src, tgt = line.split("\t")
         if swap:
             src, tgt = tgt, src
-        pairs.append(
-            (tokenize(normalize(src, DEFAULT_POLICY)), tokenize(normalize(tgt, DEFAULT_POLICY)))
-        )
+        pairs.append((sentence_tokens(src), sentence_tokens(tgt)))
     return pairs
 
 

@@ -1,0 +1,77 @@
+"""The traced benchmark still fits the package.
+
+``perfbench/tracer.py`` replaces package functions by name and relies on how
+the package calls some of them. A rename or a changed call shape passes every
+other test yet crashes each traced benchmark command, so this module imports
+the tracer, without installing it, and checks both against the package.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from stapleforge.cli import main
+from stapleforge.translator import Checkpoint
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _import_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer_module = _import_tracer()
+
+
+@pytest.mark.parametrize("name", [*tracer_module.SPANS, *tracer_module.LEAVES])
+def test_traced_name_resolves(name):
+    mod, attr = name.split(".")
+    assert mod in tracer_module.MODULES
+    assert callable(getattr(importlib.import_module(f"stapleforge.{mod}"), attr, None))
+
+
+def observe(monkeypatch, tracer, name: str) -> None:
+    """Replace ``name`` by the tracer's bookkeeping wrapper at every import
+    site, as ``Tracer.install`` does, until the test ends."""
+    modules = [importlib.import_module(f"stapleforge.{m}") for m in tracer_module.MODULES]
+    mod, attr = name.split(".")
+    original = getattr(importlib.import_module(f"stapleforge.{mod}"), attr)
+    wrapper = tracer._observe(name, original)
+    for module in modules:
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, wrapper)
+
+
+def test_call_shapes_the_tracer_observes(monkeypatch, tmp_path, fixtures_path):
+    """decode_nbest(ckpt, source, params) with params.top_k_lexicon,
+    save_checkpoint(ckpt, directory), and load_checkpoint returning a
+    Checkpoint, each as the commands the benchmark runs call them."""
+    tracer = tracer_module.Tracer()
+    for name in ("translator.decode_nbest", "translator.save_checkpoint",
+                 "translator.load_checkpoint"):
+        observe(monkeypatch, tracer, name)
+    parallel = str(fixtures_path / "toy_parallel.tsv")
+    prompts = str(fixtures_path / "toy_prompts.txt")
+    fwd, bwd = str(tmp_path / "fwd"), str(tmp_path / "bwd")
+
+    assert main(["train", "--parallel", parallel, "--iterations", "2", "--out", fwd]) == 0
+    assert main(["train", "--parallel", parallel, "--iterations", "1", "--out", bwd,
+                 "--direction", "bwd"]) == 0
+    assert tracer.saved_bytes > 0
+
+    for argv in (["--method", "paraphrase", "--bwd-series", bwd],
+                 ["--method", "ensemble", "--m", "2"]):
+        assert main(["generate", *argv, "--series", fwd, "--prompts", prompts, "--top-k", "5",
+                     "--out", str(tmp_path / "pred.txt")]) == 0
+    assert len(tracer.loaded_ckpts) == 4  # paraphrase 1 + 1, ensemble 2
+    assert all(isinstance(ckpt, Checkpoint) for ckpt in tracer.alive)
+    assert tracer.decoded_ckpts == tracer.loaded_ckpts
+    assert {top_k for _, _, top_k in tracer.decode_keys} == {5}

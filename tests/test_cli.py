@@ -9,6 +9,7 @@ import pytest
 import stapleforge.translator as translator
 from oracles import rewrite_model_file
 from stapleforge.cli import main
+from stapleforge.corpus import normalize, parse_gold
 from stapleforge.translator import load_series
 
 
@@ -90,6 +91,39 @@ class TestScore:
                       "--pred", str(fixtures_path / "example_pred_top1.txt")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "gold, pred, reason",
+        [("q1|x\nfoo|1e-1\n", "q1|\nfoo\n", "line 2: bad weight literal"),
+         ("q1|x\nfoo|0.5\n", "q1 without separator\nfoo\n", "line 1: malformed header")],
+        ids=["malformed-gold", "malformed-predictions"],
+    )
+    def test_malformed_input_exits_2_and_writes_nothing(self, tmp_path, capsys, gold, pred,
+                                                        reason):
+        (tmp_path / "gold.txt").write_text(gold, encoding="utf-8")
+        (tmp_path / "pred.txt").write_text(pred, encoding="utf-8")
+        rc = run_cli(["score", "--gold", str(tmp_path / "gold.txt"),
+                      "--pred", str(tmp_path / "pred.txt"), "--out", str(tmp_path / "r.tsv")])
+        assert rc == 2
+        assert reason in capsys.readouterr().err
+        assert not (tmp_path / "r.tsv").exists()
+
+    def test_repeated_gold_prompt_id_names_its_line(self, tmp_path, fixtures_path, capsys):
+        """The repeat used to surface only in scoring, with no line number."""
+        gold = tmp_path / "gold.txt"
+        gold.write_text(_gold_with_t1_repeated(fixtures_path), encoding="utf-8")
+        rc = run_cli(["score", "--gold", str(gold),
+                      "--pred", str(fixtures_path / "toy_prompts.txt"),
+                      "--out", str(tmp_path / "r.tsv")])
+        assert rc == 2
+        assert "duplicate prompt id 't1'" in capsys.readouterr().err
+        assert not (tmp_path / "r.tsv").exists()
+
+
+def _gold_with_t1_repeated(fixtures_path) -> str:
+    """The toy gold file with its first block, prompt t1, appended again."""
+    text = (fixtures_path / "toy_gold.txt").read_text(encoding="utf-8")
+    return text.rstrip("\n") + "\n\n" + text.split("\n\n")[0].rstrip("\n") + "\n"
+
 
 class TestTrain:
     def test_checkpoints_and_series_manifest(self, trained_world):
@@ -127,6 +161,17 @@ class TestTrain:
                       "--iterations", "2", "--out", str(tmp_path / "out"), f"--alpha={alpha}"])
         assert rc == 2
         assert "alpha must be finite and > 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("alpha", ["1e308", "5e-324"])
+    def test_extreme_alpha_exits_2_and_writes_nothing(self, tmp_path, fixtures_path, capsys,
+                                                      alpha):
+        """A finite alpha that overflows alpha * V, or underflows alpha / denominator,
+        used to crash with exit 1 on math.log(0)."""
+        rc = run_cli(["train", "--parallel", str(fixtures_path / "toy_parallel.tsv"),
+                      "--iterations", "2", "--out", str(tmp_path / "out"), f"--alpha={alpha}"])
+        assert rc == 2
+        assert "makes language-model values non-finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_retrain_into_existing_series_exits_2(self, tmp_path, fixtures_path):
@@ -202,6 +247,7 @@ class TestGenerate:
         assert "param:n_prime\t3" in manifest
         assert "param:m\t6" in manifest
         assert "param:top_k\t8" in manifest
+        assert "param:policy" not in manifest  # models read canonical text whatever the policy
         assert "tool_version\t" in manifest
         assert "duration" not in manifest  # reruns must be byte-identical
         assert (tmp_path / "pred.txt.warnings.tsv").read_text().startswith("prompt_id\t")
@@ -277,6 +323,17 @@ class TestBpe:
         inp = tmp_path / "in.txt"
         inp.write_text("ab\n", encoding="utf-8")
         assert run_cli(["bpe", "apply", "--model", str(model), "--input", str(inp)]) == 2
+
+    def test_bad_model_header_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        model = tmp_path / "bad.model"
+        model.write_text("#bpe v2 eow=</w>\na\tb\n", encoding="utf-8")
+        inp = tmp_path / "in.txt"
+        inp.write_text("ab\n", encoding="utf-8")
+        rc = run_cli(["bpe", "apply", "--model", str(model), "--input", str(inp),
+                      "--out", str(tmp_path / "out.txt")])
+        assert rc == 2
+        assert "line 1: bad BPE model header" in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
 
 
 class TestSweep:
@@ -355,6 +412,20 @@ class TestSweep:
             "param:n_values\t5", "param:policy\tdefault", "param:top_k\t4",
         ]
 
+    def test_repeated_gold_prompt_id_exits_2_before_decoding(
+        self, trained_world, fixtures_path, tmp_path, capsys
+    ):
+        """It used to run every cell, then write an all-NA table and exit 2."""
+        gold = tmp_path / "gold.txt"
+        gold.write_text(_gold_with_t1_repeated(fixtures_path), encoding="utf-8")
+        out = tmp_path / "table.tsv"
+        rc = run_cli(["sweep", "--series", str(trained_world / "fwd"), "--gold", str(gold),
+                      "--prompts", str(fixtures_path / "toy_prompts.txt"),
+                      "--out", str(out), "--m", "1,2"])
+        assert rc == 2
+        assert "duplicate prompt id 't1'" in capsys.readouterr().err
+        assert list(tmp_path.glob("table.tsv*")) == []
+
     def test_ensemble_recall_non_decreasing_in_table(
         self, trained_world, fixtures_path, tmp_path
     ):
@@ -398,6 +469,61 @@ def test_non_positive_method_value_exits_2_and_writes_nothing(
     assert rc == 2
     assert "must be >= 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--parallel", "{parallel}", "--iterations", "1"],
+        ["generate", "--method", "nbest", "--series", "{fwd}", "--prompts", "{prompts}"],
+        ["bpe", "learn", "--input", "{prompts}"],
+    ],
+    ids=["train", "generate", "bpe-learn"],
+)
+def test_policy_is_not_a_model_option(trained_world, fixtures_path, tmp_path, capsys, argv):
+    """Models read canonical text only, so --policy is a usage error where a
+    model reads text; score and sweep keep it for comparing sentences."""
+    paths = {"parallel": str(fixtures_path / "toy_parallel.tsv"),
+             "prompts": str(fixtures_path / "toy_prompts.txt"),
+             "fwd": str(trained_world / "fwd")}
+    argv = [arg.format(**paths) for arg in argv]
+    rc = run_cli([*argv, "--out", str(tmp_path / "out"), "--policy", "exact"])
+    assert rc == 2
+    assert "unrecognized arguments: --policy exact" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_models_read_canonical_text_whatever_the_policy(trained_world, fixtures_path,
+                                                        tmp_path):
+    """Capitalised, punctuated prompts decode to the candidates of their
+    canonical forms, through generate and through sweep --policy exact. The
+    exact sweep used to copy "The" and "." through as unknown words."""
+    raw = fixtures_path / "toy_prompts.txt"
+    canonical = tmp_path / "canonical_prompts.txt"
+    canonical.write_text(
+        "".join(f"{pid}|{normalize(text)}\n"
+                for pid, text in (line.split("|", 1) for line in raw.read_text().splitlines())),
+        encoding="utf-8")
+    # canonical gold translations, so that exact matching can hit candidates
+    gold = tmp_path / "gold.txt"
+    gold.write_text("\n".join(
+        f"{g.prompt.id}|{g.prompt.text}\n"
+        + "".join(f"{normalize(t.text)}|{t.weight}\n" for t in g.translations)
+        for g in parse_gold((fixtures_path / "toy_gold.txt").read_text(encoding="utf-8"))
+    ), encoding="utf-8")
+    series = ["--series", str(trained_world / "fwd")]
+    outputs = {}
+    for name, prompts in (("raw", raw), ("canonical", canonical)):
+        pred, table = tmp_path / f"pred_{name}.txt", tmp_path / f"table_{name}.tsv"
+        assert run_cli(["generate", "--method", "ensemble", "--m", "3", *series,
+                        "--prompts", str(prompts), "--out", str(pred)]) == 0
+        assert run_cli(["sweep", *series, "--gold", str(gold), "--prompts", str(prompts),
+                        "--policy", "exact", "--n", "5", "--n-prime", "", "--m", "3",
+                        "--out", str(table)]) == 0
+        outputs[name] = (pred.read_bytes(), table.read_bytes())
+    assert outputs["raw"] == outputs["canonical"]
+    f1 = [float(row.split("\t")[4]) for row in outputs["raw"][1].decode().splitlines()[1:]]
+    assert len(f1) == 2 and min(f1) > 0
 
 
 def test_version_flag(capsys):
@@ -683,6 +809,11 @@ CHECKPOINT_FAULTS = {
         _edit_first_row(ckpt / "lexicon.tsv", lambda row: row + "0"), encoding="utf-8"),
     "meta-value": lambda ckpt: (ckpt / "meta.tsv").write_text(
         _edit_first_row(ckpt / "meta.tsv", lambda row: "iteration\ttwo"), encoding="utf-8"),
+    # int() takes both: 0 then failed without naming the directory, " 2_0" loaded as 20
+    "iteration-0": lambda ckpt: (ckpt / "meta.tsv").write_text(
+        _set_meta_row(ckpt / "meta.tsv", "iteration", "0"), encoding="utf-8"),
+    "iteration-underscore": lambda ckpt: (ckpt / "meta.tsv").write_text(
+        _set_meta_row(ckpt / "meta.tsv", "iteration", " 2_0"), encoding="utf-8"),
     "two-column-row": lambda ckpt: rewrite_model_file(ckpt, "lexicon.tsv", _edit_first_row(
         ckpt / "lexicon.tsv", lambda row: row.rsplit("\t", 1)[0])),
     "non-numeric-prob": lambda ckpt: rewrite_model_file(ckpt, "lexicon.tsv", _edit_first_row(

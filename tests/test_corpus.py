@@ -230,3 +230,21 @@ def test_parse_prompts():
         parse_prompts("p1|a\np1|b\n")
     with pytest.raises(ParseError):
         parse_prompts("no separator\n")
+
+
+@pytest.mark.parametrize(
+    "parse, stream, repeat_line",
+    [(parse_gold, "p1|x\na|0.5\n\np1|y\nb|0.5\n", 4),
+     (parse_predictions, "p1|\na\n\np1|\nb\n", 4),
+     (parse_prompts, "p1|x\np1|y\n", 2)],
+    ids=["gold", "predictions", "prompts"],
+)
+def test_headers_read_alike(parse, stream, repeat_line):
+    """One reader takes every ``id|text`` header: split on the first ``|``,
+    stripped, id non-empty and new in its file; errors name the line."""
+    with pytest.raises(ValidationError, match=f"line {repeat_line}: duplicate prompt id 'p1'"):
+        parse(stream)
+    with pytest.raises(ValidationError, match="line 1: prompt id must be non-empty"):
+        parse(stream.replace("p1", " ", 1))
+    with pytest.raises(ParseError, match="line 1: malformed header"):
+        parse(stream.replace("|", " ", 1))

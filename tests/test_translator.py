@@ -5,6 +5,7 @@ import itertools
 import logging
 import math
 import random
+import re
 import shutil
 
 import pytest
@@ -313,12 +314,16 @@ def set_meta(ckpt_dir, key, value):
 class TestCheckpointFaults:
     @pytest.mark.parametrize(
         "key, value",
-        [("iteration", "two"), ("corpus_loglik", "x"), ("alpha", "x"), ("direction", "sideways")],
+        [("iteration", "two"), ("iteration", "0"), ("iteration", " 2_0"), ("iteration", "+1"),
+         ("iteration", "01"), ("corpus_loglik", "x"), ("alpha", "x"),
+         ("direction", "sideways")],
     )
     def test_bad_meta_value_rejected(self, hand_series, tmp_path, key, value):
+        """An iteration is a positive decimal integer as written: int() would
+        also take 0, " 2_0" (20), "+1" and "01"."""
         ckpt = tmp_path / "series" / "ckpt-0001"
         set_meta(ckpt, key, value)
-        expected = f"bad {key} '{value}' in meta.tsv of .*ckpt-0001"
+        expected = f"bad {key} {re.escape(repr(value))} in meta.tsv of .*ckpt-0001"
         with pytest.raises(CheckpointError, match=expected):
             load_checkpoint(ckpt)
 
@@ -452,6 +457,15 @@ class TestSeriesIndex:
         (series_dir / "series.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
         with pytest.raises(CheckpointError):
             load_series(series_dir)
+
+    def test_iteration_zero_row_rejected(self, hand_series, tmp_path):
+        """A ckpt-0000 row is rejected even when only newer checkpoints load."""
+        series_dir = tmp_path / "series"
+        rows = index_rows(series_dir)
+        rows.insert(1, "ckpt-0000\t" + rows[1].split("\t")[1])
+        (series_dir / "series.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(CheckpointError, match="row 2: expected 'ckpt-NNNN"):
+            load_series(series_dir, 1)
 
     def test_decreasing_index_loglik_rejected(self, hand_series, tmp_path):
         series_dir = tmp_path / "series"
