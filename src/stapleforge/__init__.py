@@ -2,9 +2,10 @@
 
 Library surface, by module:
 
-- :mod:`stapleforge.corpus`: normalization policies, gold/prediction/prompt
+- :mod:`stapleforge.corpus`: a sentence's canonical form, gold/prediction/prompt
   file parsing and writing
-- :mod:`stapleforge.textproc`: tokenizer and byte-pair encoding
+- :mod:`stapleforge.textproc`: whitespace tokenization of canonical text and
+  byte-pair encoding
 - :mod:`stapleforge.metrics`: per-prompt and corpus-level weighted F1
 - :mod:`stapleforge.translator`: EM toy translator, exact k-best
   lattice decoding, checkpoints

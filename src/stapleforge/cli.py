@@ -10,9 +10,8 @@ runs:
     bpe       learn / apply / decode byte-pair encodings (decode needs no model)
     fixtures  print the path of the bundled fixture corpora
 
-Models read canonical text only (``textproc.sentence_tokens``), so only
-``score`` and ``sweep`` take ``--policy``, which chooses how sentences are
-compared; ``sweep`` records it in its manifest.
+Sentences have one canonical form (``corpus.normalize``): models read it
+(``textproc.sentence_tokens``) and ``score`` and ``sweep`` compare by it.
 
 ``generate`` and every ``sweep`` cell run a method through the one entry
 point ``methods.predict``; a sweep cell whose method cannot run on the models
@@ -43,14 +42,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .corpus import (
-    DEFAULT_POLICY,
-    EXACT_POLICY,
-    parse_gold,
-    parse_predictions,
-    parse_prompts,
-    write_predictions,
-)
+from .corpus import parse_gold, parse_predictions, parse_prompts, write_predictions
 from .errors import StapleForgeError, ValidationError
 from .metrics import score_corpus, summary_line, write_report
 from .methods import METHODS, MethodParams, MethodWarning, checkpoints_read, predict
@@ -70,8 +62,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_EMPTY = 3
-
-POLICIES = {"default": DEFAULT_POLICY, "exact": EXACT_POLICY}
 
 DEFAULT_SWEEP_N = (5, 10, 15, 20)
 DEFAULT_SWEEP_N_PRIME = (1, 3, 5)
@@ -149,10 +139,9 @@ def fixtures_dir() -> Path:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    policy = POLICIES[args.policy]
-    golds = parse_gold(_read_text(args.gold), policy)
-    preds = parse_predictions(_read_text(args.pred), policy)
-    score = score_corpus(golds, preds, policy)
+    golds = parse_gold(_read_text(args.gold))
+    preds = parse_predictions(_read_text(args.pred))
+    score = score_corpus(golds, preds)
     buf = io.StringIO()
     write_report(score, buf)
     if args.out:
@@ -248,7 +237,6 @@ def _percent(x: float) -> str:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    policy = POLICIES[args.policy]
     # nbest cells vary n; paraphrase cells vary n' and ensemble cells m at
     # n = fixed_n. Building the params validates every value before any work.
     base = MethodParams(n=args.fixed_n, top_k_lexicon=args.top_k)
@@ -257,7 +245,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         *(("paraphrase", f"n'={v}", replace(base, n_prime=v)) for v in args.n_prime_values),
         *(("ensemble", f"m={v}", replace(base, m=v)) for v in args.m_values),
     ]
-    golds = parse_gold(_read_text(args.gold), policy)
+    golds = parse_gold(_read_text(args.gold))
     prompts = parse_prompts(_read_text(args.prompts))
     inputs = {
         "gold": sha256_path(Path(args.gold)),
@@ -283,7 +271,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for method, label, params in cells:
         try:
             sets = predict(method, fwd, bwd, prompts, params)
-            score = score_corpus(golds, sets, policy)
+            score = score_corpus(golds, sets)
             rows.append(
                 f"{method}\t{label}\t{_percent(score.mean_precision)}"
                 f"\t{_percent(score.mean_weighted_recall)}\t{_percent(score.macro_f1)}\n"
@@ -299,7 +287,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "m_values": ",".join(map(str, args.m_values)),
         "fixed_n": str(args.fixed_n),
         "top_k": str(args.top_k),
-        "policy": args.policy,
     }
     outputs = {"table": sha256_path(Path(args.out))}
     _write_manifest(args.out, "sweep", parameters, inputs, outputs, started)
@@ -361,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score predictions against a gold corpus")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--policy", choices=sorted(POLICIES), default="default")
     p.add_argument("--out", help="write the TSV report here instead of stdout")
     p.set_defaults(func=cmd_score)
 
@@ -400,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", dest="m_values", type=_int_list, default=list(DEFAULT_SWEEP_M))
     p.add_argument("--fixed-n", dest="fixed_n", type=int, default=10)
     p.add_argument("--top-k", dest="top_k", type=int, default=8)
-    p.add_argument("--policy", choices=sorted(POLICIES), default="default")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bpe", help="learn or apply byte-pair encodings")

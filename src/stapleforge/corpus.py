@@ -20,10 +20,10 @@ weights). A prompts file is just the header lines, one ``id|text`` per line.
 Every header is read alike: split on the first ``|``, both sides stripped,
 the id non-empty and unique within its file.
 
-Matching elsewhere in the toolkit compares sentences only after applying a
-:class:`NormalizationPolicy`: ``DEFAULT_POLICY`` canonicalizes (NFC,
-lowercase, strip punctuation, collapse whitespace) and ``EXACT_POLICY`` is
-exact string match. Models read canonical text whatever the policy.
+``normalize`` defines a sentence's canonical form (NFC, lowercase, strip
+punctuation, collapse whitespace). It is the one comparison rule of the
+toolkit: gold translations and candidates are equal when their canonical
+forms are, and models read canonical text only.
 """
 
 from __future__ import annotations
@@ -44,31 +44,20 @@ WEIGHT_SUM_TOLERANCE = 1e-6
 WEIGHT_LITERAL = re.compile(r"[0-9]+(?:\.[0-9]{1,6})?")
 
 
-@dataclass(frozen=True)
-class NormalizationPolicy:
-    """How sentences are compared: canonicalized (the default) or exactly."""
-
-    exact: bool = False
-
-
-DEFAULT_POLICY = NormalizationPolicy()
-EXACT_POLICY = NormalizationPolicy(exact=True)
-
-
 @lru_cache(maxsize=None)
 def is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
-def normalize(text: str, policy: NormalizationPolicy = DEFAULT_POLICY) -> str:
-    """Canonicalize a sentence: the text itself under an exact policy, else
-    NFC, lowercase, strip Unicode punctuation, collapse whitespace, NFC.
+def normalize(text: str) -> str:
+    """Canonicalize a sentence: NFC, lowercase, strip Unicode punctuation,
+    collapse whitespace, NFC.
 
     Deterministic and idempotent for every Unicode input; an empty result is
-    legal and signals an all-punctuation input.
+    legal and signals an all-punctuation input. The result holds no
+    punctuation and single spaces only between words, so ``split()`` is its
+    tokenization.
     """
-    if policy.exact:
-        return text
     text = unicodedata.normalize("NFC", text).lower()
     text = "".join(ch for ch in text if not is_punct(ch))
     text = " ".join(text.split())
@@ -165,7 +154,7 @@ def _parse_prompt(lineno: int, line: str, seen: set[str]) -> Prompt:
         raise ValidationError(str(exc), lineno) from None
 
 
-def parse_gold(stream: str, policy: NormalizationPolicy = DEFAULT_POLICY) -> list[GoldSet]:
+def parse_gold(stream: str) -> list[GoldSet]:
     """Parse a gold corpus. Translations come back sorted by weight, non-increasing."""
     golds: list[GoldSet] = []
     ids: set[str] = set()
@@ -189,7 +178,7 @@ def parse_gold(stream: str, policy: NormalizationPolicy = DEFAULT_POLICY) -> lis
                     lineno,
                 )
             weight = float(weight_str)
-            key = normalize(text, policy)
+            key = normalize(text)
             if not key:
                 raise ValidationError(f"translation is empty after normalization: {text!r}", lineno)
             if key in seen:
@@ -212,12 +201,10 @@ def parse_gold(stream: str, policy: NormalizationPolicy = DEFAULT_POLICY) -> lis
     return golds
 
 
-def parse_predictions(
-    stream: str, policy: NormalizationPolicy = DEFAULT_POLICY
-) -> list[PredictionSet]:
+def parse_predictions(stream: str) -> list[PredictionSet]:
     """Parse a prediction corpus.
 
-    Candidates are de-duplicated under ``policy`` (first occurrence wins, the
+    Candidates are de-duplicated by canonical form (first occurrence wins, the
     original surface form is kept). Every dropped line is reported through the
     module logger: nothing is discarded silently.
     """
@@ -232,7 +219,7 @@ def parse_predictions(
             if not text:
                 log.warning("line %d: skipped empty candidate line", lineno)
                 continue
-            key = normalize(text, policy)
+            key = normalize(text)
             if key in keys:
                 log.warning("line %d: dropped duplicate candidate %r", lineno, text)
                 continue

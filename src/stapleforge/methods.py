@@ -5,13 +5,13 @@ multi-checkpoint ensembles.
 and backward checkpoints the method reads (``checkpoints_read``), so callers
 load those and nothing else. Each method is one per-prompt composition over
 the same source path: canonical tokens (``textproc.sentence_tokens``),
-decode, detokenize, de-duplicate. Candidates are canonical sentences, so
-de-duplicating them is the same under every normalization policy. Bad input
-on one prompt (a StapleForgeError) degrades that prompt to an empty candidate
-list and one warning record whose stage is the method's name; it never
-aborts the batch. Any other exception is a programming error and propagates.
-Every method is deterministic: identical inputs produce byte-identical
-prediction files.
+decode, join the tokens with spaces, de-duplicate. A model trained here knows
+canonical words only, so its candidates are canonical sentences, which
+``corpus.normalize`` leaves as they are. Bad input on one prompt (a
+StapleForgeError) degrades that prompt to an empty candidate list and one
+warning record whose stage is the method's name; it never aborts the batch.
+Any other exception is a programming error and propagates. Every method is
+deterministic: identical inputs produce byte-identical prediction files.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .corpus import DEFAULT_POLICY, PredictionSet, Prompt, normalize
+from .corpus import PredictionSet, Prompt, normalize
 from .errors import StapleForgeError, ValidationError
-from .textproc import detokenize, sentence_tokens
+from .textproc import sentence_tokens
 from .translator import Checkpoint, CheckpointSeries, DecodeParams, decode_nbest
 
 log = logging.getLogger(__name__)
@@ -58,7 +58,7 @@ def dedup(candidates: Iterable[str]) -> list[str]:
     seen: set[str] = set()
     out: list[str] = []
     for cand in candidates:
-        key = normalize(cand, DEFAULT_POLICY)
+        key = normalize(cand)
         if key in seen:
             continue
         seen.add(key)
@@ -69,7 +69,7 @@ def dedup(candidates: Iterable[str]) -> list[str]:
 def _decode_sentences(ckpt: Checkpoint, text: str, n: int, params: MethodParams) -> list[str]:
     decode = DecodeParams(n_best=n, top_k_lexicon=params.top_k_lexicon)
     hyps = decode_nbest(ckpt, sentence_tokens(text), decode)
-    return [detokenize(h.tokens) for h in hyps if h.tokens]
+    return [" ".join(h.tokens) for h in hyps if h.tokens]
 
 
 def _per_prompt(
@@ -133,8 +133,8 @@ def paraphrase_predict(
         pool: list[str] = []
         for sent in step1:
             pool.extend(_decode_sentences(bwd, sent, params.n_prime, params))
-        prompt_key = normalize(prompt.text, DEFAULT_POLICY)
-        paraphrases = [p for p in dedup(pool) if normalize(p, DEFAULT_POLICY) != prompt_key]
+        prompt_key = normalize(prompt.text)
+        paraphrases = [p for p in dedup(pool) if normalize(p) != prompt_key]
         step3: list[str] = []
         for para in paraphrases:
             best = _decode_sentences(fwd, para, 1, params)

@@ -1,10 +1,11 @@
 """Weighted macro-F1 scoring for translation sets.
 
-Per prompt: a candidate matches a gold translation when the two are equal
-after normalization, so matching is exact set intersection. Precision is
-unweighted, TP/(TP+FP); recall is weighted by the gold response-rate weights,
-WTP/(WTP+WFN); their harmonic mean is the prompt's weighted F1; the corpus
-score is the arithmetic mean of per-prompt F1 over the gold prompts.
+Per prompt: a candidate matches a gold translation when their canonical
+forms (``corpus.normalize``) are equal, so matching is exact set intersection
+of canonical forms. Precision is unweighted, TP/(TP+FP); recall is weighted
+by the gold response-rate weights, WTP/(WTP+WFN); their harmonic mean is the
+prompt's weighted F1; the corpus score is the arithmetic mean of per-prompt F1
+over the gold prompts.
 
 Any score whose denominator is zero is defined as 0, which makes the metric
 total (an empty prediction set scores 0). The weighted-recall denominator is
@@ -19,7 +20,7 @@ import logging
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
-from .corpus import DEFAULT_POLICY, GoldSet, NormalizationPolicy, PredictionSet, normalize
+from .corpus import GoldSet, PredictionSet, normalize
 from .errors import ValidationError
 
 log = logging.getLogger(__name__)
@@ -73,16 +74,15 @@ class CorpusScore:
         return len(self.per_prompt)
 
 
-def match_sets(
-    gold: GoldSet, pred: PredictionSet, policy: NormalizationPolicy = DEFAULT_POLICY
-) -> MatchResult:
-    """Intersect predictions with gold translations under the policy."""
-    gold_by_key = {normalize(t.text, policy): t for t in gold.translations}
+def match_sets(gold: GoldSet, pred: PredictionSet) -> MatchResult:
+    """Intersect predictions with gold translations by canonical form."""
+    gold_keys = [normalize(t.text) for t in gold.translations]
+    gold_by_key = dict(zip(gold_keys, gold.translations))
     matched_keys: set[str] = set()
     tp: list[tuple[str, str]] = []
     fp: list[str] = []
     for cand in pred.candidates:
-        key = normalize(cand, policy)
+        key = normalize(cand)
         hit = gold_by_key.get(key)
         if hit is not None and key not in matched_keys:
             matched_keys.add(key)
@@ -93,8 +93,8 @@ def match_sets(
     wtp = 0.0
     wfn = 0.0
     # sum in gold order so wtp is float-monotone under prediction growth
-    for t in gold.translations:
-        if normalize(t.text, policy) in matched_keys:
+    for key, t in zip(gold_keys, gold.translations):
+        if key in matched_keys:
             wtp += t.weight
         else:
             fn.append(t.text)
@@ -102,10 +102,8 @@ def match_sets(
     return MatchResult(tp=tuple(tp), fp=tuple(fp), fn=tuple(fn), wtp=wtp, wfn=wfn)
 
 
-def score_prompt(
-    gold: GoldSet, pred: PredictionSet, policy: NormalizationPolicy = DEFAULT_POLICY
-) -> PromptScore:
-    match = match_sets(gold, pred, policy)
+def score_prompt(gold: GoldSet, pred: PredictionSet) -> PromptScore:
+    match = match_sets(gold, pred)
     n_pred = len(match.tp) + len(match.fp)
     precision = len(match.tp) / n_pred if n_pred else 0.0
     total = gold.total_weight
@@ -123,11 +121,7 @@ def score_prompt(
     )
 
 
-def score_corpus(
-    golds: Sequence[GoldSet],
-    preds: Sequence[PredictionSet],
-    policy: NormalizationPolicy = DEFAULT_POLICY,
-) -> CorpusScore:
+def score_corpus(golds: Sequence[GoldSet], preds: Sequence[PredictionSet]) -> CorpusScore:
     """Score a corpus; gold prompts define the corpus, extra prediction ids are ignored."""
     seen: set[str] = set()
     for gold in golds:
@@ -141,7 +135,7 @@ def score_corpus(
     scores: list[PromptScore] = []
     for gold in golds:
         pred = by_id.get(gold.prompt.id, PredictionSet(prompt_id=gold.prompt.id, candidates=()))
-        scores.append(score_prompt(gold, pred, policy))
+        scores.append(score_prompt(gold, pred))
     n = len(scores)
     sum_f1 = 0.0
     sum_p = 0.0

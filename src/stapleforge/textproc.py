@@ -1,14 +1,12 @@
-"""Rule-based tokenization and joint byte-pair encoding.
+"""Whitespace tokenization of canonical text and joint byte-pair encoding.
 
-``sentence_tokens`` is the one way text becomes model tokens: the default
-normalization, then the tokenizer. Training, BPE learning and decoding all
-call it, so a model reads canonical text whatever policy compares sentences.
+``sentence_tokens`` is the one way text becomes model tokens: the sentence's
+canonical form (``corpus.normalize``), then the tokenizer. Training, BPE
+learning and decoding all call it, so a model reads canonical text only.
 
-The tokenizer is a small documented rule set (it is not a port of any
-existing tool): split on whitespace, then split each chunk into maximal runs
-of Unicode punctuation vs. everything else. An apostrophe or hyphen with a
-word character on both sides is treated as part of the word, so "don't" and
-"well-known" stay single tokens.
+Canonical text holds no punctuation and single spaces between words, so the
+tokenizer is a whitespace split, and joining tokens with single spaces
+inverts it.
 
 BPE follows the usual scheme: every word type is decomposed into characters
 with an end-of-word marker attached to the final character as a suffix
@@ -32,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
-from .corpus import DEFAULT_POLICY, is_punct, normalize
+from .corpus import normalize
 from .errors import ParseError, ValidationError
 
 log = logging.getLogger(__name__)
@@ -43,50 +41,15 @@ EOW = "</w>"
 CONTINUATION = "@@"
 BPE_HEADER = f"#bpe v1 eow={EOW}"
 
-_ATTACH_TO_PREVIOUS = "?!.,;:"
-_PROTECTED_INTRA_WORD = "'-"
-
 
 def tokenize(text: str) -> TokenSeq:
-    """Split a sentence into word and punctuation tokens."""
-    tokens: TokenSeq = []
-    for chunk in text.split():
-        tokens.extend(_split_chunk(chunk))
-    return tokens
+    """Split canonical text (``corpus.normalize``'s output) into its words."""
+    return text.split()
 
 
 def sentence_tokens(text: str) -> TokenSeq:
     """The tokens a model reads for a sentence: its canonical form, tokenized."""
-    return tokenize(normalize(text, DEFAULT_POLICY))
-
-
-def _split_chunk(chunk: str) -> list[str]:
-    n = len(chunk)
-    is_punct_run = []
-    for i, ch in enumerate(chunk):
-        punct = is_punct(ch)
-        if punct and ch in _PROTECTED_INTRA_WORD and 0 < i < n - 1:
-            if not is_punct(chunk[i - 1]) and not is_punct(chunk[i + 1]):
-                punct = False
-        is_punct_run.append(punct)
-    parts = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or is_punct_run[i] != is_punct_run[start]:
-            parts.append(chunk[start:i])
-            start = i
-    return parts
-
-
-def detokenize(tokens: Sequence[str]) -> str:
-    """Join tokens with spaces, attaching sentence punctuation to the previous word."""
-    parts: list[str] = []
-    for tok in tokens:
-        if parts and tok and all(ch in _ATTACH_TO_PREVIOUS for ch in tok):
-            parts[-1] += tok
-        else:
-            parts.append(tok)
-    return " ".join(parts)
+    return tokenize(normalize(text))
 
 
 @dataclass(frozen=True)

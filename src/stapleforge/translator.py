@@ -22,7 +22,8 @@ A checkpoint is persisted after every EM iteration. On-disk layout, one
 directory per checkpoint:
 
     meta.tsv     key<TAB>value rows: iteration, direction, corpus_loglik,
-                 alpha, checksum (sha256 over the two model files)
+                 alpha, checksum (sha256 over the two model files); each
+                 key at most once, and unknown keys are ignored
     lexicon.tsv  source<TAB>target<TAB>prob, sorted
     lm.tsv       w1<TAB>w2<TAB>logprob, sorted, including <s>/</s> boundary
                  rows, one "<other>" row per history (add-alpha mass for an
@@ -515,6 +516,8 @@ def load_checkpoint(directory: Path | str) -> Checkpoint:
         cols = line.split("\t")
         if len(cols) != 2:
             raise CheckpointError(f"corrupt meta.tsv row in {directory}: {line!r}")
+        if cols[0] in meta:
+            raise CheckpointError(f"repeated key {cols[0]!r} in meta.tsv of {directory}")
         meta[cols[0]] = cols[1]
     for key in ("iteration", "direction", "corpus_loglik", "alpha", "checksum"):
         if key not in meta:

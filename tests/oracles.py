@@ -20,7 +20,6 @@ from typing import Sequence
 
 from stapleforge.corpus import (
     GoldSet,
-    NormalizationPolicy,
     PredictionSet,
     Prompt,
     WeightedTranslation,
@@ -110,12 +109,10 @@ def bpe_learn_oracle(corpus: list[list[str]], num_merges: int) -> list[tuple[str
     return merges
 
 
-def score_prompt_oracle(
-    gold: GoldSet, pred: PredictionSet, policy: NormalizationPolicy
-) -> tuple[float, float, float]:
+def score_prompt_oracle(gold: GoldSet, pred: PredictionSet) -> tuple[float, float, float]:
     """Direct evaluation of the metric definitions on normalized sets."""
-    gold_keys = {normalize(t.text, policy): t.weight for t in gold.translations}
-    pred_keys = {normalize(c, policy) for c in pred.candidates}
+    gold_keys = {normalize(t.text): t.weight for t in gold.translations}
+    pred_keys = {normalize(c) for c in pred.candidates}
     tp = len(pred_keys & set(gold_keys))
     fp = len(pred_keys - set(gold_keys))
     wtp = sum(w for k, w in gold_keys.items() if k in pred_keys)

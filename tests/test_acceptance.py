@@ -21,7 +21,6 @@ from oracles import (
 )
 from stapleforge.cli import main
 from stapleforge.corpus import (
-    DEFAULT_POLICY,
     PredictionSet,
     normalize,
     parse_gold,
@@ -113,8 +112,8 @@ def test_criterion_3b_paraphrase_superset(
     base_sets = nbest_predict(fwd, toy_prompts, params)
     para_sets = paraphrase_predict(fwd, bwd, toy_prompts, params)
     for base, para in zip(base_sets, para_sets):
-        base_keys = {normalize(c, DEFAULT_POLICY) for c in base.candidates}
-        para_keys = {normalize(c, DEFAULT_POLICY) for c in para.candidates}
+        base_keys = {normalize(c) for c in base.candidates}
+        para_keys = {normalize(c) for c in para.candidates}
         assert base_keys <= para_keys  # exact set inclusion
     base_score = score_corpus(toy_golds, base_sets)
     para_score = score_corpus(toy_golds, para_sets)

@@ -9,7 +9,7 @@ import pytest
 import stapleforge.translator as translator
 from oracles import rewrite_model_file
 from stapleforge.cli import main
-from stapleforge.corpus import normalize, parse_gold
+from stapleforge.corpus import normalize, parse_predictions
 from stapleforge.translator import load_series
 
 
@@ -247,7 +247,7 @@ class TestGenerate:
         assert "param:n_prime\t3" in manifest
         assert "param:m\t6" in manifest
         assert "param:top_k\t8" in manifest
-        assert "param:policy" not in manifest  # models read canonical text whatever the policy
+        assert "param:policy" not in manifest  # sentences have one canonical form
         assert "tool_version\t" in manifest
         assert "duration" not in manifest  # reruns must be byte-identical
         assert (tmp_path / "pred.txt.warnings.tsv").read_text().startswith("prompt_id\t")
@@ -409,7 +409,7 @@ class TestSweep:
         manifest = (tmp_path / "table.tsv.manifest.tsv").read_text().splitlines()
         assert [row for row in manifest if row.startswith("param:")] == [
             "param:fixed_n\t10", "param:m_values\t2", "param:n_prime_values\t",
-            "param:n_values\t5", "param:policy\tdefault", "param:top_k\t4",
+            "param:n_values\t5", "param:top_k\t4",
         ]
 
     def test_repeated_gold_prompt_id_exits_2_before_decoding(
@@ -477,14 +477,17 @@ def test_non_positive_method_value_exits_2_and_writes_nothing(
         ["train", "--parallel", "{parallel}", "--iterations", "1"],
         ["generate", "--method", "nbest", "--series", "{fwd}", "--prompts", "{prompts}"],
         ["bpe", "learn", "--input", "{prompts}"],
+        ["score", "--gold", "{gold}", "--pred", "{gold}"],
+        ["sweep", "--series", "{fwd}", "--gold", "{gold}", "--prompts", "{prompts}"],
     ],
-    ids=["train", "generate", "bpe-learn"],
+    ids=["train", "generate", "bpe-learn", "score", "sweep"],
 )
 def test_policy_is_not_a_model_option(trained_world, fixtures_path, tmp_path, capsys, argv):
-    """Models read canonical text only, so --policy is a usage error where a
-    model reads text; score and sweep keep it for comparing sentences."""
+    """Sentences have one canonical form, which models read and scoring
+    compares by, so --policy is a usage error on every command."""
     paths = {"parallel": str(fixtures_path / "toy_parallel.tsv"),
              "prompts": str(fixtures_path / "toy_prompts.txt"),
+             "gold": str(fixtures_path / "toy_gold.txt"),
              "fwd": str(trained_world / "fwd")}
     argv = [arg.format(**paths) for arg in argv]
     rc = run_cli([*argv, "--out", str(tmp_path / "out"), "--policy", "exact"])
@@ -493,24 +496,17 @@ def test_policy_is_not_a_model_option(trained_world, fixtures_path, tmp_path, ca
     assert list(tmp_path.iterdir()) == []
 
 
-def test_models_read_canonical_text_whatever_the_policy(trained_world, fixtures_path,
-                                                        tmp_path):
+def test_models_read_canonical_text(trained_world, fixtures_path, tmp_path):
     """Capitalised, punctuated prompts decode to the candidates of their
-    canonical forms, through generate and through sweep --policy exact. The
-    exact sweep used to copy "The" and "." through as unknown words."""
+    canonical forms, through generate and through sweep, which scores them
+    against the bundled surface-form gold."""
     raw = fixtures_path / "toy_prompts.txt"
     canonical = tmp_path / "canonical_prompts.txt"
     canonical.write_text(
         "".join(f"{pid}|{normalize(text)}\n"
                 for pid, text in (line.split("|", 1) for line in raw.read_text().splitlines())),
         encoding="utf-8")
-    # canonical gold translations, so that exact matching can hit candidates
-    gold = tmp_path / "gold.txt"
-    gold.write_text("\n".join(
-        f"{g.prompt.id}|{g.prompt.text}\n"
-        + "".join(f"{normalize(t.text)}|{t.weight}\n" for t in g.translations)
-        for g in parse_gold((fixtures_path / "toy_gold.txt").read_text(encoding="utf-8"))
-    ), encoding="utf-8")
+    gold = fixtures_path / "toy_gold.txt"
     series = ["--series", str(trained_world / "fwd")]
     outputs = {}
     for name, prompts in (("raw", raw), ("canonical", canonical)):
@@ -518,12 +514,32 @@ def test_models_read_canonical_text_whatever_the_policy(trained_world, fixtures_
         assert run_cli(["generate", "--method", "ensemble", "--m", "3", *series,
                         "--prompts", str(prompts), "--out", str(pred)]) == 0
         assert run_cli(["sweep", *series, "--gold", str(gold), "--prompts", str(prompts),
-                        "--policy", "exact", "--n", "5", "--n-prime", "", "--m", "3",
+                        "--n", "5", "--n-prime", "", "--m", "3",
                         "--out", str(table)]) == 0
         outputs[name] = (pred.read_bytes(), table.read_bytes())
     assert outputs["raw"] == outputs["canonical"]
     f1 = [float(row.split("\t")[4]) for row in outputs["raw"][1].decode().splitlines()[1:]]
     assert len(f1) == 2 and min(f1) > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--method", "nbest"], ["--method", "ensemble", "--m", "5"],
+     ["--method", "paraphrase", "--bwd-series", "{bwd}"]],
+    ids=["nbest", "ensemble", "paraphrase"],
+)
+def test_generated_candidates_are_canonical(trained_world, fixtures_path, tmp_path, argv):
+    """Candidates are decoded canonical words joined by spaces, so normalize
+    leaves each one as it is, and canonical form is the only comparison rule
+    under which they can match gold translations."""
+    out = tmp_path / "pred.txt"
+    argv = [arg.format(bwd=trained_world / "bwd") for arg in argv]
+    assert run_cli(["generate", *argv, "--series", str(trained_world / "fwd"),
+                    "--prompts", str(fixtures_path / "toy_prompts.txt"), "--out", str(out)]) == 0
+    candidates = [cand for pset in parse_predictions(out.read_text(encoding="utf-8"))
+                  for cand in pset.candidates]
+    assert candidates
+    assert all(normalize(cand) == cand for cand in candidates)
 
 
 def test_version_flag(capsys):
@@ -829,6 +845,12 @@ CHECKPOINT_FAULTS = {
         _set_meta_row(ckpt / "meta.tsv", "alpha", "nan"), encoding="utf-8"),
     "inf-loglik": lambda ckpt: (ckpt / "meta.tsv").write_text(
         _set_meta_row(ckpt / "meta.tsv", "corpus_loglik", "-inf"), encoding="utf-8"),
+    # a repeated key used to load quietly, its last row winning
+    "repeated-iteration": lambda ckpt: (ckpt / "meta.tsv").write_text(
+        "iteration\t4\n" + (ckpt / "meta.tsv").read_text(encoding="utf-8"), encoding="utf-8"),
+    "appended-direction": lambda ckpt: (ckpt / "meta.tsv").write_text(
+        (ckpt / "meta.tsv").read_text(encoding="utf-8") + "direction\tbwd\n",
+        encoding="utf-8"),
 }
 
 

@@ -7,8 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stapleforge.corpus import (
-    DEFAULT_POLICY,
-    EXACT_POLICY,
     GoldSet,
     PredictionSet,
     Prompt,
@@ -29,23 +27,16 @@ está clara minha explicação?|0.08778
 minha explanação está clara?|0.05717
 """
 
-policies = st.sampled_from([DEFAULT_POLICY, EXACT_POLICY])
-
-
 class TestNormalize:
-    def test_default_policy_examples(self):
+    def test_examples(self):
         assert normalize("Minha explicação está CLARA?") == "minha explicação está clara"
         assert normalize("a  b\tc ") == "a b c"
         assert normalize("?!.") == ""
 
     @given(st.text())
-    def test_exact_policy_is_identity(self, text):
-        assert normalize(text, EXACT_POLICY) == text
-
-    @given(st.text(), policies)
-    def test_idempotent_for_all_policies(self, text, policy):
-        once = normalize(text, policy)
-        assert normalize(once, policy) == once
+    def test_idempotent(self, text):
+        once = normalize(text)
+        assert normalize(once) == once
 
 
 class TestParseGold:
@@ -91,8 +82,6 @@ class TestParseGold:
         stream = "p|x\nOlá!|0.5\nolá|0.3\n"
         with pytest.raises(ValidationError, match="duplicate"):
             parse_gold(stream)
-        # distinct under the exact policy
-        assert len(parse_gold(stream, EXACT_POLICY)[0].translations) == 2
 
     def test_empty_block_rejected(self):
         with pytest.raises(ValidationError, match="empty block"):
@@ -173,7 +162,7 @@ def prediction_corpora(draw):
         raw = draw(st.lists(sentences, max_size=6))
         seen, cands = set(), []
         for cand in raw:
-            key = normalize(cand, DEFAULT_POLICY)
+            key = normalize(cand)
             if key not in seen:
                 seen.add(key)
                 cands.append(cand)
@@ -185,7 +174,7 @@ def prediction_corpora(draw):
 def test_round_trip_identity(sets):
     buf = io.StringIO()
     write_predictions(sets, buf)
-    assert parse_predictions(buf.getvalue(), DEFAULT_POLICY) == sets
+    assert parse_predictions(buf.getvalue()) == sets
 
 
 gold_texts = st.text(alphabet="abcxyzé ?!|", min_size=1, max_size=12).map(str.strip).filter(

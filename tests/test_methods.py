@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from stapleforge.corpus import DEFAULT_POLICY, Prompt, normalize
+from stapleforge.corpus import Prompt, normalize
 from stapleforge.errors import ValidationError
 from stapleforge.methods import (
     MethodParams,
@@ -103,7 +103,7 @@ class TestNbestPredict:
     def test_no_normalization_equivalent_duplicates(self, toy_fwd_series, toy_prompts):
         sets = nbest_predict(toy_fwd_series.checkpoints[-1], toy_prompts, params(n=10))
         for s in sets:
-            keys = [normalize(c, DEFAULT_POLICY) for c in s.candidates]
+            keys = [normalize(c) for c in s.candidates]
             assert len(set(keys)) == len(keys)
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from oracles import gen_random_gold, score_prompt_oracle
 from stapleforge.corpus import (
-    DEFAULT_POLICY,
     GoldSet,
     PredictionSet,
     Prompt,
@@ -125,8 +124,8 @@ class TestScorePrompt:
             texts = [t.text for t in gold.translations]
             extras = [f"junk {i}" for i in range(rng.randint(0, 3))]
             pred = make_pred(rng.sample(texts, rng.randint(0, len(texts))) + extras)
-            got = score_prompt(gold, pred, DEFAULT_POLICY)
-            want = score_prompt_oracle(gold, pred, DEFAULT_POLICY)
+            got = score_prompt(gold, pred)
+            want = score_prompt_oracle(gold, pred)
             assert got.precision == pytest.approx(want[0], abs=1e-12)
             assert got.weighted_recall == pytest.approx(want[1], abs=1e-12)
             assert got.weighted_f1 == pytest.approx(want[2], abs=1e-12)
@@ -251,9 +250,7 @@ class TestMetricProperties:
             score = score_corpus(golds, preds)
             by_id = {p.prompt_id: p for p in preds}
             oracle_f1s = [
-                score_prompt_oracle(
-                    g, by_id.get(g.prompt.id, make_pred([], g.prompt.id)), DEFAULT_POLICY
-                )[2]
+                score_prompt_oracle(g, by_id.get(g.prompt.id, make_pred([], g.prompt.id)))[2]
                 for g in golds
             ]
             assert score.macro_f1 == pytest.approx(

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from oracles import bpe_learn_oracle
+from stapleforge.corpus import is_punct, normalize
 from stapleforge.errors import ParseError, ValidationError
 from stapleforge.textproc import (
     BpeModel,
     bpe_apply,
     bpe_decode,
     bpe_learn,
-    detokenize,
     load_bpe,
     save_bpe,
+    sentence_tokens,
     tokenize,
 )
 
@@ -30,19 +31,11 @@ BPE_FIXTURE = [["low"]] * 5 + [["lower"]] * 2 + [["newest"]] * 6 + [["widest"]] 
 
 
 class TestTokenize:
-    def test_sentence_with_final_question_mark(self):
-        assert tokenize("is my explanation clear?") == ["is", "my", "explanation", "clear", "?"]
-
-    def test_accented_sentence(self):
-        assert tokenize("você está tão linda!") == ["você", "está", "tão", "linda", "!"]
-
-    def test_intra_word_punctuation_preserved(self):
-        assert tokenize("well-known don't") == ["well-known", "don't"]
-
-    def test_punctuation_runs_and_edges(self):
-        assert tokenize("a--b") == ["a", "--", "b"]
-        assert tokenize("¿qué?") == ["¿", "qué", "?"]
-        assert tokenize("rock-") == ["rock", "-"]
+    def test_sentence_tokens_are_the_canonical_words(self):
+        assert sentence_tokens("Is my explanation clear?") == ["is", "my", "explanation", "clear"]
+        assert sentence_tokens("Você está  tão linda!") == ["você", "está", "tão", "linda"]
+        assert sentence_tokens("well-known don't") == ["wellknown", "dont"]
+        assert sentence_tokens("¿?!") == []
 
     @given(st.text())
     def test_content_preserved_and_no_empty_tokens(self, text):
@@ -51,19 +44,15 @@ class TestTokenize:
         assert not any(" " in t or "\t" in t for t in tokens)
         assert "".join(tokens) == "".join(text.split())
 
-
-class TestDetokenize:
-    def test_attaches_sentence_punctuation(self):
-        assert detokenize(["clear", "?"]) == "clear?"
-        assert detokenize(["a", "b"]) == "a b"
-
-    @given(
-        st.lists(st.text(alphabet="abcdef", min_size=1, max_size=6), min_size=1, max_size=5),
-        st.sampled_from("?!.,;:"),
-    )
-    def test_round_trip_for_punctuation_final_sentences(self, body, punct):
-        sentence = " ".join(body) + punct
-        assert detokenize(tokenize(sentence)) == sentence
+    @given(st.text())
+    def test_canonical_text_is_space_separated_words(self, text):
+        """What lets the tokenizer be a whitespace split and its inverse a
+        join with spaces: canonical text holds no punctuation and single
+        spaces only between words."""
+        canonical = normalize(text)
+        assert not any(is_punct(ch) for ch in canonical)
+        assert canonical == " ".join(canonical.split())
+        assert sentence_tokens(text) == canonical.split()
 
 
 class TestBpeLearn:

@@ -312,6 +312,20 @@ def set_meta(ckpt_dir, key, value):
 
 
 class TestCheckpointFaults:
+    @pytest.mark.parametrize("row", ["iteration\t1", "direction\tbwd", "created_at\tx"],
+                             ids=["iteration", "direction", "unknown-key"])
+    def test_repeated_meta_key_rejected(self, hand_series, tmp_path, row):
+        """A meta.tsv key, known or unknown, may appear once: a repeat used to
+        override the row before it, so an appended direction row turned a
+        forward checkpoint into a backward one."""
+        ckpt = tmp_path / "series" / "ckpt-0001"
+        meta = ckpt / "meta.tsv"
+        meta.write_text(meta.read_text(encoding="utf-8") + row + "\n" + row + "\n",
+                        encoding="utf-8")
+        expected = f"repeated key '{row.split()[0]}' in meta.tsv of .*ckpt-0001"
+        with pytest.raises(CheckpointError, match=expected):
+            load_checkpoint(ckpt)
+
     @pytest.mark.parametrize(
         "key, value",
         [("iteration", "two"), ("iteration", "0"), ("iteration", " 2_0"), ("iteration", "+1"),
