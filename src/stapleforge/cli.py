@@ -11,7 +11,8 @@ runs:
     fixtures  print the path of the bundled fixture corpora
 
 Sentences have one canonical form (``corpus.normalize``): models read it
-(``textproc.sentence_tokens``) and ``score`` and ``sweep`` compare by it.
+(``textproc.sentence_tokens``), and the gold and prediction parsers hold
+sentences in it, so ``score`` and ``sweep`` compare plain strings.
 
 ``generate`` and every ``sweep`` cell run a method through the one entry
 point ``methods.predict``; a sweep cell whose method cannot run on the models
@@ -361,10 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="produce a prediction file with one method")
     p.add_argument("--method", choices=METHODS, required=True)
-    p.add_argument("--ckpt", help="checkpoint directory (a one-checkpoint forward model)")
-    p.add_argument("--series", help="series directory (its last checkpoint, or the ensemble)")
-    p.add_argument("--bwd-ckpt", dest="bwd_ckpt", help="backward checkpoint (paraphrase)")
-    p.add_argument("--bwd-series", dest="bwd_series", help="backward series (paraphrase)")
+    model = p.add_mutually_exclusive_group()
+    model.add_argument("--ckpt", help="checkpoint directory (a one-checkpoint forward model)")
+    model.add_argument("--series", help="series directory (its last checkpoint, or the ensemble)")
+    bwd_model = p.add_mutually_exclusive_group()
+    bwd_model.add_argument("--bwd-ckpt", dest="bwd_ckpt", help="backward checkpoint (paraphrase)")
+    bwd_model.add_argument("--bwd-series", dest="bwd_series", help="backward series (paraphrase)")
     p.add_argument("--prompts", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=10)

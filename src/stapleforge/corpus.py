@@ -22,8 +22,11 @@ the id non-empty and unique within its file.
 
 ``normalize`` defines a sentence's canonical form (NFC, lowercase, strip
 punctuation, collapse whitespace). It is the one comparison rule of the
-toolkit: gold translations and candidates are equal when their canonical
-forms are, and models read canonical text only.
+toolkit, applied once where a sentence is read: the parsers hold gold
+translations and candidates in canonical form, so the scorer and the methods
+compare plain strings, and models read canonical text only. Prompts keep
+their surface text; ``textproc.sentence_tokens`` canonicalizes them for
+decoding.
 """
 
 from __future__ import annotations
@@ -74,25 +77,29 @@ class Prompt:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValidationError("prompt id must be non-empty")
-        if "|" in self.id or "\n" in self.id:
-            raise ValidationError(f"prompt id may not contain '|' or newline: {self.id!r}")
+        if any(ch in self.id for ch in "|\t\n"):
+            raise ValidationError(f"prompt id may not contain '|', a tab or newline: {self.id!r}")
         if not self.text.strip():
             raise ValidationError(f"prompt {self.id}: text is empty")
 
 
 @dataclass(frozen=True)
 class WeightedTranslation:
+    """An accepted translation in canonical form and its response weight."""
+
     text: str
     weight: float
 
     def __post_init__(self) -> None:
+        if normalize(self.text) != self.text:
+            raise ValidationError(f"translation {self.text!r} is not in canonical form")
         if not (0.0 < self.weight <= 1.0):
             raise ValidationError(f"weight {self.weight} outside (0, 1] for {self.text!r}")
 
 
 @dataclass(frozen=True)
 class GoldSet:
-    """A prompt plus its weighted accepted translations, sorted by weight."""
+    """A prompt plus its canonical weighted translations, sorted by weight."""
 
     prompt: Prompt
     translations: tuple[WeightedTranslation, ...]
@@ -107,7 +114,7 @@ class GoldSet:
 
 @dataclass(frozen=True)
 class PredictionSet:
-    """De-duplicated candidate translations for one prompt, best first."""
+    """Canonical, de-duplicated candidate translations for one prompt, best first."""
 
     prompt_id: str
     candidates: tuple[str, ...]
@@ -155,7 +162,7 @@ def _parse_prompt(lineno: int, line: str, seen: set[str]) -> Prompt:
 
 
 def parse_gold(stream: str) -> list[GoldSet]:
-    """Parse a gold corpus. Translations come back sorted by weight, non-increasing."""
+    """Parse a gold corpus into canonical translations sorted by weight, non-increasing."""
     golds: list[GoldSet] = []
     ids: set[str] = set()
     for block in _blocks(stream):
@@ -169,8 +176,8 @@ def parse_gold(stream: str) -> list[GoldSet]:
         for lineno, line in block[1:]:
             if "|" not in line:
                 raise ParseError(f"expected 'translation|weight': {line!r}", lineno)
-            text, weight_str = line.rsplit("|", 1)
-            text = text.strip()
+            raw, weight_str = line.rsplit("|", 1)
+            raw = raw.strip()
             if WEIGHT_LITERAL.fullmatch(weight_str) is None:
                 raise ParseError(
                     f"bad weight literal {weight_str!r} (expected a decimal like 0.26739, "
@@ -178,15 +185,15 @@ def parse_gold(stream: str) -> list[GoldSet]:
                     lineno,
                 )
             weight = float(weight_str)
-            key = normalize(text)
-            if not key:
-                raise ValidationError(f"translation is empty after normalization: {text!r}", lineno)
-            if key in seen:
+            text = normalize(raw)
+            if not text:
+                raise ValidationError(f"translation is empty after normalization: {raw!r}", lineno)
+            if text in seen:
                 raise ValidationError(
-                    f"duplicate translation {text!r} (same as {seen[key]!r} after normalization)",
+                    f"duplicate translation {raw!r} (same as {seen[text]!r} after normalization)",
                     lineno,
                 )
-            seen[key] = text
+            seen[text] = raw
             try:
                 translations.append(WeightedTranslation(text=text, weight=weight))
             except ValidationError as exc:
@@ -204,27 +211,26 @@ def parse_gold(stream: str) -> list[GoldSet]:
 def parse_predictions(stream: str) -> list[PredictionSet]:
     """Parse a prediction corpus.
 
-    Candidates are de-duplicated by canonical form (first occurrence wins, the
-    original surface form is kept). Every dropped line is reported through the
-    module logger: nothing is discarded silently.
+    Candidates come back in canonical form, de-duplicated (first occurrence
+    wins); an all-punctuation line is the empty sentence, which matches no
+    gold translation. Every dropped line is reported through the module
+    logger: nothing is discarded silently.
     """
     sets: list[PredictionSet] = []
     ids: set[str] = set()
     for block in _blocks(stream):
         pid, _ = _read_header(*block[0], ids)
-        candidates: list[str] = []
-        keys: set[str] = set()
+        candidates: dict[str, None] = {}  # insertion-ordered set
         for lineno, line in block[1:]:
-            text = line.strip()
-            if not text:
+            raw = line.strip()
+            if not raw:
                 log.warning("line %d: skipped empty candidate line", lineno)
                 continue
-            key = normalize(text)
-            if key in keys:
-                log.warning("line %d: dropped duplicate candidate %r", lineno, text)
+            text = normalize(raw)
+            if text in candidates:
+                log.warning("line %d: dropped duplicate candidate %r", lineno, raw)
                 continue
-            keys.add(key)
-            candidates.append(text)
+            candidates[text] = None
         sets.append(PredictionSet(prompt_id=pid, candidates=tuple(candidates)))
     return sets
 

@@ -4,14 +4,16 @@ multi-checkpoint ensembles.
 ``predict`` is the one entry point: it runs a method on the newest forward
 and backward checkpoints the method reads (``checkpoints_read``), so callers
 load those and nothing else. Each method is one per-prompt composition over
-the same source path: canonical tokens (``textproc.sentence_tokens``),
-decode, join the tokens with spaces, de-duplicate. A model trained here knows
-canonical words only, so its candidates are canonical sentences, which
-``corpus.normalize`` leaves as they are. Bad input on one prompt (a
-StapleForgeError) degrades that prompt to an empty candidate list and one
-warning record whose stage is the method's name; it never aborts the batch.
-Any other exception is a programming error and propagates. Every method is
-deterministic: identical inputs produce byte-identical prediction files.
+the same source path: the prompt's canonical tokens
+(``textproc.sentence_tokens``, once per prompt), decode, join the tokens with
+spaces, de-duplicate. A model trained here knows canonical words only, so its
+candidates are canonical sentences: they are de-duplicated, compared and
+split for back-translation as plain strings, never canonicalized again. Bad
+input on one prompt (a StapleForgeError) degrades that prompt to an empty
+candidate list and one warning record whose stage is the method's name; it
+never aborts the batch. Any other exception is a programming error and
+propagates. Every method is deterministic: identical inputs produce
+byte-identical prediction files.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .corpus import PredictionSet, Prompt, normalize
+from .corpus import PredictionSet, Prompt
 from .errors import StapleForgeError, ValidationError
-from .textproc import sentence_tokens
+from .textproc import TokenSeq, sentence_tokens, tokenize
 from .translator import Checkpoint, CheckpointSeries, DecodeParams, decode_nbest
 
 log = logging.getLogger(__name__)
@@ -54,22 +56,15 @@ class MethodWarning:
 
 
 def dedup(candidates: Iterable[str]) -> list[str]:
-    """Stable first-occurrence de-duplication of sentences by canonical form."""
-    seen: set[str] = set()
-    out: list[str] = []
-    for cand in candidates:
-        key = normalize(cand)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(cand)
-    return out
+    """Stable first-occurrence de-duplication of canonical sentences."""
+    return list(dict.fromkeys(candidates))
 
 
-def _decode_sentences(ckpt: Checkpoint, text: str, n: int, params: MethodParams) -> list[str]:
+def _decode_sentences(
+    ckpt: Checkpoint, tokens: TokenSeq, n: int, params: MethodParams
+) -> list[str]:
     decode = DecodeParams(n_best=n, top_k_lexicon=params.top_k_lexicon)
-    hyps = decode_nbest(ckpt, sentence_tokens(text), decode)
-    return [" ".join(h.tokens) for h in hyps if h.tokens]
+    return [" ".join(h.tokens) for h in decode_nbest(ckpt, tokens, decode) if h.tokens]
 
 
 def _per_prompt(
@@ -102,7 +97,7 @@ def nbest_predict(
     """Top-n decoded translations per prompt, de-duplicated in score order."""
 
     def candidates(prompt: Prompt) -> list[str]:
-        return dedup(_decode_sentences(ckpt, prompt.text, params.n, params))
+        return dedup(_decode_sentences(ckpt, sentence_tokens(prompt.text), params.n, params))
 
     return _per_prompt(prompts, "nbest", candidates, warnings)
 
@@ -129,16 +124,16 @@ def paraphrase_predict(
         )
 
     def candidates(prompt: Prompt) -> list[str]:
-        step1 = dedup(_decode_sentences(fwd, prompt.text, params.n, params))
+        tokens = sentence_tokens(prompt.text)
+        step1 = dedup(_decode_sentences(fwd, tokens, params.n, params))
         pool: list[str] = []
         for sent in step1:
-            pool.extend(_decode_sentences(bwd, sent, params.n_prime, params))
-        prompt_key = normalize(prompt.text)
-        paraphrases = [p for p in dedup(pool) if normalize(p) != prompt_key]
+            pool.extend(_decode_sentences(bwd, tokenize(sent), params.n_prime, params))
+        source = " ".join(tokens)
+        paraphrases = [p for p in dedup(pool) if p != source]
         step3: list[str] = []
         for para in paraphrases:
-            best = _decode_sentences(fwd, para, 1, params)
-            step3.extend(best[:1])
+            step3.extend(_decode_sentences(fwd, tokenize(para), 1, params))
         return dedup(step1 + step3)
 
     return _per_prompt(prompts, "paraphrase", candidates, warnings)
@@ -158,9 +153,10 @@ def multi_checkpoint_predict(
     latest_first = list(reversed(series.checkpoints[-params.m :]))
 
     def candidates(prompt: Prompt) -> list[str]:
+        tokens = sentence_tokens(prompt.text)
         pooled: list[str] = []
         for ckpt in latest_first:
-            pooled.extend(_decode_sentences(ckpt, prompt.text, params.n, params))
+            pooled.extend(_decode_sentences(ckpt, tokens, params.n, params))
         return dedup(pooled)
 
     return _per_prompt(prompts, "ensemble", candidates, warnings)

@@ -1,11 +1,12 @@
 """Weighted macro-F1 scoring for translation sets.
 
 Per prompt: a candidate matches a gold translation when their canonical
-forms (``corpus.normalize``) are equal, so matching is exact set intersection
-of canonical forms. Precision is unweighted, TP/(TP+FP); recall is weighted
-by the gold response-rate weights, WTP/(WTP+WFN); their harmonic mean is the
-prompt's weighted F1; the corpus score is the arithmetic mean of per-prompt F1
-over the gold prompts.
+forms (``corpus.normalize``) are equal. Both are held in canonical form (the
+parsers canonicalize what they read, and generated candidates are canonical),
+so matching is exact string set intersection. Precision is unweighted,
+TP/(TP+FP); recall is weighted by the gold response-rate weights,
+WTP/(WTP+WFN); their harmonic mean is the prompt's weighted F1; the corpus
+score is the arithmetic mean of per-prompt F1 over the gold prompts.
 
 Any score whose denominator is zero is defined as 0, which makes the metric
 total (an empty prediction set scores 0). The weighted-recall denominator is
@@ -20,7 +21,7 @@ import logging
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
-from .corpus import GoldSet, PredictionSet, normalize
+from .corpus import GoldSet, PredictionSet
 from .errors import ValidationError
 
 log = logging.getLogger(__name__)
@@ -39,27 +40,11 @@ FULL_SCALE_REFERENCE_MACRO_F1 = {
 
 
 @dataclass(frozen=True)
-class MatchResult:
-    """Exact-match bookkeeping for one prompt.
-
-    tp pairs each matched candidate with the gold surface form it hit; fp and
-    fn keep input order. wtp/wfn are the matched/missed gold weight sums.
-    """
-
-    tp: tuple[tuple[str, str], ...]
-    fp: tuple[str, ...]
-    fn: tuple[str, ...]
-    wtp: float
-    wfn: float
-
-
-@dataclass(frozen=True)
 class PromptScore:
     prompt_id: str
     precision: float
     weighted_recall: float
     weighted_f1: float
-    match: MatchResult
 
 
 @dataclass(frozen=True)
@@ -74,40 +59,19 @@ class CorpusScore:
         return len(self.per_prompt)
 
 
-def match_sets(gold: GoldSet, pred: PredictionSet) -> MatchResult:
-    """Intersect predictions with gold translations by canonical form."""
-    gold_keys = [normalize(t.text) for t in gold.translations]
-    gold_by_key = dict(zip(gold_keys, gold.translations))
-    matched_keys: set[str] = set()
-    tp: list[tuple[str, str]] = []
-    fp: list[str] = []
-    for cand in pred.candidates:
-        key = normalize(cand)
-        hit = gold_by_key.get(key)
-        if hit is not None and key not in matched_keys:
-            matched_keys.add(key)
-            tp.append((cand, hit.text))
-        else:
-            fp.append(cand)
-    fn: list[str] = []
-    wtp = 0.0
-    wfn = 0.0
-    # sum in gold order so wtp is float-monotone under prediction growth
-    for key, t in zip(gold_keys, gold.translations):
-        if key in matched_keys:
-            wtp += t.weight
-        else:
-            fn.append(t.text)
-            wfn += t.weight
-    return MatchResult(tp=tuple(tp), fp=tuple(fp), fn=tuple(fn), wtp=wtp, wfn=wfn)
-
-
 def score_prompt(gold: GoldSet, pred: PredictionSet) -> PromptScore:
-    match = match_sets(gold, pred)
-    n_pred = len(match.tp) + len(match.fp)
-    precision = len(match.tp) / n_pred if n_pred else 0.0
+    """Score one prompt; gold texts and candidates are canonical, so a match is
+    string equality."""
+    predicted = set(pred.candidates)
+    tp = len(predicted.intersection(t.text for t in gold.translations))
+    precision = tp / len(pred.candidates) if pred.candidates else 0.0
+    wtp = 0.0
+    # sum in gold order so wtp is float-monotone under prediction growth
+    for t in gold.translations:
+        if t.text in predicted:
+            wtp += t.weight
     total = gold.total_weight
-    weighted_recall = match.wtp / total if total > 0.0 else 0.0
+    weighted_recall = wtp / total if total > 0.0 else 0.0
     if precision > 0.0 and weighted_recall > 0.0:
         weighted_f1 = 2.0 * precision * weighted_recall / (precision + weighted_recall)
     else:
@@ -117,7 +81,6 @@ def score_prompt(gold: GoldSet, pred: PredictionSet) -> PromptScore:
         precision=precision,
         weighted_recall=weighted_recall,
         weighted_f1=weighted_f1,
-        match=match,
     )
 
 

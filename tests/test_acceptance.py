@@ -20,13 +20,9 @@ from oracles import (
     gen_random_parallel,
 )
 from stapleforge.cli import main
-from stapleforge.corpus import (
-    PredictionSet,
-    normalize,
-    parse_gold,
-)
+from stapleforge.corpus import PredictionSet, parse_gold, parse_predictions
 from stapleforge.methods import MethodParams, multi_checkpoint_predict, nbest_predict, paraphrase_predict
-from stapleforge.metrics import match_sets, score_corpus, score_prompt
+from stapleforge.metrics import score_corpus, score_prompt
 from stapleforge.textproc import bpe_apply, bpe_decode, bpe_learn
 from stapleforge.translator import DecodeParams, decode_nbest, train_toy
 
@@ -44,8 +40,9 @@ def _params(n=10, n_prime=3, m=1):
 def test_criterion_1_metric_fixture_exactness(fixtures_path):
     started = time.monotonic()
     golds = parse_gold((fixtures_path / "example_gold_single.txt").read_text(encoding="utf-8"))
-    pred = PredictionSet("q1", ("minha explicação está clara?",))
-    score = score_prompt(golds[0], pred)
+    # the gold's top translation in surface form, canonicalized by the parser
+    pred_text = (fixtures_path / "example_pred_top1.txt").read_text(encoding="utf-8")
+    score = score_prompt(golds[0], parse_predictions(pred_text)[0])
 
     # independent hand evaluation in exact rational arithmetic:
     # precision = 1, recall = w_top / total, F1 = 2*w_top / (total + w_top)
@@ -112,9 +109,7 @@ def test_criterion_3b_paraphrase_superset(
     base_sets = nbest_predict(fwd, toy_prompts, params)
     para_sets = paraphrase_predict(fwd, bwd, toy_prompts, params)
     for base, para in zip(base_sets, para_sets):
-        base_keys = {normalize(c) for c in base.candidates}
-        para_keys = {normalize(c) for c in para.candidates}
-        assert base_keys <= para_keys  # exact set inclusion
+        assert set(base.candidates) <= set(para.candidates)  # exact set inclusion
     base_score = score_corpus(toy_golds, base_sets)
     para_score = score_corpus(toy_golds, para_sets)
     for b, p in zip(base_score.per_prompt, para_score.per_prompt):
@@ -188,15 +183,17 @@ def test_criterion_3f_conservation():
         gold = gen_random_gold(rng)
         texts = [t.text for t in gold.translations]
         picked = rng.sample(texts, rng.randint(0, len(texts)))
+        rest = [t for t in texts if t not in picked]
         junk = [f"junk {i}" for i in range(rng.randint(0, 3))]
-        result = match_sets(gold, PredictionSet("g", tuple(picked + junk)))
-        assert abs((result.wtp + result.wfn) - gold.total_weight) <= 1e-9
+        recall = [score_prompt(gold, PredictionSet("g", tuple(part + junk))).weighted_recall
+                  for part in (picked, rest)]
+        assert abs(sum(recall) - 1.0) <= 1e-9
     for _ in range(10):
         series = train_toy(gen_random_parallel(rng), 5, None)
         for ckpt in series.checkpoints:
             for row in ckpt.lexicon.values():
                 assert abs(sum(row.values()) - 1.0) <= 1e-9
-    _pass("3f conservation", "(1000 match pairs, 10x5 M-steps)")
+    _pass("3f conservation", "(1000 subset/complement pairs, 10x5 M-steps)")
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ import pytest
 import stapleforge.translator as translator
 from oracles import rewrite_model_file
 from stapleforge.cli import main
-from stapleforge.corpus import normalize, parse_predictions
+from stapleforge.corpus import normalize
 from stapleforge.translator import load_series
 
 
@@ -105,6 +105,28 @@ class TestScore:
                       "--pred", str(tmp_path / "pred.txt"), "--out", str(tmp_path / "r.tsv")])
         assert rc == 2
         assert reason in capsys.readouterr().err
+        assert not (tmp_path / "r.tsv").exists()
+
+    def test_surface_forms_match_by_canonical_form(self, tmp_path, capsys):
+        """The parsers canonicalize gold translations and candidates, so the
+        scorer's plain string match is the canonical-form match."""
+        (tmp_path / "gold.txt").write_text("q1|Hi, how are you?\nOlá, tudo bem?|1.0\n",
+                                           encoding="utf-8")
+        (tmp_path / "pred.txt").write_text("q1|\nolá tudo bem\n", encoding="utf-8")
+        rc = run_cli(["score", "--gold", str(tmp_path / "gold.txt"),
+                      "--pred", str(tmp_path / "pred.txt")])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "macro_f1=1.000000"
+
+    def test_tab_in_prompt_id_exits_2_naming_its_line(self, tmp_path, capsys):
+        """The id used to reach the report, whose row then had five columns."""
+        (tmp_path / "gold.txt").write_text("q1|x\nfoo|0.5\n\na\tb|y\nbar|0.5\n",
+                                           encoding="utf-8")
+        (tmp_path / "pred.txt").write_text("q1|\nfoo\n\na\tb|\nbar\n", encoding="utf-8")
+        rc = run_cli(["score", "--gold", str(tmp_path / "gold.txt"),
+                      "--pred", str(tmp_path / "pred.txt"), "--out", str(tmp_path / "r.tsv")])
+        assert rc == 2
+        assert "line 4: prompt id may not contain" in capsys.readouterr().err
         assert not (tmp_path / "r.tsv").exists()
 
     def test_repeated_gold_prompt_id_names_its_line(self, tmp_path, fixtures_path, capsys):
@@ -260,6 +282,36 @@ class TestGenerate:
                       "--prompts", str(fixtures_path / "toy_prompts.txt"),
                       "--out", str(tmp_path / "x.txt")])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "models",
+        [["--ckpt", "{fwd}/ckpt-0001", "--series", "{fwd}"],
+         ["--series", "{fwd}", "--bwd-ckpt", "{bwd}/ckpt-0005", "--bwd-series", "{bwd}"]],
+        ids=["ckpt-and-series", "bwd-ckpt-and-bwd-series"],
+    )
+    def test_checkpoint_and_series_together_is_usage_error(
+        self, trained_world, fixtures_path, tmp_path, capsys, models
+    ):
+        """--ckpt used to win silently over --series, and --bwd-ckpt over --bwd-series."""
+        models = [arg.format(fwd=trained_world / "fwd", bwd=trained_world / "bwd")
+                  for arg in models]
+        rc = run_cli(["generate", "--method", "paraphrase", *models,
+                      "--prompts", str(fixtures_path / "toy_prompts.txt"),
+                      "--out", str(tmp_path / "x.txt")])
+        assert rc == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_tab_in_prompt_id_exits_2_and_writes_nothing(
+        self, trained_world, fixtures_path, tmp_path, capsys
+    ):
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text("p1|First prompt.\np\t2|Second prompt.\n", encoding="utf-8")
+        rc = run_cli(["generate", "--method", "nbest", "--series", str(trained_world / "fwd"),
+                      "--prompts", str(prompts), "--out", str(tmp_path / "x.txt")])
+        assert rc == 2
+        assert "line 2: prompt id may not contain" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [prompts]
 
     def test_ensemble_degraded_prompt_warns_once(self, trained_world, fixtures_path, tmp_path):
         prompts = tmp_path / "prompts.txt"
@@ -530,14 +582,15 @@ def test_models_read_canonical_text(trained_world, fixtures_path, tmp_path):
 )
 def test_generated_candidates_are_canonical(trained_world, fixtures_path, tmp_path, argv):
     """Candidates are decoded canonical words joined by spaces, so normalize
-    leaves each one as it is, and canonical form is the only comparison rule
-    under which they can match gold translations."""
+    leaves each one as it is: the methods and the in-process scoring of
+    ``sweep`` compare them as plain strings. The file is read line by line,
+    since ``parse_predictions`` would canonicalize what it reads."""
     out = tmp_path / "pred.txt"
     argv = [arg.format(bwd=trained_world / "bwd") for arg in argv]
     assert run_cli(["generate", *argv, "--series", str(trained_world / "fwd"),
                     "--prompts", str(fixtures_path / "toy_prompts.txt"), "--out", str(out)]) == 0
-    candidates = [cand for pset in parse_predictions(out.read_text(encoding="utf-8"))
-                  for cand in pset.candidates]
+    candidates = [line for block in out.read_text(encoding="utf-8").split("\n\n")
+                  for line in block.splitlines()[1:]]
     assert candidates
     assert all(normalize(cand) == cand for cand in candidates)
 

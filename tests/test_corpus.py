@@ -47,7 +47,8 @@ class TestParseGold:
         assert gold.prompt.id == "q1"
         assert len(gold.translations) == 5
         assert gold.translations[0].weight == 0.26739
-        assert gold.translations[0].text == "minha explicação está clara?"
+        # translations are held in canonical form
+        assert gold.translations[0].text == "minha explicação está clara"
 
     def test_single_translation_weight_one(self):
         golds = parse_gold("p|hello\nolá|1.0\n")
@@ -91,6 +92,12 @@ class TestParseGold:
         with pytest.raises(ValidationError, match="sum"):
             parse_gold("p|x\na|0.9\nb|0.2\n")
 
+    def test_non_canonical_translation_rejected(self):
+        assert WeightedTranslation("olá tudo bem", 0.5).text == "olá tudo bem"
+        for text in ["Olá", "olá, tudo bem", "olá  tudo", " olá"]:
+            with pytest.raises(ValidationError, match="canonical form"):
+                WeightedTranslation(text, 0.5)
+
     def test_weights_sorted_non_increasing(self):
         golds = parse_gold("p|x\na|0.1\nb|0.5\nc|0.2\n")
         weights = [t.weight for t in golds[0].translations]
@@ -101,6 +108,11 @@ class TestParsePredictions:
     def test_deduplication_first_wins(self):
         sets = parse_predictions("q1|x\na\nb\nA!\n")
         assert sets[0].candidates == ("a", "b")
+
+    def test_candidates_are_canonical(self):
+        sets = parse_predictions("q1|x\nOlá, tudo  bem?\n?!\n")
+        # an all-punctuation line is the empty sentence, which matches no gold
+        assert sets[0].candidates == ("olá tudo bem", "")
 
     def test_empty_stream(self):
         assert parse_predictions("") == []
@@ -177,8 +189,11 @@ def test_round_trip_identity(sets):
     assert parse_predictions(buf.getvalue()) == sets
 
 
-gold_texts = st.text(alphabet="abcxyzé ?!|", min_size=1, max_size=12).map(str.strip).filter(
+prompt_texts = st.text(alphabet="abcxyzé ?!|", min_size=1, max_size=12).map(str.strip).filter(
     lambda t: normalize(t) != ""
+)
+canonical_texts = st.builds(
+    " ".join, st.lists(st.text(alphabet="abcxyzé", min_size=1, max_size=4), min_size=1, max_size=3)
 )
 
 
@@ -187,8 +202,8 @@ def gold_corpora(draw):
     """Gold sets and their rendering, weights written with 0-6 fractional digits."""
     golds, blocks = [], []
     for i in range(draw(st.integers(min_value=0, max_value=4))):
-        prompt = Prompt(id=f"q{i}", text=draw(gold_texts))
-        texts = draw(st.lists(gold_texts, min_size=1, max_size=6, unique_by=normalize))
+        prompt = Prompt(id=f"q{i}", text=draw(prompt_texts))
+        texts = draw(st.lists(canonical_texts, min_size=1, max_size=6, unique=True))
         lines = [f"{prompt.id}|{prompt.text}"]
         translations = []
         for text in texts:

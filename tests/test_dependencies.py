@@ -1,11 +1,17 @@
-"""The package is stdlib-only: it declares no runtime dependency, so every
-module it imports, other than its own, must ship with Python."""
+"""Import boundaries of the package.
+
+It is stdlib-only: it declares no runtime dependency, so every module it
+imports, other than its own, must ship with Python. And a sentence is
+canonicalized once, where it is read: the methods and the scorer compare
+canonical strings and never call ``normalize`` themselves."""
 
 from __future__ import annotations
 
 import ast
 import sys
 from pathlib import Path
+
+import pytest
 
 import stapleforge
 
@@ -31,3 +37,21 @@ def test_package_imports_only_the_standard_library():
     outside = {name: where for name, where in imported.items()
                if name not in sys.stdlib_module_names}
     assert outside == {}
+
+
+def names_used(path: Path) -> set[str]:
+    """Every name a source file imports, reads or reaches as an attribute."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("module", ["methods.py", "metrics.py"])
+def test_methods_and_metrics_never_normalize(module):
+    assert "normalize" not in names_used(PACKAGE_DIR / module)

@@ -43,9 +43,6 @@ class TestDedup:
     def test_exact_duplicates(self):
         assert dedup(["a", "a", "b"]) == ["a", "b"]
 
-    def test_normalization_equivalent_duplicates(self):
-        assert dedup(["A!", "a"]) == ["A!"]
-
     def test_empty(self):
         assert dedup([]) == []
 

@@ -17,7 +17,6 @@ from stapleforge.corpus import (
 )
 from stapleforge.errors import ValidationError
 from stapleforge.metrics import (
-    match_sets,
     score_corpus,
     score_prompt,
     summary_line,
@@ -41,40 +40,26 @@ def make_pred(candidates: list[str], pid: str = "p") -> PredictionSet:
     return PredictionSet(prompt_id=pid, candidates=tuple(candidates))
 
 
-class TestMatchSets:
-    def test_partial_match(self):
-        gold = make_gold({"a": 0.5, "b": 0.3, "c": 0.2})
-        result = match_sets(gold, make_pred(["a", "d"]))
-        assert [g for _, g in result.tp] == ["a"]
-        assert result.fp == ("d",)
-        assert set(result.fn) == {"b", "c"}
-        assert result.wtp == 0.5
-        assert result.wfn == pytest.approx(0.5, abs=1e-12)
+class TestMatchCounts:
+    """TP and FP counts show in precision, matched gold weight in recall;
+    each is checked by hand and against the oracle's direct evaluation."""
 
-    def test_perfect_match(self):
-        gold = make_gold({"a": 0.5, "b": 0.3})
-        result = match_sets(gold, make_pred(["b", "a"]))
-        assert result.fp == () and result.fn == ()
-        assert result.wtp == pytest.approx(0.8, abs=1e-12)
-
-    def test_empty_predictions(self):
-        gold = make_gold({"a": 0.5, "b": 0.3})
-        result = match_sets(gold, make_pred([]))
-        assert result.tp == ()
-        assert result.wtp == 0.0
-        assert result.wfn == gold.total_weight
-
-    def test_matching_is_normalized(self):
-        gold = make_gold({"Olá, tudo bem?": 1.0})
-        result = match_sets(gold, make_pred(["olá tudo bem"]))
-        assert len(result.tp) == 1
-
-    def test_counts_partition_inputs(self):
-        gold = make_gold({"a": 0.4, "b": 0.3, "c": 0.1})
-        pred = make_pred(["a", "x", "c", "y"])
-        result = match_sets(gold, pred)
-        assert len(result.tp) + len(result.fp) == len(pred.candidates)
-        assert len(result.tp) + len(result.fn) == len(gold.translations)
+    @pytest.mark.parametrize(
+        "weighted, candidates, precision, recall",
+        [({"a": 0.5, "b": 0.3, "c": 0.2}, ["a", "d"], 1 / 2, 0.5 / 1.0),
+         ({"a": 0.5, "b": 0.3}, ["b", "a"], 2 / 2, 0.8 / 0.8),
+         ({"a": 0.5, "b": 0.3}, [], 0.0, 0.0),
+         ({"a": 0.4, "b": 0.3, "c": 0.1}, ["a", "x", "c", "y"], 2 / 4, 0.5 / 0.8)],
+        ids=["partial", "perfect", "empty", "mixed"],
+    )
+    def test_counts_and_recall(self, weighted, candidates, precision, recall):
+        gold, pred = make_gold(weighted), make_pred(candidates)
+        score = score_prompt(gold, pred)
+        want = score_prompt_oracle(gold, pred)
+        assert score.precision == pytest.approx(precision, abs=1e-12)
+        assert score.weighted_recall == pytest.approx(recall, abs=1e-12)
+        assert score.precision == pytest.approx(want[0], abs=1e-12)
+        assert score.weighted_recall == pytest.approx(want[1], abs=1e-12)
 
 
 class TestScorePrompt:
@@ -188,9 +173,10 @@ class TestMetricProperties:
 
     def test_adding_matching_candidate_adds_its_weight_exactly(self):
         gold = make_gold({"a": 0.5, "b": 0.25, "c": 0.125})  # dyadic: float sums exact
-        base = match_sets(gold, make_pred(["a"]))
-        grown = match_sets(gold, make_pred(["a", "c"]))
-        assert grown.wtp == base.wtp + 0.125
+        base = score_prompt(gold, make_pred(["a"]))
+        grown = score_prompt(gold, make_pred(["a", "c"]))
+        assert base.weighted_recall == 0.5 / gold.total_weight
+        assert grown.weighted_recall == (0.5 + 0.125) / gold.total_weight
 
     def test_adding_non_matching_candidate_only_hurts_precision(self):
         gold = make_gold({"a": 0.5, "b": 0.25})
@@ -228,13 +214,16 @@ class TestMetricProperties:
         assert s_a.weighted_f1 == s_b.weighted_f1
 
     def test_conservation(self):
+        """Every gold weight is matched by a picked subset or by its complement."""
         rng = random.Random(13)
         for _ in range(300):
             gold = gen_random_gold(rng)
             texts = [t.text for t in gold.translations]
-            pred = make_pred(rng.sample(texts, rng.randint(0, len(texts))) + ["j1", "j2"])
-            m = match_sets(gold, pred)
-            assert abs((m.wtp + m.wfn) - gold.total_weight) <= 1e-9
+            picked = rng.sample(texts, rng.randint(0, len(texts)))
+            rest = [t for t in texts if t not in picked]
+            recall = [score_prompt(gold, make_pred(part + ["j1", "j2"])).weighted_recall
+                      for part in (picked, rest)]
+            assert abs(sum(recall) - 1.0) <= 1e-9
 
     def test_corpus_score_matches_per_prompt_oracle(self):
         rng = random.Random(17)

@@ -54,6 +54,17 @@ class TestTokenize:
         assert canonical == " ".join(canonical.split())
         assert sentence_tokens(text) == canonical.split()
 
+    @given(st.lists(st.text()), st.randoms(use_true_random=False))
+    def test_joined_model_tokens_are_canonical(self, texts, rng):
+        """A candidate is decoded model words, which come from sentence_tokens,
+        joined with spaces in any order; such a sentence is its own canonical
+        form, which is what lets the methods and the scorer compare candidates
+        as plain strings."""
+        tokens = [tok for text in texts for tok in sentence_tokens(text)]
+        rng.shuffle(tokens)
+        candidate = " ".join(tokens)
+        assert normalize(candidate) == candidate
+
 
 class TestBpeLearn:
     def test_fixture_first_two_merges(self):
