@@ -17,9 +17,21 @@ sentences in it, so ``score`` and ``sweep`` compare plain strings.
 ``generate`` and every ``sweep`` cell run a method through the one entry
 point ``methods.predict``; a sweep cell whose method cannot run on the models
 given (paraphrase without ``--bwd-series``, ``m`` beyond the series) is an NA
-row. Both commands write a ``<out>.manifest.tsv`` recording the command,
-resolved parameters (``top_k`` included), input checksums, tool version and
-output checksums; identical inputs reproduce identical outputs and manifests.
+row. Both commands read and validate each ``series.tsv`` and checksum the
+checkpoints they may decode with up front, then load each checkpoint when it
+is first decoded with (``methods.Decoder``), once per command. An ensemble
+decodes every prompt with one checkpoint before loading the next, so
+``generate`` holds one checkpoint at a time, or one per side for
+paraphrase; a sweep's cells share one decoder per checkpoint, whose memo of
+n-best lists, keyed on the source and n, lets later cells reuse earlier
+decodes of the same request, so it holds at most two: one forward checkpoint
+and the newest backward one. A checkpoint that fails
+to load exits 2 with nothing written, whenever it is found: it never degrades
+a prompt or makes an NA row.
+
+Both commands write a ``<out>.manifest.tsv`` recording the command, resolved
+parameters (``top_k`` included), input checksums, tool version and output
+checksums; identical inputs reproduce identical outputs and manifests.
 ``generate`` also writes ``<out>.warnings.tsv``, one row per degraded prompt
 whose stage is the method's name. Wall-clock duration is reported on stderr
 only, so manifests stay byte-reproducible. ``train`` is byte-reproducible
@@ -33,6 +45,7 @@ Exit codes: 0 success, 2 input/validation error, 3 empty-work error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import logging
@@ -46,14 +59,14 @@ from . import __version__
 from .corpus import parse_gold, parse_predictions, parse_prompts, write_predictions
 from .errors import StapleForgeError, ValidationError
 from .metrics import score_corpus, summary_line, write_report
-from .methods import METHODS, MethodParams, MethodWarning, checkpoints_read, predict
+from .methods import METHODS, Decoder, MethodParams, MethodWarning, checkpoints_read, predict
 from .textproc import bpe_apply, bpe_decode, bpe_learn, load_bpe, save_bpe, sentence_tokens
 from .translator import (
     SERIES_INDEX,
-    CheckpointSeries,
     checkpoint_name,
     load_checkpoint,
-    load_series,
+    load_indexed_checkpoint,
+    read_series_index,
     train_toy,
 )
 
@@ -179,23 +192,31 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _load_model(
     ckpt_arg: str | None, series_arg: str | None, newest: int, missing: str
-) -> tuple[CheckpointSeries | None, str]:
-    """The checkpoints a command decodes with, and the checksum of their files.
+) -> tuple[list[Decoder], str]:
+    """The decoders a command may decode with, oldest first, and the
+    checksum of their files.
 
-    A model is one checkpoint directory or a series, of which only the newest
-    ``newest`` checkpoints are loaded (all of them, if it has fewer). The
-    checksum covers ``series.tsv`` and the checkpoints loaded, so with
-    ``newest`` 0 nothing is loaded and it covers ``series.tsv`` alone.
+    A model is one checkpoint directory, loaded here, or a series, whose
+    index is read here and whose newest ``newest`` checkpoints (all of them,
+    if it has fewer) each load when first decoded with. The checksum covers
+    ``series.tsv`` and those checkpoints, so with ``newest`` 0 it covers
+    ``series.tsv`` alone.
     """
     if ckpt_arg:
         ckpt = load_checkpoint(ckpt_arg)
-        series = CheckpointSeries(checkpoints=(ckpt,))
-        return series, sha256_path(Path(ckpt_arg))
+        return [Decoder.of(ckpt)], sha256_path(Path(ckpt_arg))
     if series_arg:
-        series = load_series(series_arg, newest) if newest else None
-        loaded = series.checkpoints if series is not None else ()
-        members = [SERIES_INDEX, *(checkpoint_name(c.iteration) for c in loaded)]
-        return series, sha256_path(Path(series_arg), members)
+        direction, rows = read_series_index(series_arg)
+        rows = rows[max(0, len(rows) - newest) :]
+        decoders = [
+            Decoder(
+                functools.partial(load_indexed_checkpoint, series_arg, direction, *row),
+                direction,
+            )
+            for row in rows
+        ]
+        members = [SERIES_INDEX, *(checkpoint_name(iteration) for iteration, _ in rows)]
+        return decoders, sha256_path(Path(series_arg), members)
     raise ValidationError(missing)
 
 
@@ -208,7 +229,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     fwd, inputs["model"] = _load_model(
         args.ckpt, args.series, n_fwd, f"{args.method}: pass --ckpt or --series"
     )
-    bwd = None
+    bwd: list[Decoder] = []
     if n_bwd:
         bwd, inputs["bwd_model"] = _load_model(
             args.bwd_ckpt, args.bwd_series, n_bwd,
@@ -252,12 +273,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "gold": sha256_path(Path(args.gold)),
         "prompts": sha256_path(Path(args.prompts)),
     }
-    # load what the most demanding cell reads; a cell needing more checkpoints
-    # than the series holds becomes an NA row
+    # decoders for what the most demanding cell reads, shared by every cell;
+    # a cell needing more checkpoints than the series holds becomes an NA row
     n_fwd = max((checkpoints_read(method, p)[0] for method, _, p in cells), default=1)
     n_bwd = max((checkpoints_read(method, p)[1] for method, _, p in cells), default=0)
     fwd, inputs["series"] = _load_model(None, args.series, n_fwd, "sweep: pass --series")
-    bwd = None
+    bwd: list[Decoder] = []
     if args.bwd_series:
         bwd, inputs["bwd_series"] = _load_model(
             None, args.bwd_series, n_bwd, "sweep: pass --bwd-series"
@@ -277,7 +298,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"{method}\t{label}\t{_percent(score.mean_precision)}"
                 f"\t{_percent(score.mean_weighted_recall)}\t{_percent(score.macro_f1)}\n"
             )
-        except StapleForgeError as exc:
+        except ValidationError as exc:  # a CheckpointError fails the command
             log.warning("sweep cell %s %s failed: %s", method, label, exc)
             rows.append(f"{method}\t{label}\tNA\tNA\tNA\n")
     _write_text(args.out, header + "".join(rows))

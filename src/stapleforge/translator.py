@@ -35,8 +35,11 @@ that uses one. Probabilities are stored with 12 significant digits; model
 values are canonicalized to that precision when built, so a saved checkpoint
 loads back bit-exactly. Loading verifies the checksum and parses every value:
 the iteration must be a positive decimal integer as written, probabilities
-finite and non-negative, and every other value finite.
-A malformed checkpoint raises ``CheckpointError`` naming its directory.
+finite and non-negative, and every other value finite. Every model word must
+be one canonical token (``textproc.sentence_tokens`` of the word is the word
+alone), reserved tokens excepted; each distinct word is checked once per
+process. A malformed checkpoint raises ``CheckpointError`` naming its
+directory.
 Nothing in a checkpoint depends on when it was written, so training the same
 corpus twice gives byte-identical series directories.
 
@@ -51,14 +54,17 @@ one row per checkpoint, iterations strictly increasing and log-likelihoods
 non-decreasing. The index is the source of truth: training rewrites it
 atomically after each checkpoint is complete, so an interrupted run leaves an
 index of complete checkpoints, and a ``ckpt-*`` directory it does not list is
-never loaded. ``load_series`` reads the index and loads only the newest
-checkpoints a caller decodes with, each checked against its index row.
-Training refuses a directory that already holds a series.
+never loaded. ``read_series_index`` reads and validates the index, and
+``load_indexed_checkpoint`` loads one checkpoint it lists, checked against its
+row, so a caller can load each checkpoint only when it needs it (the commands
+do, through ``methods.Decoder``); ``load_series`` loads the newest ones at
+once. Training refuses a directory that already holds a series.
 
 A loaded series holds its shared state once, as a trained one does: the
 checkpoints of a series have the same lm.tsv, which is parsed once into one
-``BigramLm`` they all refer to, and words are interned, so every checkpoint
-and the LM share one string per word.
+``BigramLm`` they all refer to, even when loads of a forward and a backward
+series interleave, and words are interned, so every checkpoint and the LM
+share one string per word.
 """
 
 from __future__ import annotations
@@ -71,12 +77,12 @@ import os
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import CheckpointError, ValidationError
-from .textproc import TokenSeq
+from .textproc import TokenSeq, sentence_tokens
 
 log = logging.getLogger(__name__)
 
@@ -189,6 +195,11 @@ class Checkpoint:
     lm: BigramLm
     corpus_loglik: float
     direction: str = "fwd"
+    # decode_nbest's ranked emission rows, by (source word, top-k); valid
+    # because nothing mutates a checkpoint's lexicon once it is built
+    emissions: dict[tuple[str, int], list[tuple[str, float]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.iteration < 1:
@@ -271,7 +282,9 @@ def train_toy(
     checkpoint_dir=None trains in memory only. Otherwise the directory must
     not already hold a series, and series.tsv is rewritten after every saved
     checkpoint. A pair using a reserved token is rejected before anything is
-    written: the LM file gives those tokens their own meaning. Training is
+    written: the LM file gives those tokens their own meaning. So is a pair
+    holding a word that is not one canonical token, which ``load_checkpoint``
+    would reject, so every saved series loads back. Training is
     deterministic: no randomness anywhere, and iteration order is the corpus
     order.
     """
@@ -299,6 +312,17 @@ def train_toy(
         pairs.append((src, tgt))
     if not pairs:
         raise ValidationError("no usable sentence pairs in the parallel corpus")
+    bad = _non_canonical({w for pair in pairs for side in pair for w in side})
+    if bad:
+        number, src, tgt = next(
+            (number, src, tgt)
+            for number, (src, tgt) in enumerate(parallel, start=1)
+            if src and tgt and not bad.isdisjoint((*src, *tgt))
+        )
+        raise ValidationError(
+            f"sentence pair {number} holds the non-canonical word "
+            f"{min(bad.intersection((*src, *tgt)))!r}: {src!r} -> {tgt!r}"
+        )
 
     cooc: dict[str, set[str]] = {}
     for src, tgt in pairs:
@@ -366,16 +390,25 @@ def decode_nbest(
     reach it; every entry of a state is extended by the same emission and LM
     scores, so pruning to n per state never drops a member of the overall
     n-best (barring two partial totals that differ only in rounding and tie
-    once extended). The LM is consulted once per (state, word) pair.
+    once extended). The LM is consulted once per (state, word) pair, and each
+    checkpoint ranks a source word's lexicon row once
+    (``Checkpoint.emissions``).
     """
     if not source:
         return [Hypothesis(tokens=(), total_logprob=0.0)]
     n = params.n_best
+    top_k = params.top_k_lexicon
     logprob = ckpt.lm.logprob
+    lattice = []
+    for src_word in source:
+        cands = ckpt.emissions.get((src_word, top_k))
+        if cands is None:
+            cands = emission_candidates(ckpt.lexicon, src_word, top_k)
+            ckpt.emissions[(src_word, top_k)] = cands
+        lattice.append(cands)
     # negation is exact, so plain tuple order is the key (-total, tokens)
     states: dict[str, list[tuple[float, tuple[str, ...]]]] = {BOS: [(0.0, ())]}
-    for src_word in source:
-        cands = emission_candidates(ckpt.lexicon, src_word, params.top_k_lexicon)
+    for cands in lattice:
         extended = {}
         for word, emit_lp in cands:
             pool: list[tuple[float, tuple[str, ...]]] = []
@@ -450,13 +483,44 @@ def _bad_row(name: str, lineno: int, line: str) -> str:
     return f"{what} {name} row {lineno}: {line!r}"
 
 
-@functools.lru_cache(maxsize=1)
+# canonical model words seen so far: each distinct word is checked once
+_CANONICAL_WORDS: set[str] = set(RESERVED_TOKENS)
+
+
+def _non_canonical(words: set[str]) -> set[str]:
+    """The words of ``words`` that are not one canonical token, reserved
+    tokens excepted.
+
+    A model decodes canonical tokens and its candidates are compared with
+    canonical gold as plain strings, so any other word could never match.
+    """
+    new = words - _CANONICAL_WORDS
+    bad = {w for w in new if sentence_tokens(w) != [w]}
+    _CANONICAL_WORDS.update(new - bad)
+    return bad
+
+
+def _check_words(words: set[str], text: str, name: str) -> None:
+    """Raise ValueError naming the first row of ``text`` that holds a word of
+    ``words`` that is not canonical (``_non_canonical``)."""
+    bad = _non_canonical(words)
+    if not bad:
+        return
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        word = next((w for w in line.split("\t")[:2] if w in bad), None)
+        if word is not None:
+            raise ValueError(f"non-canonical word {word!r} in {name} row {lineno}: {line!r}")
+
+
+# one LM per series, for the forward and the backward series a command reads
+@functools.lru_cache(maxsize=2)
 def _parse_lm(lm_text: str, alpha: float) -> BigramLm:
     """The LM an lm.tsv text holds; raises ValueError naming a malformed row.
 
     Memoized on the whole text: every checkpoint of a series has the same
     lm.tsv (training estimates the LM once), so a loaded series holds one LM,
-    as a trained one does, and a different text is parsed afresh.
+    as a trained one does, even when loads of two series interleave, and a
+    different text is parsed afresh.
     """
     intern = sys.intern
     bigram: dict[tuple[str, str], float] = {}
@@ -476,6 +540,7 @@ def _parse_lm(lm_text: str, alpha: float) -> BigramLm:
             unigram[intern(w2)] = lp
         else:
             bigram[(intern(w1), intern(w2))] = lp
+    _check_words({*unigram, *unseen, *(w for pair in bigram for w in pair)}, lm_text, "lm.tsv")
     return BigramLm(
         bigram_logprob=bigram, unseen_logprob=unseen, unigram_logprob=unigram, alpha=alpha
     )
@@ -546,6 +611,7 @@ def load_checkpoint(directory: Path | str) -> Checkpoint:
             row = lexicon[intern(e)] = {}
         row[intern(f)] = prob
     try:
+        _check_words(set(lexicon).union(*lexicon.values()), lexicon_text, "lexicon.tsv")
         lm = _parse_lm(lm_text, alpha)
     except ValueError as exc:
         raise CheckpointError(f"{exc} (in {directory})") from None
@@ -585,8 +651,11 @@ def _write_series_index(
     os.replace(partial, directory / SERIES_INDEX)
 
 
-def _read_series_index(directory: Path) -> tuple[str, list[tuple[int, float]]]:
+def read_series_index(directory: Path | str) -> tuple[str, list[tuple[int, float]]]:
     """Parse and validate series.tsv: its direction and (iteration, loglik) rows."""
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise CheckpointError(f"checkpoint series directory not found: {directory}")
     path = directory / SERIES_INDEX
     if not path.is_file():
         raise CheckpointError(f"missing series index: {path}")
@@ -617,29 +686,35 @@ def _read_series_index(directory: Path) -> tuple[str, list[tuple[int, float]]]:
     return head[1], rows
 
 
+def load_indexed_checkpoint(
+    directory: Path | str, direction: str, iteration: int, loglik: float
+) -> Checkpoint:
+    """Load a checkpoint of a series, which must agree with its index row
+    (``read_series_index``) on iteration, direction and log-likelihood."""
+    path = Path(directory) / checkpoint_name(iteration)
+    ckpt = load_checkpoint(path)
+    if (ckpt.iteration, ckpt.direction, ckpt.corpus_loglik) != (iteration, direction, loglik):
+        raise CheckpointError(
+            f"{path} (iteration {ckpt.iteration}, {ckpt.direction}, loglik "
+            f"{ckpt.corpus_loglik!r}) does not match its {SERIES_INDEX} row "
+            f"(iteration {iteration}, {direction}, loglik {loglik!r})"
+        )
+    return ckpt
+
+
 def load_series(directory: Path | str, newest: int | None = None) -> CheckpointSeries:
     """Load the checkpoints series.tsv lists: the newest ``newest`` of them, or all.
 
-    Directories the index does not list are ignored. Each loaded checkpoint
-    must agree with its index row on iteration, direction and log-likelihood.
+    Directories the index does not list are ignored.
     """
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise CheckpointError(f"checkpoint series directory not found: {directory}")
     if newest is not None and newest < 1:
         raise ValidationError(f"newest must be >= 1, got {newest}")
-    direction, rows = _read_series_index(directory)
+    direction, rows = read_series_index(directory)
     if newest is not None:
         rows = rows[-newest:]
-    checkpoints = []
-    for iteration, loglik in rows:
-        path = directory / checkpoint_name(iteration)
-        ckpt = load_checkpoint(path)
-        if (ckpt.iteration, ckpt.direction, ckpt.corpus_loglik) != (iteration, direction, loglik):
-            raise CheckpointError(
-                f"{path} (iteration {ckpt.iteration}, {ckpt.direction}, loglik "
-                f"{ckpt.corpus_loglik!r}) does not match its {SERIES_INDEX} row "
-                f"(iteration {iteration}, {direction}, loglik {loglik!r})"
-            )
-        checkpoints.append(ckpt)
-    return CheckpointSeries(checkpoints=tuple(checkpoints))
+    return CheckpointSeries(
+        checkpoints=tuple(
+            load_indexed_checkpoint(directory, direction, iteration, loglik)
+            for iteration, loglik in rows
+        )
+    )

@@ -21,7 +21,13 @@ from oracles import (
 )
 from stapleforge.cli import main
 from stapleforge.corpus import PredictionSet, parse_gold, parse_predictions
-from stapleforge.methods import MethodParams, multi_checkpoint_predict, nbest_predict, paraphrase_predict
+from stapleforge.methods import (
+    Decoder,
+    MethodParams,
+    multi_checkpoint_predict,
+    nbest_predict,
+    paraphrase_predict,
+)
 from stapleforge.metrics import score_corpus, score_prompt
 from stapleforge.textproc import bpe_apply, bpe_decode, bpe_learn
 from stapleforge.translator import DecodeParams, decode_nbest, train_toy
@@ -90,7 +96,8 @@ def test_criterion_3_reference_constants_recorded():
 def test_criterion_3a_ensemble_recall_monotonicity(toy_fwd_series, toy_prompts, toy_golds):
     scores = []
     for m in (1, 2, 3, 4):
-        sets = multi_checkpoint_predict(toy_fwd_series, toy_prompts, _params(n=10, m=m))
+        decoders = [Decoder.of(ckpt) for ckpt in toy_fwd_series.checkpoints]
+        sets = multi_checkpoint_predict(decoders, toy_prompts, _params(n=10, m=m))
         scores.append(score_corpus(toy_golds, sets))
     for prev, cur in zip(scores, scores[1:]):
         for p_prev, p_cur in zip(prev.per_prompt, cur.per_prompt):
@@ -103,8 +110,8 @@ def test_criterion_3a_ensemble_recall_monotonicity(toy_fwd_series, toy_prompts, 
 def test_criterion_3b_paraphrase_superset(
     toy_fwd_series, toy_bwd_series, toy_prompts, toy_golds
 ):
-    fwd = toy_fwd_series.checkpoints[-1]
-    bwd = toy_bwd_series.checkpoints[-1]
+    fwd = Decoder.of(toy_fwd_series.checkpoints[-1])
+    bwd = Decoder.of(toy_bwd_series.checkpoints[-1])
     params = _params(n=10, n_prime=3)
     base_sets = nbest_predict(fwd, toy_prompts, params)
     para_sets = paraphrase_predict(fwd, bwd, toy_prompts, params)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import shutil
+import weakref
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import stapleforge.methods as methods
 import stapleforge.translator as translator
 from oracles import rewrite_model_file
 from stapleforge.cli import main
@@ -734,6 +736,52 @@ class TestSeriesLoading:
         assert rc == 0
         assert dict(loads) == expected
 
+    @pytest.mark.parametrize(
+        "argv, resident",
+        [(["generate", "--method", "ensemble", "--m", "5"], 1),
+         (["sweep", "--gold", "{gold}", "--m", "2,4,5", "--bwd-series", "{bwd}"], 2)],
+        ids=["ensemble", "sweep"],
+    )
+    def test_each_checkpoint_loads_once_and_few_stay_resident(
+        self, trained_world, fixtures_path, tmp_path, monkeypatch, argv, resident
+    ):
+        """An ensemble decodes every prompt with one checkpoint before loading
+        the next, and later sweep cells read earlier decodes from the memo."""
+        loads: Counter[str] = Counter()
+        loaded: list[weakref.ref] = []
+        most_alive = 0
+
+        def note_alive():
+            nonlocal most_alive
+            most_alive = max(most_alive, sum(ref() is not None for ref in loaded))
+
+        real_load, real_decode = translator.load_checkpoint, methods.decode_nbest
+
+        def load(directory):
+            ckpt = real_load(directory)
+            loads[f"{Path(directory).parent.name}/{Path(directory).name}"] += 1
+            loaded.append(weakref.ref(ckpt))
+            note_alive()
+            return ckpt
+
+        def decode(ckpt, source, params):
+            note_alive()
+            return real_decode(ckpt, source, params)
+
+        monkeypatch.setattr(translator, "load_checkpoint", load)
+        monkeypatch.setattr(methods, "decode_nbest", decode)
+        paths = {"bwd": str(trained_world / "bwd"), "gold": str(fixtures_path / "toy_gold.txt")}
+        rc = run_cli([*(arg.format(**paths) for arg in argv),
+                      "--series", str(trained_world / "fwd"),
+                      "--prompts", str(fixtures_path / "toy_prompts.txt"),
+                      "--out", str(tmp_path / "out.txt")])
+        assert rc == 0
+        expected = {f"fwd/ckpt-{i:04d}": 1 for i in range(1, 6)}
+        if argv[0] == "sweep":
+            expected["bwd/ckpt-0005"] = 1
+        assert dict(loads) == expected
+        assert most_alive == resident
+
     def test_unlisted_checkpoint_is_ignored(self, trained_world, fixtures_path, tmp_path):
         """A stray ckpt-0009 that series.tsv does not list changes no output."""
         parallel = str(fixtures_path / "toy_parallel.tsv")
@@ -861,6 +909,15 @@ def _set_meta_row(path: Path, key: str, value: str) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _rename_word(path: Path, old: str, new: str) -> str:
+    """A lexicon.tsv or lm.tsv text with every ``old`` word column renamed ``new``."""
+    rows = [
+        "\t".join(new if col == old else col for col in row.split("\t"))
+        for row in path.read_text(encoding="utf-8").splitlines()
+    ]
+    return "\n".join(rows) + "\n"
+
+
 def _negative_entry_in_a_row_summing_to_1(path: Path) -> str:
     """lexicon.tsv with its first two probabilities, of one source word, moved
     by +1 and -1: the row still sums to 1 but holds a negative probability."""
@@ -904,6 +961,11 @@ CHECKPOINT_FAULTS = {
     "appended-direction": lambda ckpt: (ckpt / "meta.tsv").write_text(
         (ckpt / "meta.tsv").read_text(encoding="utf-8") + "direction\tbwd\n",
         encoding="utf-8"),
+    # never equal to a canonical gold translation's word, so it used to score as a miss
+    "non-canonical-lexicon-word": lambda ckpt: rewrite_model_file(
+        ckpt, "lexicon.tsv", _rename_word(ckpt / "lexicon.tsv", "gato", "Gato!")),
+    "non-canonical-lm-word": lambda ckpt: rewrite_model_file(
+        ckpt, "lm.tsv", _rename_word(ckpt / "lm.tsv", "gato", "Gato!")),
 }
 
 
@@ -921,4 +983,48 @@ def test_checkpoint_fault_exits_2_and_writes_nothing(
                   "--prompts", str(fixtures_path / "toy_prompts.txt"), "--out", str(out)])
     assert rc == 2
     assert "ckpt-0005" in capsys.readouterr().err
+    assert list(tmp_path.glob("out.txt*")) == []
+
+
+def test_sweep_rejects_a_non_canonical_model_word(trained_world, fixtures_path, tmp_path, capsys):
+    """With `gato` renamed `Gato!` in the newest checkpoint, `score` of the
+    generated predictions canonicalized the word back, but the sweep compared
+    it as written: its nbest n=10 cell read 14.08 where the model scores 30.61."""
+    series = tmp_path / "fwd"
+    shutil.copytree(trained_world / "fwd", series)
+    newest = series / "ckpt-0005"
+    for name in ("lexicon.tsv", "lm.tsv"):
+        rewrite_model_file(newest, name, _rename_word(newest / name, "gato", "Gato!"))
+    rc = run_cli(["sweep", "--series", str(series), "--n", "10", "--n-prime", "", "--m", "",
+                  "--gold", str(fixtures_path / "toy_gold.txt"),
+                  "--prompts", str(fixtures_path / "toy_prompts.txt"),
+                  "--out", str(tmp_path / "table.tsv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "non-canonical word 'Gato!' in lexicon.tsv row" in err
+    assert "ckpt-0005" in err
+    assert list(tmp_path.glob("table.tsv*")) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["generate", "--method", "ensemble", "--m", "5"],
+     ["sweep", "--gold", "{gold}", "--bwd-series", "{bwd}", "--m", "2,5"]],
+    ids=["generate-ensemble", "sweep"],
+)
+def test_bad_oldest_checkpoint_found_late_exits_2_and_writes_nothing(
+    trained_world, fixtures_path, tmp_path, capsys, argv
+):
+    """The oldest checkpoint an ensemble reads loads last, after the others
+    have decoded every prompt: its error fails the command, never degrading
+    prompts or becoming an NA row."""
+    series = tmp_path / "fwd"
+    shutil.copytree(trained_world / "fwd", series)
+    CHECKPOINT_FAULTS["checksum"](series / "ckpt-0001")
+    paths = {"bwd": str(trained_world / "bwd"), "gold": str(fixtures_path / "toy_gold.txt")}
+    out = tmp_path / "out.txt"
+    rc = run_cli([*(arg.format(**paths) for arg in argv), "--series", str(series),
+                  "--prompts", str(fixtures_path / "toy_prompts.txt"), "--out", str(out)])
+    assert rc == 2
+    assert "checksum mismatch for checkpoint" in capsys.readouterr().err
     assert list(tmp_path.glob("out.txt*")) == []

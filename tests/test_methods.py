@@ -5,6 +5,7 @@ import pytest
 from stapleforge.corpus import Prompt, normalize
 from stapleforge.errors import ValidationError
 from stapleforge.methods import (
+    Decoder,
     MethodParams,
     MethodWarning,
     dedup,
@@ -14,11 +15,22 @@ from stapleforge.methods import (
     predict,
 )
 from stapleforge.metrics import score_corpus
-from stapleforge.translator import Checkpoint, build_bigram_lm
+from stapleforge.translator import (
+    BOS,
+    BigramLm,
+    Checkpoint,
+    DecodeParams,
+    build_bigram_lm,
+    decode_nbest,
+)
 
 
 def params(n=10, n_prime=3, m=1, top_k=8):
     return MethodParams(n=n, n_prime=n_prime, m=m, top_k_lexicon=top_k)
+
+
+def decoders(series):
+    return [Decoder.of(ckpt) for ckpt in series.checkpoints]
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +48,61 @@ def identity_pair():
             direction=direction,
         )
 
-    return ckpt("fwd"), ckpt("bwd")
+    return Decoder.of(ckpt("fwd")), Decoder.of(ckpt("bwd"))
+
+
+class TestDecoder:
+    @pytest.fixture()
+    def counted(self, toy_fwd_series, monkeypatch):
+        """A decoder over the newest toy checkpoint, with its loads and decodes counted."""
+        calls = {"load": 0, "decode": 0}
+        ckpt = toy_fwd_series.checkpoints[-1]
+
+        def load():
+            calls["load"] += 1
+            return ckpt
+
+        def decode(*args):
+            calls["decode"] += 1
+            return decode_nbest(*args)
+
+        monkeypatch.setattr("stapleforge.methods.decode_nbest", decode)
+        return Decoder(load, "fwd"), ckpt, calls
+
+    def test_each_request_decodes_once(self, counted):
+        decoder, ckpt, calls = counted
+        source = ["the", "cat", "eats", "fish"]
+        for n in (3, 5, 3, 5):
+            fresh = [" ".join(h.tokens) for h in decode_nbest(ckpt, source, DecodeParams(n))]
+            assert decoder.sentences(source, DecodeParams(n_best=n)) == fresh
+        assert calls == {"load": 1, "decode": 2}
+        decoder.sentences(source, DecodeParams(n_best=3, top_k_lexicon=2))
+        assert calls == {"load": 1, "decode": 3}
+
+    def test_released_decoder_loads_again_only_on_a_miss(self, counted):
+        decoder, _, calls = counted
+        first = decoder.sentences(["the", "dog"], DecodeParams(n_best=5))
+        decoder.release()
+        assert decoder.sentences(["the", "dog"], DecodeParams(n_best=5)) == first
+        assert calls == {"load": 1, "decode": 1}
+        decoder.sentences(["the", "dog"], DecodeParams(n_best=3))
+        assert calls == {"load": 2, "decode": 2}
+
+    def test_rounding_near_tie_is_not_sliced(self):
+        """After "s1 s2", "a z" trails "b z" by one rounding step; the third
+        word's large LM cost rounds both totals to one value, so tokens rank
+        "a z w" first, but the 1-best search pruned "a z" and returns "b z w".
+        n-best(1) is then no prefix of n-best(2), so the memo, keyed on n,
+        answers each n with its own decode."""
+        lexicon = {"s1": {"a": 0.5, "b": 0.5}, "s2": {"z": 1.0}, "s3": {"w": 1.0}}
+        bigram = {(BOS, "a"): -1.0, (BOS, "b"): -1.0, ("a", "z"): -(0.5 + 2**-51),
+                  ("b", "z"): -0.5, ("z", "w"): -1000.0}
+        lm = BigramLm(bigram_logprob=bigram, unseen_logprob={}, unigram_logprob={}, alpha=0.1)
+        ckpt = Checkpoint(iteration=1, lexicon=lexicon, lm=lm, corpus_loglik=-1.0)
+        source = ["s1", "s2", "s3"]
+        decoder = Decoder.of(ckpt)
+        assert decoder.sentences(source, DecodeParams(n_best=2)) == ["a z w", "b z w"]
+        assert decoder.sentences(source, DecodeParams(n_best=1)) == ["b z w"]
 
 
 class TestDedup:
@@ -49,18 +115,18 @@ class TestDedup:
 
 class TestNbestPredict:
     def test_two_candidates_in_score_order(self, toy_fwd_series, toy_prompts):
-        ckpt = toy_fwd_series.checkpoints[-1]
+        ckpt = Decoder.of(toy_fwd_series.checkpoints[-1])
         sets = nbest_predict(ckpt, toy_prompts[:1], params(n=2))
         assert sets[0].prompt_id == "t1"
         assert list(sets[0].candidates) == ["o gato come peixe", "o gato devora peixe"]
 
     def test_n1_returns_single_best(self, toy_fwd_series, toy_prompts):
-        ckpt = toy_fwd_series.checkpoints[-1]
+        ckpt = Decoder.of(toy_fwd_series.checkpoints[-1])
         sets = nbest_predict(ckpt, toy_prompts, params(n=1))
         assert all(len(s.candidates) == 1 for s in sets)
 
     def test_prefix_nesting_in_n(self, toy_fwd_series, toy_prompts):
-        ckpt = toy_fwd_series.checkpoints[-1]
+        ckpt = Decoder.of(toy_fwd_series.checkpoints[-1])
         for k in range(1, 8):
             smaller = nbest_predict(ckpt, toy_prompts, params(n=k))
             larger = nbest_predict(ckpt, toy_prompts, params(n=k + 1))
@@ -74,7 +140,7 @@ class TestNbestPredict:
         monkeypatch.setattr("stapleforge.methods.decode_nbest", boom)
         warnings: list[MethodWarning] = []
         sets = nbest_predict(
-            toy_fwd_series.checkpoints[-1], toy_prompts, params(), warnings=warnings
+            Decoder.of(toy_fwd_series.checkpoints[-1]), toy_prompts, params(), warnings=warnings
         )
         assert all(s.candidates == () for s in sets)
         assert {w.prompt_id for w in warnings} == {p.id for p in toy_prompts}
@@ -88,17 +154,21 @@ class TestNbestPredict:
             raise TypeError("decoder bug")
 
         monkeypatch.setattr("stapleforge.methods.decode_nbest", boom)
-        fwd, bwd = toy_fwd_series.checkpoints[-1], toy_bwd_series.checkpoints[-1]
+        fwd = Decoder.of(toy_fwd_series.checkpoints[-1])
+        bwd = Decoder.of(toy_bwd_series.checkpoints[-1])
         run = {
             "nbest": lambda: nbest_predict(fwd, toy_prompts, params()),
             "paraphrase": lambda: paraphrase_predict(fwd, bwd, toy_prompts, params()),
-            "ensemble": lambda: multi_checkpoint_predict(toy_fwd_series, toy_prompts, params(m=2)),
+            "ensemble": lambda: multi_checkpoint_predict(
+                decoders(toy_fwd_series), toy_prompts, params(m=2)
+            ),
         }[method]
         with pytest.raises(TypeError, match="decoder bug"):
             run()
 
     def test_no_normalization_equivalent_duplicates(self, toy_fwd_series, toy_prompts):
-        sets = nbest_predict(toy_fwd_series.checkpoints[-1], toy_prompts, params(n=10))
+        ckpt = Decoder.of(toy_fwd_series.checkpoints[-1])
+        sets = nbest_predict(ckpt, toy_prompts, params(n=10))
         for s in sets:
             keys = [normalize(c) for c in s.candidates]
             assert len(set(keys)) == len(keys)
@@ -114,8 +184,8 @@ class TestParaphrasePredict:
             assert paraphrase_predict(fwd, bwd, prompts, p) == nbest_predict(fwd, prompts, p)
 
     def test_superset_of_nbest(self, toy_fwd_series, toy_bwd_series, toy_prompts):
-        fwd = toy_fwd_series.checkpoints[-1]
-        bwd = toy_bwd_series.checkpoints[-1]
+        fwd = Decoder.of(toy_fwd_series.checkpoints[-1])
+        bwd = Decoder.of(toy_bwd_series.checkpoints[-1])
         p = params(n=5, n_prime=3)
         base = nbest_predict(fwd, toy_prompts, p)
         extended = paraphrase_predict(fwd, bwd, toy_prompts, p)
@@ -124,8 +194,8 @@ class TestParaphrasePredict:
             assert set(b.candidates) <= set(e.candidates)
 
     def test_candidate_count_bounded_by_pool(self, toy_fwd_series, toy_bwd_series, toy_prompts):
-        fwd = toy_fwd_series.checkpoints[-1]
-        bwd = toy_bwd_series.checkpoints[-1]
+        fwd = Decoder.of(toy_fwd_series.checkpoints[-1])
+        bwd = Decoder.of(toy_bwd_series.checkpoints[-1])
         n, n_prime = 4, 2
         sets = paraphrase_predict(fwd, bwd, toy_prompts, params(n=n, n_prime=n_prime))
         for s in sets:
@@ -133,7 +203,7 @@ class TestParaphrasePredict:
             assert len(s.candidates) <= n + n * n_prime
 
     def test_same_direction_rejected(self, toy_fwd_series, toy_prompts):
-        ckpt = toy_fwd_series.checkpoints[-1]
+        ckpt = Decoder.of(toy_fwd_series.checkpoints[-1])
         with pytest.raises(ValidationError, match="direction"):
             paraphrase_predict(ckpt, ckpt, toy_prompts, params())
 
@@ -146,8 +216,11 @@ class TestParaphrasePredict:
         monkeypatch.setattr("stapleforge.methods.decode_nbest", boom)
         warnings: list[MethodWarning] = []
         sets = paraphrase_predict(
-            toy_fwd_series.checkpoints[-1], toy_bwd_series.checkpoints[-1], toy_prompts,
-            params(), warnings=warnings,
+            Decoder.of(toy_fwd_series.checkpoints[-1]),
+            Decoder.of(toy_bwd_series.checkpoints[-1]),
+            toy_prompts,
+            params(),
+            warnings=warnings,
         )
         assert all(s.candidates == () for s in sets)
         assert [(w.prompt_id, w.stage) for w in warnings] == [
@@ -158,15 +231,15 @@ class TestParaphrasePredict:
 class TestMultiCheckpointPredict:
     def test_m1_equals_nbest_on_last(self, toy_fwd_series, toy_prompts):
         p = params(n=10, m=1)
-        assert multi_checkpoint_predict(toy_fwd_series, toy_prompts, p) == nbest_predict(
-            toy_fwd_series.checkpoints[-1], toy_prompts, p
+        assert multi_checkpoint_predict(decoders(toy_fwd_series), toy_prompts, p) == (
+            nbest_predict(Decoder.of(toy_fwd_series.checkpoints[-1]), toy_prompts, p)
         )
 
     def test_union_latest_first(self, toy_fwd_series, toy_prompts):
-        ckpt_a = toy_fwd_series.checkpoints[-1]
-        ckpt_b = toy_fwd_series.checkpoints[-2]
+        ckpt_a = Decoder.of(toy_fwd_series.checkpoints[-1])
+        ckpt_b = Decoder.of(toy_fwd_series.checkpoints[-2])
         p = params(n=10, m=2)
-        merged = multi_checkpoint_predict(toy_fwd_series, toy_prompts, p)
+        merged = multi_checkpoint_predict(decoders(toy_fwd_series), toy_prompts, p)
         from_a = nbest_predict(ckpt_a, toy_prompts, p)
         from_b = nbest_predict(ckpt_b, toy_prompts, p)
         for m_set, a_set, b_set in zip(merged, from_a, from_b):
@@ -175,12 +248,13 @@ class TestMultiCheckpointPredict:
 
     def test_m_exceeding_series_rejected(self, toy_fwd_series, toy_prompts):
         with pytest.raises(ValidationError, match=r"m=9 exceeds the series length 5"):
-            multi_checkpoint_predict(toy_fwd_series, toy_prompts, params(m=9))
+            multi_checkpoint_predict(decoders(toy_fwd_series), toy_prompts, params(m=9))
 
     def test_degraded_prompt_warns_once(self, toy_fwd_series, toy_prompts):
         warnings: list[MethodWarning] = []
         sets = multi_checkpoint_predict(
-            toy_fwd_series, [*toy_prompts, Prompt("px", "?!")], params(m=3), warnings=warnings
+            decoders(toy_fwd_series), [*toy_prompts, Prompt("px", "?!")], params(m=3),
+            warnings=warnings,
         )
         assert sets[-1].candidates == ()
         assert warnings == [MethodWarning("px", "ensemble", "no candidates")]
@@ -188,7 +262,9 @@ class TestMultiCheckpointPredict:
     def test_recall_monotone_in_m(self, toy_fwd_series, toy_prompts, toy_golds):
         previous = None
         for m in range(1, len(toy_fwd_series) + 1):
-            sets = multi_checkpoint_predict(toy_fwd_series, toy_prompts, params(n=10, m=m))
+            sets = multi_checkpoint_predict(
+                decoders(toy_fwd_series), toy_prompts, params(n=10, m=m)
+            )
             score = score_corpus(toy_golds, sets)
             if previous is not None:
                 for cur, prev in zip(score.per_prompt, previous.per_prompt):
@@ -199,10 +275,12 @@ class TestMultiCheckpointPredict:
     def test_fixture_world_recall_actually_grows(self, toy_fwd_series, toy_prompts, toy_golds):
         # guards the fixture design: the ensemble must add real gold hits
         small = score_corpus(
-            toy_golds, multi_checkpoint_predict(toy_fwd_series, toy_prompts, params(n=10, m=1))
+            toy_golds,
+            multi_checkpoint_predict(decoders(toy_fwd_series), toy_prompts, params(n=10, m=1)),
         )
         large = score_corpus(
-            toy_golds, multi_checkpoint_predict(toy_fwd_series, toy_prompts, params(n=10, m=5))
+            toy_golds,
+            multi_checkpoint_predict(decoders(toy_fwd_series), toy_prompts, params(n=10, m=5)),
         )
         assert large.mean_weighted_recall > small.mean_weighted_recall
 
@@ -211,33 +289,33 @@ class TestPredict:
     def test_runs_each_method_on_its_newest_checkpoints(
         self, toy_fwd_series, toy_bwd_series, toy_prompts
     ):
-        fwd, bwd = toy_fwd_series.checkpoints[-1], toy_bwd_series.checkpoints[-1]
+        fwd = Decoder.of(toy_fwd_series.checkpoints[-1])
+        bwd = Decoder.of(toy_bwd_series.checkpoints[-1])
+        fwds, bwds = decoders(toy_fwd_series), decoders(toy_bwd_series)
         p = params(n=4, n_prime=2, m=3)
-        assert predict("nbest", toy_fwd_series, None, toy_prompts, p) == nbest_predict(
-            fwd, toy_prompts, p
+        assert predict("nbest", fwds, [], toy_prompts, p) == nbest_predict(fwd, toy_prompts, p)
+        assert predict("paraphrase", fwds, bwds, toy_prompts, p) == paraphrase_predict(
+            fwd, bwd, toy_prompts, p
         )
-        assert predict(
-            "paraphrase", toy_fwd_series, toy_bwd_series, toy_prompts, p
-        ) == paraphrase_predict(fwd, bwd, toy_prompts, p)
-        assert predict("ensemble", toy_fwd_series, None, toy_prompts, p) == (
-            multi_checkpoint_predict(toy_fwd_series, toy_prompts, p)
+        assert predict("ensemble", fwds, [], toy_prompts, p) == (
+            multi_checkpoint_predict(decoders(toy_fwd_series), toy_prompts, p)
         )
 
     def test_paraphrase_without_backward_model_rejected(self, toy_fwd_series, toy_prompts):
         with pytest.raises(ValidationError, match="backward model"):
-            predict("paraphrase", toy_fwd_series, None, toy_prompts, params())
+            predict("paraphrase", decoders(toy_fwd_series), [], toy_prompts, params())
 
 
 class TestDeterminism:
     def test_methods_are_deterministic(self, toy_fwd_series, toy_bwd_series, toy_prompts):
-        fwd = toy_fwd_series.checkpoints[-1]
-        bwd = toy_bwd_series.checkpoints[-1]
+        fwd = Decoder.of(toy_fwd_series.checkpoints[-1])
+        bwd = Decoder.of(toy_bwd_series.checkpoints[-1])
         p = params(n=6, n_prime=2, m=3)
         runs = [
             (
                 nbest_predict(fwd, toy_prompts, p),
                 paraphrase_predict(fwd, bwd, toy_prompts, p),
-                multi_checkpoint_predict(toy_fwd_series, toy_prompts, p),
+                multi_checkpoint_predict(decoders(toy_fwd_series), toy_prompts, p),
             )
             for _ in range(2)
         ]

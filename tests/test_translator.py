@@ -81,6 +81,16 @@ class TestTrainToy:
             train_toy([(["a"], ["x"]), pair], 2, tmp_path / "s")
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("word", ["Gato", "gato!", "gato peixe"])
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_non_canonical_word_rejected_before_anything_is_written(self, tmp_path, word, side):
+        """Such a word used to train and save a series that load_checkpoint
+        then refused, breaking load_series(d) == train_toy(..., d)."""
+        pair = (["a", word], ["x"]) if side == "source" else (["b"], ["x", word])
+        with pytest.raises(ValidationError, match=f"pair 2 holds the non-canonical word '{word}'"):
+            train_toy([(["a"], ["x"]), pair], 2, tmp_path / "s")
+        assert not (tmp_path / "s").exists()
+
     def test_all_pairs_unusable_rejected(self):
         with pytest.raises(ValidationError):
             train_toy([([], [])], 1, None)
@@ -363,6 +373,24 @@ class TestCheckpointFaults:
             load_checkpoint(ckpt)
 
 
+class TestNbestPrefix:
+    """n-best(n) is the first n entries of n-best(N) and the exhaustive n-best
+    on random lattices; a rounding near-tie can break it, which is why
+    ``methods.Decoder`` keys its memo on n (``TestDecoder``)."""
+
+    def test_random_lattices(self):
+        rng = random.Random(4242)
+        for i in range(60):
+            ckpt, source = gen_random_lattice(rng, max_space=5_000)
+            deep_n = rng.randint(2, 40)
+            oracle = exhaustive_nbest(ckpt, source, deep_n)
+            deep = decode_nbest(ckpt, source, DecodeParams(n_best=deep_n))
+            assert deep == oracle, f"instance {i}"
+            for n in {1, rng.randint(1, deep_n), deep_n - 1}:
+                got = decode_nbest(ckpt, source, DecodeParams(n_best=n))
+                assert got == deep[:n] == oracle[:n], f"instance {i}, n={n}"
+
+
 class TestLoadedModelSharing:
     """A loaded series holds what its checkpoints share once, as a trained one does."""
 
@@ -374,6 +402,17 @@ class TestLoadedModelSharing:
         assert all(c.lm is lm for c in loaded.checkpoints)
         text = (tmp_path / "s" / "ckpt-0003" / "lm.tsv").read_text(encoding="utf-8")
         assert lm == translator._parse_lm.__wrapped__(text, lm.alpha)
+
+    def test_interleaved_series_loads_keep_one_lm_each(self, tmp_path):
+        """Loading fwd, bwd, fwd used to parse the forward LM a second time."""
+        train_toy(HAND_CORPUS, 2, tmp_path / "fwd")
+        train_toy([(tgt, src) for src, tgt in HAND_CORPUS], 1, tmp_path / "bwd",
+                  direction="bwd")
+        first = load_checkpoint(tmp_path / "fwd" / "ckpt-0001")
+        bwd = load_checkpoint(tmp_path / "bwd" / "ckpt-0001")
+        second = load_checkpoint(tmp_path / "fwd" / "ckpt-0002")
+        assert second.lm is first.lm
+        assert bwd.lm != first.lm
 
     def test_distinct_lm_files_load_distinct_lms(self, tmp_path):
         trained = train_toy(HAND_CORPUS, 3, tmp_path / "s")
