@@ -38,6 +38,9 @@ only, so manifests stay byte-reproducible. ``train`` is byte-reproducible
 too, with no environment variable: a checkpoint records nothing about when
 it was written.
 
+Every command checks its output paths, sidecars included, before it reads
+any input: one it cannot write exits 2 with nothing written.
+
 Exit codes: 0 success, 2 input/validation error, 3 empty-work error,
 1 internal error.
 """
@@ -49,6 +52,7 @@ import functools
 import hashlib
 import io
 import logging
+import os
 import sys
 import time
 from dataclasses import replace
@@ -113,6 +117,31 @@ def _read_text(path: str) -> str:
     return p.read_text(encoding="utf-8")
 
 
+def _check_writable(path: str, *sidecars: str, directory: bool = False) -> None:
+    """Raise ValidationError naming the first of ``path`` and its
+    ``<path><sidecar>`` files that cannot be written, before any work is done.
+
+    A file must be a new entry of, or a file in, a writable directory. The
+    ``directory`` that ``train`` fills must be a writable directory or a new
+    one under the nearest existing, writable directory.
+    """
+    for target in (Path(path), *(Path(path + sidecar) for sidecar in sidecars)):
+        if target.exists():
+            if target.is_dir() != directory:
+                what = "a file" if directory else "a directory"
+                raise ValidationError(f"cannot write {target}: it is {what}")
+            existing = target
+        else:
+            existing = target.parent
+            while directory and not existing.exists():
+                existing = existing.parent
+            if not existing.is_dir():
+                reason = "is not a directory" if existing.exists() else "does not exist"
+                raise ValidationError(f"cannot write {target}: {existing} {reason}")
+        if not os.access(existing, os.W_OK):
+            raise ValidationError(f"cannot write {target}: permission denied")
+
+
 def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
@@ -153,6 +182,8 @@ def fixtures_dir() -> Path:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    if args.out:
+        _check_writable(args.out)
     golds = parse_gold(_read_text(args.gold))
     preds = parse_predictions(_read_text(args.pred))
     score = score_corpus(golds, preds)
@@ -182,6 +213,7 @@ def _parse_parallel(text: str, swap: bool) -> list[tuple[list[str], list[str]]]:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    _check_writable(args.out, directory=True)
     pairs = _parse_parallel(_read_text(args.parallel), args.direction == "bwd")
     series = train_toy(
         pairs, args.iterations, args.out, direction=args.direction, alpha=args.alpha
@@ -222,6 +254,7 @@ def _load_model(
 
 def cmd_generate(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    _check_writable(args.out, ".warnings.tsv", ".manifest.tsv")
     prompts = parse_prompts(_read_text(args.prompts))
     params = MethodParams(n=args.n, n_prime=args.n_prime, m=args.m, top_k_lexicon=args.top_k)
     inputs: dict[str, str] = {"prompts": sha256_path(Path(args.prompts))}
@@ -259,6 +292,7 @@ def _percent(x: float) -> str:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    _check_writable(args.out, ".manifest.tsv")
     # nbest cells vary n; paraphrase cells vary n' and ensemble cells m at
     # n = fixed_n. Building the params validates every value before any work.
     base = MethodParams(n=args.fixed_n, top_k_lexicon=args.top_k)

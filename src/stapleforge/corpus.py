@@ -35,7 +35,6 @@ import logging
 import re
 import unicodedata
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, TextIO
 
 from .errors import ParseError, ValidationError
@@ -47,9 +46,21 @@ WEIGHT_SUM_TOLERANCE = 1e-6
 WEIGHT_LITERAL = re.compile(r"[0-9]+(?:\.[0-9]{1,6})?")
 
 
-@lru_cache(maxsize=None)
 def is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
+
+
+class _PunctDeletion(dict):
+    """A ``str.translate`` table deleting punctuation: each code point is
+    looked up with ``is_punct`` the first time it is met, then remembered."""
+
+    def __missing__(self, code: int) -> int | None:
+        kept = None if is_punct(chr(code)) else code
+        self[code] = kept
+        return kept
+
+
+_DROP_PUNCT = _PunctDeletion()
 
 
 def normalize(text: str) -> str:
@@ -62,7 +73,7 @@ def normalize(text: str) -> str:
     tokenization.
     """
     text = unicodedata.normalize("NFC", text).lower()
-    text = "".join(ch for ch in text if not is_punct(ch))
+    text = text.translate(_DROP_PUNCT)
     text = " ".join(text.split())
     # removing characters can juxtapose a base letter with a combining mark;
     # re-composing keeps normalize(normalize(x)) == normalize(x)

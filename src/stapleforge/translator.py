@@ -18,7 +18,14 @@ model has no such search problem, so that width has no counterpart here.
 Totals are summed in the same order as by exhaustive enumeration, which the
 decoder matches element for element.
 
-A checkpoint is persisted after every EM iteration. On-disk layout, one
+A checkpoint is persisted after every EM iteration. Training does each
+piece of work once: the E-step that reads a lexicon also adds up its corpus
+log-likelihood from the same sums, in the same order (Och & Ney 2003), so
+checkpoint i is saved once the E-step of iteration i + 1 is done and only the
+last checkpoint takes a separate ``corpus_loglikelihood`` pass; the M-step
+formats each lexicon value once, for both the quantized value and the
+lexicon.tsv text; and lm.tsv is rendered once per series. Every file is
+byte-identical to rendering each checkpoint on its own. On-disk layout, one
 directory per checkpoint:
 
     meta.tsv     key<TAB>value rows: iteration, direction, corpus_loglik,
@@ -51,14 +58,16 @@ series directory, indexed by its ``series.tsv``:
     ...
 
 one row per checkpoint, iterations strictly increasing and log-likelihoods
-non-decreasing. The index is the source of truth: training rewrites it
-atomically after each checkpoint is complete, so an interrupted run leaves an
-index of complete checkpoints, and a ``ckpt-*`` directory it does not list is
-never loaded. ``read_series_index`` reads and validates the index, and
-``load_indexed_checkpoint`` loads one checkpoint it lists, checked against its
-row, so a caller can load each checkpoint only when it needs it (the commands
-do, through ``methods.Decoder``); ``load_series`` loads the newest ones at
-once. Training refuses a directory that already holds a series.
+non-decreasing. ``save_checkpoint`` writes a checkpoint into
+``.ckpt-NNNN.partial/`` and renames it into place, so a ``ckpt-NNNN/``
+directory is always complete. The index is the source of truth: training
+rewrites it atomically after each checkpoint is in place, so an interrupted
+run leaves an index of complete checkpoints, and a ``ckpt-*`` directory it
+does not list is never loaded. ``read_series_index`` reads and validates the
+index, and ``load_indexed_checkpoint`` loads one checkpoint it lists, checked
+against its row, so a caller can load each checkpoint only when it needs it
+(the commands do, through ``methods.Decoder``); ``load_series`` loads the
+newest ones at once. Training refuses a directory that already holds a series.
 
 A loaded series holds its shared state once, as a trained one does: the
 checkpoints of a series have the same lm.tsv, which is parsed once into one
@@ -75,6 +84,7 @@ import logging
 import math
 import os
 import re
+import shutil
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -98,6 +108,7 @@ RESERVED_TOKENS = (BOS, EOS, UNSEEN, BACKOFF)
 
 DIRECTIONS = ("fwd", "bwd")
 SERIES_INDEX = "series.tsv"
+CHECKPOINT_FILES = ("lexicon.tsv", "lm.tsv", "meta.tsv")  # in the order they are written
 # iterations count from 1: a positive decimal integer, zero-padded in names
 _ITERATION = re.compile(r"[1-9][0-9]*")
 _CKPT_NAME = re.compile(rf"ckpt-0*({_ITERATION.pattern})")
@@ -111,6 +122,27 @@ def quantize(x: float) -> float:
     if x == 0.0 or not math.isfinite(x):
         return x
     return float(f"{x:.12g}")
+
+
+def _format_value(x: float) -> tuple[float, str]:
+    """``quantize(x)`` and its ``repr``, from one 12-digit formatting.
+
+    A normal float's shortest round-trip digits are the at most 12 digits
+    that ``.12g`` wrote for it, and both forms use fixed notation for
+    exponents -4 to 11 and scientific notation below -4; ``repr`` only adds
+    ".0" to an integral value. Every other value, subnormal, large or not
+    finite, takes ``repr``.
+    """
+    s = f"{x:.12g}"
+    value = float(s)
+    if "e" not in s:
+        if "." in s:
+            return value, s
+        if s[-1].isdigit():
+            return value, s + ".0"
+    elif "e-" in s and abs(value) >= sys.float_info.min:
+        return value, s
+    return value, repr(value)
 
 
 @dataclass(frozen=True, eq=True)
@@ -200,6 +232,11 @@ class Checkpoint:
     emissions: dict[tuple[str, int], list[tuple[str, float]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # model files rendered by training, by file name, for save_checkpoint to
+    # write instead of rendering them again; it empties this once written
+    rendered: dict[str, bytes] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.iteration < 1:
@@ -260,12 +297,11 @@ def corpus_loglikelihood(
         if not src or not tgt:
             continue
         inv_len = 1.0 / len(src)
+        rows = [lexicon[e] for e in src if e in lexicon]
         for f in tgt:
             inner = 0.0
-            for e in src:
-                row = lexicon.get(e)
-                if row is not None:
-                    inner += row.get(f, 0.0)
+            for row in rows:
+                inner += row.get(f, 0.0)
             total += math.log(max(inner * inv_len, PROB_FLOOR))
     return total
 
@@ -280,9 +316,11 @@ def train_toy(
     """EM-train the lexicon, persisting a checkpoint after every iteration.
 
     checkpoint_dir=None trains in memory only. Otherwise the directory must
-    not already hold a series, and series.tsv is rewritten after every saved
-    checkpoint. A pair using a reserved token is rejected before anything is
-    written: the LM file gives those tokens their own meaning. So is a pair
+    not already hold a series, each checkpoint is saved with
+    ``save_checkpoint`` once the next E-step has summed its log-likelihood,
+    and series.tsv is rewritten after every saved checkpoint. A pair using a
+    reserved token is rejected before anything is written: the LM file gives
+    those tokens their own meaning. So is a pair
     holding a word that is not one canonical token, which ``load_checkpoint``
     would reject, so every saved series loads back. Training is
     deterministic: no randomness anywhere, and iteration order is the corpus
@@ -324,38 +362,33 @@ def train_toy(
             f"{min(bad.intersection((*src, *tgt)))!r}: {src!r} -> {tgt!r}"
         )
 
-    cooc: dict[str, set[str]] = {}
+    # the support never changes: each source word's row holds the words it
+    # co-occurs with, in order of first co-occurrence, the order its counts
+    # are summed in; lexicon.tsv lists both sorted
+    zero_counts: dict[str, dict[str, float]] = {}
     for src, tgt in pairs:
-        for e in set(src):
-            cooc.setdefault(e, set()).update(tgt)
+        zeros = dict.fromkeys(tgt, 0.0)
+        for e in src:
+            zero_counts.setdefault(e, {}).update(zeros)
+    support = {e: sorted(zero_counts[e]) for e in sorted(zero_counts)}
     lexicon: LexiconTable = {
-        e: {f: quantize(1.0 / len(targets)) for f in sorted(targets)}
-        for e, targets in cooc.items()
+        e: dict.fromkeys(targets, quantize(1.0 / len(targets)))
+        for e, targets in support.items()
     }
 
     lm = build_bigram_lm([tgt for _, tgt in pairs], alpha=alpha)
+    lm_text = b""
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+        lm_text = _lm_text(lm).encode("utf-8")
 
     checkpoints: list[Checkpoint] = []
-    for it in range(1, iterations + 1):
-        counts: dict[str, dict[str, float]] = {}
-        for src, tgt in pairs:
-            for f in tgt:
-                z = 0.0
-                for e in src:
-                    z += lexicon[e][f]
-                for e in src:
-                    share = lexicon[e][f] / z
-                    row = counts.setdefault(e, {})
-                    row[f] = row.get(f, 0.0) + share
-        lexicon = {}
-        for e, row in counts.items():
-            norm = sum(row.values())
-            lexicon[e] = {f: quantize(c / norm) for f, c in row.items()}
-        loglik = corpus_loglikelihood(lexicon, pairs)
+
+    def finish(
+        iteration: int, lexicon: LexiconTable, lexicon_text: bytes, loglik: float
+    ) -> None:
         ckpt = Checkpoint(
-            iteration=it,
+            iteration=iteration,
             lexicon=lexicon,
             lm=lm,
             corpus_loglik=loglik,
@@ -363,10 +396,70 @@ def train_toy(
         )
         checkpoints.append(ckpt)
         if out_dir is not None:
-            save_checkpoint(ckpt, out_dir / checkpoint_name(it))
+            ckpt.rendered.update({"lexicon.tsv": lexicon_text, "lm.tsv": lm_text})
+            save_checkpoint(ckpt, out_dir / checkpoint_name(iteration))
             _write_series_index(out_dir, checkpoints, direction)
-        log.info("iteration %d: corpus log-likelihood %.6f", it, loglik)
+        log.info("iteration %d: corpus log-likelihood %.6f", iteration, loglik)
+
+    # the E-step of iteration it + 1 sums the log-likelihood of the lexicon
+    # of iteration it, so that checkpoint is complete only after it
+    lexicon_text = b""
+    for it in range(1, iterations + 1):
+        counts, loglik = _expected_counts(lexicon, pairs, zero_counts)
+        if it > 1:
+            finish(it - 1, lexicon, lexicon_text, loglik)
+        lexicon, lexicon_text = _renormalize(counts, support)
+    finish(iterations, lexicon, lexicon_text, corpus_loglikelihood(lexicon, pairs))
     return CheckpointSeries(checkpoints=tuple(checkpoints))
+
+
+def _expected_counts(
+    lexicon: LexiconTable,
+    pairs: Sequence[tuple[TokenSeq, TokenSeq]],
+    zero_counts: dict[str, dict[str, float]],
+) -> tuple[dict[str, dict[str, float]], float]:
+    """The E-step: fractional counts under ``lexicon``, starting from a copy
+    of ``zero_counts``, and its ``corpus_loglikelihood``, added up from the
+    same sums in the same order."""
+    counts = {e: row.copy() for e, row in zero_counts.items()}
+    loglik = 0.0
+    log = math.log
+    for src, tgt in pairs:
+        inv_len = 1.0 / len(src)
+        rows = [lexicon[e] for e in src]
+        cells = [(lexicon[e], counts[e]) for e in src]
+        for f in tgt:
+            z = 0.0
+            for row in rows:
+                z += row[f]
+            loglik += log(max(z * inv_len, PROB_FLOOR))
+            for row, count_row in cells:
+                count_row[f] += row[f] / z
+    return counts, loglik
+
+
+def _renormalize(
+    counts: dict[str, dict[str, float]], support: dict[str, list[str]]
+) -> tuple[LexiconTable, bytes]:
+    """The M-step: the quantized lexicon and its lexicon.tsv text.
+
+    Each value is formatted once (``_format_value``), for both; the text is
+    built one source word's rows at a time.
+    """
+    lexicon: LexiconTable = {}
+    blocks: list[bytes] = []
+    for e, targets in support.items():
+        row = counts[e]
+        norm = sum(row.values())
+        new_row: dict[str, float] = {}
+        lines = []
+        for f in targets:
+            value, text = _format_value(row[f] / norm)
+            new_row[f] = value
+            lines.append(f"{e}\t{f}\t{text}\n")
+        lexicon[e] = new_row
+        blocks.append("".join(lines).encode("utf-8"))
+    return lexicon, b"".join(blocks)
 
 
 def emission_candidates(
@@ -426,11 +519,11 @@ def decode_nbest(
     return [Hypothesis(tokens=toks, total_logprob=-neg) for _, toks, neg in ranked[:n]]
 
 
-def _checksum(lexicon_text: str, lm_text: str) -> str:
+def _checksum(lexicon_text: bytes, lm_text: bytes) -> str:
     digest = hashlib.sha256()
-    digest.update(lexicon_text.encode("utf-8"))
+    digest.update(lexicon_text)
     digest.update(b"\x00")
-    digest.update(lm_text.encode("utf-8"))
+    digest.update(lm_text)
     return digest.hexdigest()
 
 
@@ -451,11 +544,26 @@ def _lm_text(lm: BigramLm) -> str:
 
 
 def save_checkpoint(ckpt: Checkpoint, directory: Path | str) -> None:
-    """Persist a checkpoint; two saves of the same checkpoint are byte-identical."""
+    """Persist a checkpoint; two saves of the same checkpoint are byte-identical.
+
+    The files are written into ``.NAME.partial`` beside ``directory``, which
+    then takes their place with one rename, so ``directory`` is never
+    half-written: a save that fails removes the partial directory, and a
+    partial directory left by a crash is cleared by the next save of that
+    name. An existing ``directory`` is replaced, by way of ``.NAME.stale``;
+    it may hold checkpoint files only.
+    """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    lexicon_text = _lexicon_text(ckpt.lexicon)
-    lm_text = _lm_text(ckpt.lm)
+    old = sorted(p.name for p in directory.iterdir()) if directory.is_dir() else []
+    if not set(old) <= set(CHECKPOINT_FILES):
+        raise ValidationError(f"{directory} holds files other than a checkpoint's: {old}")
+    rendered = ckpt.rendered
+    lexicon_text = rendered.get("lexicon.tsv")
+    if lexicon_text is None:
+        lexicon_text = _lexicon_text(ckpt.lexicon).encode("utf-8")
+    lm_text = rendered.get("lm.tsv")
+    if lm_text is None:
+        lm_text = _lm_text(ckpt.lm).encode("utf-8")
     meta_rows = [
         ("iteration", str(ckpt.iteration)),
         ("direction", ckpt.direction),
@@ -463,11 +571,30 @@ def save_checkpoint(ckpt: Checkpoint, directory: Path | str) -> None:
         ("alpha", repr(ckpt.lm.alpha)),
         ("checksum", _checksum(lexicon_text, lm_text)),
     ]
-    (directory / "lexicon.tsv").write_text(lexicon_text, encoding="utf-8", newline="\n")
-    (directory / "lm.tsv").write_text(lm_text, encoding="utf-8", newline="\n")
-    (directory / "meta.tsv").write_text(
-        "".join(f"{k}\t{v}\n" for k, v in meta_rows), encoding="utf-8", newline="\n"
-    )
+    meta_text = "".join(f"{k}\t{v}\n" for k, v in meta_rows).encode("utf-8")
+
+    partial = directory.parent / f".{directory.name}.partial"
+    stale = directory.parent / f".{directory.name}.stale"
+    for leftover in (partial, stale):
+        if leftover.exists():
+            shutil.rmtree(leftover)
+    partial.mkdir(parents=True)
+    try:
+        for name, data in zip(CHECKPOINT_FILES, (lexicon_text, lm_text, meta_text)):
+            (partial / name).write_bytes(data)
+        if directory.exists():
+            # an existing checkpoint is swapped out, then removed
+            os.replace(directory, stale)
+            os.replace(partial, directory)
+            for name in old:
+                (stale / name).unlink()
+            stale.rmdir()
+        else:
+            os.replace(partial, directory)
+    except BaseException:
+        shutil.rmtree(partial, ignore_errors=True)
+        raise
+    rendered.clear()
 
 
 def _read_file(directory: Path, name: str) -> str:
@@ -592,7 +719,7 @@ def load_checkpoint(directory: Path | str) -> Checkpoint:
     iteration = _meta_value(meta, "iteration", _iteration, directory)
     corpus_loglik = _meta_value(meta, "corpus_loglik", _finite_float, directory)
     alpha = _meta_value(meta, "alpha", _finite_float, directory)
-    if meta["checksum"] != _checksum(lexicon_text, lm_text):
+    if meta["checksum"] != _checksum(lexicon_text.encode("utf-8"), lm_text.encode("utf-8")):
         raise CheckpointError(f"checksum mismatch for checkpoint {directory}")
 
     # interned words: all loaded checkpoints, and the LM, share one string per word

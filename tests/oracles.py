@@ -4,7 +4,8 @@ a helper that edits a checkpoint's model files behind its checksum.
 Everything here deliberately re-derives results from first principles rather
 than calling the implementation paths it checks: the decoding oracle
 enumerates every candidate sequence, the BPE oracle rescans the whole corpus
-every round, and the scoring oracle evaluates the metric definitions directly
+every round, the normalization oracle tests each character on its own, and
+the scoring oracle evaluates the metric definitions directly
 on normalized sets.
 """
 
@@ -14,6 +15,7 @@ import hashlib
 import itertools
 import math
 import random
+import unicodedata
 from collections import Counter
 from pathlib import Path
 from typing import Sequence
@@ -76,6 +78,15 @@ def exhaustive_nbest(
         hyps.append(Hypothesis(tokens=tuple(toks), total_logprob=total))
     hyps.sort(key=lambda h: (-h.avg_logprob, h.tokens))
     return hyps[:n_best]
+
+
+def normalize_oracle(text: str) -> str:
+    """``corpus.normalize`` written character by character: NFC, lowercase,
+    drop each character whose Unicode category is punctuation, collapse
+    whitespace, NFC."""
+    text = unicodedata.normalize("NFC", text).lower()
+    text = "".join(ch for ch in text if not unicodedata.category(ch).startswith("P"))
+    return unicodedata.normalize("NFC", " ".join(text.split()))
 
 
 def bpe_learn_oracle(corpus: list[list[str]], num_merges: int) -> list[tuple[str, str]]:

@@ -38,12 +38,13 @@ def test_traced_name_resolves(name):
 
 
 def observe(monkeypatch, tracer, name: str) -> None:
-    """Replace ``name`` by the tracer's bookkeeping wrapper at every import
-    site, as ``Tracer.install`` does, until the test ends."""
+    """Replace ``name``, one of the tracer's spans, by its timing and
+    bookkeeping wrappers at every import site, as ``Tracer.install`` does,
+    until the test ends."""
     modules = [importlib.import_module(f"stapleforge.{m}") for m in tracer_module.MODULES]
     mod, attr = name.split(".")
     original = getattr(importlib.import_module(f"stapleforge.{mod}"), attr)
-    wrapper = tracer._observe(name, original)
+    wrapper = tracer.span(name, tracer._observe(name, original))
     for module in modules:
         for key, value in list(vars(module).items()):
             if value is original:
@@ -75,3 +76,19 @@ def test_call_shapes_the_tracer_observes(monkeypatch, tmp_path, fixtures_path):
     assert all(isinstance(ckpt, Checkpoint) for ckpt in tracer.alive)
     assert tracer.decoded_ckpts == tracer.loaded_ckpts
     assert {top_k for _, _, top_k in tracer.decode_keys} == {5}
+
+
+@pytest.mark.parametrize("iterations", [1, 3])
+def test_traced_train_saves_each_checkpoint_once(monkeypatch, tmp_path, fixtures_path,
+                                                 iterations):
+    """The benchmark's save time and bytes are those of one save_checkpoint
+    call per iteration, each leaving its final directory in place, so a
+    training path that writes checkpoints some other way fails here."""
+    tracer = tracer_module.Tracer()
+    observe(monkeypatch, tracer, "translator.save_checkpoint")
+    out = tmp_path / "series"
+    assert main(["train", "--parallel", str(fixtures_path / "toy_parallel.tsv"),
+                 "--iterations", str(iterations), "--out", str(out)]) == 0
+    names = [span[2] for span in tracer.spans]
+    assert names == ["translator.save_checkpoint"] * iterations
+    assert tracer.saved_bytes == sum(p.stat().st_size for p in out.glob("ckpt-*/*"))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import shutil
 import weakref
 from collections import Counter
@@ -13,6 +14,9 @@ from oracles import rewrite_model_file
 from stapleforge.cli import main
 from stapleforge.corpus import normalize
 from stapleforge.translator import load_series
+
+
+TESTS_DIR = Path(__file__).resolve().parent
 
 
 def run_cli(argv):
@@ -629,6 +633,32 @@ class TestReproducibility:
         assert len(trees[0]) == 7  # series.tsv and 3 files per checkpoint
         assert all(tree == trees[0] for tree in trees)
 
+    def test_trained_fixture_series_match_recorded_digests(
+        self, fixtures_path, tmp_path, toy_fwd_series, toy_bwd_series
+    ):
+        """Every file of the fixture's 5-iteration fwd and bwd series has the
+        SHA-256 recorded in toy_series.sha256 (``sha256sum`` format), and the
+        series trained in memory equals the saved one.
+
+        The digests were recorded while every checkpoint was still rendered,
+        summed and saved on its own, so a faster training path that changes
+        one byte of a series fails here."""
+        recorded = {}
+        for line in (TESTS_DIR / "toy_series.sha256").read_text(encoding="utf-8").splitlines():
+            digest, name = line.split("  ", 1)
+            recorded[name] = digest
+        for direction in ("fwd", "bwd"):
+            assert run_cli(["train", "--parallel", str(fixtures_path / "toy_parallel.tsv"),
+                            "--iterations", "5", "--out", str(tmp_path / direction),
+                            "--direction", direction]) == 0
+        found = {
+            p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.rglob("*") if p.is_file()
+        }
+        assert found == recorded
+        assert load_series(tmp_path / "fwd") == toy_fwd_series
+        assert load_series(tmp_path / "bwd") == toy_bwd_series
+
     def test_series_with_created_at_rows_still_loads(self, trained_world, fixtures_path,
                                                     tmp_path):
         """meta.tsv files written before checkpoints stopped recording a
@@ -660,6 +690,81 @@ class TestReproducibility:
         assert run_cli(argv) == 0
         assert out.read_bytes() == first
         assert (tmp_path / "pred.txt.manifest.tsv").read_bytes() == first_manifest
+
+
+class TestUnwritableOut:
+    """An --out that cannot be written exits 2 naming it, before any work and
+    with nothing written; it used to exit 1 after all the work."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        for name in ("_read_text", "train_toy", "predict", "score_corpus"):
+            monkeypatch.setattr(f"stapleforge.cli.{name}", boom)
+
+    @pytest.mark.parametrize("out, reason", [
+        ("file", "it is a file"),
+        ("file/series", "file is not a directory"),
+    ])
+    def test_train(self, fixtures_path, tmp_path, monkeypatch, capsys, out, reason):
+        monkeypatch.chdir(tmp_path)
+        Path("file").write_text("kept", encoding="utf-8")
+        rc = run_cli(["train", "--parallel", str(fixtures_path / "toy_parallel.tsv"),
+                      "--iterations", "1", "--out", out])
+        assert rc == 2
+        assert f"cannot write {out}: {reason}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert Path("file").read_text(encoding="utf-8") == "kept"
+
+    @pytest.mark.parametrize("out, made", [
+        ("dir", "dir"),
+        ("missing/pred.txt", None),
+        ("pred.txt", "pred.txt.warnings.tsv"),
+        ("pred.txt", "pred.txt.manifest.tsv"),
+    ])
+    def test_generate(self, trained_world, fixtures_path, tmp_path, monkeypatch, capsys,
+                      out, made):
+        monkeypatch.chdir(tmp_path)
+        if made:
+            Path(made).mkdir()
+        rc = run_cli(["generate", "--method", "nbest", "--series", str(trained_world / "fwd"),
+                      "--prompts", str(fixtures_path / "toy_prompts.txt"), "--out", out])
+        assert rc == 2
+        assert f"cannot write {made or out}: " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ([made] if made else [])
+
+    @pytest.mark.parametrize("out, made", [
+        ("table.tsv", "table.tsv"),
+        ("missing/table.tsv", None),
+        ("table.tsv", "table.tsv.manifest.tsv"),
+    ])
+    def test_sweep(self, trained_world, fixtures_path, tmp_path, monkeypatch, capsys,
+                   out, made):
+        monkeypatch.chdir(tmp_path)
+        if made:
+            Path(made).mkdir()
+        rc = run_cli(["sweep", "--series", str(trained_world / "fwd"),
+                      "--gold", str(fixtures_path / "toy_gold.txt"),
+                      "--prompts", str(fixtures_path / "toy_prompts.txt"), "--out", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {made or out}: " in err
+        if made is None:
+            assert "missing does not exist" in err
+        assert [p.name for p in tmp_path.iterdir()] == ([made] if made else [])
+
+    @pytest.mark.parametrize("out", ["report", "missing/report.tsv"])
+    def test_score(self, fixtures_path, tmp_path, monkeypatch, capsys, out):
+        monkeypatch.chdir(tmp_path)
+        Path("report").mkdir()
+        rc = run_cli(["score", "--gold", str(fixtures_path / "example_gold.txt"),
+                      "--pred", str(fixtures_path / "example_pred_top1.txt"), "--out", out])
+        assert rc == 2
+        assert f"cannot write {out}: " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["report"]
+        assert list(Path("report").iterdir()) == []
 
 
 class TestMoreCliEdges:

@@ -6,6 +6,7 @@ import logging
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import normalize_oracle
 from stapleforge.corpus import (
     GoldSet,
     PredictionSet,
@@ -37,6 +38,15 @@ class TestNormalize:
     def test_idempotent(self, text):
         once = normalize(text)
         assert normalize(once) == once
+
+    @given(st.text() | st.text(st.characters(whitelist_categories=("P", "Z", "Mn", "Lu"))))
+    def test_matches_the_per_character_form(self, text):
+        assert normalize(text) == normalize_oracle(text)
+
+    def test_punctuation_beside_combining_marks_matches_the_per_character_form(self):
+        texts = ("«Olá», disse—ele…!", "a\u0301.\u0301 e\u0301", "¿Qué? ¡Sí! 「引用」")
+        for text in texts:
+            assert normalize(text) == normalize_oracle(text)
 
 
 class TestParseGold:

@@ -7,10 +7,15 @@ import math
 import random
 import re
 import shutil
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import stapleforge.translator as translator
+from conftest import load_toy_pairs
 from oracles import (
     SearchSpaceError,
     exhaustive_nbest,
@@ -456,6 +461,113 @@ class TestEmMonotonicityProperty:
             lls = [c.corpus_loglik for c in series.checkpoints]
             for a, b in zip(lls, lls[1:]):
                 assert b >= a - 1e-9
+
+
+words = st.sampled_from(["a", "b", "c", "d"])
+sentences = st.lists(words, min_size=1, max_size=5)
+corpora = st.lists(st.tuples(sentences, sentences), min_size=1, max_size=6)
+
+
+class TestTrainingExactness:
+    """Training adds up each checkpoint's log-likelihood inside the next
+    E-step and formats each lexicon value once for both the model and
+    lexicon.tsv; both must agree bit for bit with the standalone forms."""
+
+    def test_fixture_logliks_are_the_standalone_sums(self, toy_fwd_series, toy_bwd_series):
+        for series, swap in ((toy_fwd_series, False), (toy_bwd_series, True)):
+            pairs = load_toy_pairs(swap)
+            for ckpt in series.checkpoints:
+                assert ckpt.corpus_loglik == corpus_loglikelihood(ckpt.lexicon, pairs)
+
+    @given(corpora, st.integers(1, 4))
+    @example([(["a", "a", "b"], ["c", "c"]), (["b"], ["c", "d", "d"])], 3)
+    def test_logliks_are_the_standalone_sums(self, pairs, iterations):
+        for ckpt in train_toy(pairs, iterations, None).checkpoints:
+            assert ckpt.corpus_loglik == corpus_loglikelihood(ckpt.lexicon, pairs)
+
+    @given(corpora, st.integers(1, 3))
+    @example([(["a", "a"], ["b"])], 1)  # every value 1.0
+    @settings(max_examples=25, deadline=None)
+    def test_lexicon_file_is_the_lexicon_rendered_afresh(self, pairs, iterations):
+        with tempfile.TemporaryDirectory() as tmp:
+            series = train_toy(pairs, iterations, Path(tmp) / "s")
+            for ckpt in series.checkpoints:
+                saved = Path(tmp) / "s" / translator.checkpoint_name(ckpt.iteration)
+                text = (saved / "lexicon.tsv").read_text(encoding="utf-8")
+                assert text == translator._lexicon_text(ckpt.lexicon)
+                assert ckpt.rendered == {}
+
+    def test_fixture_lexicon_files_are_the_lexicons_rendered_afresh(
+        self, tmp_path, toy_fwd_series
+    ):
+        train_toy(load_toy_pairs(), 5, tmp_path / "s")
+        for ckpt in toy_fwd_series.checkpoints:
+            saved = tmp_path / "s" / translator.checkpoint_name(ckpt.iteration)
+            text = (saved / "lexicon.tsv").read_text(encoding="utf-8")
+            assert text == translator._lexicon_text(ckpt.lexicon)
+
+    @given(
+        st.floats(allow_nan=False)
+        | st.floats(min_value=0.0, max_value=1.0)
+        | st.floats(min_value=0.0, max_value=1e-300)
+        | st.sampled_from([0.0, -0.0, 1.0, 5e-324, sys.float_info.min, 1e12, 1e16])
+        | st.builds(
+            lambda exp, ulps: math.nextafter(10.0**exp, math.inf if ulps > 0 else -math.inf)
+            if ulps else 10.0**exp,
+            st.integers(-320, 20),
+            st.integers(-1, 1),
+        )
+        | st.builds(lambda exp, x: x * 10.0**exp, st.integers(-10, 14),
+                    st.floats(0.9999999999994, 1.0000000000006))
+    )
+    def test_value_formatter_is_repr_of_quantize(self, x):
+        value, text = translator._format_value(x)
+        assert text == repr(translator.quantize(x))
+        assert value == translator.quantize(x) or math.isnan(x)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_value_formatter_takes_repr_for_non_finite_values(self, x):
+        assert translator._format_value(x)[1] == repr(x)
+
+
+class TestCrashSafeSave:
+    def test_save_that_raises_partway_leaves_no_checkpoint_directory(
+        self, tmp_path, monkeypatch
+    ):
+        real_write = Path.write_bytes
+
+        def write_until_second_lm(path, data):
+            if path.name == "lm.tsv" and path.parent.name == ".ckpt-0002.partial":
+                raise OSError("disk full")
+            return real_write(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", write_until_second_lm)
+        with pytest.raises(OSError, match="disk full"):
+            train_toy(HAND_CORPUS, 3, tmp_path / "s")
+        assert sorted(p.name for p in (tmp_path / "s").iterdir()) == ["ckpt-0001", "series.tsv"]
+        assert [c.iteration for c in load_series(tmp_path / "s").checkpoints] == [1]
+
+    def test_leftover_partial_directory_does_not_block_a_retrain(self, tmp_path):
+        """A crash can leave .ckpt-NNNN.partial behind; the next save clears it."""
+        stale = tmp_path / "s" / ".ckpt-0001.partial"
+        stale.mkdir(parents=True)
+        (stale / "lexicon.tsv").write_text("half a checkpoint", encoding="utf-8")
+        series = train_toy(HAND_CORPUS, 2, tmp_path / "s")
+        assert load_series(tmp_path / "s") == series
+        names = sorted(p.name for p in (tmp_path / "s").iterdir())
+        assert names == ["ckpt-0001", "ckpt-0002", "series.tsv"]
+
+    def test_save_replaces_an_existing_checkpoint_and_nothing_else(self, hand_series, tmp_path):
+        first, _, last = hand_series.checkpoints
+        save_checkpoint(first, tmp_path / "c")
+        save_checkpoint(last, tmp_path / "c")
+        assert load_checkpoint(tmp_path / "c") == last
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c", "series"]
+        (tmp_path / "c" / "notes.txt").write_text("mine", encoding="utf-8")
+        with pytest.raises(ValidationError, match="files other than a checkpoint's"):
+            save_checkpoint(first, tmp_path / "c")
+        assert load_checkpoint(tmp_path / "c") == last
+        assert (tmp_path / "c" / "notes.txt").read_text(encoding="utf-8") == "mine"
 
 
 def index_rows(series_dir):
