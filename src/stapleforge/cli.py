@@ -17,10 +17,10 @@ sentences in it, so ``score`` and ``sweep`` compare plain strings.
 ``generate`` and every ``sweep`` cell run a method through the one entry
 point ``methods.predict``; a sweep cell whose method cannot run on the models
 given (paraphrase without ``--bwd-series``, ``m`` beyond the series) is an NA
-row. Both commands read and validate each ``series.tsv`` and checksum the
-checkpoints they may decode with up front, then load each checkpoint when it
-is first decoded with (``methods.Decoder``), once per command. An ensemble
-decodes every prompt with one checkpoint before loading the next, so
+row. Both commands read and validate each ``series.tsv`` and check that the
+checkpoints they may decode with exist up front, then load each checkpoint
+when it is first decoded with (``methods.Decoder``), once per command. An
+ensemble decodes every prompt with one checkpoint before loading the next, so
 ``generate`` holds one checkpoint at a time, or one per side for
 paraphrase; a sweep's cells share one decoder per checkpoint, whose memo of
 n-best lists, keyed on the source and n, lets later cells reuse earlier
@@ -31,7 +31,11 @@ a prompt or makes an NA row.
 
 Both commands write a ``<out>.manifest.tsv`` recording the command, resolved
 parameters (``top_k`` included), input checksums, tool version and output
-checksums; identical inputs reproduce identical outputs and manifests.
+checksums; identical inputs reproduce identical outputs and manifests. The
+model checksums are taken once decoding is done and before any output is
+written: each file a checkpoint was loaded from counts with the digest the
+loader took as it read it, so no model file is read twice and the manifest
+describes the bytes decoded with; every other file is hashed then.
 ``generate`` also writes ``<out>.warnings.tsv``, one row per degraded prompt
 whose stage is the method's name. Wall-clock duration is reported on stderr
 only, so manifests stay byte-reproducible. ``train`` is byte-reproducible
@@ -57,7 +61,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import __version__
 from .corpus import parse_gold, parse_predictions, parse_prompts, write_predictions
@@ -67,6 +71,7 @@ from .methods import METHODS, Decoder, MethodParams, MethodWarning, checkpoints_
 from .textproc import bpe_apply, bpe_decode, bpe_learn, load_bpe, save_bpe, sentence_tokens
 from .translator import (
     SERIES_INDEX,
+    Checkpoint,
     checkpoint_name,
     load_checkpoint,
     load_indexed_checkpoint,
@@ -86,11 +91,14 @@ DEFAULT_SWEEP_N_PRIME = (1, 3, 5)
 DEFAULT_SWEEP_M = (2, 4, 6, 8)
 
 
-def sha256_path(path: Path, members: Sequence[str] | None = None) -> str:
+def sha256_path(
+    path: Path, members: Sequence[str] | None = None, known: Mapping[Path, str] | None = None
+) -> str:
     """Checksum a file, or a directory as the digest of its sorted file digests.
 
     ``members`` restricts a directory's digest to those entries under it, each
-    a file or a subdirectory.
+    a file or a subdirectory. ``known`` holds digests already taken of files
+    under it, by path, which are used instead of reading those files again.
     """
     if not path.exists():
         raise ValidationError(f"not found: {path}")
@@ -101,9 +109,12 @@ def sha256_path(path: Path, members: Sequence[str] | None = None) -> str:
             if not root.exists():
                 raise ValidationError(f"not found: {root}")
         for sub in sorted(p for root in roots for p in (root, *root.rglob("*")) if p.is_file()):
+            hexdigest = known.get(sub) if known else None
+            if hexdigest is None:
+                hexdigest = hashlib.sha256(sub.read_bytes()).hexdigest()
             digest.update(str(sub.relative_to(path)).encode("utf-8"))
             digest.update(b"\x00")
-            digest.update(hashlib.sha256(sub.read_bytes()).hexdigest().encode("ascii"))
+            digest.update(hexdigest.encode("ascii"))
             digest.update(b"\x00")
     else:
         digest.update(path.read_bytes())
@@ -224,31 +235,41 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _load_model(
     ckpt_arg: str | None, series_arg: str | None, newest: int, missing: str
-) -> tuple[list[Decoder], str]:
-    """The decoders a command may decode with, oldest first, and the
-    checksum of their files.
+) -> tuple[list[Decoder], Callable[[], str]]:
+    """The decoders a command may decode with, oldest first, and a function
+    giving the checksum of their files, to be called once decoding is done.
 
     A model is one checkpoint directory, loaded here, or a series, whose
     index is read here and whose newest ``newest`` checkpoints (all of them,
     if it has fewer) each load when first decoded with. The checksum covers
-    ``series.tsv`` and those checkpoints, so with ``newest`` 0 it covers
-    ``series.tsv`` alone.
+    every file under the checkpoint directory, or ``series.tsv`` and every
+    file under those checkpoints, so with ``newest`` 0 ``series.tsv`` alone;
+    each must exist now. A file a decoder loaded counts with the digest
+    taken as it was read (``Checkpoint.digests``), so the checksum describes
+    the bytes decoded with; every other file is hashed when it is called.
     """
+    read: dict[Path, str] = {}  # Checkpoint.digests of the checkpoints loaded
     if ckpt_arg:
-        ckpt = load_checkpoint(ckpt_arg)
-        return [Decoder.of(ckpt)], sha256_path(Path(ckpt_arg))
+        path = Path(ckpt_arg)
+        ckpt = load_checkpoint(path)
+        read.update(ckpt.digests)
+        return [Decoder.of(ckpt)], lambda: sha256_path(path, None, read)
     if series_arg:
-        direction, rows = read_series_index(series_arg)
+        path = Path(series_arg)
+        direction, rows = read_series_index(path)
         rows = rows[max(0, len(rows) - newest) :]
-        decoders = [
-            Decoder(
-                functools.partial(load_indexed_checkpoint, series_arg, direction, *row),
-                direction,
-            )
-            for row in rows
-        ]
         members = [SERIES_INDEX, *(checkpoint_name(iteration) for iteration, _ in rows)]
-        return decoders, sha256_path(Path(series_arg), members)
+        for member in members:
+            if not (path / member).exists():
+                raise ValidationError(f"not found: {path / member}")
+
+        def load(iteration: int, loglik: float) -> Checkpoint:
+            ckpt = load_indexed_checkpoint(path, direction, iteration, loglik)
+            read.update(ckpt.digests)
+            return ckpt
+
+        decoders = [Decoder(functools.partial(load, *row), direction) for row in rows]
+        return decoders, lambda: sha256_path(path, members, read)
     raise ValidationError(missing)
 
 
@@ -258,18 +279,20 @@ def cmd_generate(args: argparse.Namespace) -> int:
     prompts = parse_prompts(_read_text(args.prompts))
     params = MethodParams(n=args.n, n_prime=args.n_prime, m=args.m, top_k_lexicon=args.top_k)
     inputs: dict[str, str] = {"prompts": sha256_path(Path(args.prompts))}
+    models: dict[str, Callable[[], str]] = {}
     n_fwd, n_bwd = checkpoints_read(args.method, params)
-    fwd, inputs["model"] = _load_model(
+    fwd, models["model"] = _load_model(
         args.ckpt, args.series, n_fwd, f"{args.method}: pass --ckpt or --series"
     )
     bwd: list[Decoder] = []
     if n_bwd:
-        bwd, inputs["bwd_model"] = _load_model(
+        bwd, models["bwd_model"] = _load_model(
             args.bwd_ckpt, args.bwd_series, n_bwd,
             f"{args.method}: pass --bwd-ckpt or --bwd-series",
         )
     warnings: list[MethodWarning] = []
     sets = predict(args.method, fwd, bwd, prompts, params, warnings)
+    inputs.update((key, digest()) for key, digest in models.items())
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as sink:
         write_predictions(sets, sink)
@@ -311,10 +334,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # a cell needing more checkpoints than the series holds becomes an NA row
     n_fwd = max((checkpoints_read(method, p)[0] for method, _, p in cells), default=1)
     n_bwd = max((checkpoints_read(method, p)[1] for method, _, p in cells), default=0)
-    fwd, inputs["series"] = _load_model(None, args.series, n_fwd, "sweep: pass --series")
+    models: dict[str, Callable[[], str]] = {}
+    fwd, models["series"] = _load_model(None, args.series, n_fwd, "sweep: pass --series")
     bwd: list[Decoder] = []
     if args.bwd_series:
-        bwd, inputs["bwd_series"] = _load_model(
+        bwd, models["bwd_series"] = _load_model(
             None, args.bwd_series, n_bwd, "sweep: pass --bwd-series"
         )
 
@@ -335,6 +359,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except ValidationError as exc:  # a CheckpointError fails the command
             log.warning("sweep cell %s %s failed: %s", method, label, exc)
             rows.append(f"{method}\t{label}\tNA\tNA\tNA\n")
+    inputs.update((key, digest()) for key, digest in models.items())
     _write_text(args.out, header + "".join(rows))
 
     parameters = {

@@ -37,16 +37,26 @@ directory per checkpoint:
                  unseen in-vocabulary successor) and "<unk>" unigram-backoff
                  rows used when the history itself is out of vocabulary
 
-``<s> </s> <other> <unk>`` are reserved tokens, and training rejects a corpus
-that uses one. Probabilities are stored with 12 significant digits; model
-values are canonicalized to that precision when built, so a saved checkpoint
-loads back bit-exactly. Loading verifies the checksum and parses every value:
-the iteration must be a positive decimal integer as written, probabilities
-finite and non-negative, and every other value finite. Every model word must
-be one canonical token (``textproc.sentence_tokens`` of the word is the word
-alone), reserved tokens excepted; each distinct word is checked once per
-process. A malformed checkpoint raises ``CheckpointError`` naming its
-directory.
+All three are UTF-8 with LF line endings, and the checksum is taken over the
+model files' bytes on disk. ``<s> </s> <other> <unk>`` are reserved tokens,
+and training rejects a corpus that uses one. Probabilities are stored with
+12 significant digits; model values are canonicalized to that precision when
+built (``_format_value`` formats each once, for the value and its text), so a
+saved checkpoint loads back bit-exactly.
+
+``load_checkpoint`` reads each file once, in bounded chunks that feed the
+checksum, the file's own sha256 (``Checkpoint.digests``, which the command
+line's manifests use) and the row parser together, so it never holds a whole
+file. It verifies the checksum and parses every value: the iteration must be
+a positive decimal integer as written, model values plain ASCII numbers (no
+surrounding whitespace, ``_`` or non-ASCII digit, which ``float`` would
+accept), probabilities finite and non-negative, and every other value
+finite. Every model word must be one canonical token
+(``textproc.sentence_tokens`` of the word is the word alone), reserved tokens
+excepted; each distinct word is checked once per process. A malformed
+checkpoint raises ``CheckpointError`` naming its directory, and the file and
+row where there is one; a malformed row is reported only once the checksum,
+known at the end of the files, holds.
 Nothing in a checkpoint depends on when it was written, so training the same
 corpus twice gives byte-identical series directories.
 
@@ -72,8 +82,8 @@ newest ones at once. Training refuses a directory that already holds a series.
 A loaded series holds its shared state once, as a trained one does: the
 checkpoints of a series have the same lm.tsv, which is parsed once into one
 ``BigramLm`` they all refer to, even when loads of a forward and a backward
-series interleave, and words are interned, so every checkpoint and the LM
-share one string per word.
+series interleave (LMs are memoized on the lm.tsv digest and alpha), and
+words are interned, so every checkpoint and the LM share one string per word.
 """
 
 from __future__ import annotations
@@ -89,7 +99,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import CheckpointError, ValidationError
 from .textproc import TokenSeq, sentence_tokens
@@ -153,6 +163,12 @@ class BigramLm:
     unseen_logprob: dict[str, float]
     unigram_logprob: dict[str, float]
     alpha: float
+    # lm.tsv's lines, unsorted, as (w1, w2, line), from build_bigram_lm's one
+    # formatting of each value, for _lm_text to sort and join instead of
+    # formatting the values again; training empties it once lm.tsv is rendered
+    rows: list[tuple[str, str, str]] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def logprob(self, w1: str, w2: str) -> float:
         lp = self.bigram_logprob.get((w1, w2))
@@ -200,24 +216,33 @@ def build_bigram_lm(target_corpus: Iterable[TokenSeq], alpha: float = 0.1) -> Bi
     # when their ratio is positive and finite every log-probability is finite
     if not (math.isfinite(denom_u) and alpha / denom_u > 0.0):
         raise ValidationError(f"alpha={alpha!r} makes language-model values non-finite")
+    # each value is quantized by formatting it once (_format_value), which
+    # also gives its lm.tsv text
+    rows: list[tuple[str, str, str]] = []
     bigram_logprob: dict[tuple[str, str], float] = {}
     unseen_logprob: dict[str, float] = {}
+    unigram_logprob: dict[str, float] = {}
     for w1 in histories:
         denom = context_totals[w1] + alpha * v
-        unseen_logprob[w1] = quantize(math.log(alpha / denom))
+        unseen_logprob[w1], text = _format_value(math.log(alpha / denom))
+        rows.append((w1, UNSEEN, f"{w1}\t{UNSEEN}\t{text}\n"))
     for (w1, w2), c in bigram_counts.items():
         denom = context_totals[w1] + alpha * v
-        bigram_logprob[(w1, w2)] = quantize(math.log((c + alpha) / denom))
-
-    unigram_logprob = {
-        w: quantize(math.log((unigram_counts[w] + alpha) / denom_u)) for w in support
-    }
-    return BigramLm(
+        bigram_logprob[(w1, w2)], text = _format_value(math.log((c + alpha) / denom))
+        rows.append((w1, w2, f"{w1}\t{w2}\t{text}\n"))
+    for w in support:
+        unigram_logprob[w], text = _format_value(
+            math.log((unigram_counts[w] + alpha) / denom_u)
+        )
+        rows.append((BACKOFF, w, f"{BACKOFF}\t{w}\t{text}\n"))
+    lm = BigramLm(
         bigram_logprob=bigram_logprob,
         unseen_logprob=unseen_logprob,
         unigram_logprob=unigram_logprob,
         alpha=alpha,
     )
+    lm.rows.extend(rows)
+    return lm
 
 
 @dataclass(frozen=True, eq=True)
@@ -235,6 +260,11 @@ class Checkpoint:
     # model files rendered by training, by file name, for save_checkpoint to
     # write instead of rendering them again; it empties this once written
     rendered: dict[str, bytes] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # the sha256 of each file a loaded checkpoint was read from, by path,
+    # taken as load_checkpoint read it; empty for one built in memory
+    digests: dict[Path, str] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -381,6 +411,7 @@ def train_toy(
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         lm_text = _lm_text(lm).encode("utf-8")
+    lm.rows.clear()
 
     checkpoints: list[Checkpoint] = []
 
@@ -536,11 +567,15 @@ def _lexicon_text(lexicon: LexiconTable) -> str:
 
 
 def _lm_text(lm: BigramLm) -> str:
-    rows = [(w1, w2, lp) for (w1, w2), lp in lm.bigram_logprob.items()]
-    rows.extend((w1, UNSEEN, lp) for w1, lp in lm.unseen_logprob.items())
-    rows.extend((BACKOFF, w, lp) for w, lp in lm.unigram_logprob.items())
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return "".join(f"{w1}\t{w2}\t{lp!r}\n" for w1, w2, lp in rows)
+    """lm.tsv's text: ``lm.rows`` sorted, or, once training has emptied them
+    or for an LM not built by build_bigram_lm, each value's ``repr``."""
+    rows = lm.rows
+    if not rows:
+        rows = [(w1, w2, lp) for (w1, w2), lp in lm.bigram_logprob.items()]
+        rows.extend((w1, UNSEEN, lp) for w1, lp in lm.unseen_logprob.items())
+        rows.extend((BACKOFF, w, lp) for w, lp in lm.unigram_logprob.items())
+        rows = [(w1, w2, f"{w1}\t{w2}\t{lp!r}\n") for w1, w2, lp in rows]
+    return "".join(line for _, _, line in sorted(rows, key=lambda r: (r[0], r[1])))
 
 
 def save_checkpoint(ckpt: Checkpoint, directory: Path | str) -> None:
@@ -597,21 +632,81 @@ def save_checkpoint(ckpt: Checkpoint, directory: Path | str) -> None:
     rendered.clear()
 
 
-def _read_file(directory: Path, name: str) -> str:
-    path = directory / name
-    if not path.is_file():
-        raise CheckpointError(f"missing checkpoint file: {path}")
-    return path.read_text(encoding="utf-8")
+# bytes per read: a load holds about this much of a file at a time
+_CHUNK = 1 << 14
+# bytes that float() skips around a number ("\r" of a CRLF line ending among
+# them) or reads between its digits ("_") but repr never writes, and that no
+# canonical word holds, so only a block holding one needs its values checked;
+# float() of bytes already rejects non-ASCII digits
+_LENIENT_BYTES = (b" ", b"\r", b"\x0b", b"\x0c", b"_")
 
 
-def _bad_row(name: str, lineno: int, line: str) -> str:
-    """Why a lexicon.tsv or lm.tsv row is not ``word<TAB>word<TAB>number``."""
-    what = "corrupt" if line.count("\t") != 2 else "non-numeric value in"
-    return f"{what} {name} row {lineno}: {line!r}"
+def _blocks(path: Path, digests: Sequence[hashlib._Hash]) -> Iterator[bytes]:
+    """The bytes of ``path`` as blocks of whole lines, each block without its
+    last newline, read in chunks of ``_CHUNK`` bytes that update every hash of
+    ``digests`` as they are read. A last line with no newline ends the last
+    block."""
+    with open(path, "rb") as stream:
+        pending: list[bytes] = []
+        while chunk := stream.read(_CHUNK):
+            for digest in digests:
+                digest.update(chunk)
+            end = chunk.rfind(b"\n")
+            if end < 0:
+                pending.append(chunk)
+                continue
+            pending.append(chunk[:end])
+            yield b"".join(pending)
+            pending = [chunk[end + 1 :]]
+        last = b"".join(pending)
+        if last:
+            yield last
+
+
+def _read(
+    path: Path,
+    digests: Sequence[hashlib._Hash],
+    parse: Callable[[Iterator[bytes]], _T] | None = None,
+) -> _T | None:
+    """``parse`` of the line blocks of ``path`` (``_blocks``), or None
+    without one. The whole file updates ``digests`` even when ``parse``
+    raises, so a checksum over it still gives its verdict."""
+    blocks = _blocks(path, digests)
+    try:
+        return parse(blocks) if parse is not None else None
+    finally:
+        for _ in blocks:
+            pass
+
+
+def _shown(line: bytes) -> str:
+    return repr(line.decode("utf-8", "replace"))
+
+
+def _bad_row(name: str, lineno: int, line: bytes) -> str:
+    """Why a lexicon.tsv or lm.tsv row is not ``word<TAB>word<TAB>number``,
+    the number plain ASCII (``_plain_number``)."""
+    if line.count(b"\t") != 2:
+        what = "corrupt"
+    else:
+        try:
+            float(line.rsplit(b"\t", 1)[1])
+            what = "badly written number in"
+        except ValueError:
+            what = "non-numeric value in"
+    return f"{what} {name} row {lineno}: {_shown(line)}"
+
+
+def _plain_number(raw: bytes) -> bool:
+    """Whether a value that float() reads has no surrounding whitespace and
+    no ``_``."""
+    return raw.strip() == raw and b"_" not in raw
 
 
 # canonical model words seen so far: each distinct word is checked once
 _CANONICAL_WORDS: set[str] = set(RESERVED_TOKENS)
+# the same words by their UTF-8 bytes, as the loader reads them, interned
+_WORDS: dict[bytes, str] = {w.encode("utf-8"): w for w in RESERVED_TOKENS}
 
 
 def _non_canonical(words: set[str]) -> set[str]:
@@ -627,50 +722,115 @@ def _non_canonical(words: set[str]) -> set[str]:
     return bad
 
 
-def _check_words(words: set[str], text: str, name: str) -> None:
-    """Raise ValueError naming the first row of ``text`` that holds a word of
-    ``words`` that is not canonical (``_non_canonical``)."""
-    bad = _non_canonical(words)
-    if not bad:
-        return
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        word = next((w for w in line.split("\t")[:2] if w in bad), None)
-        if word is not None:
-            raise ValueError(f"non-canonical word {word!r} in {name} row {lineno}: {line!r}")
+def _word(raw: bytes, name: str, lineno: int, line: bytes) -> str:
+    """The canonical word ``raw`` encodes, interned and added to ``_WORDS``;
+    raises ValueError naming the row if it is not UTF-8 or not canonical."""
+    try:
+        word = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"invalid UTF-8 in {name} row {lineno}: {_shown(line)}") from None
+    if _non_canonical({word}):
+        raise ValueError(f"non-canonical word {word!r} in {name} row {lineno}: {_shown(line)}")
+    word = _WORDS[raw] = sys.intern(word)
+    return word
 
 
-# one LM per series, for the forward and the backward series a command reads
-@functools.lru_cache(maxsize=2)
-def _parse_lm(lm_text: str, alpha: float) -> BigramLm:
-    """The LM an lm.tsv text holds; raises ValueError naming a malformed row.
+def _parse_lexicon(blocks: Iterable[bytes]) -> LexiconTable:
+    """The lexicon lexicon.tsv's line blocks hold; raises ValueError naming
+    the first malformed row."""
+    words = _WORDS
+    lexicon: LexiconTable = {}
+    row: dict[str, float] = {}
+    prev = None
+    lineno = 0
+    for block in blocks:
+        lenient = any(b in block for b in _LENIENT_BYTES)
+        for line in block.split(b"\n"):
+            lineno += 1
+            try:
+                e, f, raw = line.split(b"\t")
+                prob = float(raw)
+                if lenient and not _plain_number(raw):
+                    raise ValueError
+            except ValueError:
+                raise ValueError(_bad_row("lexicon.tsv", lineno, line)) from None
+            if e != prev:  # rows are sorted, so a source word's rows come together
+                prev = e
+                source = words.get(e) or _word(e, "lexicon.tsv", lineno, line)
+                row = lexicon.setdefault(source, {})
+            row[words.get(f) or _word(f, "lexicon.tsv", lineno, line)] = prob
+    return lexicon
 
-    Memoized on the whole text: every checkpoint of a series has the same
-    lm.tsv (training estimates the LM once), so a loaded series holds one LM,
-    as a trained one does, even when loads of two series interleave, and a
-    different text is parsed afresh.
-    """
-    intern = sys.intern
+
+def _parse_lm(blocks: Iterable[bytes], alpha: float) -> BigramLm:
+    """The LM lm.tsv's line blocks hold; raises ValueError naming the first
+    malformed row."""
+    words = _WORDS
     bigram: dict[tuple[str, str], float] = {}
     unseen: dict[str, float] = {}
     unigram: dict[str, float] = {}
-    for lineno, line in enumerate(lm_text.splitlines(), start=1):
-        try:
-            w1, w2, raw = line.split("\t")
-            lp = float(raw)
-        except ValueError:
-            raise ValueError(_bad_row("lm.tsv", lineno, line)) from None
-        if not math.isfinite(lp):
-            raise ValueError(f"non-finite value in lm.tsv row {lineno}: {line!r}")
-        if w2 == UNSEEN:
-            unseen[intern(w1)] = lp
-        elif w1 == BACKOFF:
-            unigram[intern(w2)] = lp
-        else:
-            bigram[(intern(w1), intern(w2))] = lp
-    _check_words({*unigram, *unseen, *(w for pair in bigram for w in pair)}, lm_text, "lm.tsv")
+    lineno = 0
+    for block in blocks:
+        lenient = any(b in block for b in _LENIENT_BYTES)
+        for line in block.split(b"\n"):
+            lineno += 1
+            try:
+                raw1, raw2, raw = line.split(b"\t")
+                lp = float(raw)
+                if lenient and not _plain_number(raw):
+                    raise ValueError
+            except ValueError:
+                raise ValueError(_bad_row("lm.tsv", lineno, line)) from None
+            if not math.isfinite(lp):
+                raise ValueError(f"non-finite value in lm.tsv row {lineno}: {_shown(line)}")
+            w1 = words.get(raw1) or _word(raw1, "lm.tsv", lineno, line)
+            w2 = words.get(raw2) or _word(raw2, "lm.tsv", lineno, line)
+            if w2 == UNSEEN:
+                unseen[w1] = lp
+            elif w1 == BACKOFF:
+                unigram[w2] = lp
+            else:
+                bigram[(w1, w2)] = lp
     return BigramLm(
         bigram_logprob=bigram, unseen_logprob=unseen, unigram_logprob=unigram, alpha=alpha
     )
+
+
+# one LM per series, for the forward and the backward series a command reads:
+# (lm.tsv digest, alpha) -> (lm.tsv size, LM), least recently used first
+_LMS: dict[tuple[str, float], tuple[int, BigramLm]] = {}
+_LMS_KEPT = 2
+
+
+def _load_lm(
+    path: Path, alpha: float, checksum: hashlib._Hash, digest: hashlib._Hash
+) -> BigramLm:
+    """The LM of an lm.tsv, read once, its chunks updating ``checksum`` and
+    the file's own ``digest``; raises ValueError naming a malformed row.
+
+    Memoized on (digest, alpha): every checkpoint of a series has the same
+    lm.tsv (training estimates the LM once), so a loaded series holds one LM,
+    as a trained one does, even when loads of two series interleave. The
+    digest is known only once the file is read, so the file is parsed as it
+    is read unless an LM of the memo has its size and alpha; in that case
+    it is only hashed, and read again to be parsed if its digest is new.
+    """
+    parse = functools.partial(_parse_lm, alpha=alpha)
+    size = path.stat().st_size
+    probable_hit = any(s == size and a == alpha for (_, a), (s, _) in _LMS.items())
+    lm = _read(path, (checksum, digest), None if probable_hit else parse)
+    key = (digest.hexdigest(), alpha)
+    if key in _LMS:
+        lm = _LMS.pop(key)[1]
+    elif lm is None:  # same size, other bytes: read it again to parse it
+        again = hashlib.sha256()
+        lm = _read(path, (again,), parse)
+        if again.digest() != digest.digest():
+            raise ValueError("lm.tsv changed while it was read")
+    _LMS[key] = (size, lm)
+    if len(_LMS) > _LMS_KEPT:
+        del _LMS[next(iter(_LMS))]
+    return lm
 
 
 def _iteration(raw: str) -> int:
@@ -695,53 +855,67 @@ def _meta_value(
         raise CheckpointError(f"bad {key} {meta[key]!r} in meta.tsv of {directory}") from None
 
 
-def load_checkpoint(directory: Path | str) -> Checkpoint:
-    directory = Path(directory)
-    meta_text = _read_file(directory, "meta.tsv")
-    lexicon_text = _read_file(directory, "lexicon.tsv")
-    lm_text = _read_file(directory, "lm.tsv")
-
+def _read_meta(directory: Path, digest: hashlib._Hash) -> dict[str, str]:
+    """meta.tsv's key<TAB>value rows, blank rows skipped."""
     meta: dict[str, str] = {}
-    for line in meta_text.splitlines():
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) != 2:
-            raise CheckpointError(f"corrupt meta.tsv row in {directory}: {line!r}")
-        if cols[0] in meta:
-            raise CheckpointError(f"repeated key {cols[0]!r} in meta.tsv of {directory}")
-        meta[cols[0]] = cols[1]
+    for block in _blocks(directory / "meta.tsv", (digest,)):
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"meta.tsv of {directory} is not UTF-8") from None
+        for line in text.split("\n"):
+            if not line.strip():
+                continue
+            cols = line.split("\t")
+            if len(cols) != 2:
+                raise CheckpointError(f"corrupt meta.tsv row in {directory}: {line!r}")
+            if cols[0] in meta:
+                raise CheckpointError(f"repeated key {cols[0]!r} in meta.tsv of {directory}")
+            meta[cols[0]] = cols[1]
     for key in ("iteration", "direction", "corpus_loglik", "alpha", "checksum"):
         if key not in meta:
             raise CheckpointError(f"meta.tsv in {directory} is missing key {key!r}")
     if meta["direction"] not in DIRECTIONS:
         raise CheckpointError(f"bad direction {meta['direction']!r} in meta.tsv of {directory}")
+    return meta
+
+
+def load_checkpoint(directory: Path | str) -> Checkpoint:
+    """Load and verify the checkpoint in ``directory``.
+
+    Each file is read once, in chunks of ``_CHUNK`` bytes, and each chunk
+    feeds the checksum (over the bytes on disk), the file's own sha256,
+    recorded in ``Checkpoint.digests``, and the row parser; no whole file,
+    list of its lines or copy of it is held. A malformed row is reported
+    only once the checksum holds: a file whose checksum fails is reported
+    as that.
+    """
+    directory = Path(directory)
+    for name in ("meta.tsv", "lexicon.tsv", "lm.tsv"):  # in the order they are read
+        if not (directory / name).is_file():
+            raise CheckpointError(f"missing checkpoint file: {directory / name}")
+    digests = {name: hashlib.sha256() for name in CHECKPOINT_FILES}
+    meta = _read_meta(directory, digests["meta.tsv"])
     iteration = _meta_value(meta, "iteration", _iteration, directory)
     corpus_loglik = _meta_value(meta, "corpus_loglik", _finite_float, directory)
     alpha = _meta_value(meta, "alpha", _finite_float, directory)
-    if meta["checksum"] != _checksum(lexicon_text.encode("utf-8"), lm_text.encode("utf-8")):
-        raise CheckpointError(f"checksum mismatch for checkpoint {directory}")
 
-    # interned words: all loaded checkpoints, and the LM, share one string per word
-    intern = sys.intern
-    lexicon: LexiconTable = {}
-    for lineno, line in enumerate(lexicon_text.splitlines(), start=1):
-        try:
-            e, f, raw = line.split("\t")
-            prob = float(raw)
-        except ValueError:
-            raise CheckpointError(
-                f"{_bad_row('lexicon.tsv', lineno, line)} (in {directory})"
-            ) from None
-        row = lexicon.get(e)
-        if row is None:
-            row = lexicon[intern(e)] = {}
-        row[intern(f)] = prob
+    checksum = hashlib.sha256()
+    problems = []  # raised only once the checksum, known at the end, holds
     try:
-        _check_words(set(lexicon).union(*lexicon.values()), lexicon_text, "lexicon.tsv")
-        lm = _parse_lm(lm_text, alpha)
+        lexicon = _read(directory / "lexicon.tsv", (checksum, digests["lexicon.tsv"]),
+                        _parse_lexicon)
     except ValueError as exc:
-        raise CheckpointError(f"{exc} (in {directory})") from None
+        problems.append(exc)
+    checksum.update(b"\x00")
+    try:
+        lm = _load_lm(directory / "lm.tsv", alpha, checksum, digests["lm.tsv"])
+    except ValueError as exc:
+        problems.append(exc)
+    if meta["checksum"] != checksum.hexdigest():
+        raise CheckpointError(f"checksum mismatch for checkpoint {directory}")
+    if problems:
+        raise CheckpointError(f"{problems[0]} (in {directory})")
     for e, row in lexicon.items():
         total = sum(row.values())
         # a nan or infinite entry makes the total nan or infinite, failing this too
@@ -753,13 +927,15 @@ def load_checkpoint(directory: Path | str) -> Checkpoint:
             raise CheckpointError(
                 f"lexicon row for {e!r} holds a negative probability (in {directory})"
             )
-    return Checkpoint(
+    ckpt = Checkpoint(
         iteration=iteration,
         lexicon=lexicon,
         lm=lm,
         corpus_loglik=corpus_loglik,
         direction=meta["direction"],
     )
+    ckpt.digests.update((directory / name, digest.hexdigest()) for name, digest in digests.items())
+    return ckpt
 
 
 def checkpoint_name(iteration: int) -> str:

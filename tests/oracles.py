@@ -229,3 +229,15 @@ def rewrite_model_file(ckpt_dir: Path, name: str, text: str) -> None:
             if not row.startswith("checksum\t")]
     rows.append(f"checksum\t{digest.hexdigest()}")
     meta.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+
+
+FULL_WIDTH_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
+
+
+def first_value_rewritten(path: Path, rewrite) -> str:
+    """The text of a lexicon.tsv or lm.tsv with its first row's value
+    replaced by ``rewrite`` of it, for ``rewrite_model_file``."""
+    rows = path.read_text(encoding="utf-8").splitlines()
+    key, value = rows[0].rsplit("\t", 1)
+    rows[0] = f"{key}\t{rewrite(value)}"
+    return "\n".join(rows) + "\n"

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import shutil
+import sys
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 
 import stapleforge.methods as methods
 import stapleforge.translator as translator
-from oracles import rewrite_model_file
+from oracles import FULL_WIDTH_DIGITS, first_value_rewritten, rewrite_model_file
 from stapleforge.cli import main
 from stapleforge.corpus import normalize
 from stapleforge.translator import load_series
@@ -813,6 +815,28 @@ def loads(monkeypatch):
     return counts
 
 
+# the paths opened while a test counts them; an audit hook cannot be removed,
+# so one hook, added on first use, serves every test
+_OPENS: list[Counter[str]] = []
+
+
+def _count_open(event: str, args: tuple) -> None:
+    if event == "open" and _OPENS and isinstance(args[0], str):
+        _OPENS[-1][args[0]] += 1
+
+
+@pytest.fixture()
+def opens():
+    """Counts the opens of each path while the test runs."""
+    if not getattr(_count_open, "added", False):
+        sys.addaudithook(_count_open)
+        _count_open.added = True
+    counts: Counter[str] = Counter()
+    _OPENS.append(counts)
+    yield counts
+    _OPENS.remove(counts)
+
+
 class TestSeriesLoading:
     @pytest.mark.parametrize(
         "argv, expected",
@@ -840,6 +864,39 @@ class TestSeriesLoading:
                       "--out", str(tmp_path / "out.txt")])
         assert rc == 0
         assert dict(loads) == expected
+
+    @pytest.mark.parametrize(
+        "argv, checkpoints",
+        [
+            (["generate", "--method", "nbest", "--series", "{fwd}"], 1),
+            (["generate", "--method", "nbest", "--ckpt", "{fwd}/ckpt-0005"], 1),
+            (["generate", "--method", "ensemble", "--m", "3", "--series", "{fwd}"], 3),
+            (["generate", "--method", "ensemble", "--m", "1", "--ckpt", "{fwd}/ckpt-0005"], 1),
+            (["generate", "--method", "paraphrase", "--series", "{fwd}",
+              "--bwd-series", "{bwd}"], 2),
+            (["generate", "--method", "paraphrase", "--ckpt", "{fwd}/ckpt-0005",
+              "--bwd-ckpt", "{bwd}/ckpt-0005"], 2),
+            # ensemble m=6 and m=8 are NA rows, so ckpt-0001 is hashed, never loaded
+            (["sweep", "--gold", "{gold}", "--series", "{fwd}", "--bwd-series", "{bwd}"], 6),
+        ],
+        ids=["nbest-series", "nbest-ckpt", "ensemble-series", "ensemble-ckpt",
+             "paraphrase-series", "paraphrase-ckpt", "sweep"],
+    )
+    def test_each_model_file_is_read_once(
+        self, trained_world, fixtures_path, tmp_path, opens, argv, checkpoints
+    ):
+        """The loader hashes each file for the manifest as it reads it; the
+        manifest used to read and hash every loaded file a second time."""
+        paths = {"fwd": str(trained_world / "fwd"), "bwd": str(trained_world / "bwd"),
+                 "gold": str(fixtures_path / "toy_gold.txt")}
+        rc = run_cli([*(arg.format(**paths) for arg in argv),
+                      "--prompts", str(fixtures_path / "toy_prompts.txt"),
+                      "--out", str(tmp_path / "out.txt")])
+        assert rc == 0
+        model_files = {path: count for path, count in opens.items()
+                       if Path(path).name in translator.CHECKPOINT_FILES}
+        assert len(model_files) == 3 * checkpoints
+        assert set(model_files.values()) == {1}
 
     @pytest.mark.parametrize(
         "argv, resident",
@@ -1034,6 +1091,8 @@ def _negative_entry_in_a_row_summing_to_1(path: Path) -> str:
     return "\n".join(rows) + "\n"
 
 
+DIGIT_PAIR = re.compile(r"(\d)(\d)")
+
 CHECKPOINT_FAULTS = {
     "missing-lm": lambda ckpt: (ckpt / "lm.tsv").unlink(),
     "checksum": lambda ckpt: (ckpt / "lexicon.tsv").write_text(
@@ -1071,6 +1130,16 @@ CHECKPOINT_FAULTS = {
         ckpt, "lexicon.tsv", _rename_word(ckpt / "lexicon.tsv", "gato", "Gato!")),
     "non-canonical-lm-word": lambda ckpt: rewrite_model_file(
         ckpt, "lm.tsv", _rename_word(ckpt / "lm.tsv", "gato", "Gato!")),
+    # float() reads each of these values as the number it spells, so they used to load
+    "space-before-value": lambda ckpt: rewrite_model_file(ckpt, "lexicon.tsv", (
+        first_value_rewritten(ckpt / "lexicon.tsv", lambda value: " " + value))),
+    "full-width-digits": lambda ckpt: rewrite_model_file(ckpt, "lexicon.tsv", (
+        first_value_rewritten(ckpt / "lexicon.tsv", lambda v: v.translate(FULL_WIDTH_DIGITS)))),
+    "underscore-in-lm-value": lambda ckpt: rewrite_model_file(ckpt, "lm.tsv", (
+        first_value_rewritten(ckpt / "lm.tsv", lambda v: DIGIT_PAIR.sub(r"\1_\2", v, count=1)))),
+    # the checksum is over the bytes on disk; a universal-newline read made a CRLF copy load
+    "crlf-copy": lambda ckpt: (ckpt / "lexicon.tsv").write_bytes(
+        (ckpt / "lexicon.tsv").read_bytes().replace(b"\n", b"\r\n")),
 }
 
 

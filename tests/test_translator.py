@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import logging
 import math
@@ -9,6 +10,7 @@ import re
 import shutil
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,8 +19,10 @@ from hypothesis import example, given, settings, strategies as st
 import stapleforge.translator as translator
 from conftest import load_toy_pairs
 from oracles import (
+    FULL_WIDTH_DIGITS,
     SearchSpaceError,
     exhaustive_nbest,
+    first_value_rewritten,
     gen_random_checkpoint,
     gen_random_lattice,
     gen_random_parallel,
@@ -378,6 +382,174 @@ class TestCheckpointFaults:
             load_checkpoint(ckpt)
 
 
+class TestDocumentedBytes:
+    """Model files hold UTF-8 with LF line endings and each value as a plain
+    ASCII number. float() also reads surrounding whitespace, "_" between
+    digits and non-ASCII digits, so each of these, with its checksum
+    restamped, used to load as the number it spells."""
+
+    @pytest.mark.parametrize(
+        "name, rewrite, reason",
+        [
+            ("lexicon.tsv", lambda v: " " + v, "badly written number in lexicon.tsv row 1"),
+            ("lexicon.tsv", lambda v: v + " ", "badly written number in lexicon.tsv row 1"),
+            ("lexicon.tsv", lambda v: v.translate(FULL_WIDTH_DIGITS),
+             "non-numeric value in lexicon.tsv row 1"),
+            ("lm.tsv", lambda v: re.sub(r"(\d)(\d)", r"\1_\2", v, count=1),
+             "badly written number in lm.tsv row 1"),
+            ("lm.tsv", lambda v: v + "\r", "badly written number in lm.tsv row 1"),
+        ],
+        ids=["lexicon-leading-space", "lexicon-trailing-space", "lexicon-full-width",
+             "lm-underscore", "lm-carriage-return"],
+    )
+    def test_value_written_another_way_rejected(self, hand_series, tmp_path, name, rewrite,
+                                                reason):
+        ckpt = tmp_path / "series" / "ckpt-0001"
+        rewrite_model_file(ckpt, name, first_value_rewritten(ckpt / name, rewrite))
+        with pytest.raises(CheckpointError, match=f"{reason}: .* \\(in .*ckpt-0001\\)"):
+            load_checkpoint(ckpt)
+
+    def test_crlf_copy_fails_its_checksum(self, hand_series, tmp_path):
+        """The checksum is taken over the bytes on disk; the text used to be
+        read with universal newlines, so a CRLF copy loaded."""
+        ckpt = tmp_path / "series" / "ckpt-0001"
+        for name in ("lexicon.tsv", "lm.tsv"):
+            text = (ckpt / name).read_text(encoding="utf-8")
+            (ckpt / name).write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        with pytest.raises(CheckpointError, match="checksum mismatch for checkpoint"):
+            load_checkpoint(ckpt)
+
+    def test_crlf_copy_with_its_checksum_restamped_names_the_first_row(
+        self, hand_series, tmp_path
+    ):
+        ckpt = tmp_path / "series" / "ckpt-0001"
+        text = (ckpt / "lexicon.tsv").read_text(encoding="utf-8")
+        rewrite_model_file(ckpt, "lexicon.tsv", text.replace("\n", "\r\n"))
+        with pytest.raises(CheckpointError, match="badly written number in lexicon.tsv row 1"):
+            load_checkpoint(ckpt)
+
+    def test_crlf_meta_rejected(self, hand_series, tmp_path):
+        ckpt = tmp_path / "series" / "ckpt-0001"
+        text = (ckpt / "meta.tsv").read_text(encoding="utf-8")
+        (ckpt / "meta.tsv").write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        with pytest.raises(CheckpointError, match="in meta.tsv of .*ckpt-0001"):
+            load_checkpoint(ckpt)
+
+    def test_invalid_utf8_word_names_its_row(self, hand_series, tmp_path):
+        """A file that is not UTF-8 used to fail with an internal error."""
+        ckpt = tmp_path / "series" / "ckpt-0001"
+        data = (ckpt / "lexicon.tsv").read_bytes().replace(b"x", b"\xff", 1)
+        (ckpt / "lexicon.tsv").write_bytes(data)
+        digest = hashlib.sha256(data + b"\x00" + (ckpt / "lm.tsv").read_bytes()).hexdigest()
+        set_meta(ckpt, "checksum", digest)
+        expected = "invalid UTF-8 in lexicon.tsv row 1: .*ckpt-0001"
+        with pytest.raises(CheckpointError, match=expected):
+            load_checkpoint(ckpt)
+
+    def test_malformed_row_behind_a_wrong_checksum_is_a_checksum_mismatch(
+        self, hand_series, tmp_path
+    ):
+        """Rows are parsed as they are read, before the checksum is known,
+        yet the checksum's verdict comes first, as when it was checked first."""
+        ckpt = tmp_path / "series" / "ckpt-0001"
+        for name in ("lexicon.tsv", "lm.tsv"):
+            text = (ckpt / name).read_text(encoding="utf-8")
+            (ckpt / name).write_text("a\tb\tnot a number\n" + text, encoding="utf-8")
+            with pytest.raises(CheckpointError, match="checksum mismatch"):
+                load_checkpoint(ckpt)
+            (ckpt / name).write_text(text, encoding="utf-8")
+
+
+class TestStreamingLoad:
+    """``load_checkpoint`` reads each file once, in bounded chunks that feed
+    the checksum, the file's digest and the parser together."""
+
+    def test_digests_are_each_files_sha256(self, hand_series, tmp_path):
+        ckpt_dir = tmp_path / "series" / "ckpt-0002"
+        ckpt = load_checkpoint(ckpt_dir)
+        assert ckpt.digests == {
+            ckpt_dir / name: hashlib.sha256((ckpt_dir / name).read_bytes()).hexdigest()
+            for name in ("lexicon.tsv", "lm.tsv", "meta.tsv")
+        }
+        assert ckpt == hand_series.checkpoints[1]  # digests do not take part in equality
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+    def test_any_chunk_size_loads_the_same_checkpoint(self, tmp_path, monkeypatch, chunk):
+        """Rows and multi-byte characters cut by a chunk boundary, and a
+        last line without its newline, parse as whole rows."""
+        pairs = [(["não", "é"], ["ça", "über"]), (["não"], ["ça"]),
+                 (["ação"], ["ñandú"])]
+        train_toy(pairs, 1, tmp_path / "r")
+        ckpt_dir = tmp_path / "r" / "ckpt-0001"
+        text = (ckpt_dir / "lm.tsv").read_text(encoding="utf-8")
+        expected = load_checkpoint(ckpt_dir)
+        monkeypatch.setattr(translator, "_CHUNK", chunk)
+        monkeypatch.setattr(translator, "_LMS", {})
+        assert load_checkpoint(ckpt_dir) == expected
+        rewrite_model_file(ckpt_dir, "lm.tsv", text.rstrip("\n"))
+        monkeypatch.setattr(translator, "_LMS", {})
+        assert load_checkpoint(ckpt_dir) == expected
+
+    def test_lm_is_parsed_once_per_series(self, tmp_path, monkeypatch):
+        """The memo is keyed on lm.tsv's digest and alpha, and a checkpoint
+        whose lm.tsv has the size and alpha of a memoized one is hashed, not
+        parsed."""
+        train_toy(HAND_CORPUS, 3, tmp_path / "s")
+        parses = []
+        real_parse = translator._parse_lm
+
+        def parse(blocks, alpha):
+            parses.append(alpha)
+            return real_parse(blocks, alpha)
+
+        monkeypatch.setattr(translator, "_parse_lm", parse)
+        monkeypatch.setattr(translator, "_LMS", {})
+        load_series(tmp_path / "s")
+        assert parses == [0.1]
+
+    def test_same_size_lm_with_other_bytes_loads_its_own_lm(self, tmp_path):
+        train_toy(HAND_CORPUS, 3, tmp_path / "s")
+        second = tmp_path / "s" / "ckpt-0002"
+        text = (second / "lm.tsv").read_text(encoding="utf-8")
+        digit = re.search(r"[1-8]\n", text).start()
+        edited = text[:digit] + str(int(text[digit]) + 1) + text[digit + 1 :]
+        rewrite_model_file(second, "lm.tsv", edited)
+        first, other, third = load_series(tmp_path / "s").checkpoints
+        assert first.lm is third.lm
+        assert other.lm != first.lm
+        assert other.lm == translator._parse_lm(translator._blocks(second / "lm.tsv", ()), 0.1)
+
+    def test_load_holds_a_bounded_part_of_a_file(self, tmp_path):
+        """Loading a checkpoint of 20,000 lexicon rows (about 600 KB) peaks
+        less than a quarter of lexicon.tsv's size above the memory the loaded
+        checkpoint keeps. Measured with tracemalloc: about 0.13 of it with
+        16 KiB chunks, and more than 3 times it when the loader held the whole
+        text, a list of its lines and a re-encoded copy for the checksum."""
+        rng = random.Random(5)
+        lexicon = {}
+        for i in range(1_000):
+            targets = rng.sample(range(3_000), 20)
+            weights = [rng.random() + 0.01 for _ in targets]
+            lexicon[f"s{i:05d}"] = {
+                f"t{t:05d}": translator.quantize(w / sum(weights))
+                for t, w in zip(targets, weights)
+            }
+        lm = build_bigram_lm([[f"t{rng.randrange(3_000):05d}" for _ in range(8)]
+                              for _ in range(200)])
+        ckpt_dir = tmp_path / "big"
+        save_checkpoint(Checkpoint(iteration=1, lexicon=lexicon, lm=lm, corpus_loglik=-1.0),
+                        ckpt_dir)
+        size = (ckpt_dir / "lexicon.tsv").stat().st_size
+        tracemalloc.start()  # no other checkpoint has this LM, so it is parsed too
+        try:
+            loaded = load_checkpoint(ckpt_dir)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.lexicon == lexicon
+        assert peak - kept < 0.25 * size
+
+
 class TestNbestPrefix:
     """n-best(n) is the first n entries of n-best(N) and the exhaustive n-best
     on random lattices; a rounding near-tie can break it, which is why
@@ -405,8 +577,8 @@ class TestLoadedModelSharing:
         assert loaded == trained
         lm = loaded.checkpoints[0].lm
         assert all(c.lm is lm for c in loaded.checkpoints)
-        text = (tmp_path / "s" / "ckpt-0003" / "lm.tsv").read_text(encoding="utf-8")
-        assert lm == translator._parse_lm.__wrapped__(text, lm.alpha)
+        blocks = translator._blocks(tmp_path / "s" / "ckpt-0003" / "lm.tsv", ())
+        assert lm == translator._parse_lm(blocks, lm.alpha)
 
     def test_interleaved_series_loads_keep_one_lm_each(self, tmp_path):
         """Loading fwd, bwd, fwd used to parse the forward LM a second time."""
@@ -528,6 +700,26 @@ class TestTrainingExactness:
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
     def test_value_formatter_takes_repr_for_non_finite_values(self, x):
         assert translator._format_value(x)[1] == repr(x)
+
+    @given(
+        st.lists(st.lists(st.sampled_from(["a", "b", "ção", "d"]), min_size=1, max_size=5),
+                 min_size=1, max_size=6),
+        st.floats(min_value=1e-6, max_value=1e3),
+    )
+    def test_lm_file_is_the_repr_rendering(self, corpus, alpha):
+        """lm.tsv's values come from build_bigram_lm's one formatting of
+        each; the text is the one rendered from each value's repr."""
+        lm = build_bigram_lm(corpus, alpha=alpha)
+        rows = [(w1, w2, lp) for (w1, w2), lp in lm.bigram_logprob.items()]
+        rows.extend((w1, translator.UNSEEN, lp) for w1, lp in lm.unseen_logprob.items())
+        rows.extend((translator.BACKOFF, w, lp) for w, lp in lm.unigram_logprob.items())
+        rows.sort(key=lambda r: (r[0], r[1]))
+        assert len(lm.rows) == len(rows)
+        assert translator._lm_text(lm) == "".join(f"{a}\t{b}\t{lp!r}\n" for a, b, lp in rows)
+
+    def test_training_keeps_no_lm_rows(self, tmp_path):
+        for out in (None, tmp_path / "s"):
+            assert train_toy(HAND_CORPUS, 2, out).checkpoints[0].lm.rows == []
 
 
 class TestCrashSafeSave:
