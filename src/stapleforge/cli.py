@@ -33,9 +33,11 @@ Both commands write a ``<out>.manifest.tsv`` recording the command, resolved
 parameters (``top_k`` included), input checksums, tool version and output
 checksums; identical inputs reproduce identical outputs and manifests. The
 model checksums are taken once decoding is done and before any output is
-written: each file a checkpoint was loaded from counts with the digest the
-loader took as it read it, so no model file is read twice and the manifest
-describes the bytes decoded with; every other file is hashed then.
+written: each ``series.tsv``, and each file a checkpoint was loaded from,
+counts with the digest taken as it was read, so no model file is read twice
+and the manifest describes the bytes parsed and decoded with; every other
+file is hashed then. ``train`` keeps no checkpoint in memory once it is
+saved, and logs how many rows ``series.tsv`` lists.
 ``generate`` also writes ``<out>.warnings.tsv``, one row per degraded prompt
 whose stage is the method's name. Wall-clock duration is reported on stderr
 only, so manifests stay byte-reproducible. ``train`` is byte-reproducible
@@ -226,10 +228,10 @@ def _parse_parallel(text: str, swap: bool) -> list[tuple[list[str], list[str]]]:
 def cmd_train(args: argparse.Namespace) -> int:
     _check_writable(args.out, directory=True)
     pairs = _parse_parallel(_read_text(args.parallel), args.direction == "bwd")
-    series = train_toy(
+    rows = train_toy(
         pairs, args.iterations, args.out, direction=args.direction, alpha=args.alpha
     )
-    log.info("trained %d checkpoints into %s", len(series), args.out)
+    log.info("trained %d checkpoints into %s", len(rows), args.out)
     return EXIT_OK
 
 
@@ -244,11 +246,12 @@ def _load_model(
     if it has fewer) each load when first decoded with. The checksum covers
     every file under the checkpoint directory, or ``series.tsv`` and every
     file under those checkpoints, so with ``newest`` 0 ``series.tsv`` alone;
-    each must exist now. A file a decoder loaded counts with the digest
-    taken as it was read (``Checkpoint.digests``), so the checksum describes
-    the bytes decoded with; every other file is hashed when it is called.
+    each must exist now. ``series.tsv`` and each file a decoder loaded count
+    with the digest taken as they were read (``SeriesIndex.digest``,
+    ``Checkpoint.digests``), so the checksum describes the bytes parsed and
+    decoded with; every other file is hashed when it is called.
     """
-    read: dict[Path, str] = {}  # Checkpoint.digests of the checkpoints loaded
+    read: dict[Path, str] = {}  # digests of the files read: series.tsv and those loaded
     if ckpt_arg:
         path = Path(ckpt_arg)
         ckpt = load_checkpoint(path)
@@ -256,7 +259,8 @@ def _load_model(
         return [Decoder.of(ckpt)], lambda: sha256_path(path, None, read)
     if series_arg:
         path = Path(series_arg)
-        direction, rows = read_series_index(path)
+        direction, rows, digest = read_series_index(path)
+        read[path / SERIES_INDEX] = digest  # of the bytes parsed, not re-read
         rows = rows[max(0, len(rows) - newest) :]
         members = [SERIES_INDEX, *(checkpoint_name(iteration) for iteration, _ in rows)]
         for member in members:

@@ -23,10 +23,13 @@ piece of work once: the E-step that reads a lexicon also adds up its corpus
 log-likelihood from the same sums, in the same order (Och & Ney 2003), so
 checkpoint i is saved once the E-step of iteration i + 1 is done and only the
 last checkpoint takes a separate ``corpus_loglikelihood`` pass; the M-step
-formats each lexicon value once, for both the quantized value and the
-lexicon.tsv text; and lm.tsv is rendered once per series. Every file is
-byte-identical to rendering each checkpoint on its own. On-disk layout, one
-directory per checkpoint:
+renormalizes the counts in place and formats each lexicon value once, for
+both the quantized value and the lexicon.tsv text, which it keeps as one
+block per source word, never joined; and lm.tsv is rendered once per
+series. Training into a directory keeps no checkpoint once it is saved, so
+it holds one lexicon and its text at a time, however many iterations it
+runs. Every file is byte-identical to rendering each checkpoint on its own.
+On-disk layout, one directory per checkpoint:
 
     meta.tsv     key<TAB>value rows: iteration, direction, corpus_loglik,
                  alpha, checksum (sha256 over the two model files); each
@@ -48,12 +51,13 @@ saved checkpoint loads back bit-exactly.
 checksum, the file's own sha256 (``Checkpoint.digests``, which the command
 line's manifests use) and the row parser together, so it never holds a whole
 file. It verifies the checksum and parses every value: the iteration must be
-a positive decimal integer as written, model values plain ASCII numbers (no
-surrounding whitespace, ``_`` or non-ASCII digit, which ``float`` would
-accept), probabilities finite and non-negative, and every other value
-finite. Every model word must be one canonical token
-(``textproc.sentence_tokens`` of the word is the word alone), reserved tokens
-excepted; each distinct word is checked once per process. A malformed
+a positive decimal integer as written, model values and meta.tsv's
+``corpus_loglik`` and ``alpha`` plain ASCII numbers (no surrounding
+whitespace, ``_`` or non-ASCII digit, which ``float`` would accept),
+probabilities finite and non-negative, and every other value finite. Every
+model word must be one canonical token (``textproc.sentence_tokens`` of the
+word is the word alone), reserved tokens excepted; each distinct word is
+checked once per process. A malformed
 checkpoint raises ``CheckpointError`` naming its directory, and the file and
 row where there is one; a malformed row is reported only once the checksum,
 known at the end of the files, holds.
@@ -68,14 +72,17 @@ series directory, indexed by its ``series.tsv``:
     ...
 
 one row per checkpoint, iterations strictly increasing and log-likelihoods
-non-decreasing. ``save_checkpoint`` writes a checkpoint into
-``.ckpt-NNNN.partial/`` and renames it into place, so a ``ckpt-NNNN/``
-directory is always complete. The index is the source of truth: training
-rewrites it atomically after each checkpoint is in place, so an interrupted
-run leaves an index of complete checkpoints, and a ``ckpt-*`` directory it
-does not list is never loaded. ``read_series_index`` reads and validates the
-index, and ``load_indexed_checkpoint`` loads one checkpoint it lists, checked
-against its row, so a caller can load each checkpoint only when it needs it
+non-decreasing. Like meta.tsv's ``corpus_loglik`` and ``alpha``, each
+log-likelihood is a plain ASCII number, and the rows end in LF alone.
+``save_checkpoint`` writes a checkpoint into ``.ckpt-NNNN.partial/`` and
+renames it into place, so a ``ckpt-NNNN/`` directory is always complete.
+The index is the source of truth: training rewrites it atomically after each
+checkpoint is in place, so an interrupted run leaves an index of complete
+checkpoints, and a ``ckpt-*`` directory it
+does not list is never loaded. ``read_series_index`` reads the index once,
+validates it and takes the sha256 of the bytes it parsed, and
+``load_indexed_checkpoint`` loads one checkpoint it lists, checked against
+its row, so a caller can load each checkpoint only when it needs it
 (the commands do, through ``methods.Decoder``); ``load_series`` loads the
 newest ones at once. Training refuses a directory that already holds a series.
 
@@ -99,7 +106,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import CheckpointError, ValidationError
 from .textproc import TokenSeq, sentence_tokens
@@ -257,9 +264,10 @@ class Checkpoint:
     emissions: dict[tuple[str, int], list[tuple[str, float]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # model files rendered by training, by file name, for save_checkpoint to
-    # write instead of rendering them again; it empties this once written
-    rendered: dict[str, bytes] = field(
+    # model files rendered by training, as blocks of bytes by file name, for
+    # save_checkpoint to write instead of rendering them again; it empties
+    # this once written
+    rendered: dict[str, list[bytes]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     # the sha256 of each file a loaded checkpoint was read from, by path,
@@ -342,13 +350,17 @@ def train_toy(
     checkpoint_dir: Path | str | None,
     direction: str = "fwd",
     alpha: float = 0.1,
-) -> CheckpointSeries:
+) -> CheckpointSeries | list[tuple[int, float]]:
     """EM-train the lexicon, persisting a checkpoint after every iteration.
 
-    checkpoint_dir=None trains in memory only. Otherwise the directory must
-    not already hold a series, each checkpoint is saved with
-    ``save_checkpoint`` once the next E-step has summed its log-likelihood,
-    and series.tsv is rewritten after every saved checkpoint. A pair using a
+    checkpoint_dir=None trains in memory only and returns every checkpoint
+    as a ``CheckpointSeries``. Otherwise the directory must not already hold
+    a series, each checkpoint is saved with ``save_checkpoint`` once the next
+    E-step has summed its log-likelihood, series.tsv is rewritten after every
+    saved checkpoint, and the ``(iteration, loglik)`` rows series.tsv lists
+    are returned: a saved checkpoint leaves memory before the next M-step,
+    so training holds one lexicon and its text at a time, whatever the
+    number of iterations (``load_series`` loads them back). A pair using a
     reserved token is rejected before anything is written: the LM file gives
     those tokens their own meaning. So is a pair
     holding a word that is not one canonical token, which ``load_checkpoint``
@@ -394,29 +406,32 @@ def train_toy(
 
     # the support never changes: each source word's row holds the words it
     # co-occurs with, in order of first co-occurrence, the order its counts
-    # are summed in; lexicon.tsv lists both sorted
-    zero_counts: dict[str, dict[str, float]] = {}
+    # are summed in (``order``); lexicon.tsv lists both sorted (``support``)
+    first_seen: dict[str, dict[str, None]] = {}
     for src, tgt in pairs:
-        zeros = dict.fromkeys(tgt, 0.0)
+        targets = dict.fromkeys(tgt)
         for e in src:
-            zero_counts.setdefault(e, {}).update(zeros)
-    support = {e: sorted(zero_counts[e]) for e in sorted(zero_counts)}
+            first_seen.setdefault(e, {}).update(targets)
+    order = {e: tuple(first_seen[e]) for e in sorted(first_seen)}
+    del first_seen
+    support = {e: sorted(targets) for e, targets in order.items()}
     lexicon: LexiconTable = {
         e: dict.fromkeys(targets, quantize(1.0 / len(targets)))
         for e, targets in support.items()
     }
 
     lm = build_bigram_lm([tgt for _, tgt in pairs], alpha=alpha)
-    lm_text = b""
+    lm_blocks: list[bytes] = []
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        lm_text = _lm_text(lm).encode("utf-8")
+        lm_blocks.append(_lm_text(lm).encode("utf-8"))
     lm.rows.clear()
 
     checkpoints: list[Checkpoint] = []
+    rows: list[tuple[int, float]] = []
 
     def finish(
-        iteration: int, lexicon: LexiconTable, lexicon_text: bytes, loglik: float
+        iteration: int, lexicon: LexiconTable, blocks: list[bytes], loglik: float
     ) -> None:
         ckpt = Checkpoint(
             iteration=iteration,
@@ -425,34 +440,40 @@ def train_toy(
             corpus_loglik=loglik,
             direction=direction,
         )
-        checkpoints.append(ckpt)
-        if out_dir is not None:
-            ckpt.rendered.update({"lexicon.tsv": lexicon_text, "lm.tsv": lm_text})
+        if out_dir is None:
+            checkpoints.append(ckpt)
+        else:
+            ckpt.rendered.update({"lexicon.tsv": blocks, "lm.tsv": lm_blocks})
             save_checkpoint(ckpt, out_dir / checkpoint_name(iteration))
-            _write_series_index(out_dir, checkpoints, direction)
+            rows.append((iteration, loglik))
+            _write_series_index(out_dir, direction, rows)
         log.info("iteration %d: corpus log-likelihood %.6f", iteration, loglik)
 
     # the E-step of iteration it + 1 sums the log-likelihood of the lexicon
     # of iteration it, so that checkpoint is complete only after it
-    lexicon_text = b""
+    lexicon_blocks: list[bytes] = []
     for it in range(1, iterations + 1):
-        counts, loglik = _expected_counts(lexicon, pairs, zero_counts)
+        counts, loglik = _expected_counts(lexicon, pairs, order)
         if it > 1:
-            finish(it - 1, lexicon, lexicon_text, loglik)
-        lexicon, lexicon_text = _renormalize(counts, support)
-    finish(iterations, lexicon, lexicon_text, corpus_loglikelihood(lexicon, pairs))
-    return CheckpointSeries(checkpoints=tuple(checkpoints))
+            finish(it - 1, lexicon, lexicon_blocks, loglik)
+        # drop the loop's references, so a saved checkpoint leaves memory before the M-step
+        del lexicon, lexicon_blocks
+        lexicon, lexicon_blocks = _renormalize(counts, support)
+    finish(iterations, lexicon, lexicon_blocks, corpus_loglikelihood(lexicon, pairs))
+    if out_dir is None:
+        return CheckpointSeries(checkpoints=tuple(checkpoints))
+    return rows
 
 
 def _expected_counts(
     lexicon: LexiconTable,
     pairs: Sequence[tuple[TokenSeq, TokenSeq]],
-    zero_counts: dict[str, dict[str, float]],
+    order: dict[str, tuple[str, ...]],
 ) -> tuple[dict[str, dict[str, float]], float]:
-    """The E-step: fractional counts under ``lexicon``, starting from a copy
-    of ``zero_counts``, and its ``corpus_loglikelihood``, added up from the
-    same sums in the same order."""
-    counts = {e: row.copy() for e, row in zero_counts.items()}
+    """The E-step: fractional counts under ``lexicon``, each row starting at
+    zero with its keys in ``order``, and its ``corpus_loglikelihood``, added
+    up from the same sums in the same order."""
+    counts = {e: dict.fromkeys(targets, 0.0) for e, targets in order.items()}
     loglik = 0.0
     log = math.log
     for src, tgt in pairs:
@@ -471,26 +492,27 @@ def _expected_counts(
 
 def _renormalize(
     counts: dict[str, dict[str, float]], support: dict[str, list[str]]
-) -> tuple[LexiconTable, bytes]:
-    """The M-step: the quantized lexicon and its lexicon.tsv text.
+) -> tuple[LexiconTable, list[bytes]]:
+    """The M-step, in place: ``counts`` becomes the quantized lexicon, and
+    its lexicon.tsv text is built beside it, one block per source word.
 
-    Each value is formatted once (``_format_value``), for both; the text is
-    built one source word's rows at a time.
+    A row's total is summed before any of its counts is replaced, in the
+    order they were summed in. Each value is formatted once
+    (``_format_value``), for both the lexicon and the text. The blocks are
+    never joined, so the text is held once and in small pieces: one buffer
+    of the whole text, grown as it is built, fragments the heap, and the
+    process's peak then rises with the number of iterations.
     """
-    lexicon: LexiconTable = {}
-    blocks: list[bytes] = []
+    blocks = []
     for e, targets in support.items():
         row = counts[e]
         norm = sum(row.values())
-        new_row: dict[str, float] = {}
         lines = []
         for f in targets:
-            value, text = _format_value(row[f] / norm)
-            new_row[f] = value
-            lines.append(f"{e}\t{f}\t{text}\n")
-        lexicon[e] = new_row
+            row[f], value = _format_value(row[f] / norm)
+            lines.append(f"{e}\t{f}\t{value}\n")
         blocks.append("".join(lines).encode("utf-8"))
-    return lexicon, b"".join(blocks)
+    return counts, blocks
 
 
 def emission_candidates(
@@ -550,11 +572,13 @@ def decode_nbest(
     return [Hypothesis(tokens=toks, total_logprob=-neg) for _, toks, neg in ranked[:n]]
 
 
-def _checksum(lexicon_text: bytes, lm_text: bytes) -> str:
+def _checksum(lexicon_blocks: Iterable[bytes], lm_blocks: Iterable[bytes]) -> str:
     digest = hashlib.sha256()
-    digest.update(lexicon_text)
+    for block in lexicon_blocks:
+        digest.update(block)
     digest.update(b"\x00")
-    digest.update(lm_text)
+    for block in lm_blocks:
+        digest.update(block)
     return digest.hexdigest()
 
 
@@ -593,18 +617,18 @@ def save_checkpoint(ckpt: Checkpoint, directory: Path | str) -> None:
     if not set(old) <= set(CHECKPOINT_FILES):
         raise ValidationError(f"{directory} holds files other than a checkpoint's: {old}")
     rendered = ckpt.rendered
-    lexicon_text = rendered.get("lexicon.tsv")
-    if lexicon_text is None:
-        lexicon_text = _lexicon_text(ckpt.lexicon).encode("utf-8")
-    lm_text = rendered.get("lm.tsv")
-    if lm_text is None:
-        lm_text = _lm_text(ckpt.lm).encode("utf-8")
+    lexicon_blocks = rendered.get("lexicon.tsv")
+    if lexicon_blocks is None:
+        lexicon_blocks = [_lexicon_text(ckpt.lexicon).encode("utf-8")]
+    lm_blocks = rendered.get("lm.tsv")
+    if lm_blocks is None:
+        lm_blocks = [_lm_text(ckpt.lm).encode("utf-8")]
     meta_rows = [
         ("iteration", str(ckpt.iteration)),
         ("direction", ckpt.direction),
         ("corpus_loglik", repr(ckpt.corpus_loglik)),
         ("alpha", repr(ckpt.lm.alpha)),
-        ("checksum", _checksum(lexicon_text, lm_text)),
+        ("checksum", _checksum(lexicon_blocks, lm_blocks)),
     ]
     meta_text = "".join(f"{k}\t{v}\n" for k, v in meta_rows).encode("utf-8")
 
@@ -615,8 +639,9 @@ def save_checkpoint(ckpt: Checkpoint, directory: Path | str) -> None:
             shutil.rmtree(leftover)
     partial.mkdir(parents=True)
     try:
-        for name, data in zip(CHECKPOINT_FILES, (lexicon_text, lm_text, meta_text)):
-            (partial / name).write_bytes(data)
+        for name, blocks in zip(CHECKPOINT_FILES, (lexicon_blocks, lm_blocks, [meta_text])):
+            with (partial / name).open("wb") as sink:
+                sink.writelines(blocks)
         if directory.exists():
             # an existing checkpoint is swapped out, then removed
             os.replace(directory, stale)
@@ -839,8 +864,18 @@ def _iteration(raw: str) -> int:
     return int(raw)
 
 
+def _plain_float(raw: str) -> float:
+    """The value of a plain ASCII number (``_plain_number``), as series.tsv
+    and meta.tsv write them; raises ValueError for any other text."""
+    encoded = raw.encode("utf-8")
+    value = float(encoded)  # float() of bytes reads ASCII digits only
+    if not _plain_number(encoded):
+        raise ValueError(raw)
+    return value
+
+
 def _finite_float(raw: str) -> float:
-    value = float(raw)
+    value = _plain_float(raw)
     if not math.isfinite(value):
         raise ValueError(raw)
     return value
@@ -943,27 +978,45 @@ def checkpoint_name(iteration: int) -> str:
 
 
 def _write_series_index(
-    directory: Path, checkpoints: Sequence[Checkpoint], direction: str
+    directory: Path, direction: str, rows: Sequence[tuple[int, float]]
 ) -> None:
     """Replace series.tsv atomically, so readers only ever see a whole index."""
     lines = [f"direction\t{direction}\n"]
-    for ckpt in checkpoints:
-        lines.append(f"{checkpoint_name(ckpt.iteration)}\t{ckpt.corpus_loglik!r}\n")
+    for iteration, loglik in rows:
+        lines.append(f"{checkpoint_name(iteration)}\t{loglik!r}\n")
     partial = directory / (SERIES_INDEX + ".partial")
     partial.write_text("".join(lines), encoding="utf-8", newline="\n")
     os.replace(partial, directory / SERIES_INDEX)
 
 
-def read_series_index(directory: Path | str) -> tuple[str, list[tuple[int, float]]]:
-    """Parse and validate series.tsv: its direction and (iteration, loglik) rows."""
+class SeriesIndex(NamedTuple):
+    """A parsed series.tsv: its direction, its (iteration, loglik) rows, and
+    the sha256 of the bytes they were parsed from."""
+
+    direction: str
+    rows: list[tuple[int, float]]
+    digest: str
+
+
+def read_series_index(directory: Path | str) -> SeriesIndex:
+    """Parse and validate series.tsv, read once.
+
+    Its rows are split on LF alone and each log-likelihood must be a plain
+    ASCII number (``_plain_float``), so a CRLF copy, or a value with
+    surrounding whitespace or ``_``, is malformed.
+    """
     directory = Path(directory)
     if not directory.is_dir():
         raise CheckpointError(f"checkpoint series directory not found: {directory}")
     path = directory / SERIES_INDEX
     if not path.is_file():
         raise CheckpointError(f"missing series index: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    head = lines[0].split("\t") if lines else []
+    data = path.read_bytes()
+    try:
+        lines = data.decode("utf-8").removesuffix("\n").split("\n")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path} is not UTF-8") from None
+    head = lines[0].split("\t")
     if len(head) != 2 or head[0] != "direction" or head[1] not in DIRECTIONS:
         raise CheckpointError(f"{path}: first row must be 'direction<TAB>fwd|bwd'")
     rows: list[tuple[int, float]] = []
@@ -973,7 +1026,7 @@ def read_series_index(directory: Path | str) -> tuple[str, list[tuple[int, float
         if len(cols) != 2 or match is None or checkpoint_name(int(match[1])) != cols[0]:
             raise CheckpointError(f"{path} row {lineno}: expected 'ckpt-NNNN<TAB>loglik': {line!r}")
         try:
-            loglik = float(cols[1])
+            loglik = _plain_float(cols[1])
         except ValueError:
             raise CheckpointError(f"{path} row {lineno}: bad log-likelihood {cols[1]!r}") from None
         if not math.isfinite(loglik):
@@ -986,7 +1039,7 @@ def read_series_index(directory: Path | str) -> tuple[str, list[tuple[int, float
         rows.append((iteration, loglik))
     if not rows:
         raise CheckpointError(f"{path} lists no checkpoints")
-    return head[1], rows
+    return SeriesIndex(head[1], rows, hashlib.sha256(data).hexdigest())
 
 
 def load_indexed_checkpoint(
@@ -1012,7 +1065,7 @@ def load_series(directory: Path | str, newest: int | None = None) -> CheckpointS
     """
     if newest is not None and newest < 1:
         raise ValidationError(f"newest must be >= 1, got {newest}")
-    direction, rows = read_series_index(directory)
+    direction, rows, _ = read_series_index(directory)
     if newest is not None:
         rows = rows[-newest:]
     return CheckpointSeries(

@@ -92,3 +92,20 @@ def test_traced_train_saves_each_checkpoint_once(monkeypatch, tmp_path, fixtures
     names = [span[2] for span in tracer.spans]
     assert names == ["translator.save_checkpoint"] * iterations
     assert tracer.saved_bytes == sum(p.stat().st_size for p in out.glob("ckpt-*/*"))
+
+
+def test_traced_train_times_em_in_one_train_toy_span(monkeypatch, tmp_path, fixtures_path):
+    """The benchmark charges EM to the translator.train_toy span, so a
+    traced train makes exactly one, and every save_checkpoint span lies
+    inside it, whatever train_toy returns."""
+    tracer = tracer_module.Tracer()
+    for name in ("translator.train_toy", "translator.save_checkpoint"):
+        observe(monkeypatch, tracer, name)
+    assert main(["train", "--parallel", str(fixtures_path / "toy_parallel.tsv"),
+                 "--iterations", "3", "--out", str(tmp_path / "series")]) == 0
+    (train,) = [span for span in tracer.spans if span[2] == "translator.train_toy"]
+    saves = [span for span in tracer.spans if span[2] == "translator.save_checkpoint"]
+    assert len(saves) == 3
+    for save in saves:
+        assert save[1] == train[0] and train[3] <= save[3] <= save[4] <= train[4]
+    assert train[5] == sum(save[4] - save[3] for save in saves)

@@ -885,8 +885,9 @@ class TestSeriesLoading:
     def test_each_model_file_is_read_once(
         self, trained_world, fixtures_path, tmp_path, opens, argv, checkpoints
     ):
-        """The loader hashes each file for the manifest as it reads it; the
-        manifest used to read and hash every loaded file a second time."""
+        """The loader hashes each file for the manifest as it reads it, and
+        so does the series.tsv reader; the manifest used to read and hash
+        every loaded file, and each series.tsv, a second time."""
         paths = {"fwd": str(trained_world / "fwd"), "bwd": str(trained_world / "bwd"),
                  "gold": str(fixtures_path / "toy_gold.txt")}
         rc = run_cli([*(arg.format(**paths) for arg in argv),
@@ -897,6 +898,11 @@ class TestSeriesLoading:
                        if Path(path).name in translator.CHECKPOINT_FILES}
         assert len(model_files) == 3 * checkpoints
         assert set(model_files.values()) == {1}
+        indexes = {path: count for path, count in opens.items()
+                   if Path(path).name == translator.SERIES_INDEX}
+        series = [value.format(**paths) for flag, value in zip(argv, argv[1:])
+                  if flag in ("--series", "--bwd-series")]
+        assert indexes == {str(Path(d) / translator.SERIES_INDEX): 1 for d in series}
 
     @pytest.mark.parametrize(
         "argv, resident",
@@ -1071,6 +1077,11 @@ def _set_meta_row(path: Path, key: str, value: str) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _meta_value_rewritten(path: Path, key: str, rewrite) -> str:
+    meta = dict(row.split("\t") for row in path.read_text(encoding="utf-8").splitlines())
+    return _set_meta_row(path, key, rewrite(meta[key]))
+
+
 def _rename_word(path: Path, old: str, new: str) -> str:
     """A lexicon.tsv or lm.tsv text with every ``old`` word column renamed ``new``."""
     rows = [
@@ -1117,6 +1128,13 @@ CHECKPOINT_FAULTS = {
         ckpt / "lm.tsv", lambda row: row.rsplit("\t", 1)[0] + "\tinf")),
     "nan-alpha": lambda ckpt: (ckpt / "meta.tsv").write_text(
         _set_meta_row(ckpt / "meta.tsv", "alpha", "nan"), encoding="utf-8"),
+    # float() reads each of these meta.tsv values as the number it spells
+    "space-before-loglik": lambda ckpt: (ckpt / "meta.tsv").write_text(
+        _meta_value_rewritten(ckpt / "meta.tsv", "corpus_loglik", lambda v: " " + v),
+        encoding="utf-8"),
+    "full-width-alpha": lambda ckpt: (ckpt / "meta.tsv").write_text(
+        _meta_value_rewritten(ckpt / "meta.tsv", "alpha", lambda v: v.translate(FULL_WIDTH_DIGITS)),
+        encoding="utf-8"),
     "inf-loglik": lambda ckpt: (ckpt / "meta.tsv").write_text(
         _set_meta_row(ckpt / "meta.tsv", "corpus_loglik", "-inf"), encoding="utf-8"),
     # a repeated key used to load quietly, its last row winning
@@ -1157,6 +1175,50 @@ def test_checkpoint_fault_exits_2_and_writes_nothing(
                   "--prompts", str(fixtures_path / "toy_prompts.txt"), "--out", str(out)])
     assert rc == 2
     assert "ckpt-0005" in capsys.readouterr().err
+    assert list(tmp_path.glob("out.txt*")) == []
+
+
+def _last_loglik_rewritten(path: Path, rewrite) -> bytes:
+    """series.tsv's bytes with its last row's log-likelihood replaced by
+    ``rewrite`` of it."""
+    rows = path.read_text(encoding="utf-8").splitlines()
+    name, loglik = rows[-1].split("\t")
+    rows[-1] = f"{name}\t{rewrite(loglik)}"
+    return ("\n".join(rows) + "\n").encode("utf-8")
+
+
+# each used to load: float() reads these log-likelihoods as the numbers they
+# spell and splitlines() splits CRLF rows; a series.tsv that is not UTF-8
+# exited 1 as an internal error
+SERIES_FAULTS = {
+    "crlf-copy": (lambda path: path.read_bytes().replace(b"\n", b"\r\n"),
+                  "first row must be"),
+    "space-around-loglik": (lambda path: _last_loglik_rewritten(path, lambda v: f" {v} "),
+                            "row 6: bad log-likelihood"),
+    "underscore-in-loglik": (lambda path: _last_loglik_rewritten(
+        path, lambda v: DIGIT_PAIR.sub(r"\1_\2", v, count=1)), "row 6: bad log-likelihood"),
+    "full-width-loglik": (lambda path: _last_loglik_rewritten(
+        path, lambda v: v.translate(FULL_WIDTH_DIGITS)), "row 6: bad log-likelihood"),
+    "not-utf8": (lambda path: path.read_bytes() + b"\xff\n", "is not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("fault", list(SERIES_FAULTS))
+@pytest.mark.parametrize("method", [["nbest"], ["ensemble", "--m", "2"]],
+                         ids=["nbest", "ensemble"])
+def test_series_index_fault_exits_2_and_writes_nothing(
+    trained_world, fixtures_path, tmp_path, capsys, method, fault
+):
+    series = tmp_path / "fwd"
+    shutil.copytree(trained_world / "fwd", series)
+    edit, reason = SERIES_FAULTS[fault]
+    (series / "series.tsv").write_bytes(edit(series / "series.tsv"))
+    out = tmp_path / "out.txt"
+    rc = run_cli(["generate", "--method", *method, "--series", str(series),
+                  "--prompts", str(fixtures_path / "toy_prompts.txt"), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(series / "series.tsv") in err and reason in err
     assert list(tmp_path.glob("out.txt*")) == []
 
 

@@ -50,7 +50,12 @@ HAND_CORPUS = [(["a", "b"], ["x", "y"]), (["a"], ["x"])]
 
 @pytest.fixture()
 def hand_series(tmp_path):
-    return train_toy(HAND_CORPUS, 3, tmp_path / "series")
+    """The hand corpus trained in memory, and the same run saved under
+    tmp_path / "series"."""
+    rows = train_toy(HAND_CORPUS, 3, tmp_path / "series")
+    series = train_toy(HAND_CORPUS, 3, None)
+    assert rows == [(c.iteration, c.corpus_loglik) for c in series.checkpoints]
+    return series
 
 
 class TestTrainToy:
@@ -297,9 +302,10 @@ class TestPersistence:
             assert load_checkpoint(tmp_path / str(i)) == ckpt, f"instance {i}"
 
     def test_series_round_trip(self, hand_series, tmp_path):
-        series = train_toy(HAND_CORPUS, 3, tmp_path / "s")
+        rows = train_toy(HAND_CORPUS, 3, tmp_path / "s")
         loaded = load_series(tmp_path / "s")
-        assert loaded == series
+        assert loaded == hand_series
+        assert rows == [(c.iteration, c.corpus_loglik) for c in loaded.checkpoints]
         assert (tmp_path / "s" / "ckpt-0002").is_dir()
 
     def test_series_newest_loads_only_the_last_checkpoints(self, hand_series, tmp_path):
@@ -349,11 +355,15 @@ class TestCheckpointFaults:
         "key, value",
         [("iteration", "two"), ("iteration", "0"), ("iteration", " 2_0"), ("iteration", "+1"),
          ("iteration", "01"), ("corpus_loglik", "x"), ("alpha", "x"),
+         ("corpus_loglik", " -17970.37"), ("corpus_loglik", "-2_0595.7"),
+         ("alpha", "0.1 "), ("alpha", "0.1".translate(FULL_WIDTH_DIGITS)),
          ("direction", "sideways")],
     )
     def test_bad_meta_value_rejected(self, hand_series, tmp_path, key, value):
         """An iteration is a positive decimal integer as written: int() would
-        also take 0, " 2_0" (20), "+1" and "01"."""
+        also take 0, " 2_0" (20), "+1" and "01". corpus_loglik and alpha are
+        plain ASCII numbers, which float() reads with surrounding whitespace,
+        "_" between digits or full-width digits too."""
         ckpt = tmp_path / "series" / "ckpt-0001"
         set_meta(ckpt, key, value)
         expected = f"bad {key} {re.escape(repr(value))} in meta.tsv of .*ckpt-0001"
@@ -572,9 +582,9 @@ class TestLoadedModelSharing:
     """A loaded series holds what its checkpoints share once, as a trained one does."""
 
     def test_series_holds_one_lm(self, tmp_path):
-        trained = train_toy(HAND_CORPUS, 3, tmp_path / "s")
+        train_toy(HAND_CORPUS, 3, tmp_path / "s")
         loaded = load_series(tmp_path / "s")
-        assert loaded == trained
+        assert loaded == train_toy(HAND_CORPUS, 3, None)
         lm = loaded.checkpoints[0].lm
         assert all(c.lm is lm for c in loaded.checkpoints)
         blocks = translator._blocks(tmp_path / "s" / "ckpt-0003" / "lm.tsv", ())
@@ -592,7 +602,8 @@ class TestLoadedModelSharing:
         assert bwd.lm != first.lm
 
     def test_distinct_lm_files_load_distinct_lms(self, tmp_path):
-        trained = train_toy(HAND_CORPUS, 3, tmp_path / "s")
+        train_toy(HAND_CORPUS, 3, tmp_path / "s")
+        trained = train_toy(HAND_CORPUS, 3, None)
         lm = trained.checkpoints[0].lm
         other = build_bigram_lm([["y", "x", "x"]])
         save_checkpoint(dataclasses.replace(trained.checkpoints[1], lm=other),
@@ -623,6 +634,35 @@ class TestLoadedModelSharing:
         assert a.keys() == b.keys() and all(len(w) > 1 for w in a)
         assert all(a[w] is b[w] for w in a)
         assert all(w is a[w] for w in first.lm.unigram_logprob if w in a)
+
+
+class TestTrainingMemory:
+    def test_peak_does_not_grow_with_iterations(self, tmp_path):
+        """Training into a directory lets each checkpoint go once it is
+        saved, so 6 iterations peak where 2 do. Measured with tracemalloc on
+        this corpus (274 pairs, a 12.6 KB lexicon.tsv): the peaks differ by
+        42 bytes, while keeping every checkpoint, as training used to, added
+        206 KB (about 16 lexicon.tsv sizes) for the 4 more iterations."""
+        rng = random.Random(14)
+        pairs = [
+            ([f"{w}k{k}" for w in src], [f"{w}k{k}" for w in tgt])
+            for k in range(50)
+            for src, tgt in gen_random_parallel(rng)
+        ]
+        train_toy(pairs, 1, tmp_path / "warm-up")  # first-use caches: words seen
+        peaks = {}
+        for iterations in (2, 6):
+            tracemalloc.start()
+            try:
+                rows = train_toy(pairs, iterations, tmp_path / str(iterations))
+                peaks[iterations] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        size = (tmp_path / "6" / "ckpt-0006" / "lexicon.tsv").stat().st_size
+        assert peaks[6] - peaks[2] <= 0.5 * size
+        series = train_toy(pairs, 6, None)
+        assert load_series(tmp_path / "6") == series
+        assert rows == [(c.iteration, c.corpus_loglik) for c in series.checkpoints]
 
 
 class TestEmMonotonicityProperty:
@@ -662,12 +702,11 @@ class TestTrainingExactness:
     @settings(max_examples=25, deadline=None)
     def test_lexicon_file_is_the_lexicon_rendered_afresh(self, pairs, iterations):
         with tempfile.TemporaryDirectory() as tmp:
-            series = train_toy(pairs, iterations, Path(tmp) / "s")
-            for ckpt in series.checkpoints:
+            train_toy(pairs, iterations, Path(tmp) / "s")
+            for ckpt in train_toy(pairs, iterations, None).checkpoints:
                 saved = Path(tmp) / "s" / translator.checkpoint_name(ckpt.iteration)
                 text = (saved / "lexicon.tsv").read_text(encoding="utf-8")
                 assert text == translator._lexicon_text(ckpt.lexicon)
-                assert ckpt.rendered == {}
 
     def test_fixture_lexicon_files_are_the_lexicons_rendered_afresh(
         self, tmp_path, toy_fwd_series
@@ -717,23 +756,35 @@ class TestTrainingExactness:
         assert len(lm.rows) == len(rows)
         assert translator._lm_text(lm) == "".join(f"{a}\t{b}\t{lp!r}\n" for a, b, lp in rows)
 
-    def test_training_keeps_no_lm_rows(self, tmp_path):
-        for out in (None, tmp_path / "s"):
-            assert train_toy(HAND_CORPUS, 2, out).checkpoints[0].lm.rows == []
+    def test_training_keeps_no_lm_rows(self, tmp_path, monkeypatch):
+        """Nor, once a checkpoint is saved, its rendered files."""
+        lms = []
+        real_save = translator.save_checkpoint
+
+        def save(ckpt, directory):
+            lms.append(ckpt.lm)
+            assert set(ckpt.rendered) == {"lexicon.tsv", "lm.tsv"}
+            real_save(ckpt, directory)
+            assert ckpt.rendered == {}
+
+        monkeypatch.setattr(translator, "save_checkpoint", save)
+        train_toy(HAND_CORPUS, 2, tmp_path / "s")
+        lms.append(train_toy(HAND_CORPUS, 2, None).checkpoints[0].lm)
+        assert [lm.rows for lm in lms] == [[], [], []]
 
 
 class TestCrashSafeSave:
     def test_save_that_raises_partway_leaves_no_checkpoint_directory(
         self, tmp_path, monkeypatch
     ):
-        real_write = Path.write_bytes
+        real_open = Path.open
 
-        def write_until_second_lm(path, data):
+        def write_until_second_lm(path, *args, **kwargs):
             if path.name == "lm.tsv" and path.parent.name == ".ckpt-0002.partial":
                 raise OSError("disk full")
-            return real_write(path, data)
+            return real_open(path, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "write_bytes", write_until_second_lm)
+        monkeypatch.setattr(Path, "open", write_until_second_lm)
         with pytest.raises(OSError, match="disk full"):
             train_toy(HAND_CORPUS, 3, tmp_path / "s")
         assert sorted(p.name for p in (tmp_path / "s").iterdir()) == ["ckpt-0001", "series.tsv"]
@@ -744,8 +795,10 @@ class TestCrashSafeSave:
         stale = tmp_path / "s" / ".ckpt-0001.partial"
         stale.mkdir(parents=True)
         (stale / "lexicon.tsv").write_text("half a checkpoint", encoding="utf-8")
-        series = train_toy(HAND_CORPUS, 2, tmp_path / "s")
-        assert load_series(tmp_path / "s") == series
+        rows = train_toy(HAND_CORPUS, 2, tmp_path / "s")
+        loaded = load_series(tmp_path / "s")
+        assert loaded == train_toy(HAND_CORPUS, 2, None)
+        assert rows == [(c.iteration, c.corpus_loglik) for c in loaded.checkpoints]
         names = sorted(p.name for p in (tmp_path / "s").iterdir())
         assert names == ["ckpt-0001", "ckpt-0002", "series.tsv"]
 
@@ -764,6 +817,13 @@ class TestCrashSafeSave:
 
 def index_rows(series_dir):
     return (series_dir / "series.tsv").read_text(encoding="utf-8").splitlines()
+
+
+def last_loglik_rewritten(rows, rewrite):
+    """series.tsv ``rows`` with the last row's log-likelihood replaced by
+    ``rewrite`` of it."""
+    name, loglik = rows[-1].split("\t")
+    return rows[:-1] + [f"{name}\t{rewrite(loglik)}"]
 
 
 class TestSeriesIndex:
@@ -804,9 +864,15 @@ class TestSeriesIndex:
             lambda rows: rows[:1] + [rows[1].split("\t")[0] + "\tnan"] + rows[2:],
             lambda rows: [rows[0], rows[2], rows[1], rows[3]],
             lambda rows: rows + [rows[-1]],
+            # float() reads these log-likelihoods, and splitlines() CRLF rows
+            lambda rows: [row + "\r" for row in rows],
+            lambda rows: last_loglik_rewritten(rows, lambda v: f" {v} "),
+            lambda rows: last_loglik_rewritten(rows, lambda v: re.sub(r"(\d)(\d)", r"\1_\2", v, 1)),
+            lambda rows: last_loglik_rewritten(rows, lambda v: v.translate(FULL_WIDTH_DIGITS)),
         ],
         ids=["direction", "no-header", "no-rows", "name", "columns", "loglik",
-             "order", "repeat"],
+             "order", "repeat", "crlf", "loglik-space", "loglik-underscore",
+             "loglik-full-width"],
     )
     def test_malformed_index_rejected(self, hand_series, tmp_path, edit):
         series_dir = tmp_path / "series"
@@ -814,6 +880,12 @@ class TestSeriesIndex:
         (series_dir / "series.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
         with pytest.raises(CheckpointError):
             load_series(series_dir)
+
+    def test_index_digest_is_of_the_bytes_read(self, hand_series, tmp_path):
+        path = tmp_path / "series" / "series.tsv"
+        index = translator.read_series_index(tmp_path / "series")
+        assert index.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert index.rows == [(c.iteration, c.corpus_loglik) for c in hand_series.checkpoints]
 
     def test_iteration_zero_row_rejected(self, hand_series, tmp_path):
         """A ckpt-0000 row is rejected even when only newer checkpoints load."""
