@@ -29,15 +29,6 @@ log = logging.getLogger(__name__)
 REPORT_NOTE = "# precision = TP/(TP+FP), unweighted; recall weighted by gold response rates"
 REPORT_HEADER = "prompt_id\tprecision\tweighted_recall\tweighted_f1"
 
-# Published reference points for this metric on the full-scale EN->PT
-# shared-task test data, in percent. Toy models trained by this package are
-# not comparable to these; they are recorded for context only.
-FULL_SCALE_REFERENCE_MACRO_F1 = {
-    "six_checkpoint_ensemble": 37.57,
-    "aws_baseline": 21.29,
-    "fairseq_baseline": 13.57,
-}
-
 
 @dataclass(frozen=True)
 class PromptScore:

@@ -26,9 +26,9 @@ last checkpoint takes a separate ``corpus_loglikelihood`` pass; the M-step
 renormalizes the counts in place and formats each lexicon value once, for
 both the quantized value and the lexicon.tsv text, which it keeps as one
 block per source word, never joined; and lm.tsv is rendered once per
-series. Training into a directory keeps no checkpoint once it is saved, so
-it holds one lexicon and its text at a time, however many iterations it
-runs. Every file is byte-identical to rendering each checkpoint on its own.
+series. Training keeps no checkpoint once it is saved, so it holds one
+lexicon and its text at a time, however many iterations it runs. Every file
+is byte-identical to rendering each checkpoint on its own.
 On-disk layout, one directory per checkpoint:
 
     meta.tsv     key<TAB>value rows: iteration, direction, corpus_loglik,
@@ -83,8 +83,8 @@ does not list is never loaded. ``read_series_index`` reads the index once,
 validates it and takes the sha256 of the bytes it parsed, and
 ``load_indexed_checkpoint`` loads one checkpoint it lists, checked against
 its row, so a caller can load each checkpoint only when it needs it
-(the commands do, through ``methods.Decoder``); ``load_series`` loads the
-newest ones at once. Training refuses a directory that already holds a series.
+(the commands do, through ``methods.Decoder``); ``load_series`` loads them
+all at once. Training refuses a directory that already holds a series.
 
 A loaded series holds its shared state once, as a trained one does: the
 checkpoints of a series have the same lm.tsv, which is parsed once into one
@@ -284,25 +284,6 @@ class Checkpoint:
 
 
 @dataclass(frozen=True)
-class CheckpointSeries:
-    checkpoints: tuple[Checkpoint, ...]
-
-    def __post_init__(self) -> None:
-        iters = [c.iteration for c in self.checkpoints]
-        if any(b <= a for a, b in zip(iters, iters[1:])):
-            raise ValidationError(f"checkpoint iterations must be strictly increasing: {iters}")
-        logliks = [c.corpus_loglik for c in self.checkpoints]
-        for a, b in zip(logliks, logliks[1:]):
-            if b < a - 1e-9:
-                raise ValidationError(
-                    f"corpus log-likelihood decreases along the series: {a} -> {b}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.checkpoints)
-
-
-@dataclass(frozen=True)
 class Hypothesis:
     """A decoded token sequence scored by average log-likelihood."""
 
@@ -347,37 +328,38 @@ def corpus_loglikelihood(
 def train_toy(
     parallel: Sequence[tuple[TokenSeq, TokenSeq]],
     iterations: int,
-    checkpoint_dir: Path | str | None,
+    checkpoint_dir: Path | str,
     direction: str = "fwd",
     alpha: float = 0.1,
-) -> CheckpointSeries | list[tuple[int, float]]:
-    """EM-train the lexicon, persisting a checkpoint after every iteration.
+) -> list[tuple[int, float]]:
+    """EM-train the lexicon into ``checkpoint_dir``, saving a checkpoint
+    after every iteration, and return the ``(iteration, loglik)`` rows
+    series.tsv lists (``load_series`` loads the checkpoints back).
 
-    checkpoint_dir=None trains in memory only and returns every checkpoint
-    as a ``CheckpointSeries``. Otherwise the directory must not already hold
-    a series, each checkpoint is saved with ``save_checkpoint`` once the next
-    E-step has summed its log-likelihood, series.tsv is rewritten after every
-    saved checkpoint, and the ``(iteration, loglik)`` rows series.tsv lists
-    are returned: a saved checkpoint leaves memory before the next M-step,
-    so training holds one lexicon and its text at a time, whatever the
-    number of iterations (``load_series`` loads them back). A pair using a
-    reserved token is rejected before anything is written: the LM file gives
-    those tokens their own meaning. So is a pair
-    holding a word that is not one canonical token, which ``load_checkpoint``
-    would reject, so every saved series loads back. Training is
-    deterministic: no randomness anywhere, and iteration order is the corpus
-    order.
+    The directory must not be a file or already hold a series. Each
+    checkpoint is saved with ``save_checkpoint`` once the next E-step has
+    summed its log-likelihood, and series.tsv is rewritten after every saved
+    checkpoint: a saved checkpoint leaves memory before the next M-step, so
+    training holds one lexicon and its text at a time, whatever the number
+    of iterations. A pair using a reserved token is rejected before anything
+    is written: the LM file gives those tokens their own meaning. So is a
+    pair holding a word that is not one canonical token, which
+    ``load_checkpoint`` would reject, so every saved series loads back.
+    Training is deterministic: no randomness anywhere, and iteration order
+    is the corpus order.
     """
     if iterations < 1:
         raise ValidationError(f"iterations must be >= 1, got {iterations}")
     if direction not in DIRECTIONS:
         raise ValidationError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    out_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
-    if out_dir is not None and out_dir.is_dir():
+    out_dir = Path(checkpoint_dir)
+    if out_dir.is_dir():
         if any(p.name == SERIES_INDEX or p.name.startswith("ckpt-") for p in out_dir.iterdir()):
             raise ValidationError(
                 f"{out_dir} already holds a checkpoint series; train into a new directory"
             )
+    elif out_dir.exists():
+        raise ValidationError(f"{out_dir} is not a directory")
     pairs: list[tuple[TokenSeq, TokenSeq]] = []
     for number, (src, tgt) in enumerate(parallel, start=1):
         reserved = [w for w in (*src, *tgt) if w in RESERVED_TOKENS]
@@ -421,13 +403,10 @@ def train_toy(
     }
 
     lm = build_bigram_lm([tgt for _, tgt in pairs], alpha=alpha)
-    lm_blocks: list[bytes] = []
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        lm_blocks.append(_lm_text(lm).encode("utf-8"))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    lm_blocks = [_lm_text(lm).encode("utf-8")]
     lm.rows.clear()
 
-    checkpoints: list[Checkpoint] = []
     rows: list[tuple[int, float]] = []
 
     def finish(
@@ -440,13 +419,10 @@ def train_toy(
             corpus_loglik=loglik,
             direction=direction,
         )
-        if out_dir is None:
-            checkpoints.append(ckpt)
-        else:
-            ckpt.rendered.update({"lexicon.tsv": blocks, "lm.tsv": lm_blocks})
-            save_checkpoint(ckpt, out_dir / checkpoint_name(iteration))
-            rows.append((iteration, loglik))
-            _write_series_index(out_dir, direction, rows)
+        ckpt.rendered.update({"lexicon.tsv": blocks, "lm.tsv": lm_blocks})
+        save_checkpoint(ckpt, out_dir / checkpoint_name(iteration))
+        rows.append((iteration, loglik))
+        _write_series_index(out_dir, direction, rows)
         log.info("iteration %d: corpus log-likelihood %.6f", iteration, loglik)
 
     # the E-step of iteration it + 1 sums the log-likelihood of the lexicon
@@ -460,8 +436,6 @@ def train_toy(
         del lexicon, lexicon_blocks
         lexicon, lexicon_blocks = _renormalize(counts, support)
     finish(iterations, lexicon, lexicon_blocks, corpus_loglikelihood(lexicon, pairs))
-    if out_dir is None:
-        return CheckpointSeries(checkpoints=tuple(checkpoints))
     return rows
 
 
@@ -610,9 +584,11 @@ def save_checkpoint(ckpt: Checkpoint, directory: Path | str) -> None:
     half-written: a save that fails removes the partial directory, and a
     partial directory left by a crash is cleared by the next save of that
     name. An existing ``directory`` is replaced, by way of ``.NAME.stale``;
-    it may hold checkpoint files only.
+    it may hold checkpoint files only, and a file of that name is refused.
     """
     directory = Path(directory)
+    if directory.exists() and not directory.is_dir():
+        raise ValidationError(f"{directory} is not a directory")
     old = sorted(p.name for p in directory.iterdir()) if directory.is_dir() else []
     if not set(old) <= set(CHECKPOINT_FILES):
         raise ValidationError(f"{directory} holds files other than a checkpoint's: {old}")
@@ -1058,19 +1034,12 @@ def load_indexed_checkpoint(
     return ckpt
 
 
-def load_series(directory: Path | str, newest: int | None = None) -> CheckpointSeries:
-    """Load the checkpoints series.tsv lists: the newest ``newest`` of them, or all.
-
-    Directories the index does not list are ignored.
-    """
-    if newest is not None and newest < 1:
-        raise ValidationError(f"newest must be >= 1, got {newest}")
+def load_series(directory: Path | str) -> tuple[Checkpoint, ...]:
+    """Load every checkpoint series.tsv lists, oldest first, each checked
+    against its row (``load_indexed_checkpoint``); directories the index
+    does not list are ignored."""
     direction, rows, _ = read_series_index(directory)
-    if newest is not None:
-        rows = rows[-newest:]
-    return CheckpointSeries(
-        checkpoints=tuple(
-            load_indexed_checkpoint(directory, direction, iteration, loglik)
-            for iteration, loglik in rows
-        )
+    return tuple(
+        load_indexed_checkpoint(directory, direction, iteration, loglik)
+        for iteration, loglik in rows
     )

@@ -5,7 +5,7 @@ import pytest
 from stapleforge.cli import fixtures_dir
 from stapleforge.corpus import parse_gold, parse_prompts
 from stapleforge.textproc import sentence_tokens
-from stapleforge.translator import train_toy
+from stapleforge.translator import Checkpoint, load_series, train_toy
 
 
 def load_toy_pairs(swap: bool = False) -> list[tuple[list[str], list[str]]]:
@@ -21,19 +21,30 @@ def load_toy_pairs(swap: bool = False) -> list[tuple[list[str], list[str]]]:
     return pairs
 
 
+def trained_series(directory, pairs, iterations, **kwargs) -> tuple[Checkpoint, ...]:
+    """Train ``pairs`` into ``directory`` and load the series back; the rows
+    ``train_toy`` returns must be the loaded checkpoints'."""
+    rows = train_toy(pairs, iterations, directory, **kwargs)
+    series = load_series(directory)
+    assert rows == [(c.iteration, c.corpus_loglik) for c in series]
+    return series
+
+
 @pytest.fixture(scope="session")
 def fixtures_path():
     return fixtures_dir()
 
 
 @pytest.fixture(scope="session")
-def toy_fwd_series():
-    return train_toy(load_toy_pairs(swap=False), 5, None, direction="fwd")
+def toy_fwd_series(tmp_path_factory):
+    return trained_series(tmp_path_factory.mktemp("toy") / "fwd", load_toy_pairs(), 5)
 
 
 @pytest.fixture(scope="session")
-def toy_bwd_series():
-    return train_toy(load_toy_pairs(swap=True), 5, None, direction="bwd")
+def toy_bwd_series(tmp_path_factory):
+    return trained_series(
+        tmp_path_factory.mktemp("toy") / "bwd", load_toy_pairs(swap=True), 5, direction="bwd"
+    )
 
 
 @pytest.fixture(scope="session")

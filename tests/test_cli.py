@@ -162,7 +162,7 @@ class TestTrain:
             f"ckpt-{i:04d}" for i in range(1, 6)
         ]
         series = load_series(fwd)
-        lls = [c.corpus_loglik for c in series.checkpoints]
+        lls = [c.corpus_loglik for c in series]
         assert all(b >= a - 1e-9 for a, b in zip(lls, lls[1:]))
         assert (fwd / "series.tsv").is_file()
 
@@ -177,10 +177,10 @@ class TestTrain:
     def test_direction_flag_swaps_columns(self, trained_world):
         fwd = load_series(trained_world / "fwd")
         bwd = load_series(trained_world / "bwd")
-        assert "cat" in fwd.checkpoints[-1].lexicon
-        assert "gato" in bwd.checkpoints[-1].lexicon
-        assert {c.direction for c in bwd.checkpoints} == {"bwd"}
-        assert {c.direction for c in fwd.checkpoints} == {"fwd"}
+        assert "cat" in fwd[-1].lexicon
+        assert "gato" in bwd[-1].lexicon
+        assert {c.direction for c in bwd} == {"bwd"}
+        assert {c.direction for c in fwd} == {"fwd"}
 
     @pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf"])
     def test_bad_alpha_exits_2_and_writes_nothing(self, tmp_path, fixtures_path, capsys,
@@ -216,7 +216,7 @@ class TestTrain:
         assert run_cli(["train", "--parallel", parallel, "--iterations", "3",
                         "--out", str(out)]) == 2
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
-        assert [c.iteration for c in load_series(out).checkpoints] == list(range(1, 9))
+        assert [c.iteration for c in load_series(out)] == list(range(1, 9))
 
     def test_malformed_parallel_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
@@ -639,8 +639,8 @@ class TestReproducibility:
         self, fixtures_path, tmp_path, toy_fwd_series, toy_bwd_series
     ):
         """Every file of the fixture's 5-iteration fwd and bwd series has the
-        SHA-256 recorded in toy_series.sha256 (``sha256sum`` format), and the
-        series trained in memory equals the saved one.
+        SHA-256 recorded in toy_series.sha256 (``sha256sum`` format), and
+        loads as the series the library trains from the same corpus.
 
         The digests were recorded while every checkpoint was still rendered,
         summed and saved on its own, so a faster training path that changes
@@ -1187,9 +1187,10 @@ def _last_loglik_rewritten(path: Path, rewrite) -> bytes:
     return ("\n".join(rows) + "\n").encode("utf-8")
 
 
-# each used to load: float() reads these log-likelihoods as the numbers they
-# spell and splitlines() splits CRLF rows; a series.tsv that is not UTF-8
-# exited 1 as an internal error
+# the CRLF and log-likelihood faults used to load: float() reads these
+# log-likelihoods as the numbers they spell and splitlines() splits CRLF rows;
+# a series.tsv that is not UTF-8 exited 1 as an internal error; and only the
+# index's iteration order catches a repeated row, whose checkpoint loads
 SERIES_FAULTS = {
     "crlf-copy": (lambda path: path.read_bytes().replace(b"\n", b"\r\n"),
                   "first row must be"),
@@ -1200,6 +1201,9 @@ SERIES_FAULTS = {
     "full-width-loglik": (lambda path: _last_loglik_rewritten(
         path, lambda v: v.translate(FULL_WIDTH_DIGITS)), "row 6: bad log-likelihood"),
     "not-utf8": (lambda path: path.read_bytes() + b"\xff\n", "is not UTF-8"),
+    "repeated-iteration": (lambda path: re.sub(rb"\n(ckpt-0001\t[^\n]*\n)", rb"\n\1\1",
+                                               path.read_bytes()),
+                           "row 3: iterations must strictly increase"),
 }
 
 

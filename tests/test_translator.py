@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import stapleforge.translator as translator
-from conftest import load_toy_pairs
+from conftest import load_toy_pairs, trained_series
 from oracles import (
     FULL_WIDTH_DIGITS,
     SearchSpaceError,
@@ -33,7 +33,6 @@ from stapleforge.translator import (
     BOS,
     EOS,
     Checkpoint,
-    CheckpointSeries,
     DecodeParams,
     build_bigram_lm,
     corpus_loglikelihood,
@@ -50,40 +49,37 @@ HAND_CORPUS = [(["a", "b"], ["x", "y"]), (["a"], ["x"])]
 
 @pytest.fixture()
 def hand_series(tmp_path):
-    """The hand corpus trained in memory, and the same run saved under
-    tmp_path / "series"."""
-    rows = train_toy(HAND_CORPUS, 3, tmp_path / "series")
-    series = train_toy(HAND_CORPUS, 3, None)
-    assert rows == [(c.iteration, c.corpus_loglik) for c in series.checkpoints]
-    return series
+    """The hand corpus trained into tmp_path / "series", loaded back."""
+    return trained_series(tmp_path / "series", HAND_CORPUS, 3)
 
 
 class TestTrainToy:
     def test_hand_em_iteration_one(self, hand_series):
-        lex = hand_series.checkpoints[0].lexicon
+        lex = hand_series[0].lexicon
         assert lex["a"]["x"] == 0.75
         assert lex["a"]["y"] == 0.25
         assert lex["b"]["x"] == 0.5
         assert lex["b"]["y"] == 0.5
 
-    def test_single_pair_converges_immediately(self):
-        series = train_toy([(["a"], ["x"])], 3, None)
-        for ckpt in series.checkpoints:
+    def test_single_pair_converges_immediately(self, tmp_path):
+        for ckpt in trained_series(tmp_path / "s", [(["a"], ["x"])], 3):
             assert ckpt.lexicon["a"]["x"] == 1.0
 
-    def test_empty_pairs_skipped_with_warning(self, caplog):
+    def test_empty_pairs_skipped_with_warning(self, tmp_path, caplog):
         with caplog.at_level(logging.WARNING, logger="stapleforge.translator"):
-            series = train_toy([([], ["x"]), (["a"], ["x"])], 1, None)
-        assert len(series) == 1
+            rows = train_toy([([], ["x"]), (["a"], ["x"])], 1, tmp_path / "s")
+        assert len(rows) == 1
         assert any("empty side" in r.message for r in caplog.records)
 
-    def test_zero_iterations_rejected(self):
+    def test_zero_iterations_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
-            train_toy(HAND_CORPUS, 0, None)
+            train_toy(HAND_CORPUS, 0, tmp_path / "s")
+        assert not (tmp_path / "s").exists()
 
-    def test_unknown_direction_rejected(self):
+    def test_unknown_direction_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="direction"):
-            train_toy(HAND_CORPUS, 1, None, direction="sideways")
+            train_toy(HAND_CORPUS, 1, tmp_path / "s", direction="sideways")
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("token", ["<s>", "</s>", "<other>", "<unk>"])
     @pytest.mark.parametrize("side", ["source", "target"])
@@ -105,16 +101,17 @@ class TestTrainToy:
             train_toy([(["a"], ["x"]), pair], 2, tmp_path / "s")
         assert not (tmp_path / "s").exists()
 
-    def test_all_pairs_unusable_rejected(self):
+    def test_all_pairs_unusable_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
-            train_toy([([], [])], 1, None)
+            train_toy([([], [])], 1, tmp_path / "s")
+        assert not (tmp_path / "s").exists()
 
     def test_loglik_non_decreasing(self, hand_series):
-        lls = [c.corpus_loglik for c in hand_series.checkpoints]
+        lls = [c.corpus_loglik for c in hand_series]
         assert all(b >= a - 1e-9 for a, b in zip(lls, lls[1:]))
 
     def test_lexicon_rows_sum_to_one(self, hand_series):
-        for ckpt in hand_series.checkpoints:
+        for ckpt in hand_series:
             for row in ckpt.lexicon.values():
                 assert abs(sum(row.values()) - 1.0) <= 1e-9
 
@@ -168,7 +165,7 @@ class TestDecode:
         return Checkpoint(
             iteration=1,
             lexicon={"a": {"x": 0.9, "z": 0.1}},
-            lm=hand_series.checkpoints[0].lm,
+            lm=hand_series[0].lm,
             corpus_loglik=-1.0,
         )
 
@@ -264,7 +261,7 @@ class TestExhaustive:
 
 class TestPersistence:
     def test_round_trip_recovers_hand_value(self, hand_series, tmp_path):
-        ckpt = hand_series.checkpoints[0]
+        ckpt = hand_series[0]
         save_checkpoint(ckpt, tmp_path / "c")
         loaded = load_checkpoint(tmp_path / "c")
         assert loaded == ckpt
@@ -275,14 +272,14 @@ class TestPersistence:
             load_checkpoint(tmp_path)
 
     def test_two_saves_byte_identical(self, hand_series, tmp_path):
-        ckpt = hand_series.checkpoints[1]
+        ckpt = hand_series[1]
         save_checkpoint(ckpt, tmp_path / "one")
         save_checkpoint(ckpt, tmp_path / "two")
         for name in ("meta.tsv", "lexicon.tsv", "lm.tsv"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
     def test_checksum_mismatch_detected(self, hand_series, tmp_path):
-        save_checkpoint(hand_series.checkpoints[0], tmp_path / "c")
+        save_checkpoint(hand_series[0], tmp_path / "c")
         lex = tmp_path / "c" / "lexicon.tsv"
         lex.write_text(lex.read_text().replace("0.75", "0.25"), encoding="utf-8")
         with pytest.raises(CheckpointError, match="checksum"):
@@ -302,31 +299,11 @@ class TestPersistence:
             assert load_checkpoint(tmp_path / str(i)) == ckpt, f"instance {i}"
 
     def test_series_round_trip(self, hand_series, tmp_path):
-        rows = train_toy(HAND_CORPUS, 3, tmp_path / "s")
-        loaded = load_series(tmp_path / "s")
+        """A second run of the same corpus loads back as the same series,
+        every checkpoint of it, oldest first."""
+        loaded = trained_series(tmp_path / "s", HAND_CORPUS, 3)
         assert loaded == hand_series
-        assert rows == [(c.iteration, c.corpus_loglik) for c in loaded.checkpoints]
-        assert (tmp_path / "s" / "ckpt-0002").is_dir()
-
-    def test_series_newest_loads_only_the_last_checkpoints(self, hand_series, tmp_path):
-        series_dir = tmp_path / "series"
-        newest = load_series(series_dir, 2)
-        assert newest == CheckpointSeries(hand_series.checkpoints[-2:])
-        assert load_series(series_dir, 10) == hand_series
-        with pytest.raises(ValidationError, match="newest"):
-            load_series(series_dir, 0)
-
-    def test_series_rejects_decreasing_loglik(self):
-        rng = random.Random(3)
-        a = gen_random_checkpoint(rng)
-        b = Checkpoint(
-            iteration=2,
-            lexicon=a.lexicon,
-            lm=a.lm,
-            corpus_loglik=a.corpus_loglik - 1.0,
-        )
-        with pytest.raises(ValidationError, match="decreases"):
-            CheckpointSeries(checkpoints=(a, b))
+        assert [c.iteration for c in loaded] == [1, 2, 3]
 
 
 def set_meta(ckpt_dir, key, value):
@@ -481,7 +458,7 @@ class TestStreamingLoad:
             ckpt_dir / name: hashlib.sha256((ckpt_dir / name).read_bytes()).hexdigest()
             for name in ("lexicon.tsv", "lm.tsv", "meta.tsv")
         }
-        assert ckpt == hand_series.checkpoints[1]  # digests do not take part in equality
+        assert ckpt == hand_series[1]  # digests do not take part in equality
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
     def test_any_chunk_size_loads_the_same_checkpoint(self, tmp_path, monkeypatch, chunk):
@@ -524,7 +501,7 @@ class TestStreamingLoad:
         digit = re.search(r"[1-8]\n", text).start()
         edited = text[:digit] + str(int(text[digit]) + 1) + text[digit + 1 :]
         rewrite_model_file(second, "lm.tsv", edited)
-        first, other, third = load_series(tmp_path / "s").checkpoints
+        first, other, third = load_series(tmp_path / "s")
         assert first.lm is third.lm
         assert other.lm != first.lm
         assert other.lm == translator._parse_lm(translator._blocks(second / "lm.tsv", ()), 0.1)
@@ -582,11 +559,9 @@ class TestLoadedModelSharing:
     """A loaded series holds what its checkpoints share once, as a trained one does."""
 
     def test_series_holds_one_lm(self, tmp_path):
-        train_toy(HAND_CORPUS, 3, tmp_path / "s")
-        loaded = load_series(tmp_path / "s")
-        assert loaded == train_toy(HAND_CORPUS, 3, None)
-        lm = loaded.checkpoints[0].lm
-        assert all(c.lm is lm for c in loaded.checkpoints)
+        loaded = trained_series(tmp_path / "s", HAND_CORPUS, 3)
+        lm = loaded[0].lm
+        assert all(c.lm is lm for c in loaded)
         blocks = translator._blocks(tmp_path / "s" / "ckpt-0003" / "lm.tsv", ())
         assert lm == translator._parse_lm(blocks, lm.alpha)
 
@@ -602,14 +577,13 @@ class TestLoadedModelSharing:
         assert bwd.lm != first.lm
 
     def test_distinct_lm_files_load_distinct_lms(self, tmp_path):
-        train_toy(HAND_CORPUS, 3, tmp_path / "s")
-        trained = train_toy(HAND_CORPUS, 3, None)
-        lm = trained.checkpoints[0].lm
+        trained = trained_series(tmp_path / "s", HAND_CORPUS, 3)
+        lm = trained[0].lm
         other = build_bigram_lm([["y", "x", "x"]])
-        save_checkpoint(dataclasses.replace(trained.checkpoints[1], lm=other),
+        save_checkpoint(dataclasses.replace(trained[1], lm=other),
                         tmp_path / "s" / "ckpt-0002")
         set_meta(tmp_path / "s" / "ckpt-0003", "alpha", "0.5")  # meta is not checksummed
-        lms = [c.lm for c in load_series(tmp_path / "s").checkpoints]
+        lms = [c.lm for c in load_series(tmp_path / "s")]
         assert other != lm
         assert lms == [lm, other, dataclasses.replace(lm, alpha=0.5)]
 
@@ -625,7 +599,7 @@ class TestLoadedModelSharing:
     def test_loaded_checkpoints_share_word_strings(self, tmp_path):
         # multi-character words: CPython already shares one-character strings
         train_toy(gen_random_parallel(random.Random(11)), 2, tmp_path / "s")
-        first, second = load_series(tmp_path / "s").checkpoints
+        first, second = load_series(tmp_path / "s")
 
         def words(ckpt):
             return {w: w for e, row in ckpt.lexicon.items() for w in (e, *row)}
@@ -660,17 +634,14 @@ class TestTrainingMemory:
                 tracemalloc.stop()
         size = (tmp_path / "6" / "ckpt-0006" / "lexicon.tsv").stat().st_size
         assert peaks[6] - peaks[2] <= 0.5 * size
-        series = train_toy(pairs, 6, None)
-        assert load_series(tmp_path / "6") == series
-        assert rows == [(c.iteration, c.corpus_loglik) for c in series.checkpoints]
+        assert rows == [(c.iteration, c.corpus_loglik) for c in load_series(tmp_path / "6")]
 
 
 class TestEmMonotonicityProperty:
-    def test_random_corpora(self):
+    def test_random_corpora(self, tmp_path):
         rng = random.Random(99)
-        for _ in range(10):
-            series = train_toy(gen_random_parallel(rng), 6, None)
-            lls = [c.corpus_loglik for c in series.checkpoints]
+        for i in range(10):
+            lls = [ll for _, ll in train_toy(gen_random_parallel(rng), 6, tmp_path / str(i))]
             for a, b in zip(lls, lls[1:]):
                 assert b >= a - 1e-9
 
@@ -688,22 +659,24 @@ class TestTrainingExactness:
     def test_fixture_logliks_are_the_standalone_sums(self, toy_fwd_series, toy_bwd_series):
         for series, swap in ((toy_fwd_series, False), (toy_bwd_series, True)):
             pairs = load_toy_pairs(swap)
-            for ckpt in series.checkpoints:
+            for ckpt in series:
                 assert ckpt.corpus_loglik == corpus_loglikelihood(ckpt.lexicon, pairs)
 
     @given(corpora, st.integers(1, 4))
     @example([(["a", "a", "b"], ["c", "c"]), (["b"], ["c", "d", "d"])], 3)
     def test_logliks_are_the_standalone_sums(self, pairs, iterations):
-        for ckpt in train_toy(pairs, iterations, None).checkpoints:
-            assert ckpt.corpus_loglik == corpus_loglikelihood(ckpt.lexicon, pairs)
+        with tempfile.TemporaryDirectory() as tmp:
+            for ckpt in trained_series(Path(tmp) / "s", pairs, iterations):
+                assert ckpt.corpus_loglik == corpus_loglikelihood(ckpt.lexicon, pairs)
 
     @given(corpora, st.integers(1, 3))
     @example([(["a", "a"], ["b"])], 1)  # every value 1.0
     @settings(max_examples=25, deadline=None)
     def test_lexicon_file_is_the_lexicon_rendered_afresh(self, pairs, iterations):
+        """Each saved lexicon.tsv is the text of its loaded lexicon, which a
+        load recovers bit-exactly."""
         with tempfile.TemporaryDirectory() as tmp:
-            train_toy(pairs, iterations, Path(tmp) / "s")
-            for ckpt in train_toy(pairs, iterations, None).checkpoints:
+            for ckpt in trained_series(Path(tmp) / "s", pairs, iterations):
                 saved = Path(tmp) / "s" / translator.checkpoint_name(ckpt.iteration)
                 text = (saved / "lexicon.tsv").read_text(encoding="utf-8")
                 assert text == translator._lexicon_text(ckpt.lexicon)
@@ -712,7 +685,7 @@ class TestTrainingExactness:
         self, tmp_path, toy_fwd_series
     ):
         train_toy(load_toy_pairs(), 5, tmp_path / "s")
-        for ckpt in toy_fwd_series.checkpoints:
+        for ckpt in toy_fwd_series:
             saved = tmp_path / "s" / translator.checkpoint_name(ckpt.iteration)
             text = (saved / "lexicon.tsv").read_text(encoding="utf-8")
             assert text == translator._lexicon_text(ckpt.lexicon)
@@ -769,8 +742,7 @@ class TestTrainingExactness:
 
         monkeypatch.setattr(translator, "save_checkpoint", save)
         train_toy(HAND_CORPUS, 2, tmp_path / "s")
-        lms.append(train_toy(HAND_CORPUS, 2, None).checkpoints[0].lm)
-        assert [lm.rows for lm in lms] == [[], [], []]
+        assert [lm.rows for lm in lms] == [[], []]
 
 
 class TestCrashSafeSave:
@@ -788,22 +760,20 @@ class TestCrashSafeSave:
         with pytest.raises(OSError, match="disk full"):
             train_toy(HAND_CORPUS, 3, tmp_path / "s")
         assert sorted(p.name for p in (tmp_path / "s").iterdir()) == ["ckpt-0001", "series.tsv"]
-        assert [c.iteration for c in load_series(tmp_path / "s").checkpoints] == [1]
+        assert [c.iteration for c in load_series(tmp_path / "s")] == [1]
 
     def test_leftover_partial_directory_does_not_block_a_retrain(self, tmp_path):
         """A crash can leave .ckpt-NNNN.partial behind; the next save clears it."""
         stale = tmp_path / "s" / ".ckpt-0001.partial"
         stale.mkdir(parents=True)
         (stale / "lexicon.tsv").write_text("half a checkpoint", encoding="utf-8")
-        rows = train_toy(HAND_CORPUS, 2, tmp_path / "s")
-        loaded = load_series(tmp_path / "s")
-        assert loaded == train_toy(HAND_CORPUS, 2, None)
-        assert rows == [(c.iteration, c.corpus_loglik) for c in loaded.checkpoints]
+        loaded = trained_series(tmp_path / "s", HAND_CORPUS, 2)
+        assert loaded == trained_series(tmp_path / "clean", HAND_CORPUS, 2)
         names = sorted(p.name for p in (tmp_path / "s").iterdir())
         assert names == ["ckpt-0001", "ckpt-0002", "series.tsv"]
 
     def test_save_replaces_an_existing_checkpoint_and_nothing_else(self, hand_series, tmp_path):
-        first, _, last = hand_series.checkpoints
+        first, _, last = hand_series
         save_checkpoint(first, tmp_path / "c")
         save_checkpoint(last, tmp_path / "c")
         assert load_checkpoint(tmp_path / "c") == last
@@ -813,6 +783,16 @@ class TestCrashSafeSave:
             save_checkpoint(first, tmp_path / "c")
         assert load_checkpoint(tmp_path / "c") == last
         assert (tmp_path / "c" / "notes.txt").read_text(encoding="utf-8") == "mine"
+
+    def test_save_onto_a_file_is_refused_and_writes_nothing(self, hand_series, tmp_path):
+        """The checkpoint used to take the file's place, and the save then
+        failed with NotADirectoryError, leaving ``.f.stale`` behind."""
+        target = tmp_path / "f"
+        target.write_text("mine", encoding="utf-8")
+        with pytest.raises(ValidationError, match="f is not a directory"):
+            save_checkpoint(hand_series[0], target)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "series"]
+        assert target.read_text(encoding="utf-8") == "mine"
 
 
 def index_rows(series_dir):
@@ -830,7 +810,7 @@ class TestSeriesIndex:
     def test_index_lists_every_checkpoint(self, hand_series, tmp_path):
         rows = index_rows(tmp_path / "series")
         assert rows == ["direction\tfwd"] + [
-            f"ckpt-{c.iteration:04d}\t{c.corpus_loglik!r}" for c in hand_series.checkpoints
+            f"ckpt-{c.iteration:04d}\t{c.corpus_loglik!r}" for c in hand_series
         ]
 
     def test_interrupted_run_leaves_an_index_of_complete_checkpoints(
@@ -846,7 +826,7 @@ class TestSeriesIndex:
         monkeypatch.setattr(translator, "save_checkpoint", save_until_third)
         with pytest.raises(OSError):
             train_toy(HAND_CORPUS, 4, tmp_path / "s")
-        assert [c.iteration for c in load_series(tmp_path / "s").checkpoints] == [1, 2]
+        assert [c.iteration for c in load_series(tmp_path / "s")] == [1, 2]
 
     def test_missing_index_rejected(self, hand_series, tmp_path):
         (tmp_path / "series" / "series.tsv").unlink()
@@ -885,21 +865,32 @@ class TestSeriesIndex:
         path = tmp_path / "series" / "series.tsv"
         index = translator.read_series_index(tmp_path / "series")
         assert index.digest == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert index.rows == [(c.iteration, c.corpus_loglik) for c in hand_series.checkpoints]
+        assert index.rows == [(c.iteration, c.corpus_loglik) for c in hand_series]
 
     def test_iteration_zero_row_rejected(self, hand_series, tmp_path):
-        """A ckpt-0000 row is rejected even when only newer checkpoints load."""
+        """Iterations count from 1."""
         series_dir = tmp_path / "series"
         rows = index_rows(series_dir)
         rows.insert(1, "ckpt-0000\t" + rows[1].split("\t")[1])
         (series_dir / "series.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
         with pytest.raises(CheckpointError, match="row 2: expected 'ckpt-NNNN"):
-            load_series(series_dir, 1)
+            load_series(series_dir)
+
+    def test_repeated_iteration_rejected(self, hand_series, tmp_path):
+        """ckpt-0001 listed twice, with an equal log-likelihood, passes every
+        check but the index's iteration order."""
+        series_dir = tmp_path / "series"
+        rows = index_rows(series_dir)
+        rows.insert(2, rows[1])
+        (series_dir / "series.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(CheckpointError,
+                           match="series.tsv row 3: iterations must strictly increase"):
+            load_series(series_dir)
 
     def test_decreasing_index_loglik_rejected(self, hand_series, tmp_path):
         series_dir = tmp_path / "series"
         rows = index_rows(series_dir)
-        rows[-1] = f"ckpt-0003\t{hand_series.checkpoints[0].corpus_loglik - 1.0!r}"
+        rows[-1] = f"ckpt-0003\t{hand_series[0].corpus_loglik - 1.0!r}"
         (series_dir / "series.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
         with pytest.raises(CheckpointError, match="decreases"):
             load_series(series_dir)
@@ -927,8 +918,7 @@ class TestSeriesIndex:
         for name in ("ckpt-0004", "ckpt-0005"):
             shutil.copytree(tmp_path / "long" / name, tmp_path / "short" / name)
         loaded = load_series(tmp_path / "short")
-        assert [c.iteration for c in loaded.checkpoints] == [1, 2, 3]
-        assert load_series(tmp_path / "short", 1).checkpoints[0].iteration == 3
+        assert [c.iteration for c in loaded] == [1, 2, 3]
 
     @pytest.mark.parametrize("entry", ["series.tsv", "ckpt-0009"])
     def test_train_refuses_a_directory_holding_a_series(self, tmp_path, entry):
@@ -937,6 +927,15 @@ class TestSeriesIndex:
         with pytest.raises(ValidationError, match="already holds a checkpoint series"):
             train_toy(HAND_CORPUS, 1, out)
         assert [p.name for p in out.iterdir()] == [entry]
+
+    def test_train_refuses_a_file(self, tmp_path):
+        """It used to raise FileExistsError, which is not a StapleForgeError."""
+        out = tmp_path / "g"
+        out.write_text("mine", encoding="utf-8")
+        with pytest.raises(ValidationError, match="g is not a directory"):
+            train_toy(HAND_CORPUS, 1, out)
+        assert [p.name for p in tmp_path.iterdir()] == ["g"]
+        assert out.read_text(encoding="utf-8") == "mine"
 
     def test_train_into_an_existing_empty_directory(self, tmp_path):
         (tmp_path / "s").mkdir()
