@@ -1,0 +1,6 @@
+"""``python -m stapleforge``: the ``stapleforge`` command."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -211,17 +211,19 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def _parse_parallel(text: str, swap: bool) -> list[tuple[list[str], list[str]]]:
+    """One pair per line of ``text`` read with universal newlines, so only
+    CR, LF and CRLF end a row; one string per distinct word; a leading
+    byte-order mark is dropped."""
     pairs: list[tuple[list[str], list[str]]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    words: dict[str, str] = {}
+    for lineno, line in enumerate(text.lstrip("\ufeff").split("\n"), start=1):
         if not line.strip():
             continue
         cols = line.split("\t")
         if len(cols) != 2:
             raise ValidationError(f"expected 'source<TAB>target', got {len(cols)} columns", lineno)
-        src, tgt = cols[0], cols[1]
-        if swap:
-            src, tgt = tgt, src
-        pairs.append((sentence_tokens(src), sentence_tokens(tgt)))
+        src, tgt = [[words.setdefault(w, w) for w in sentence_tokens(col)] for col in cols]
+        pairs.append((tgt, src) if swap else (src, tgt))
     return pairs
 
 

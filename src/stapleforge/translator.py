@@ -336,30 +336,30 @@ def train_toy(
     after every iteration, and return the ``(iteration, loglik)`` rows
     series.tsv lists (``load_series`` loads the checkpoints back).
 
-    The directory must not be a file or already hold a series. Each
-    checkpoint is saved with ``save_checkpoint`` once the next E-step has
-    summed its log-likelihood, and series.tsv is rewritten after every saved
-    checkpoint: a saved checkpoint leaves memory before the next M-step, so
-    training holds one lexicon and its text at a time, whatever the number
-    of iterations. A pair using a reserved token is rejected before anything
-    is written: the LM file gives those tokens their own meaning. So is a
-    pair holding a word that is not one canonical token, which
-    ``load_checkpoint`` would reject, so every saved series loads back.
-    Training is deterministic: no randomness anywhere, and iteration order
-    is the corpus order.
+    The directory must not be, or lie under, a file, nor hold a series.
+    Each checkpoint is saved with ``save_checkpoint`` once the next E-step
+    has summed its log-likelihood, and leaves memory before the next M-step,
+    so training holds one lexicon and its text at a time, whatever the
+    number of iterations, and the support once, as the lexicon's rows, whose
+    keys keep the order of first co-occurrence that each E-step's count rows
+    take and are summed in. The model's tables key on the corpus's own
+    strings: one per word when the corpus holds one, as ``train`` reads it.
+    A pair using a reserved token (the LM file gives those their own
+    meaning) or a non-canonical word (``load_checkpoint`` would reject it)
+    is refused before anything is written. Training is deterministic.
     """
     if iterations < 1:
         raise ValidationError(f"iterations must be >= 1, got {iterations}")
     if direction not in DIRECTIONS:
         raise ValidationError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     out_dir = Path(checkpoint_dir)
-    if out_dir.is_dir():
-        if any(p.name == SERIES_INDEX or p.name.startswith("ckpt-") for p in out_dir.iterdir()):
-            raise ValidationError(
-                f"{out_dir} already holds a checkpoint series; train into a new directory"
-            )
-    elif out_dir.exists():
-        raise ValidationError(f"{out_dir} is not a directory")
+    _check_directory(out_dir)
+    if out_dir.is_dir() and any(
+        p.name == SERIES_INDEX or p.name.startswith("ckpt-") for p in out_dir.iterdir()
+    ):
+        raise ValidationError(
+            f"{out_dir} already holds a checkpoint series; train into a new directory"
+        )
     pairs: list[tuple[TokenSeq, TokenSeq]] = []
     for number, (src, tgt) in enumerate(parallel, start=1):
         reserved = [w for w in (*src, *tgt) if w in RESERVED_TOKENS]
@@ -386,21 +386,20 @@ def train_toy(
             f"{min(bad.intersection((*src, *tgt)))!r}: {src!r} -> {tgt!r}"
         )
 
-    # the support never changes: each source word's row holds the words it
-    # co-occurs with, in order of first co-occurrence, the order its counts
-    # are summed in (``order``); lexicon.tsv lists both sorted (``support``)
+    # the support never changes: a source word's lexicon row holds the words
+    # it co-occurs with, in order of first co-occurrence, which the E-step's
+    # count row takes and is summed in, and the in-place M-step keeps;
+    # lexicon.tsv lists them sorted (``support``)
     first_seen: dict[str, dict[str, None]] = {}
     for src, tgt in pairs:
         targets = dict.fromkeys(tgt)
         for e in src:
             first_seen.setdefault(e, {}).update(targets)
-    order = {e: tuple(first_seen[e]) for e in sorted(first_seen)}
-    del first_seen
-    support = {e: sorted(targets) for e, targets in order.items()}
     lexicon: LexiconTable = {
-        e: dict.fromkeys(targets, quantize(1.0 / len(targets)))
-        for e, targets in support.items()
+        e: dict.fromkeys(row, quantize(1.0 / len(row))) for e, row in sorted(first_seen.items())
     }
+    del first_seen
+    support = {e: sorted(row) for e, row in lexicon.items()}
 
     lm = build_bigram_lm([tgt for _, tgt in pairs], alpha=alpha)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -429,7 +428,7 @@ def train_toy(
     # of iteration it, so that checkpoint is complete only after it
     lexicon_blocks: list[bytes] = []
     for it in range(1, iterations + 1):
-        counts, loglik = _expected_counts(lexicon, pairs, order)
+        counts, loglik = _expected_counts(lexicon, pairs)
         if it > 1:
             finish(it - 1, lexicon, lexicon_blocks, loglik)
         # drop the loop's references, so a saved checkpoint leaves memory before the M-step
@@ -440,14 +439,12 @@ def train_toy(
 
 
 def _expected_counts(
-    lexicon: LexiconTable,
-    pairs: Sequence[tuple[TokenSeq, TokenSeq]],
-    order: dict[str, tuple[str, ...]],
+    lexicon: LexiconTable, pairs: Sequence[tuple[TokenSeq, TokenSeq]]
 ) -> tuple[dict[str, dict[str, float]], float]:
     """The E-step: fractional counts under ``lexicon``, each row starting at
-    zero with its keys in ``order``, and its ``corpus_loglikelihood``, added
-    up from the same sums in the same order."""
-    counts = {e: dict.fromkeys(targets, 0.0) for e, targets in order.items()}
+    zero with the key order of the lexicon row it reads, and its
+    ``corpus_loglikelihood``, added up from the same sums in the same order."""
+    counts = {e: dict.fromkeys(row, 0.0) for e, row in lexicon.items()}
     loglik = 0.0
     log = math.log
     for src, tgt in pairs:
@@ -576,6 +573,13 @@ def _lm_text(lm: BigramLm) -> str:
     return "".join(line for _, _, line in sorted(rows, key=lambda r: (r[0], r[1])))
 
 
+def _check_directory(directory: Path) -> None:
+    """Refuse ``directory`` if it, or else its nearest existing parent, is not a directory."""
+    existing = next(p for p in (directory, *directory.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValidationError(f"{existing} is not a directory")
+
+
 def save_checkpoint(ckpt: Checkpoint, directory: Path | str) -> None:
     """Persist a checkpoint; two saves of the same checkpoint are byte-identical.
 
@@ -584,11 +588,10 @@ def save_checkpoint(ckpt: Checkpoint, directory: Path | str) -> None:
     half-written: a save that fails removes the partial directory, and a
     partial directory left by a crash is cleared by the next save of that
     name. An existing ``directory`` is replaced, by way of ``.NAME.stale``;
-    it may hold checkpoint files only, and a file of that name is refused.
+    it may hold checkpoint files only. A file of that name, or above it, is refused.
     """
     directory = Path(directory)
-    if directory.exists() and not directory.is_dir():
-        raise ValidationError(f"{directory} is not a directory")
+    _check_directory(directory)
     old = sorted(p.name for p in directory.iterdir()) if directory.is_dir() else []
     if not set(old) <= set(CHECKPOINT_FILES):
         raise ValidationError(f"{directory} holds files other than a checkpoint's: {old}")

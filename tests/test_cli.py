@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 import shutil
+import subprocess
 import sys
 import weakref
 from collections import Counter
@@ -12,8 +14,9 @@ import pytest
 
 import stapleforge.methods as methods
 import stapleforge.translator as translator
+from stapleforge import __version__
 from oracles import FULL_WIDTH_DIGITS, first_value_rewritten, rewrite_model_file
-from stapleforge.cli import main
+from stapleforge.cli import _parse_parallel, main
 from stapleforge.corpus import normalize
 from stapleforge.translator import load_series
 
@@ -234,6 +237,58 @@ class TestTrain:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\x85", "\x0b", "\x0c"])
+    def test_parallel_rows_end_at_lf_alone(self, tmp_path, capsys, separator):
+        """A line holding a Unicode line separator, NEL, VT or FF used to
+        train as two pairs: str.splitlines() splits on each of them."""
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(f"o gato\tthe cat{separator}o cão\tthe dog\n", encoding="utf-8")
+        rc = run_cli(["train", "--parallel", str(bad), "--iterations", "1",
+                      "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "got 3 columns" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("variant", ["crlf", "cr", "bom", "bom-crlf"])
+    def test_bom_and_crlf_parallel_train_like_plain(self, tmp_path, fixtures_path, variant):
+        """A leading byte-order mark is dropped, as the prompt and gold
+        parsers drop it; it used to train the word '\\ufeffthe', which no
+        prompt can match. CRLF and lone-CR line endings train as LF ones do."""
+        data = (fixtures_path / "toy_parallel.tsv").read_bytes()
+        if "crlf" in variant:
+            data = data.replace(b"\n", b"\r\n")
+        elif variant == "cr":
+            data = data.replace(b"\n", b"\r")
+        if "bom" in variant:
+            data = "\ufeff".encode("utf-8") + data
+        parallel = tmp_path / "parallel.tsv"
+        parallel.write_bytes(data)
+        trees = {}
+        for name, path in (("plain", fixtures_path / "toy_parallel.tsv"), (variant, parallel)):
+            out = tmp_path / name
+            assert run_cli(["train", "--parallel", str(path), "--iterations", "2",
+                            "--out", str(out), "--direction", "bwd"]) == 0
+            trees[name] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                           if p.is_file()}
+        assert trees[variant] == trees["plain"]
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_parallel_corpus_holds_one_string_per_word(self, swap):
+        """Every occurrence of a word, on either side of any pair, is one
+        object, so the corpus holds each word once, as the model tables do."""
+        text = "o gato come peixe\tthe cat eats fish\npeixe come o peixe\tfish eats fish\n"
+        pairs = _parse_parallel(text, swap)
+        assert pairs[0] == (
+            (["the", "cat", "eats", "fish"], ["o", "gato", "come", "peixe"]) if swap
+            else (["o", "gato", "come", "peixe"], ["the", "cat", "eats", "fish"])
+        )
+        occurrences = [w for pair in pairs for side in pair for w in side]
+        first: dict[str, str] = {}
+        for w in occurrences:
+            first.setdefault(w, w)
+        assert "fish" in first and "peixe" in first
+        assert all(w is first[w] for w in occurrences)
 
     def test_reserved_token_exits_2_and_writes_nothing(self, tmp_path, capsys):
         parallel = tmp_path / "p.tsv"
@@ -787,6 +842,17 @@ class TestMoreCliEdges:
                       "--out", str(out), "--n", "", "--n-prime", "", "--m", "99"])
         assert rc == 2
         assert "ensemble\tm=99\tNA\tNA\tNA" in out.read_text()
+
+    def test_python_dash_m_runs_the_command(self):
+        """``python -m stapleforge`` used to fail: the package had no __main__."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(TESTS_DIR.parent / "src"), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        done = subprocess.run([sys.executable, "-m", "stapleforge", "--version"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout == f"stapleforge {__version__}\n"
 
     def test_bpe_learn_joint_over_multiple_inputs(self, tmp_path):
         src = tmp_path / "src.txt"

@@ -651,10 +651,48 @@ sentences = st.lists(words, min_size=1, max_size=5)
 corpora = st.lists(st.tuples(sentences, sentences), min_size=1, max_size=6)
 
 
+def order_referee_corpus() -> list[tuple[list[str], list[str]]]:
+    """300 pairs over Zipf-skewed vocabularies of 80 source and 120 target
+    words, so frequent source words co-occur with most target words and
+    summing a long count row in another order changes its last bits."""
+    rng = random.Random(16)
+    src_vocab = [f"s{i}" for i in range(80)]
+    tgt_vocab = [f"t{i}" for i in range(120)]
+    src_weights = [1.0 / (rank + 1) for rank in range(len(src_vocab))]
+    tgt_weights = [1.0 / (rank + 1) for rank in range(len(tgt_vocab))]
+    return [
+        (rng.choices(src_vocab, src_weights, k=rng.randint(3, 10)),
+         rng.choices(tgt_vocab, tgt_weights, k=rng.randint(3, 10)))
+        for _ in range(300)
+    ]
+
+
 class TestTrainingExactness:
     """Training adds up each checkpoint's log-likelihood inside the next
     E-step and formats each lexicon value once for both the model and
     lexicon.tsv; both must agree bit for bit with the standalone forms."""
+
+    def test_series_sums_counts_in_first_co_occurrence_order(self, tmp_path):
+        """Every file of a 2-iteration series trained from
+        ``order_referee_corpus``, both ways, has the SHA-256 recorded in
+        order_series.sha256 (``sha256sum`` format). The M-step sums each
+        count row in the order its words first co-occur with the source
+        word; the fixture corpus is too small for that order to show in its
+        bytes, this one is not, so summing in another (say sorted) order
+        fails here."""
+        tests_dir = Path(__file__).resolve().parent
+        recorded = dict(
+            reversed(line.split("  ", 1))
+            for line in (tests_dir / "order_series.sha256").read_text(encoding="utf-8").splitlines()
+        )
+        pairs = order_referee_corpus()
+        train_toy(pairs, 2, tmp_path / "fwd")
+        train_toy([(tgt, src) for src, tgt in pairs], 2, tmp_path / "bwd", direction="bwd")
+        found = {
+            p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.rglob("*")) if p.is_file()
+        }
+        assert found == recorded
 
     def test_fixture_logliks_are_the_standalone_sums(self, toy_fwd_series, toy_bwd_series):
         for series, swap in ((toy_fwd_series, False), (toy_bwd_series, True)):
@@ -927,6 +965,19 @@ class TestSeriesIndex:
         with pytest.raises(ValidationError, match="already holds a checkpoint series"):
             train_toy(HAND_CORPUS, 1, out)
         assert [p.name for p in out.iterdir()] == [entry]
+
+    def test_train_and_save_under_a_file_are_refused(self, tmp_path, hand_series):
+        """A target whose parent is a file used to raise NotADirectoryError,
+        which is not a StapleForgeError."""
+        blocker = tmp_path / "g"
+        blocker.write_text("mine", encoding="utf-8")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        with pytest.raises(ValidationError, match="g is not a directory"):
+            train_toy(HAND_CORPUS, 1, blocker / "sub")
+        with pytest.raises(ValidationError, match="g is not a directory"):
+            save_checkpoint(hand_series[0], blocker / "c")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert blocker.read_text(encoding="utf-8") == "mine"
 
     def test_train_refuses_a_file(self, tmp_path):
         """It used to raise FileExistsError, which is not a StapleForgeError."""
