@@ -66,7 +66,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from . import __version__
-from .corpus import parse_gold, parse_predictions, parse_prompts, write_predictions
+from .corpus import parse_gold, parse_predictions, parse_prompts, split_lines, write_predictions
 from .errors import StapleForgeError, ValidationError
 from .metrics import score_corpus, summary_line, write_report
 from .methods import METHODS, Decoder, MethodParams, MethodWarning, checkpoints_read, predict
@@ -127,7 +127,10 @@ def _read_text(path: str) -> str:
     p = Path(path)
     if not p.is_file():
         raise ValidationError(f"file not found: {path}")
-    return p.read_text(encoding="utf-8")
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8: invalid byte at offset {exc.start}") from None
 
 
 def _check_writable(path: str, *sidecars: str, directory: bool = False) -> None:
@@ -211,12 +214,11 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def _parse_parallel(text: str, swap: bool) -> list[tuple[list[str], list[str]]]:
-    """One pair per line of ``text`` read with universal newlines, so only
-    CR, LF and CRLF end a row; one string per distinct word; a leading
-    byte-order mark is dropped."""
+    """One pair per line of ``text`` (``corpus.split_lines``); one string per
+    distinct word."""
     pairs: list[tuple[list[str], list[str]]] = []
     words: dict[str, str] = {}
-    for lineno, line in enumerate(text.lstrip("\ufeff").split("\n"), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             continue
         cols = line.split("\t")

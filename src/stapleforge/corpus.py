@@ -18,7 +18,9 @@ than 1 (published sets are often truncated) and are never renormalized.
 Prediction files use the same block layout with bare translation lines (no
 weights). A prompts file is just the header lines, one ``id|text`` per line.
 Every header is read alike: split on the first ``|``, both sides stripped,
-the id non-empty and unique within its file.
+the id non-empty and unique within its file. Every text input, these three
+and the parallel corpus, is split into lines by one rule (``split_lines``):
+a line ends at LF, CRLF or CR only, and a leading byte-order mark is dropped.
 
 ``normalize`` defines a sentence's canonical form (NFC, lowercase, strip
 punctuation, collapse whitespace). It is the one comparison rule of the
@@ -131,15 +133,23 @@ class PredictionSet:
     candidates: tuple[str, ...]
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of a text input, by the one line rule of every text file the
+    toolkit reads: a line ends at LF, CRLF or CR only, never at the other
+    characters ``str.splitlines`` ends one at (VT, FF, NEL, U+2028, U+2029
+    and more), and a leading byte-order mark is dropped."""
+    return text.lstrip("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _blocks(stream: str) -> Iterable[list[tuple[int, str]]]:
-    """Yield blocks as lists of (1-based line number, line).
+    """Yield blocks as lists of (1-based line number, line), lines as
+    ``split_lines`` reads them.
 
     Only strictly empty lines separate blocks; a whitespace-only line stays
     inside its block (prediction parsing skips it with a warning).
     """
     block: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(stream.splitlines(), start=1):
-        line = raw.lstrip("﻿") if lineno == 1 else raw
+    for lineno, line in enumerate(split_lines(stream), start=1):
         if line == "":
             if block:
                 yield block
@@ -263,11 +273,12 @@ def write_predictions(sets: Iterable[PredictionSet], sink: TextIO) -> None:
 
 
 def parse_prompts(stream: str) -> list[Prompt]:
-    """Parse a prompts file: one ``id|text`` line per prompt, blank lines ignored."""
+    """Parse a prompts file: one ``id|text`` line per prompt (``split_lines``),
+    blank lines ignored."""
     prompts: list[Prompt] = []
     ids: set[str] = set()
-    for lineno, raw in enumerate(stream.splitlines(), start=1):
-        line = (raw.lstrip("﻿") if lineno == 1 else raw).strip()
+    for lineno, raw in enumerate(split_lines(stream), start=1):
+        line = raw.strip()
         if line:
             prompts.append(_parse_prompt(lineno, line, ids))
     return prompts

@@ -250,6 +250,30 @@ class TestTrain:
         assert "got 3 columns" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "fixture, argv",
+        [("toy_parallel.tsv", ["train", "--parallel", "{bad}", "--iterations", "1",
+                               "--out", "{out}"]),
+         ("toy_prompts.txt", ["generate", "--method", "nbest", "--series", "{fwd}",
+                              "--prompts", "{bad}", "--out", "{out}"]),
+         ("example_gold_single.txt", ["score", "--gold", "{bad}", "--pred", "{pred}",
+                                      "--out", "{out}"])],
+        ids=["train-parallel", "generate-prompts", "score-gold"],
+    )
+    def test_non_utf8_text_input_exits_2_and_writes_nothing(
+        self, trained_world, fixtures_path, tmp_path, capsys, fixture, argv
+    ):
+        """A text input holding a byte that is not UTF-8 used to exit 1 with
+        an internal error from the codec."""
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes((fixtures_path / fixture).read_bytes().replace(b"a", b"\xff", 1))
+        paths = {"bad": bad, "out": tmp_path / "out", "fwd": trained_world / "fwd",
+                 "pred": fixtures_path / "example_pred_top1.txt"}
+        rc = run_cli([arg.format(**paths) for arg in argv])
+        assert rc == 2
+        assert f"{bad} is not UTF-8" in capsys.readouterr().err
+        assert list(tmp_path.glob("out*")) == []
+
     @pytest.mark.parametrize("variant", ["crlf", "cr", "bom", "bom-crlf"])
     def test_bom_and_crlf_parallel_train_like_plain(self, tmp_path, fixtures_path, variant):
         """A leading byte-order mark is dropped, as the prompt and gold

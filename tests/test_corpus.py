@@ -262,3 +262,24 @@ def test_headers_read_alike(parse, stream, repeat_line):
         parse(stream.replace("p1", " ", 1))
     with pytest.raises(ParseError, match="line 1: malformed header"):
         parse(stream.replace("|", " ", 1))
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c"])
+def test_text_lines_end_at_lf_crlf_or_cr_alone(separator):
+    """str.splitlines() also ends a line at a Unicode line or paragraph
+    separator, NEL, VT and FF: parse_prompts read two prompts from this one
+    line, and parse_gold took q2's header for a translation line."""
+    assert [p.id for p in parse_prompts(f"p1|o gato{separator}p2|come peixe\n")] == ["p1"]
+    golds = parse_gold(f"q1|the cat{separator}q2|x\no gato|0.5\n")
+    assert [(g.prompt.id, len(g.translations)) for g in golds] == [("q1", 1)]
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+@pytest.mark.parametrize("parse, name", [(parse_gold, "toy_gold.txt"),
+                                         (parse_prompts, "toy_prompts.txt")],
+                         ids=["gold", "prompts"])
+def test_crlf_and_cr_text_parses_like_lf(fixtures_path, parse, name, ending, bom):
+    text = (fixtures_path / name).read_text(encoding="utf-8")
+    assert "\r" not in text
+    assert parse(bom + text.replace("\n", ending)) == parse(text)

@@ -369,6 +369,22 @@ class TestCheckpointFaults:
             load_checkpoint(ckpt)
 
 
+# every stored number: a model value, meta.tsv's corpus_loglik and alpha, a
+# series.tsv log-likelihood
+VALUE_SITES = ("lexicon", "lm", "corpus_loglik", "alpha", "series")
+# spellings of a number that float() reads, or that it reads as nan or an
+# infinity, each with why a model row holding it is rejected
+VALUE_SPELLINGS = {
+    "leading-space": (lambda v: " " + v, "badly written number"),
+    "trailing-space": (lambda v: v + " ", "badly written number"),
+    "carriage-return": (lambda v: v + "\r", "badly written number"),
+    "underscore": (lambda v: v + "_0", "badly written number"),
+    "full-width": (lambda v: v.translate(FULL_WIDTH_DIGITS), "non-numeric value"),
+    "nan": (lambda v: "nan", "non-finite value"),
+    "inf": (lambda v: "inf", "non-finite value"),
+}
+
+
 class TestDocumentedBytes:
     """Model files hold UTF-8 with LF line endings and each value as a plain
     ASCII number. float() also reads surrounding whitespace, "_" between
@@ -376,25 +392,32 @@ class TestDocumentedBytes:
     restamped, used to load as the number it spells."""
 
     @pytest.mark.parametrize(
-        "name, rewrite, reason",
-        [
-            ("lexicon.tsv", lambda v: " " + v, "badly written number in lexicon.tsv row 1"),
-            ("lexicon.tsv", lambda v: v + " ", "badly written number in lexicon.tsv row 1"),
-            ("lexicon.tsv", lambda v: v.translate(FULL_WIDTH_DIGITS),
-             "non-numeric value in lexicon.tsv row 1"),
-            ("lm.tsv", lambda v: re.sub(r"(\d)(\d)", r"\1_\2", v, count=1),
-             "badly written number in lm.tsv row 1"),
-            ("lm.tsv", lambda v: v + "\r", "badly written number in lm.tsv row 1"),
-        ],
-        ids=["lexicon-leading-space", "lexicon-trailing-space", "lexicon-full-width",
-             "lm-underscore", "lm-carriage-return"],
+        "site, spelling",
+        list(itertools.product(VALUE_SITES, VALUE_SPELLINGS)),
+        ids=[f"{site}-{spelling}" for site in VALUE_SITES for spelling in VALUE_SPELLINGS],
     )
-    def test_value_written_another_way_rejected(self, hand_series, tmp_path, name, rewrite,
-                                                reason):
-        ckpt = tmp_path / "series" / "ckpt-0001"
-        rewrite_model_file(ckpt, name, first_value_rewritten(ckpt / name, rewrite))
-        with pytest.raises(CheckpointError, match=f"{reason}: .* \\(in .*ckpt-0001\\)"):
-            load_checkpoint(ckpt)
+    def test_value_written_another_way_rejected(self, hand_series, tmp_path, site, spelling):
+        """One number reader takes every stored number, so each spelling is
+        rejected at every site, naming the file."""
+        rewrite, reason = VALUE_SPELLINGS[spelling]
+        series = tmp_path / "series"
+        ckpt = series / "ckpt-0001"
+        if site in ("lexicon", "lm"):
+            name = f"{site}.tsv"
+            rewrite_model_file(ckpt, name, first_value_rewritten(ckpt / name, rewrite))
+            expected = f"{reason} in {name} row 1: .* \\(in .*ckpt-0001\\)"
+        elif site == "series":
+            rows = last_loglik_rewritten(index_rows(series), rewrite)
+            (series / "series.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+            expected = f"series.tsv row {len(rows)}: bad log-likelihood"
+        else:
+            meta = dict(row.split("\t")
+                        for row in (ckpt / "meta.tsv").read_text(encoding="utf-8").splitlines())
+            value = rewrite(meta[site])
+            set_meta(ckpt, site, value)
+            expected = f"bad {site} {re.escape(repr(value))} in meta.tsv of .*ckpt-0001"
+        with pytest.raises(CheckpointError, match=expected):
+            load_series(series)
 
     def test_crlf_copy_fails_its_checksum(self, hand_series, tmp_path):
         """The checksum is taken over the bytes on disk; the text used to be
@@ -478,9 +501,7 @@ class TestStreamingLoad:
         assert load_checkpoint(ckpt_dir) == expected
 
     def test_lm_is_parsed_once_per_series(self, tmp_path, monkeypatch):
-        """The memo is keyed on lm.tsv's digest and alpha, and a checkpoint
-        whose lm.tsv has the size and alpha of a memoized one is hashed, not
-        parsed."""
+        """The memo is keyed on lm.tsv's digest and alpha."""
         train_toy(HAND_CORPUS, 3, tmp_path / "s")
         parses = []
         real_parse = translator._parse_lm
@@ -505,6 +526,27 @@ class TestStreamingLoad:
         assert first.lm is third.lm
         assert other.lm != first.lm
         assert other.lm == translator._parse_lm(translator._blocks(second / "lm.tsv", ()), 0.1)
+
+    def test_lm_changed_between_hash_and_parse_rejected(self, tmp_path, monkeypatch):
+        """lm.tsv is hashed, then read again to be parsed on a memo miss; a
+        file rewritten in between is rejected, and its LM is not memoized."""
+        train_toy(HAND_CORPUS, 1, tmp_path / "s")
+        ckpt = tmp_path / "s" / "ckpt-0001"
+        text = (ckpt / "lm.tsv").read_text(encoding="utf-8")
+        digit = re.search(r"[1-8]\n", text).start()
+        edited = text[:digit] + str(int(text[digit]) + 1) + text[digit + 1 :]
+        real_parse = translator._parse_lm
+
+        def parse(blocks, alpha):
+            (ckpt / "lm.tsv").write_text(edited, encoding="utf-8")  # before the first block
+            return real_parse(blocks, alpha)
+
+        monkeypatch.setattr(translator, "_parse_lm", parse)
+        monkeypatch.setattr(translator, "_LMS", {})
+        with pytest.raises(CheckpointError,
+                           match=r"lm.tsv changed while it was read \(in .*ckpt-0001\)"):
+            load_checkpoint(ckpt)
+        assert translator._LMS == {}
 
     def test_load_holds_a_bounded_part_of_a_file(self, tmp_path):
         """Loading a checkpoint of 20,000 lexicon rows (about 600 KB) peaks
