@@ -17,11 +17,12 @@ sentences in it, so ``score`` and ``sweep`` compare plain strings.
 ``generate`` and every ``sweep`` cell run a method through the one entry
 point ``methods.predict``; a sweep cell whose method cannot run on the models
 given (paraphrase without ``--bwd-series``, ``m`` beyond the series) is an NA
-row. Both commands read and validate each ``series.tsv`` and check that the
-checkpoints they may decode with exist up front, then load each checkpoint
-when it is first decoded with (``methods.Decoder``), once per command. An
-ensemble decodes every prompt with one checkpoint before loading the next, so
-``generate`` holds one checkpoint at a time, or one per side for
+row. Both commands read and validate each ``series.tsv``, refuse a forward
+model that is not ``fwd`` or a backward one that is not ``bwd``, and check
+that the checkpoints they may decode with exist up front, then load each
+checkpoint when it is first decoded with (``methods.Decoder``), once per
+command. An ensemble decodes every prompt with one checkpoint before loading
+the next, so ``generate`` holds one checkpoint at a time, or one per side for
 paraphrase; a sweep's cells share one decoder per checkpoint, whose memo of
 n-best lists, keyed on the source and n, lets later cells reuse earlier
 decodes of the same request, so it holds at most two: one forward checkpoint
@@ -240,14 +241,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_model(
-    ckpt_arg: str | None, series_arg: str | None, newest: int, missing: str
+    ckpt_arg: str | None, series_arg: str | None, newest: int, direction: str, missing: str
 ) -> tuple[list[Decoder], Callable[[], str]]:
     """The decoders a command may decode with, oldest first, and a function
     giving the checksum of their files, to be called once decoding is done.
 
     A model is one checkpoint directory, loaded here, or a series, whose
     index is read here and whose newest ``newest`` checkpoints (all of them,
-    if it has fewer) each load when first decoded with. The checksum covers
+    if it has fewer) each load when first decoded with. Its direction must be
+    ``direction``, known from the checkpoint or ``series.tsv``, so a swapped
+    pair of models is refused before any decode. The checksum covers
     every file under the checkpoint directory, or ``series.tsv`` and every
     file under those checkpoints, so with ``newest`` 0 ``series.tsv`` alone;
     each must exist now. ``series.tsv`` and each file a decoder loaded count
@@ -259,11 +262,13 @@ def _load_model(
     if ckpt_arg:
         path = Path(ckpt_arg)
         ckpt = load_checkpoint(path)
+        _check_direction(path, ckpt.direction, direction)
         read.update(ckpt.digests)
         return [Decoder.of(ckpt)], lambda: sha256_path(path, None, read)
     if series_arg:
         path = Path(series_arg)
-        direction, rows, digest = read_series_index(path)
+        found, rows, digest = read_series_index(path)
+        _check_direction(path, found, direction)
         read[path / SERIES_INDEX] = digest  # of the bytes parsed, not re-read
         rows = rows[max(0, len(rows) - newest) :]
         members = [SERIES_INDEX, *(checkpoint_name(iteration) for iteration, _ in rows)]
@@ -281,6 +286,11 @@ def _load_model(
     raise ValidationError(missing)
 
 
+def _check_direction(path: Path, found: str, expected: str) -> None:
+    if found != expected:
+        raise ValidationError(f"{path} is a {found} model, expected a {expected} one")
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     started = time.monotonic()
     _check_writable(args.out, ".warnings.tsv", ".manifest.tsv")
@@ -290,12 +300,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     models: dict[str, Callable[[], str]] = {}
     n_fwd, n_bwd = checkpoints_read(args.method, params)
     fwd, models["model"] = _load_model(
-        args.ckpt, args.series, n_fwd, f"{args.method}: pass --ckpt or --series"
+        args.ckpt, args.series, n_fwd, "fwd", f"{args.method}: pass --ckpt or --series"
     )
     bwd: list[Decoder] = []
     if n_bwd:
         bwd, models["bwd_model"] = _load_model(
-            args.bwd_ckpt, args.bwd_series, n_bwd,
+            args.bwd_ckpt, args.bwd_series, n_bwd, "bwd",
             f"{args.method}: pass --bwd-ckpt or --bwd-series",
         )
     warnings: list[MethodWarning] = []
@@ -343,11 +353,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     n_fwd = max((checkpoints_read(method, p)[0] for method, _, p in cells), default=1)
     n_bwd = max((checkpoints_read(method, p)[1] for method, _, p in cells), default=0)
     models: dict[str, Callable[[], str]] = {}
-    fwd, models["series"] = _load_model(None, args.series, n_fwd, "sweep: pass --series")
+    fwd, models["series"] = _load_model(None, args.series, n_fwd, "fwd", "sweep: pass --series")
     bwd: list[Decoder] = []
     if args.bwd_series:
         bwd, models["bwd_series"] = _load_model(
-            None, args.bwd_series, n_bwd, "sweep: pass --bwd-series"
+            None, args.bwd_series, n_bwd, "bwd", "sweep: pass --bwd-series"
         )
 
     header = "method\tparam\tprecision\tweighted_recall\tweighted_f1\n"

@@ -25,8 +25,9 @@ checkpoint i is saved once the E-step of iteration i + 1 is done and only the
 last checkpoint takes a separate ``corpus_loglikelihood`` pass; the M-step
 renormalizes the counts in place and formats each lexicon value once, for
 both the quantized value and the lexicon.tsv text, which it keeps as one
-block per source word, never joined; and lm.tsv is rendered once per
-series. Training keeps no checkpoint once it is saved, so it holds one
+block per source word, never joined, for save_checkpoint to write; and
+lm.tsv is rendered once per series, from each value's ``repr``
+(``_lm_text``). Training keeps no checkpoint once it is saved, so it holds one
 lexicon and its text at a time, however many iterations it runs. Every file
 is byte-identical to rendering each checkpoint on its own.
 On-disk layout, one directory per checkpoint:
@@ -34,25 +35,30 @@ On-disk layout, one directory per checkpoint:
     meta.tsv     key<TAB>value rows: iteration, direction, corpus_loglik,
                  alpha, checksum (sha256 over the two model files); each
                  key at most once, and unknown keys are ignored
-    lexicon.tsv  source<TAB>target<TAB>prob, sorted
-    lm.tsv       w1<TAB>w2<TAB>logprob, sorted, including <s>/</s> boundary
-                 rows, one "<other>" row per history (add-alpha mass for an
+    lexicon.tsv  source<TAB>target<TAB>prob
+    lm.tsv       w1<TAB>w2<TAB>logprob, including <s>/</s> boundary rows,
+                 one "<other>" row per history (add-alpha mass for an
                  unseen in-vocabulary successor) and "<unk>" unigram-backoff
                  rows used when the history itself is out of vocabulary
+
+Each model file's rows are sorted by their two words, each pair once, so
+every row's (w1, w2) is strictly after the row before's.
 
 All three are UTF-8 with LF line endings, and the checksum is taken over the
 model files' bytes on disk. ``<s> </s> <other> <unk>`` are reserved tokens,
 and training rejects a corpus that uses one. Probabilities are stored with
 12 significant digits; model values are canonicalized to that precision when
-built (``_format_value`` formats each once, for the value and its text), so a
-saved checkpoint loads back bit-exactly.
+built (``quantize``, or for the lexicon ``_format_value``, which formats each
+value once, for the value and its text), so a saved checkpoint loads back
+bit-exactly.
 
 ``load_checkpoint`` reads each file in bounded chunks that feed the
 checksum, the file's own sha256 (``Checkpoint.digests``, which the command
 line's manifests use) and the row parser together, so it never holds a whole
 file. It verifies the checksum and parses every value. Both model files are
 read by one row reader (``_rows``), which yields each run of rows sharing
-their first word, and every stored number, a model value, meta.tsv's
+their first word and rejects a row out of order or repeating a pair, and
+every stored number, a model value, meta.tsv's
 ``corpus_loglik`` and ``alpha`` or a series.tsv log-likelihood, by one
 reader (``_number``): a plain ASCII number (no surrounding whitespace, ``_``
 or non-ASCII digit, which ``float`` would accept) whose value is finite.
@@ -77,7 +83,8 @@ one row per checkpoint, iterations strictly increasing and log-likelihoods
 non-decreasing. Like meta.tsv's ``corpus_loglik`` and ``alpha``, each
 log-likelihood is a plain ASCII number, and the rows end in LF alone.
 ``save_checkpoint`` writes a checkpoint into ``.ckpt-NNNN.partial/`` and
-renames it into place, so a ``ckpt-NNNN/`` directory is always complete.
+renames it into place, so a ``ckpt-NNNN/`` directory is always complete; it
+only creates directories, and never replaces a checkpoint.
 The index is the source of truth: training rewrites it atomically after each
 checkpoint is in place, so an interrupted run leaves an index of complete
 checkpoints, and a ``ckpt-*`` directory it
@@ -172,12 +179,6 @@ class BigramLm:
     unseen_logprob: dict[str, float]
     unigram_logprob: dict[str, float]
     alpha: float
-    # lm.tsv's lines, unsorted, as (w1, w2, line), from build_bigram_lm's one
-    # formatting of each value, for _lm_text to sort and join instead of
-    # formatting the values again; training empties it once lm.tsv is rendered
-    rows: list[tuple[str, str, str]] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
 
     def logprob(self, w1: str, w2: str) -> float:
         lp = self.bigram_logprob.get((w1, w2))
@@ -193,6 +194,8 @@ class BigramLm:
 
 
 def build_bigram_lm(target_corpus: Iterable[TokenSeq], alpha: float = 0.1) -> BigramLm:
+    """The add-alpha bigram LM of ``target_corpus``, each value quantized
+    (``quantize``), so lm.tsv (``_lm_text``) loads back bit-exactly."""
     if not 0.0 < alpha < math.inf:
         raise ValidationError(f"alpha must be finite and > 0, got {alpha!r}")
     unigram_counts: Counter[str] = Counter()
@@ -225,33 +228,22 @@ def build_bigram_lm(target_corpus: Iterable[TokenSeq], alpha: float = 0.1) -> Bi
     # when their ratio is positive and finite every log-probability is finite
     if not (math.isfinite(denom_u) and alpha / denom_u > 0.0):
         raise ValidationError(f"alpha={alpha!r} makes language-model values non-finite")
-    # each value is quantized by formatting it once (_format_value), which
-    # also gives its lm.tsv text
-    rows: list[tuple[str, str, str]] = []
-    bigram_logprob: dict[tuple[str, str], float] = {}
-    unseen_logprob: dict[str, float] = {}
-    unigram_logprob: dict[str, float] = {}
-    for w1 in histories:
-        denom = context_totals[w1] + alpha * v
-        unseen_logprob[w1], text = _format_value(math.log(alpha / denom))
-        rows.append((w1, UNSEEN, f"{w1}\t{UNSEEN}\t{text}\n"))
-    for (w1, w2), c in bigram_counts.items():
-        denom = context_totals[w1] + alpha * v
-        bigram_logprob[(w1, w2)], text = _format_value(math.log((c + alpha) / denom))
-        rows.append((w1, w2, f"{w1}\t{w2}\t{text}\n"))
-    for w in support:
-        unigram_logprob[w], text = _format_value(
-            math.log((unigram_counts[w] + alpha) / denom_u)
-        )
-        rows.append((BACKOFF, w, f"{BACKOFF}\t{w}\t{text}\n"))
-    lm = BigramLm(
+    unseen_logprob = {
+        w1: quantize(math.log(alpha / (context_totals[w1] + alpha * v))) for w1 in histories
+    }
+    bigram_logprob = {
+        (w1, w2): quantize(math.log((c + alpha) / (context_totals[w1] + alpha * v)))
+        for (w1, w2), c in bigram_counts.items()
+    }
+    unigram_logprob = {
+        w: quantize(math.log((unigram_counts[w] + alpha) / denom_u)) for w in support
+    }
+    return BigramLm(
         bigram_logprob=bigram_logprob,
         unseen_logprob=unseen_logprob,
         unigram_logprob=unigram_logprob,
         alpha=alpha,
     )
-    lm.rows.extend(rows)
-    return lm
 
 
 @dataclass(frozen=True, eq=True)
@@ -406,7 +398,6 @@ def train_toy(
     lm = build_bigram_lm([tgt for _, tgt in pairs], alpha=alpha)
     out_dir.mkdir(parents=True, exist_ok=True)
     lm_blocks = [_lm_text(lm).encode("utf-8")]
-    lm.rows.clear()
 
     rows: list[tuple[int, float]] = []
 
@@ -564,15 +555,13 @@ def _lexicon_text(lexicon: LexiconTable) -> str:
 
 
 def _lm_text(lm: BigramLm) -> str:
-    """lm.tsv's text: ``lm.rows`` sorted, or, once training has emptied them
-    or for an LM not built by build_bigram_lm, each value's ``repr``."""
-    rows = lm.rows
-    if not rows:
-        rows = [(w1, w2, lp) for (w1, w2), lp in lm.bigram_logprob.items()]
-        rows.extend((w1, UNSEEN, lp) for w1, lp in lm.unseen_logprob.items())
-        rows.extend((BACKOFF, w, lp) for w, lp in lm.unigram_logprob.items())
-        rows = [(w1, w2, f"{w1}\t{w2}\t{lp!r}\n") for w1, w2, lp in rows]
-    return "".join(line for _, _, line in sorted(rows, key=lambda r: (r[0], r[1])))
+    """lm.tsv's text: every row, sorted by its two words, with the ``repr``
+    of its value; training renders it once per series."""
+    rows = [(w1, w2, lp) for (w1, w2), lp in lm.bigram_logprob.items()]
+    rows.extend((w1, UNSEEN, lp) for w1, lp in lm.unseen_logprob.items())
+    rows.extend((BACKOFF, w, lp) for w, lp in lm.unigram_logprob.items())
+    rows.sort()  # no two rows share their words, so the values are never compared
+    return "".join([f"{w1}\t{w2}\t{lp!r}\n" for w1, w2, lp in rows])
 
 
 def _check_directory(directory: Path) -> None:
@@ -583,27 +572,24 @@ def _check_directory(directory: Path) -> None:
 
 
 def save_checkpoint(ckpt: Checkpoint, directory: Path | str) -> None:
-    """Persist a checkpoint; two saves of the same checkpoint are byte-identical.
+    """Persist a checkpoint into the new directory ``directory``; two saves
+    of the same checkpoint are byte-identical.
 
     The files are written into ``.NAME.partial`` beside ``directory``, which
-    then takes their place with one rename, so ``directory`` is never
+    then takes its name with one rename, so ``directory`` is never
     half-written: a save that fails removes the partial directory, and a
     partial directory left by a crash is cleared by the next save of that
-    name. An existing ``directory`` is replaced, by way of ``.NAME.stale``;
-    it may hold checkpoint files only. A file of that name, or above it, is refused.
+    name. A save never replaces anything: an existing ``directory``, or a
+    file above it, raises ValidationError with nothing written.
     """
     directory = Path(directory)
     _check_directory(directory)
-    old = sorted(p.name for p in directory.iterdir()) if directory.is_dir() else []
-    if not set(old) <= set(CHECKPOINT_FILES):
-        raise ValidationError(f"{directory} holds files other than a checkpoint's: {old}")
+    if directory.exists():
+        raise ValidationError(f"{directory} already exists; save a checkpoint into a new directory")
+    # training's blocks if it rendered them, else the files rendered here
     rendered = ckpt.rendered
-    lexicon_blocks = rendered.get("lexicon.tsv")
-    if lexicon_blocks is None:
-        lexicon_blocks = [_lexicon_text(ckpt.lexicon).encode("utf-8")]
-    lm_blocks = rendered.get("lm.tsv")
-    if lm_blocks is None:
-        lm_blocks = [_lm_text(ckpt.lm).encode("utf-8")]
+    lexicon_blocks = rendered.get("lexicon.tsv") or [_lexicon_text(ckpt.lexicon).encode("utf-8")]
+    lm_blocks = rendered.get("lm.tsv") or [_lm_text(ckpt.lm).encode("utf-8")]
     meta_rows = [
         ("iteration", str(ckpt.iteration)),
         ("direction", ckpt.direction),
@@ -614,24 +600,14 @@ def save_checkpoint(ckpt: Checkpoint, directory: Path | str) -> None:
     meta_text = "".join(f"{k}\t{v}\n" for k, v in meta_rows).encode("utf-8")
 
     partial = directory.parent / f".{directory.name}.partial"
-    stale = directory.parent / f".{directory.name}.stale"
-    for leftover in (partial, stale):
-        if leftover.exists():
-            shutil.rmtree(leftover)
+    if partial.exists():
+        shutil.rmtree(partial)
     partial.mkdir(parents=True)
     try:
         for name, blocks in zip(CHECKPOINT_FILES, (lexicon_blocks, lm_blocks, [meta_text])):
             with (partial / name).open("wb") as sink:
                 sink.writelines(blocks)
-        if directory.exists():
-            # an existing checkpoint is swapped out, then removed
-            os.replace(directory, stale)
-            os.replace(partial, directory)
-            for name in old:
-                (stale / name).unlink()
-            stale.rmdir()
-        else:
-            os.replace(partial, directory)
+        os.replace(partial, directory)
     except BaseException:
         shutil.rmtree(partial, ignore_errors=True)
         raise
@@ -719,12 +695,14 @@ def _word(raw: bytes) -> str:
 
 def _rows(blocks: Iterable[bytes], name: str) -> Iterator[tuple[str, dict[str, float]]]:
     """Each run of rows of a model file, lexicon.tsv or lm.tsv, that share
-    their first word, as ``(w1, {w2: value})``; the files are sorted, so a
-    word's rows come together. A row is ``word<TAB>word<TAB>number``, each
-    word canonical (``_word``) and each number plain (``_number``); raises
-    ValueError naming the first row that is not."""
-    words = _WORDS
+    their first word, as ``(w1, {w2: value})``. A row is
+    ``word<TAB>word<TAB>number``, each word canonical (``_word``), each
+    number plain (``_number``), and its ``(w1, w2)`` strictly after the row
+    before's in UTF-8 byte order, which is the code-point order the files are
+    written in; raises ValueError naming the first row that is not."""
+    known = _WORDS.get
     prev = None
+    last = b""  # the previous row's second word
     w1 = ""
     run: dict[str, float] = {}
     rows = 0  # in the blocks before this one
@@ -741,17 +719,25 @@ def _rows(blocks: Iterable[bytes], name: str) -> Iterator[tuple[str, dict[str, f
                 if lenient or value - value:
                     value = _number(raw)
                 if raw1 != prev:
+                    word = known(raw1) or _word(raw1)
+                    if prev is not None and raw1 < prev:
+                        raise ValueError("unsorted or repeated row")
                     if run:
                         yield w1, run
-                    prev = raw1
-                    w1 = words.get(raw1) or _word(raw1)
-                    run = {}
-                run[words.get(raw2) or _word(raw2)] = value
+                    prev, w1, run, last = raw1, word, {}, b""
+                run[known(raw2) or _word(raw2)] = value
+                # after the word's check, so a non-canonical word is reported
+                # as that, wherever it sorts
+                if raw2 <= last:
+                    raise ValueError("unsorted or repeated row")
+                last = raw2
             except ValueError as exc:
                 shown = line.decode("utf-8", "replace")
-                # an equal line earlier in the block would have failed first,
-                # so index() finds this one
-                at =f"{name} row {rows + lines.index(line) + 1}: {shown!r}"
+                # the line itself, by identity: an equal line before it may be
+                # the row it repeats (bytes of one byte or none are shared
+                # objects, but such a line fails wherever it is first)
+                index = next(i for i, other in enumerate(lines) if other is line)
+                at = f"{name} row {rows + index + 1}: {shown!r}"
                 if line.count(b"\t") != 2:
                     raise ValueError(f"corrupt {at}") from None
                 try:
@@ -768,10 +754,7 @@ def _parse_lexicon(blocks: Iterable[bytes]) -> LexiconTable:
     """The lexicon lexicon.tsv's line blocks hold; raises ValueError naming
     the first malformed row, or a source word whose probabilities are not a
     distribution."""
-    lexicon: LexiconTable = {}
-    for e, run in _rows(blocks, "lexicon.tsv"):
-        if lexicon.setdefault(e, run) is not run:  # an unsorted file's rows come apart
-            lexicon[e].update(run)
+    lexicon: LexiconTable = dict(_rows(blocks, "lexicon.tsv"))
     for e, row in lexicon.items():
         total = sum(row.values())
         if not abs(total - 1.0) <= 1e-9:

@@ -421,6 +421,40 @@ class TestGenerate:
         assert rc == 0
         assert out.read_text().startswith("t1|\n")
 
+    @pytest.mark.parametrize(
+        "argv, wrong",
+        [(["generate", "--method", "paraphrase", "--series", "{bwd}", "--bwd-series", "{fwd}"],
+          "{bwd}"),
+         (["generate", "--method", "paraphrase", "--series", "{fwd}", "--bwd-series", "{fwd}"],
+          "{fwd}"),
+         (["generate", "--method", "paraphrase", "--series", "{fwd}",
+           "--bwd-ckpt", "{fwd}/ckpt-0005"], "{fwd}/ckpt-0005"),
+         (["generate", "--method", "nbest", "--ckpt", "{bwd}/ckpt-0005"], "{bwd}/ckpt-0005"),
+         (["generate", "--method", "ensemble", "--m", "2", "--series", "{bwd}"], "{bwd}"),
+         (["sweep", "--gold", "{gold}", "--series", "{bwd}", "--bwd-series", "{fwd}"], "{bwd}"),
+         (["sweep", "--gold", "{gold}", "--series", "{fwd}", "--bwd-series", "{fwd}"], "{fwd}")],
+        ids=["paraphrase-swapped", "paraphrase-fwd-as-bwd", "paraphrase-fwd-bwd-ckpt",
+             "nbest-bwd-ckpt", "ensemble-bwd-series", "sweep-swapped", "sweep-fwd-as-bwd"],
+    )
+    def test_model_of_the_wrong_direction_exits_2_and_writes_nothing(
+        self, trained_world, fixtures_path, tmp_path, capsys, argv, wrong
+    ):
+        """--series and --ckpt take the forward model and --bwd-series and
+        --bwd-ckpt the backward one. A swapped paraphrase pair used to exit 0,
+        decoding prompts with the backward model and writing source words
+        copied through."""
+        paths = {"fwd": trained_world / "fwd", "bwd": trained_world / "bwd",
+                 "gold": fixtures_path / "toy_gold.txt"}
+        out = tmp_path / "out.txt"
+        rc = run_cli([*(arg.format(**paths) for arg in argv),
+                      "--prompts", str(fixtures_path / "toy_prompts.txt"), "--out", str(out)])
+        assert rc == 2
+        expected = "fwd" if "bwd" in wrong else "bwd"
+        found = "bwd" if expected == "fwd" else "fwd"
+        assert (f"error: {wrong.format(**paths)} is a {found} model, expected a {expected} one"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBpe:
     def test_learn_fixture_first_merge(self, fixtures_path, tmp_path):
@@ -1116,13 +1150,15 @@ class TestSeriesLoading:
     def test_index_disagreeing_with_checkpoint_exits_2(
         self, trained_world, fixtures_path, tmp_path, capsys, field
     ):
-        series = tmp_path / "fwd"
-        shutil.copytree(trained_world / "fwd", series)
+        """The direction case relabels a backward series as forward, so only
+        its checkpoints, not its index, say it is backward."""
+        series = tmp_path / "series"
+        shutil.copytree(trained_world / ("fwd" if field == "loglik" else "bwd"), series)
         rows = (series / "series.tsv").read_text(encoding="utf-8").splitlines()
         if field == "loglik":
             rows[-1] = rows[-1].split("\t")[0] + "\t-0.5"
         else:
-            rows[0] = "direction\tbwd"
+            rows[0] = "direction\tfwd"
         (series / "series.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
         rc = run_cli(["generate", "--method", "nbest", "--series", str(series),
                       "--prompts", str(fixtures_path / "toy_prompts.txt"),

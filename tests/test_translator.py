@@ -385,6 +385,45 @@ VALUE_SPELLINGS = {
 }
 
 
+class TestRowOrder:
+    """Model rows are written sorted by their two words, so on load each
+    row's (w1, w2) must be strictly after the row before's, in UTF-8 byte
+    order. The loader used to accept any order, and the later row of a
+    repeated pair won: an extra ``<s> <other> -0.5`` row in lm.tsv loaded
+    as that history's unseen-successor log-probability."""
+
+    @pytest.mark.parametrize("name", ["lexicon.tsv", "lm.tsv"])
+    @pytest.mark.parametrize("fault", ["swapped", "parted", "repeated-pair", "repeated-line"])
+    def test_unsorted_or_repeated_model_row_rejected(self, hand_series, tmp_path, name, fault):
+        """Each fault, its checksum restamped, names the first row out of
+        order: ``swapped`` exchanges the first two rows, which share their
+        first word; ``parted`` moves the first row to the end, so its word's
+        rows come apart; ``repeated-pair`` repeats a row's pair with another
+        value (in lm.tsv, the ``<s> <other>`` row's) and ``repeated-line`` a
+        whole row."""
+        ckpt = tmp_path / "series" / "ckpt-0001"
+        rows = (ckpt / name).read_text(encoding="utf-8").splitlines()
+        assert rows == sorted(rows) and rows[0].split("\t")[0] == rows[1].split("\t")[0]
+        if fault == "swapped":
+            rows[0], rows[1] = rows[1], rows[0]
+            bad = 2
+        elif fault == "parted":
+            rows.append(rows.pop(0))
+            bad = len(rows)
+        elif fault == "repeated-pair":
+            i = 0 if name == "lexicon.tsv" else next(
+                i for i, row in enumerate(rows) if row.startswith("<s>\t<other>\t"))
+            rows.insert(i + 1, rows[i].rsplit("\t", 1)[0] + "\t-0.5")
+            bad = i + 2
+        else:
+            rows.insert(3, rows[2])
+            bad = 4
+        rewrite_model_file(ckpt, name, "\n".join(rows) + "\n")
+        expected = f"unsorted or repeated row in {name} row {bad}: .* \\(in .*ckpt-0001\\)"
+        with pytest.raises(CheckpointError, match=expected):
+            load_checkpoint(ckpt)
+
+
 class TestDocumentedBytes:
     """Model files hold UTF-8 with LF line endings and each value as a plain
     ASCII number. float() also reads surrounding whitespace, "_" between
@@ -486,9 +525,12 @@ class TestStreamingLoad:
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
     def test_any_chunk_size_loads_the_same_checkpoint(self, tmp_path, monkeypatch, chunk):
         """Rows and multi-byte characters cut by a chunk boundary, and a
-        last line without its newline, parse as whole rows."""
+        last line without its newline, parse as whole rows. The words take
+        UTF-8 sequences of 1 to 4 bytes, whose byte order the row order check
+        uses: U+FFEF sorts before U+10428 by code point and in UTF-8, though
+        not in UTF-16."""
         pairs = [(["não", "é"], ["ça", "über"]), (["não"], ["ça"]),
-                 (["ação"], ["ñandú"])]
+                 (["ação"], ["ñandú"]), (["a\uffef", "a𐐨"], ["ぁ", "𐐨"])]
         train_toy(pairs, 1, tmp_path / "r")
         ckpt_dir = tmp_path / "r" / "ckpt-0001"
         text = (ckpt_dir / "lm.tsv").read_text(encoding="utf-8")
@@ -597,6 +639,16 @@ class TestNbestPrefix:
                 assert got == deep[:n] == oracle[:n], f"instance {i}, n={n}"
 
 
+def test_models_carry_no_other_side_cache():
+    """A model is its values: the only fields a caller cannot set are the
+    checkpoint's three side caches, for the decoder, training's save and the
+    manifest, none of which takes part in equality."""
+    assert [f.name for f in dataclasses.fields(translator.BigramLm) if not f.init] == []
+    side = [f for f in dataclasses.fields(Checkpoint) if not f.init]
+    assert [f.name for f in side] == ["emissions", "rendered", "digests"]
+    assert not any(f.compare for f in side)
+
+
 class TestLoadedModelSharing:
     """A loaded series holds what its checkpoints share once, as a trained one does."""
 
@@ -622,6 +674,7 @@ class TestLoadedModelSharing:
         trained = trained_series(tmp_path / "s", HAND_CORPUS, 3)
         lm = trained[0].lm
         other = build_bigram_lm([["y", "x", "x"]])
+        shutil.rmtree(tmp_path / "s" / "ckpt-0002")  # a save never replaces a checkpoint
         save_checkpoint(dataclasses.replace(trained[1], lm=other),
                         tmp_path / "s" / "ckpt-0002")
         set_meta(tmp_path / "s" / "ckpt-0003", "alpha", "0.5")  # meta is not checksummed
@@ -799,30 +852,27 @@ class TestTrainingExactness:
         st.floats(min_value=1e-6, max_value=1e3),
     )
     def test_lm_file_is_the_repr_rendering(self, corpus, alpha):
-        """lm.tsv's values come from build_bigram_lm's one formatting of
-        each; the text is the one rendered from each value's repr."""
+        """lm.tsv is every LM value's repr, its rows sorted by their words,
+        and each value is quantized, so the text parses back to the same LM."""
         lm = build_bigram_lm(corpus, alpha=alpha)
-        rows = [(w1, w2, lp) for (w1, w2), lp in lm.bigram_logprob.items()]
-        rows.extend((w1, translator.UNSEEN, lp) for w1, lp in lm.unseen_logprob.items())
-        rows.extend((translator.BACKOFF, w, lp) for w, lp in lm.unigram_logprob.items())
-        rows.sort(key=lambda r: (r[0], r[1]))
-        assert len(lm.rows) == len(rows)
-        assert translator._lm_text(lm) == "".join(f"{a}\t{b}\t{lp!r}\n" for a, b, lp in rows)
+        values = {**lm.bigram_logprob,
+                  **{(w1, translator.UNSEEN): lp for w1, lp in lm.unseen_logprob.items()},
+                  **{(translator.BACKOFF, w): lp for w, lp in lm.unigram_logprob.items()}}
+        assert all(lp == translator.quantize(lp) for lp in values.values())
+        text = translator._lm_text(lm)
+        assert text == "".join(f"{a}\t{b}\t{values[a, b]!r}\n" for a, b in sorted(values))
+        assert translator._parse_lm([text.removesuffix("\n").encode("utf-8")], alpha) == lm
 
-    def test_training_keeps_no_lm_rows(self, tmp_path, monkeypatch):
-        """Nor, once a checkpoint is saved, its rendered files."""
-        lms = []
+    def test_training_keeps_no_rendered_files_once_saved(self, tmp_path, monkeypatch):
         real_save = translator.save_checkpoint
 
         def save(ckpt, directory):
-            lms.append(ckpt.lm)
             assert set(ckpt.rendered) == {"lexicon.tsv", "lm.tsv"}
             real_save(ckpt, directory)
             assert ckpt.rendered == {}
 
         monkeypatch.setattr(translator, "save_checkpoint", save)
         train_toy(HAND_CORPUS, 2, tmp_path / "s")
-        assert [lm.rows for lm in lms] == [[], []]
 
 
 class TestCrashSafeSave:
@@ -852,17 +902,31 @@ class TestCrashSafeSave:
         names = sorted(p.name for p in (tmp_path / "s").iterdir())
         assert names == ["ckpt-0001", "ckpt-0002", "series.tsv"]
 
-    def test_save_replaces_an_existing_checkpoint_and_nothing_else(self, hand_series, tmp_path):
+    @pytest.mark.parametrize("held", ["nothing", "checkpoint", "other-files"])
+    def test_save_onto_an_existing_directory_is_refused_and_writes_nothing(
+        self, hand_series, tmp_path, held
+    ):
+        """A save only creates a directory: it used to replace one holding
+        nothing or a checkpoint's files."""
         first, _, last = hand_series
-        save_checkpoint(first, tmp_path / "c")
-        save_checkpoint(last, tmp_path / "c")
-        assert load_checkpoint(tmp_path / "c") == last
+        target = tmp_path / "c"
+        if held == "checkpoint":
+            save_checkpoint(first, target)
+        else:
+            target.mkdir()
+            if held == "other-files":
+                (target / "notes.txt").write_text("mine", encoding="utf-8")
+
+        def files():
+            return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+        before = files()
+        with pytest.raises(ValidationError, match="c already exists"):
+            save_checkpoint(last, target)
+        assert files() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c", "series"]
-        (tmp_path / "c" / "notes.txt").write_text("mine", encoding="utf-8")
-        with pytest.raises(ValidationError, match="files other than a checkpoint's"):
-            save_checkpoint(first, tmp_path / "c")
-        assert load_checkpoint(tmp_path / "c") == last
-        assert (tmp_path / "c" / "notes.txt").read_text(encoding="utf-8") == "mine"
+        if held == "checkpoint":
+            assert load_checkpoint(target) == first
 
     def test_save_onto_a_file_is_refused_and_writes_nothing(self, hand_series, tmp_path):
         """The checkpoint used to take the file's place, and the save then
