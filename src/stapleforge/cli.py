@@ -17,24 +17,25 @@ sentences in it, so ``score`` and ``sweep`` compare plain strings.
 ``generate`` and every ``sweep`` cell run a method through the one entry
 point ``methods.predict``; a sweep cell whose method cannot run on the models
 given (paraphrase without ``--bwd-series``, ``m`` beyond the series) is an NA
-row. Both commands read and validate each ``series.tsv``, refuse a forward
-model that is not ``fwd`` or a backward one that is not ``bwd``, and check
-that the checkpoints they may decode with exist up front, then load each
-checkpoint when it is first decoded with (``methods.Decoder``), once per
-command. An ensemble decodes every prompt with one checkpoint before loading
-the next, so ``generate`` holds one checkpoint at a time, or one per side for
-paraphrase; a sweep's cells share one decoder per checkpoint, whose memo of
-n-best lists, keyed on the source and n, lets later cells reuse earlier
-decodes of the same request, so it holds at most two: one forward checkpoint
-and the newest backward one. A checkpoint that fails
-to load exits 2 with nothing written, whenever it is found: it never degrades
-a prompt or makes an NA row.
+row. Both commands read and validate each ``series.tsv`` and refuse a forward
+model that is not ``fwd`` or a backward one that is not ``bwd`` up front,
+whatever the method, then hand ``predict`` one decoder (``methods.Decoder``)
+per listed checkpoint, which loads its checkpoint when it is first decoded
+with, once per command: ``predict`` alone decides which ones a method reads,
+and a checkpoint nothing reads is never opened. An ensemble decodes every
+prompt with one checkpoint before loading the next, so ``generate`` holds one
+checkpoint at a time, or one per side for paraphrase; a sweep's cells share
+one decoder per checkpoint, whose memo of n-best lists, keyed on the source
+and n, lets later cells reuse earlier decodes of the same request, so it
+holds at most two: one forward checkpoint and the newest backward one. A
+checkpoint that is missing or fails to load exits 2 with nothing written,
+whenever it is found: it never degrades a prompt or makes an NA row.
 
 Both commands write a ``<out>.manifest.tsv`` recording the command, resolved
 parameters (``top_k`` included), input checksums, tool version and output
 checksums; identical inputs reproduce identical outputs and manifests. The
-model checksums are taken once decoding is done and before any output is
-written: each ``series.tsv``, and each file a checkpoint was loaded from,
+model checksums, of each ``series.tsv`` and the checkpoints loaded, are
+taken once decoding is done and before any output is written: each file read
 counts with the digest taken as it was read, so no model file is read twice
 and the manifest describes the bytes parsed and decoded with; every other
 file is hashed then. ``train`` keeps no checkpoint in memory once it is
@@ -70,12 +71,11 @@ from . import __version__
 from .corpus import parse_gold, parse_predictions, parse_prompts, split_lines, write_predictions
 from .errors import StapleForgeError, ValidationError
 from .metrics import score_corpus, summary_line, write_report
-from .methods import METHODS, Decoder, MethodParams, MethodWarning, checkpoints_read, predict
+from .methods import METHODS, Decoder, MethodParams, MethodWarning, predict
 from .textproc import bpe_apply, bpe_decode, bpe_learn, load_bpe, save_bpe, sentence_tokens
 from .translator import (
     SERIES_INDEX,
     Checkpoint,
-    checkpoint_name,
     load_checkpoint,
     load_indexed_checkpoint,
     read_series_index,
@@ -241,49 +241,45 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_model(
-    ckpt_arg: str | None, series_arg: str | None, newest: int, direction: str, missing: str
+    ckpt_arg: str | None, series_arg: str | None, direction: str
 ) -> tuple[list[Decoder], Callable[[], str]]:
-    """The decoders a command may decode with, oldest first, and a function
-    giving the checksum of their files, to be called once decoding is done.
+    """The decoders of a model, one per checkpoint, oldest first, and a
+    function giving the checksum of its files, to be called once decoding is
+    done.
 
     A model is one checkpoint directory, loaded here, or a series, whose
-    index is read here and whose newest ``newest`` checkpoints (all of them,
-    if it has fewer) each load when first decoded with. Its direction must be
-    ``direction``, known from the checkpoint or ``series.tsv``, so a swapped
-    pair of models is refused before any decode. The checksum covers
+    index is read here and whose listed checkpoints each load when first
+    decoded with, so a missing or corrupt one is found then. Its direction
+    must be ``direction`` (the checkpoint's or ``series.tsv``'s), so a
+    swapped pair of models is refused before any decode. The checksum covers
     every file under the checkpoint directory, or ``series.tsv`` and every
-    file under those checkpoints, so with ``newest`` 0 ``series.tsv`` alone;
-    each must exist now. ``series.tsv`` and each file a decoder loaded count
-    with the digest taken as they were read (``SeriesIndex.digest``,
-    ``Checkpoint.digests``), so the checksum describes the bytes parsed and
-    decoded with; every other file is hashed when it is called.
+    file under the checkpoints loaded. Each file read counts with the digest
+    taken as it was read (``SeriesIndex.digest``, ``Checkpoint.digests``), so
+    the checksum describes the bytes parsed and decoded with; every other
+    file is hashed when it is called.
     """
     read: dict[Path, str] = {}  # digests of the files read: series.tsv and those loaded
-    if ckpt_arg:
+    if ckpt_arg is not None:
         path = Path(ckpt_arg)
         ckpt = load_checkpoint(path)
         _check_direction(path, ckpt.direction, direction)
         read.update(ckpt.digests)
         return [Decoder.of(ckpt)], lambda: sha256_path(path, None, read)
-    if series_arg:
-        path = Path(series_arg)
-        found, rows, digest = read_series_index(path)
-        _check_direction(path, found, direction)
-        read[path / SERIES_INDEX] = digest  # of the bytes parsed, not re-read
-        rows = rows[max(0, len(rows) - newest) :]
-        members = [SERIES_INDEX, *(checkpoint_name(iteration) for iteration, _ in rows)]
-        for member in members:
-            if not (path / member).exists():
-                raise ValidationError(f"not found: {path / member}")
+    path = Path(series_arg)
+    found, rows, digest = read_series_index(path)
+    _check_direction(path, found, direction)
+    read[path / SERIES_INDEX] = digest  # of the bytes parsed, not re-read
 
-        def load(iteration: int, loglik: float) -> Checkpoint:
-            ckpt = load_indexed_checkpoint(path, direction, iteration, loglik)
-            read.update(ckpt.digests)
-            return ckpt
+    def load(iteration: int, loglik: float) -> Checkpoint:
+        ckpt = load_indexed_checkpoint(path, direction, iteration, loglik)
+        read.update(ckpt.digests)
+        return ckpt
 
-        decoders = [Decoder(functools.partial(load, *row), direction) for row in rows]
-        return decoders, lambda: sha256_path(path, members, read)
-    raise ValidationError(missing)
+    def checksum() -> str:
+        # series.tsv and the directory of each checkpoint loaded
+        return sha256_path(path, sorted({p.relative_to(path).parts[0] for p in read}), read)
+
+    return [Decoder(functools.partial(load, *row), direction) for row in rows], checksum
 
 
 def _check_direction(path: Path, found: str, expected: str) -> None:
@@ -298,16 +294,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     params = MethodParams(n=args.n, n_prime=args.n_prime, m=args.m, top_k_lexicon=args.top_k)
     inputs: dict[str, str] = {"prompts": sha256_path(Path(args.prompts))}
     models: dict[str, Callable[[], str]] = {}
-    n_fwd, n_bwd = checkpoints_read(args.method, params)
-    fwd, models["model"] = _load_model(
-        args.ckpt, args.series, n_fwd, "fwd", f"{args.method}: pass --ckpt or --series"
-    )
+    fwd, models["model"] = _load_model(args.ckpt, args.series, "fwd")
     bwd: list[Decoder] = []
-    if n_bwd:
-        bwd, models["bwd_model"] = _load_model(
-            args.bwd_ckpt, args.bwd_series, n_bwd, "bwd",
-            f"{args.method}: pass --bwd-ckpt or --bwd-series",
-        )
+    if args.bwd_ckpt is not None or args.bwd_series is not None:
+        bwd, models["bwd_model"] = _load_model(args.bwd_ckpt, args.bwd_series, "bwd")
     warnings: list[MethodWarning] = []
     sets = predict(args.method, fwd, bwd, prompts, params, warnings)
     inputs.update((key, digest()) for key, digest in models.items())
@@ -348,17 +338,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "gold": sha256_path(Path(args.gold)),
         "prompts": sha256_path(Path(args.prompts)),
     }
-    # decoders for what the most demanding cell reads, shared by every cell;
-    # a cell needing more checkpoints than the series holds becomes an NA row
-    n_fwd = max((checkpoints_read(method, p)[0] for method, _, p in cells), default=1)
-    n_bwd = max((checkpoints_read(method, p)[1] for method, _, p in cells), default=0)
+    # one decoder per checkpoint, shared by every cell; a cell needing more
+    # checkpoints than the series holds becomes an NA row
     models: dict[str, Callable[[], str]] = {}
-    fwd, models["series"] = _load_model(None, args.series, n_fwd, "fwd", "sweep: pass --series")
+    fwd, models["series"] = _load_model(None, args.series, "fwd")
     bwd: list[Decoder] = []
-    if args.bwd_series:
-        bwd, models["bwd_series"] = _load_model(
-            None, args.bwd_series, n_bwd, "bwd", "sweep: pass --bwd-series"
-        )
+    if args.bwd_series is not None:
+        bwd, models["bwd_series"] = _load_model(None, args.bwd_series, "bwd")
 
     header = "method\tparam\tprecision\tweighted_recall\tweighted_f1\n"
     if not cells:
@@ -399,7 +385,7 @@ def cmd_bpe(args: argparse.Namespace) -> int:
     if args.bpe_command == "learn":
         corpus = []
         for path in args.inputs:
-            corpus.extend(sentence_tokens(line) for line in _read_text(path).splitlines())
+            corpus.extend(sentence_tokens(line) for line in split_lines(_read_text(path)))
         model = bpe_learn(corpus, args.merges)
         with open(args.out, "w", encoding="utf-8", newline="\n") as sink:
             save_bpe(model, sink)
@@ -408,7 +394,7 @@ def cmd_bpe(args: argparse.Namespace) -> int:
     model = load_bpe(_read_text(args.model)) if args.bpe_command == "apply" else None
     source = _read_text(args.input) if args.input else sys.stdin.read()
     out_lines = []
-    for line in source.splitlines():
+    for line in split_lines(source):
         toks = line.split()
         result = bpe_decode(toks) if model is None else bpe_apply(model, toks)
         out_lines.append(" ".join(result) + "\n")
@@ -460,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="produce a prediction file with one method")
     p.add_argument("--method", choices=METHODS, required=True)
-    model = p.add_mutually_exclusive_group()
+    model = p.add_mutually_exclusive_group(required=True)
     model.add_argument("--ckpt", help="checkpoint directory (a one-checkpoint forward model)")
     model.add_argument("--series", help="series directory (its last checkpoint, or the ensemble)")
     bwd_model = p.add_mutually_exclusive_group()

@@ -18,9 +18,10 @@ than 1 (published sets are often truncated) and are never renormalized.
 Prediction files use the same block layout with bare translation lines (no
 weights). A prompts file is just the header lines, one ``id|text`` per line.
 Every header is read alike: split on the first ``|``, both sides stripped,
-the id non-empty and unique within its file. Every text input, these three
-and the parallel corpus, is split into lines by one rule (``split_lines``):
-a line ends at LF, CRLF or CR only, and a leading byte-order mark is dropped.
+the id non-empty and unique within its file. Every text input, these three,
+the parallel corpus and the ``bpe`` inputs, is split into lines by one rule
+(``split_lines``): a line ends at LF, CRLF or CR only, and a leading
+byte-order mark is dropped.
 
 ``normalize`` defines a sentence's canonical form (NFC, lowercase, strip
 punctuation, collapse whitespace). It is the one comparison rule of the
@@ -137,8 +138,12 @@ def split_lines(text: str) -> list[str]:
     """The lines of a text input, by the one line rule of every text file the
     toolkit reads: a line ends at LF, CRLF or CR only, never at the other
     characters ``str.splitlines`` ends one at (VT, FF, NEL, U+2028, U+2029
-    and more), and a leading byte-order mark is dropped."""
-    return text.lstrip("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    and more), a leading byte-order mark is dropped, and a final line end
+    starts no further line."""
+    lines = text.lstrip("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def _blocks(stream: str) -> Iterable[list[tuple[int, str]]]:

@@ -1,22 +1,21 @@
 """Translation-set generation: n-best lists, round-trip paraphrasing, and
 multi-checkpoint ensembles.
 
-``predict`` is the one entry point: it runs a method on the newest forward
-and backward checkpoints the method reads (``checkpoints_read``). Methods
-decode through a ``Decoder`` per checkpoint, which loads its checkpoint when
-it is first decoded with and memoizes each source's n-best list per n, so
-the decoders a sweep shares across its cells decode each request once. Each method
-is one per-prompt composition over the same source path: the prompt's
-canonical tokens (``textproc.sentence_tokens``, once per prompt), decode,
-join the tokens with spaces, de-duplicate. A model trained here knows
-canonical words only, so its candidates are canonical sentences: they are
-de-duplicated, compared and split for back-translation as plain strings,
-never canonicalized again. Bad input on one prompt (a ValidationError)
-degrades that prompt to an empty candidate list and one warning record whose
-stage is the method's name; it never aborts the batch. A checkpoint that
-fails to load (a CheckpointError) and any other exception propagate. Every
-method is deterministic: identical inputs produce byte-identical prediction
-files.
+``predict`` is the one entry point, and the one place that knows which of a
+model's checkpoints a method reads. Methods decode through a ``Decoder`` per
+checkpoint, which loads its checkpoint when it is first decoded with and
+memoizes each source's n-best list per n, so the decoders a sweep shares
+across its cells decode each request once. Each method is one per-prompt
+composition over the same source path: the prompt's canonical tokens
+(``textproc.sentence_tokens``, once per prompt), decode, join the tokens with
+spaces, de-duplicate. A model trained here knows canonical words only, so
+its candidates are canonical sentences: they are de-duplicated, compared and
+split for back-translation as plain strings, never canonicalized again. Bad
+input on one prompt (a ValidationError) degrades that prompt to an empty
+candidate list and one warning record whose stage is the method's name; it
+never aborts the batch. A checkpoint that fails to load (a CheckpointError)
+and any other exception propagate. Every method is deterministic: identical
+inputs produce byte-identical prediction files.
 """
 
 from __future__ import annotations
@@ -226,11 +225,6 @@ def multi_checkpoint_predict(
 METHODS = ("nbest", "paraphrase", "ensemble")
 
 
-def checkpoints_read(method: str, params: MethodParams) -> tuple[int, int]:
-    """How many of the newest forward and backward checkpoints ``method`` reads."""
-    return {"nbest": (1, 0), "paraphrase": (1, 1), "ensemble": (params.m, 0)}[method]
-
-
 def predict(
     method: str,
     fwd: Sequence[Decoder],
@@ -239,11 +233,11 @@ def predict(
     params: MethodParams,
     warnings: list[MethodWarning] | None = None,
 ) -> list[PredictionSet]:
-    """Run ``method`` on the newest of the forward (and backward) decoders,
-    each sequence oldest first, that it reads.
-
-    A method that cannot run on the models given (paraphrase without a
-    backward model, an ensemble larger than the series) raises ValidationError.
+    """Run ``method`` on the decoders of a forward (and backward) model, each
+    oldest first: nbest reads the newest forward one, paraphrase the newest of
+    each side, an ensemble the newest ``m``. A method that cannot run on the
+    models given (paraphrase without a backward model, an ensemble larger
+    than the series) raises ValidationError.
     """
     if method == "ensemble":
         return multi_checkpoint_predict(fwd, prompts, params, warnings)

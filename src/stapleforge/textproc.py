@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
-from .corpus import normalize
+from .corpus import normalize, split_lines
 from .errors import ParseError, ValidationError
 
 log = logging.getLogger(__name__)
@@ -208,7 +208,7 @@ def save_bpe(model: BpeModel, sink: TextIO) -> None:
 
 
 def load_bpe(stream: str) -> BpeModel:
-    lines = stream.splitlines()
+    lines = split_lines(stream)
     if not lines or lines[0].strip() != BPE_HEADER:
         raise ParseError(f"bad BPE model header (expected {BPE_HEADER!r})", 1)
     merges: list[tuple[str, str]] = []

@@ -279,14 +279,11 @@ class Checkpoint:
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """A decoded token sequence scored by average log-likelihood."""
+    """A decoded token sequence and its total log-likelihood; n-best lists
+    rank by its average per token."""
 
     tokens: tuple[str, ...]
     total_logprob: float
-
-    @property
-    def avg_logprob(self) -> float:
-        return self.total_logprob / max(1, len(self.tokens))
 
 
 @dataclass(frozen=True)
@@ -862,6 +859,8 @@ def load_checkpoint(directory: Path | str) -> Checkpoint:
     checksum holds: a file whose checksum fails is reported as that.
     """
     directory = Path(directory)
+    if not directory.is_dir():
+        raise CheckpointError(f"checkpoint directory not found: {directory}")
     for name in ("meta.tsv", "lexicon.tsv", "lm.tsv"):  # in the order they are read
         if not (directory / name).is_file():
             raise CheckpointError(f"missing checkpoint file: {directory / name}")

@@ -76,7 +76,8 @@ def exhaustive_nbest(
             toks.append(word)
             prev = word
         hyps.append(Hypothesis(tokens=tuple(toks), total_logprob=total))
-    hyps.sort(key=lambda h: (-h.avg_logprob, h.tokens))
+    # by average log-likelihood per token, best first, then by tokens
+    hyps.sort(key=lambda h: (-(h.total_logprob / max(1, len(h.tokens))), h.tokens))
     return hyps[:n_best]
 
 

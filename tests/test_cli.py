@@ -509,6 +509,41 @@ class TestBpe:
         assert not (tmp_path / "out.txt").exists()
 
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c"])
+    @pytest.mark.parametrize("command", ["apply", "decode"])
+    def test_one_output_line_per_input_line(self, tmp_path, command, separator):
+        """str.splitlines() also ends a line at these characters, so a
+        segmented side no longer lined up with the other side of its
+        parallel corpus."""
+        model = tmp_path / "empty.model"
+        model.write_text("#bpe v1 eow=</w>\n", encoding="utf-8")
+        inp = tmp_path / "in.txt"
+        text, argv, expected = {
+            "apply": ("ab{}c\nd\n", ["--model", str(model)], "a@@ b c\nd\n"),
+            "decode": ("o ga@@ to{}come\npeixe\n", [], "o gato come\npeixe\n"),
+        }[command]
+        inp.write_text(text.format(separator), encoding="utf-8")
+        out = tmp_path / "out.txt"
+        assert run_cli(["bpe", command, *argv, "--input", str(inp), "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == expected
+
+    def test_byte_order_mark_is_dropped(self, fixtures_path, tmp_path):
+        """The mark used to stay on the first word: bpe decode printed
+        '\ufeffgato' and bpe learn counted a word no other line holds."""
+        words = (fixtures_path / "bpe_words.txt").read_text(encoding="utf-8")
+        marked = tmp_path / "marked.txt"
+        marked.write_text("\ufeff" + words, encoding="utf-8")
+        for name, path in (("plain", fixtures_path / "bpe_words.txt"), ("marked", marked)):
+            assert run_cli(["bpe", "learn", "--input", str(path), "--merges", "10",
+                            "--out", str(tmp_path / f"{name}.model")]) == 0
+        assert (tmp_path / "marked.model").read_bytes() == (tmp_path / "plain.model").read_bytes()
+        seg = tmp_path / "seg.txt"
+        seg.write_text("\ufeffga@@ to\n", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        assert run_cli(["bpe", "decode", "--input", str(seg), "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == "gato\n"
+
+
 class TestSweep:
     def test_empty_spec_exits_3(self, trained_world, fixtures_path, tmp_path):
         out = tmp_path / "table.tsv"
@@ -1000,8 +1035,9 @@ class TestSeriesLoading:
               "--bwd-series", "{bwd}"], 2),
             (["generate", "--method", "paraphrase", "--ckpt", "{fwd}/ckpt-0005",
               "--bwd-ckpt", "{bwd}/ckpt-0005"], 2),
-            # ensemble m=6 and m=8 are NA rows, so ckpt-0001 is hashed, never loaded
-            (["sweep", "--gold", "{gold}", "--series", "{fwd}", "--bwd-series", "{bwd}"], 6),
+            # ensemble m=6 and m=8 are NA rows, so nothing reads ckpt-0001 of
+            # either series, nor bwd's ckpt-0001 to ckpt-0004
+            (["sweep", "--gold", "{gold}", "--series", "{fwd}", "--bwd-series", "{bwd}"], 5),
         ],
         ids=["nbest-series", "nbest-ckpt", "ensemble-series", "ensemble-ckpt",
              "paraphrase-series", "paraphrase-ckpt", "sweep"],
@@ -1126,6 +1162,111 @@ class TestSeriesLoading:
         assert manifest() == before
         (series / "ckpt-0004" / "note.txt").write_text("loaded", encoding="utf-8")
         assert manifest() != before
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda ckpt: (ckpt / "note.txt").write_text("never read", encoding="utf-8"),
+         lambda ckpt: (ckpt / "lexicon.tsv").write_text("edited\n", encoding="utf-8")],
+        ids=["stray-file", "lexicon-edit"],
+    )
+    def test_default_sweep_manifest_ignores_a_checkpoint_it_never_reads(
+        self, trained_world, fixtures_path, tmp_path, edit
+    ):
+        """On a 5-checkpoint series the ensemble m=6 and m=8 cells are NA
+        rows, so nothing decodes with ckpt-0001; its files used to be hashed
+        into the manifest all the same."""
+        series = tmp_path / "fwd"
+        shutil.copytree(trained_world / "fwd", series)
+
+        def manifest() -> bytes:
+            out = tmp_path / "table.tsv"
+            assert run_cli(["sweep", "--series", str(series),
+                            "--bwd-series", str(trained_world / "bwd"),
+                            "--gold", str(fixtures_path / "toy_gold.txt"),
+                            "--prompts", str(fixtures_path / "toy_prompts.txt"),
+                            "--out", str(out)]) == 0
+            return Path(f"{out}.manifest.tsv").read_bytes()
+
+        before = manifest()
+        edit(series / "ckpt-0001")
+        assert manifest() == before
+
+    @pytest.mark.parametrize("bwd", ["missing", "forward"])
+    def test_nbest_checks_a_given_backward_series(
+        self, trained_world, fixtures_path, tmp_path, capsys, bwd
+    ):
+        """A backward model given to a method that does not read it is still
+        read, direction-checked and recorded; nbest used to ignore it."""
+        path = tmp_path / "nowhere" if bwd == "missing" else trained_world / "fwd"
+        out = tmp_path / "out.txt"
+        rc = run_cli(["generate", "--method", "nbest", "--series", str(trained_world / "fwd"),
+                      "--bwd-series", str(path),
+                      "--prompts", str(fixtures_path / "toy_prompts.txt"), "--out", str(out)])
+        assert rc == 2
+        reason = ("checkpoint series directory not found" if bwd == "missing"
+                  else "is a fwd model, expected a bwd one")
+        assert reason in capsys.readouterr().err
+        assert list(tmp_path.glob("out.txt*")) == []
+
+    def test_nbest_records_a_given_backward_series(self, trained_world, fixtures_path, tmp_path):
+        prompts = str(fixtures_path / "toy_prompts.txt")
+        outputs = {}
+        for name, extra in (("plain", []), ("bwd", ["--bwd-series", str(trained_world / "bwd")])):
+            out = tmp_path / f"{name}.txt"
+            assert run_cli(["generate", "--method", "nbest", "--series",
+                            str(trained_world / "fwd"), *extra,
+                            "--prompts", prompts, "--out", str(out)]) == 0
+            outputs[name] = (out.read_bytes(),
+                             Path(f"{out}.manifest.tsv").read_text().splitlines())
+        assert outputs["bwd"][0] == outputs["plain"][0]
+        added = set(outputs["bwd"][1]) - set(outputs["plain"][1])
+        assert [row.split("\t")[0] for row in added] == ["input:bwd_model"]
+        assert set(outputs["plain"][1]) - set(outputs["bwd"][1]) == set()
+
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [(["generate", "--method", "nbest"], "ckpt-0005"),
+         (["generate", "--method", "ensemble", "--m", "5"], "ckpt-0003"),
+         (["sweep", "--gold", "{gold}", "--bwd-series", "{bwd}"], "ckpt-0003")],
+        ids=["nbest", "ensemble", "sweep"],
+    )
+    def test_missing_listed_checkpoint_exits_2_and_writes_nothing(
+        self, trained_world, fixtures_path, tmp_path, capsys, argv, missing
+    ):
+        """A listed checkpoint is looked for when first decoded with, so the
+        ensemble and the sweep find ckpt-0003 missing after other
+        checkpoints have decoded every prompt."""
+        series = tmp_path / "fwd"
+        shutil.copytree(trained_world / "fwd", series)
+        shutil.rmtree(series / missing)
+        paths = {"bwd": str(trained_world / "bwd"), "gold": str(fixtures_path / "toy_gold.txt")}
+        out = tmp_path / "out.txt"
+        rc = run_cli([*(arg.format(**paths) for arg in argv), "--series", str(series),
+                      "--prompts", str(fixtures_path / "toy_prompts.txt"), "--out", str(out)])
+        assert rc == 2
+        assert f"checkpoint directory not found: {series / missing}" in capsys.readouterr().err
+        assert list(tmp_path.glob("out.txt*")) == []
+
+    def test_paraphrase_without_backward_model_exits_2(
+        self, trained_world, fixtures_path, tmp_path, capsys
+    ):
+        out = tmp_path / "out.txt"
+        rc = run_cli(["generate", "--method", "paraphrase", "--series",
+                      str(trained_world / "fwd"),
+                      "--prompts", str(fixtures_path / "toy_prompts.txt"), "--out", str(out)])
+        assert rc == 2
+        assert "paraphrase needs a backward model" in capsys.readouterr().err
+        assert list(tmp_path.glob("out.txt*")) == []
+
+    def test_generate_without_forward_model_is_a_usage_error(
+        self, fixtures_path, tmp_path, capsys
+    ):
+        out = tmp_path / "out.txt"
+        rc = run_cli(["generate", "--method", "nbest",
+                      "--prompts", str(fixtures_path / "toy_prompts.txt"), "--out", str(out)])
+        assert rc == 2
+        assert "one of the arguments --ckpt --series is required" in capsys.readouterr().err
+        assert list(tmp_path.glob("out.txt*")) == []
 
     @pytest.mark.parametrize("command", ["generate", "sweep"])
     def test_programming_error_exits_1(

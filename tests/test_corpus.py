@@ -16,6 +16,7 @@ from stapleforge.corpus import (
     parse_gold,
     parse_predictions,
     parse_prompts,
+    split_lines,
     write_predictions,
 )
 from stapleforge.errors import ParseError, ValidationError
@@ -272,6 +273,18 @@ def test_text_lines_end_at_lf_crlf_or_cr_alone(separator):
     assert [p.id for p in parse_prompts(f"p1|o gato{separator}p2|come peixe\n")] == ["p1"]
     golds = parse_gold(f"q1|the cat{separator}q2|x\no gato|0.5\n")
     assert [(g.prompt.id, len(g.translations)) for g in golds] == [("q1", 1)]
+
+
+@pytest.mark.parametrize(
+    "text, lines",
+    [("", []), ("a", ["a"]), ("a\n", ["a"]), ("a\n\n", ["a", ""]),
+     ("\ufeffa\r\nb\rc\n", ["a", "b", "c"]),
+     ("a\u2028b\x85c\x0bd\x0ce\n", ["a\u2028b\x85c\x0bd\x0ce"])],
+)
+def test_split_lines(text, lines):
+    """Only the empty piece after a final line end is dropped, as
+    str.splitlines() drops it; a blank line before it stays a line."""
+    assert split_lines(text) == lines
 
 
 @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])

@@ -1,9 +1,11 @@
-"""Import boundaries of the package.
+"""Import boundaries and language level of the package.
 
 It is stdlib-only: it declares no runtime dependency, so every module it
-imports, other than its own, must ship with Python. And a sentence is
+imports, other than its own, must ship with Python. A sentence is
 canonicalized once, where it is read: the methods and the scorer compare
-canonical strings and never call ``normalize`` themselves."""
+canonical strings and never call ``normalize`` themselves. And every source
+file, tests included, parses as Python 3.10, the oldest version README
+supports."""
 
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import pytest
 import stapleforge
 
 PACKAGE_DIR = Path(stapleforge.__file__).resolve().parent
+TESTS_DIR = Path(__file__).resolve().parent
 
 
 def absolute_imports(path: Path) -> set[str]:
@@ -55,3 +58,14 @@ def names_used(path: Path) -> set[str]:
 @pytest.mark.parametrize("module", ["methods.py", "metrics.py"])
 def test_methods_and_metrics_never_normalize(module):
     assert "normalize" not in names_used(PACKAGE_DIR / module)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [*sorted(PACKAGE_DIR.glob("*.py")), *sorted(TESTS_DIR.glob("*.py"))],
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_source_parses_as_python_3_10(path):
+    """This checks syntax only (``ast.parse`` with ``feature_version``): a
+    stdlib function or module added after 3.10 still passes."""
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -173,3 +173,10 @@ class TestModelFile:
     def test_bad_header_rejected(self):
         with pytest.raises(ParseError):
             load_bpe("not a model\ne\ts\n")
+
+    def test_rows_follow_the_one_line_rule(self):
+        """A leading byte-order mark is dropped, and a Unicode line separator
+        ends no row: it used to split this row into two merges."""
+        assert load_bpe("\ufeff#bpe v1 eow=</w>\r\ne\ts\r\n") == BpeModel(merges=(("e", "s"),))
+        with pytest.raises(ParseError, match="line 2: expected 'left<TAB>right'"):
+            load_bpe("#bpe v1 eow=</w>\ne\ts\u2028l\to\n")

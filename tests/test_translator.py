@@ -172,7 +172,7 @@ class TestDecode:
     def test_two_best_order(self, skewed_ckpt):
         hyps = decode_nbest(skewed_ckpt, ["a"], DecodeParams(n_best=2))
         assert [h.tokens for h in hyps] == [("x",), ("z",)]
-        assert hyps[0].avg_logprob > hyps[1].avg_logprob
+        assert hyps[0].total_logprob > hyps[1].total_logprob  # one token each
 
     def test_top1_is_argmax(self, skewed_ckpt):
         top2 = decode_nbest(skewed_ckpt, ["a"], DecodeParams(n_best=2))
@@ -188,9 +188,11 @@ class TestDecode:
         hyps = decode_nbest(skewed_ckpt, ["mystery"], DecodeParams(n_best=1))
         assert hyps[0].tokens == ("mystery",)
 
-    def test_avg_identity(self, skewed_ckpt):
-        for hyp in decode_nbest(skewed_ckpt, ["a", "a"], DecodeParams(n_best=4)):
-            assert hyp.avg_logprob * max(1, len(hyp.tokens)) == hyp.total_logprob
+    def test_ranked_by_average_logprob(self, skewed_ckpt):
+        hyps = decode_nbest(skewed_ckpt, ["a", "a"], DecodeParams(n_best=4))
+        assert all(len(hyp.tokens) == 2 for hyp in hyps)
+        averages = [hyp.total_logprob / 2 for hyp in hyps]
+        assert averages == sorted(averages, reverse=True)
 
     def test_nbest_nesting(self, skewed_ckpt):
         params = lambda k: DecodeParams(n_best=k)
