@@ -40,11 +40,12 @@ counts with the digest taken as it was read, so no model file is read twice
 and the manifest describes the bytes parsed and decoded with; every other
 file is hashed then. ``train`` keeps no checkpoint in memory once it is
 saved, and logs how many rows ``series.tsv`` lists.
-``generate`` also writes ``<out>.warnings.tsv``, one row per degraded prompt
-whose stage is the method's name. Wall-clock duration is reported on stderr
-only, so manifests stay byte-reproducible. ``train`` is byte-reproducible
-too, with no environment variable: a checkpoint records nothing about when
-it was written.
+``generate`` also writes ``<out>.warnings.tsv``, one
+``prompt_id<TAB>method<TAB>no candidates`` row per empty set, in prompt
+order: a prompt degrades only when its canonical form has no words.
+Wall-clock duration is reported on stderr only, so manifests stay
+byte-reproducible. ``train`` is byte-reproducible too, with no environment
+variable: a checkpoint records nothing about when it was written.
 
 Every command checks its output paths, sidecars included, before it reads
 any input: one it cannot write exits 2 with nothing written.
@@ -68,10 +69,17 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from . import __version__
-from .corpus import parse_gold, parse_predictions, parse_prompts, split_lines, write_predictions
+from .corpus import (
+    PredictionSet,
+    parse_gold,
+    parse_predictions,
+    parse_prompts,
+    split_lines,
+    write_predictions,
+)
 from .errors import StapleForgeError, ValidationError
 from .metrics import score_corpus, summary_line, write_report
-from .methods import METHODS, Decoder, MethodParams, MethodWarning, predict
+from .methods import METHODS, Decoder, MethodParams, predict
 from .textproc import bpe_apply, bpe_decode, bpe_learn, load_bpe, save_bpe, sentence_tokens
 from .translator import (
     SERIES_INDEX,
@@ -185,9 +193,10 @@ def _write_manifest(
     log.info("%s finished in %.3f s", command, time.monotonic() - started)
 
 
-def _write_warnings(warnings: list[MethodWarning], out_path: str) -> None:
+def _write_warnings(sets: Sequence[PredictionSet], method: str, out_path: str) -> None:
+    """Write ``<out>.warnings.tsv``: one row per empty set, in prompt order."""
     lines = ["prompt_id\tstage\tmessage\n"]
-    lines.extend(f"{w.prompt_id}\t{w.stage}\t{w.message}\n" for w in warnings)
+    lines.extend(f"{s.prompt_id}\t{method}\tno candidates\n" for s in sets if not s.candidates)
     _write_text(out_path + ".warnings.tsv", "".join(lines))
 
 
@@ -298,13 +307,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     bwd: list[Decoder] = []
     if args.bwd_ckpt is not None or args.bwd_series is not None:
         bwd, models["bwd_model"] = _load_model(args.bwd_ckpt, args.bwd_series, "bwd")
-    warnings: list[MethodWarning] = []
-    sets = predict(args.method, fwd, bwd, prompts, params, warnings)
+    sets = predict(args.method, fwd, bwd, prompts, params)
     inputs.update((key, digest()) for key, digest in models.items())
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as sink:
         write_predictions(sets, sink)
-    _write_warnings(warnings, args.out)
+    _write_warnings(sets, args.method, args.out)
     parameters = {
         "method": args.method,
         "n": str(args.n),
@@ -382,6 +390,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_bpe(args: argparse.Namespace) -> int:
+    if args.out is not None:
+        _check_writable(args.out)
     if args.bpe_command == "learn":
         corpus = []
         for path in args.inputs:

@@ -10,17 +10,18 @@ composition over the same source path: the prompt's canonical tokens
 (``textproc.sentence_tokens``, once per prompt), decode, join the tokens with
 spaces, de-duplicate. A model trained here knows canonical words only, so
 its candidates are canonical sentences: they are de-duplicated, compared and
-split for back-translation as plain strings, never canonicalized again. Bad
-input on one prompt (a ValidationError) degrades that prompt to an empty
-candidate list and one warning record whose stage is the method's name; it
-never aborts the batch. A checkpoint that fails to load (a CheckpointError)
-and any other exception propagate. Every method is deterministic: identical
-inputs produce byte-identical prediction files.
+split for back-translation as plain strings, never canonicalized again.
+Every method returns one PredictionSet per prompt, in prompt order, and a
+set is empty exactly when the prompt's canonical form has no words: that is
+the only way a prompt degrades, since the parsers and ``MethodParams`` check
+every other input before any decode. Any exception raised inside a method,
+a checkpoint that fails to load (a CheckpointError) included, propagates.
+Every method is deterministic: identical inputs produce byte-identical
+prediction files.
 """
 
 from __future__ import annotations
 
-import logging
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -29,8 +30,6 @@ from .corpus import PredictionSet, Prompt
 from .errors import ValidationError
 from .textproc import TokenSeq, sentence_tokens, tokenize
 from .translator import Checkpoint, DecodeParams, decode_nbest
-
-log = logging.getLogger(__name__)
 
 
 class Decoder:
@@ -92,13 +91,6 @@ class MethodParams:
             raise ValidationError(f"top_k_lexicon must be >= 1, got {self.top_k_lexicon}")
 
 
-@dataclass(frozen=True)
-class MethodWarning:
-    prompt_id: str
-    stage: str
-    message: str
-
-
 def dedup(candidates: Iterable[str]) -> list[str]:
     """Stable first-occurrence de-duplication of canonical sentences."""
     return list(dict.fromkeys(candidates))
@@ -111,49 +103,19 @@ def _decode_sentences(
     return [sent for sent in decoder.sentences(tokens, decode) if sent]
 
 
-def _per_prompt(
-    prompts: Sequence[Prompt],
-    stage: str,
-    candidates: Callable[[int], list[str]],
-    warnings: list[MethodWarning] | None,
+def nbest_predict(
+    decoder: Decoder, prompts: Sequence[Prompt], params: MethodParams
 ) -> list[PredictionSet]:
-    """One PredictionSet per prompt, from ``candidates`` of its position;
-    bad input degrades only its own prompt."""
+    """Top-n decoded translations per prompt, de-duplicated in score order."""
     sets: list[PredictionSet] = []
-    for i, prompt in enumerate(prompts):
-        try:
-            cands = candidates(i)
-            problem = "" if cands else "no candidates"
-        except ValidationError as exc:  # degrade, never abort the batch
-            log.warning("prompt %s: %s failed: %s", prompt.id, stage, exc)
-            cands, problem = [], str(exc)
-        if problem and warnings is not None:
-            warnings.append(MethodWarning(prompt.id, stage, problem))
-        sets.append(PredictionSet(prompt.id, tuple(cands)))
+    for prompt in prompts:
+        sents = _decode_sentences(decoder, sentence_tokens(prompt.text), params.n, params)
+        sets.append(PredictionSet(prompt.id, tuple(dedup(sents))))
     return sets
 
 
-def nbest_predict(
-    decoder: Decoder,
-    prompts: Sequence[Prompt],
-    params: MethodParams,
-    warnings: list[MethodWarning] | None = None,
-) -> list[PredictionSet]:
-    """Top-n decoded translations per prompt, de-duplicated in score order."""
-
-    def candidates(i: int) -> list[str]:
-        tokens = sentence_tokens(prompts[i].text)
-        return dedup(_decode_sentences(decoder, tokens, params.n, params))
-
-    return _per_prompt(prompts, "nbest", candidates, warnings)
-
-
 def paraphrase_predict(
-    fwd: Decoder,
-    bwd: Decoder,
-    prompts: Sequence[Prompt],
-    params: MethodParams,
-    warnings: list[MethodWarning] | None = None,
+    fwd: Decoder, bwd: Decoder, prompts: Sequence[Prompt], params: MethodParams
 ) -> list[PredictionSet]:
     """Extend each n-best list via round-trip paraphrases.
 
@@ -168,28 +130,24 @@ def paraphrase_predict(
             f"paraphrasing needs opposite-direction checkpoints, got "
             f"{fwd.direction!r} and {bwd.direction!r}"
         )
-
-    def candidates(i: int) -> list[str]:
-        tokens = sentence_tokens(prompts[i].text)
+    sets: list[PredictionSet] = []
+    for prompt in prompts:
+        tokens = sentence_tokens(prompt.text)
         step1 = dedup(_decode_sentences(fwd, tokens, params.n, params))
         pool: list[str] = []
         for sent in step1:
             pool.extend(_decode_sentences(bwd, tokenize(sent), params.n_prime, params))
         source = " ".join(tokens)
-        paraphrases = [p for p in dedup(pool) if p != source]
         step3: list[str] = []
-        for para in paraphrases:
-            step3.extend(_decode_sentences(fwd, tokenize(para), 1, params))
-        return dedup(step1 + step3)
-
-    return _per_prompt(prompts, "paraphrase", candidates, warnings)
+        for para in dedup(pool):
+            if para != source:
+                step3.extend(_decode_sentences(fwd, tokenize(para), 1, params))
+        sets.append(PredictionSet(prompt.id, tuple(dedup(step1 + step3))))
+    return sets
 
 
 def multi_checkpoint_predict(
-    decoders: Sequence[Decoder],
-    prompts: Sequence[Prompt],
-    params: MethodParams,
-    warnings: list[MethodWarning] | None = None,
+    decoders: Sequence[Decoder], prompts: Sequence[Prompt], params: MethodParams
 ) -> list[PredictionSet]:
     """Union of n-best outputs from the m most recent checkpoints, latest first.
 
@@ -200,26 +158,13 @@ def multi_checkpoint_predict(
     """
     if params.m > len(decoders):
         raise ValidationError(f"m={params.m} exceeds the series length {len(decoders)}")
-    latest_first = list(reversed(decoders[-params.m :]))
     tokens = [sentence_tokens(prompt.text) for prompt in prompts]
     pooled: list[list[str]] = [[] for _ in prompts]
-    failed: dict[int, ValidationError] = {}
-    for decoder in latest_first:
-        for i, toks in enumerate(tokens):
-            if i in failed:
-                continue
-            try:
-                pooled[i].extend(_decode_sentences(decoder, toks, params.n, params))
-            except ValidationError as exc:  # _per_prompt degrades the prompt
-                failed[i] = exc
+    for decoder in reversed(decoders[-params.m :]):
+        for pool, toks in zip(pooled, tokens):
+            pool.extend(_decode_sentences(decoder, toks, params.n, params))
         decoder.release()
-
-    def candidates(i: int) -> list[str]:
-        if i in failed:
-            raise failed[i]
-        return dedup(pooled[i])
-
-    return _per_prompt(prompts, "ensemble", candidates, warnings)
+    return [PredictionSet(p.id, tuple(dedup(pool))) for p, pool in zip(prompts, pooled)]
 
 
 METHODS = ("nbest", "paraphrase", "ensemble")
@@ -231,18 +176,19 @@ def predict(
     bwd: Sequence[Decoder],
     prompts: Sequence[Prompt],
     params: MethodParams,
-    warnings: list[MethodWarning] | None = None,
 ) -> list[PredictionSet]:
     """Run ``method`` on the decoders of a forward (and backward) model, each
     oldest first: nbest reads the newest forward one, paraphrase the newest of
-    each side, an ensemble the newest ``m``. A method that cannot run on the
-    models given (paraphrase without a backward model, an ensemble larger
-    than the series) raises ValidationError.
+    each side, an ensemble the newest ``m``. The result holds one set per
+    prompt, in prompt order, empty exactly when the prompt has no words. A
+    method that cannot run on the models given (paraphrase without a
+    backward model, an ensemble larger than the series) raises
+    ValidationError before any decode.
     """
     if method == "ensemble":
-        return multi_checkpoint_predict(fwd, prompts, params, warnings)
+        return multi_checkpoint_predict(fwd, prompts, params)
     if method == "nbest":
-        return nbest_predict(fwd[-1], prompts, params, warnings)
+        return nbest_predict(fwd[-1], prompts, params)
     if not bwd:
         raise ValidationError("paraphrase needs a backward model")
-    return paraphrase_predict(fwd[-1], bwd[-1], prompts, params, warnings)
+    return paraphrase_predict(fwd[-1], bwd[-1], prompts, params)

@@ -12,11 +12,14 @@ lexicographically by token sequence.
 Decoding is exact k-best search over a lattice, not a beam: every hypothesis
 has one word per source word and the bigram LM's state is just the last word,
 so a position has at most top-k states, and keeping the n best partial
-hypotheses per state finds the n best sequences exactly. The paper's beam of
-width 100 searches neural models that condition on the whole prefix; this
-model has no such search problem, so that width has no counterpart here.
-Totals are summed in the same order as by exhaustive enumeration, which the
-decoder matches element for element.
+hypotheses per state finds the n best sequences exactly, except where two
+partial totals that differ only in rounding tie once extended: the 1-best of
+``tests/test_methods.py::TestDecoder::test_rounding_near_tie_is_not_sliced``
+is ``b z w``, where exhaustive order puts ``a z w`` first (ROADMAP item 2).
+The paper's beam of width 100 searches neural models that condition on the
+whole prefix; this model has no such search problem, so that width has no
+counterpart here. Totals are summed in the same order as by exhaustive
+enumeration, which the decoder otherwise matches element for element.
 
 A checkpoint is persisted after every EM iteration. Training does each
 piece of work once: the E-step that reads a lexicon also adds up its corpus

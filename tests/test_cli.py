@@ -400,16 +400,20 @@ class TestGenerate:
         assert "line 2: prompt id may not contain" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [prompts]
 
-    def test_ensemble_degraded_prompt_warns_once(self, trained_world, fixtures_path, tmp_path):
+    @pytest.mark.parametrize("method", ["nbest", "paraphrase", "ensemble"])
+    def test_degraded_prompt_warns_once(self, trained_world, fixtures_path, tmp_path, method):
+        """One row per prompt whose canonical form has no words, in prompt order."""
         prompts = tmp_path / "prompts.txt"
-        prompts.write_text((fixtures_path / "toy_prompts.txt").read_text() + "px|?!\n",
-                           encoding="utf-8")
-        out = tmp_path / "ens.txt"
-        assert run_cli(["generate", "--method", "ensemble", "--m", "3",
+        toy = (fixtures_path / "toy_prompts.txt").read_text()
+        prompts.write_text("pa|?!\n" + toy + "px|?!\n", encoding="utf-8")
+        out = tmp_path / "pred.txt"
+        assert run_cli(["generate", "--method", method, "--m", "3",
                         "--series", str(trained_world / "fwd"),
+                        "--bwd-series", str(trained_world / "bwd"),
                         "--prompts", str(prompts), "--out", str(out)]) == 0
-        rows = (tmp_path / "ens.txt.warnings.tsv").read_text().splitlines()[1:]
-        assert rows == ["px\tensemble\tno candidates"]
+        text = (tmp_path / "pred.txt.warnings.tsv").read_text()
+        assert text == (f"prompt_id\tstage\tmessage\npa\t{method}\tno candidates\n"
+                        f"px\t{method}\tno candidates\n")
 
     def test_paraphrase_runs_with_backward_series(self, trained_world, fixtures_path, tmp_path):
         out = tmp_path / "para.txt"
@@ -915,6 +919,30 @@ class TestUnwritableOut:
         assert f"cannot write {out}: " in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["report"]
         assert list(Path("report").iterdir()) == []
+
+    @pytest.mark.parametrize("command, out, made, reason", [
+        ("learn", "missing/m.bpe", None, "missing does not exist"),
+        ("learn", "m.bpe", "dir", "it is a directory"),
+        ("learn", "", None, "it is a directory"),  # the current directory
+        ("apply", "file/x", "file", "file is not a directory"),
+        ("decode", "out.txt", "dir", "it is a directory"),
+        ("decode", "missing/out.txt", None, "missing does not exist"),
+    ])
+    def test_bpe(self, fixtures_path, tmp_path, monkeypatch, capsys, command, out, made, reason):
+        monkeypatch.chdir(tmp_path)
+        made_name = out.split("/")[0]
+        if made == "dir":
+            Path(made_name).mkdir()
+        elif made == "file":
+            Path(made_name).write_text("kept", encoding="utf-8")
+        words = str(fixtures_path / "bpe_words.txt")
+        model = ["--model", "model.bpe"] if command == "apply" else []
+        rc = run_cli(["bpe", command, *model, "--input", words, "--out", out])
+        assert rc == 2
+        assert f"cannot write {out or '.'}: {reason}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ([made_name] if made else [])
+        if made == "dir":
+            assert list(Path(made_name).iterdir()) == []
 
 
 class TestMoreCliEdges:

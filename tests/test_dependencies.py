@@ -3,9 +3,9 @@
 It is stdlib-only: it declares no runtime dependency, so every module it
 imports, other than its own, must ship with Python. A sentence is
 canonicalized once, where it is read: the methods and the scorer compare
-canonical strings and never call ``normalize`` themselves. And every source
+canonical strings and never call ``normalize`` themselves. Every source
 file, tests included, parses as Python 3.10, the oldest version README
-supports."""
+supports. And no module binds a name at top level that it never reads."""
 
 from __future__ import annotations
 
@@ -69,3 +69,31 @@ def test_source_parses_as_python_3_10(path):
     """This checks syntax only (``ast.parse`` with ``feature_version``): a
     stdlib function or module added after 3.10 still passes."""
     ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def unread_top_level_names(path: Path) -> set[str]:
+    """The names a module imports, or assigns as lower-case names, at top
+    level and never loads; dunders, ``__future__`` features and UPPER_CASE
+    constants are exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    bound: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name) and name.id.islower())
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return {name for name in bound - loaded
+            if not (name.startswith("__") and name.endswith("__")) and not name.isupper()}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda path: path.name)
+def test_every_top_level_name_is_read(path):
+    """An import or a module-level variable left behind by a deletion, such
+    as a logger no function logs to, fails here."""
+    assert unread_top_level_names(path) == set()

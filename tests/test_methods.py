@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stapleforge.corpus import Prompt, normalize
 from stapleforge.errors import ValidationError
 from stapleforge.methods import (
+    METHODS,
     Decoder,
     MethodParams,
-    MethodWarning,
     dedup,
     multi_checkpoint_predict,
     nbest_predict,
@@ -15,6 +16,7 @@ from stapleforge.methods import (
     predict,
 )
 from stapleforge.metrics import score_corpus
+from stapleforge.textproc import sentence_tokens
 from stapleforge.translator import (
     BOS,
     BigramLm,
@@ -133,25 +135,16 @@ class TestNbestPredict:
             for s, l in zip(smaller, larger):
                 assert l.candidates[: len(s.candidates)] == s.candidates
 
-    def test_failure_degrades_to_empty_set(self, toy_fwd_series, toy_prompts, monkeypatch):
-        def boom(*args, **kwargs):
-            raise ValidationError("bad input")
-
-        monkeypatch.setattr("stapleforge.methods.decode_nbest", boom)
-        warnings: list[MethodWarning] = []
-        sets = nbest_predict(
-            Decoder.of(toy_fwd_series[-1]), toy_prompts, params(), warnings=warnings
-        )
-        assert all(s.candidates == () for s in sets)
-        assert {w.prompt_id for w in warnings} == {p.id for p in toy_prompts}
-        assert {w.message for w in warnings} == {"bad input"}
-
+    @pytest.mark.parametrize("error", [TypeError, ValidationError])
     @pytest.mark.parametrize("method", ["nbest", "paraphrase", "ensemble"])
     def test_programming_error_propagates(
-        self, toy_fwd_series, toy_bwd_series, toy_prompts, monkeypatch, method
+        self, toy_fwd_series, toy_bwd_series, toy_prompts, monkeypatch, method, error
     ):
+        """No method catches an error, not even a ValidationError: no input
+        can raise one inside a method (``TestDegradedPrompt``)."""
+
         def boom(*args, **kwargs):
-            raise TypeError("decoder bug")
+            raise error("decoder bug")
 
         monkeypatch.setattr("stapleforge.methods.decode_nbest", boom)
         fwd = Decoder.of(toy_fwd_series[-1])
@@ -163,7 +156,7 @@ class TestNbestPredict:
                 decoders(toy_fwd_series), toy_prompts, params(m=2)
             ),
         }[method]
-        with pytest.raises(TypeError, match="decoder bug"):
+        with pytest.raises(error, match="decoder bug"):
             run()
 
     def test_no_normalization_equivalent_duplicates(self, toy_fwd_series, toy_prompts):
@@ -207,26 +200,6 @@ class TestParaphrasePredict:
         with pytest.raises(ValidationError, match="direction"):
             paraphrase_predict(ckpt, ckpt, toy_prompts, params())
 
-    def test_failure_degrades_to_empty_set(
-        self, toy_fwd_series, toy_bwd_series, toy_prompts, monkeypatch
-    ):
-        def boom(*args, **kwargs):
-            raise ValidationError("bad input")
-
-        monkeypatch.setattr("stapleforge.methods.decode_nbest", boom)
-        warnings: list[MethodWarning] = []
-        sets = paraphrase_predict(
-            Decoder.of(toy_fwd_series[-1]),
-            Decoder.of(toy_bwd_series[-1]),
-            toy_prompts,
-            params(),
-            warnings=warnings,
-        )
-        assert all(s.candidates == () for s in sets)
-        assert [(w.prompt_id, w.stage) for w in warnings] == [
-            (p.id, "paraphrase") for p in toy_prompts
-        ]
-
 
 class TestMultiCheckpointPredict:
     def test_m1_equals_nbest_on_last(self, toy_fwd_series, toy_prompts):
@@ -250,14 +223,12 @@ class TestMultiCheckpointPredict:
         with pytest.raises(ValidationError, match=r"m=9 exceeds the series length 5"):
             multi_checkpoint_predict(decoders(toy_fwd_series), toy_prompts, params(m=9))
 
-    def test_degraded_prompt_warns_once(self, toy_fwd_series, toy_prompts):
-        warnings: list[MethodWarning] = []
+    def test_prompt_without_words_gets_an_empty_set(self, toy_fwd_series, toy_prompts):
         sets = multi_checkpoint_predict(
-            decoders(toy_fwd_series), [*toy_prompts, Prompt("px", "?!")], params(m=3),
-            warnings=warnings,
+            decoders(toy_fwd_series), [*toy_prompts, Prompt("px", "?!")], params(m=3)
         )
-        assert sets[-1].candidates == ()
-        assert warnings == [MethodWarning("px", "ensemble", "no candidates")]
+        assert [s.prompt_id for s in sets] == [*(p.id for p in toy_prompts), "px"]
+        assert [s for s in sets if not s.candidates] == [sets[-1]]
 
     def test_recall_monotone_in_m(self, toy_fwd_series, toy_prompts, toy_golds):
         previous = None
@@ -304,6 +275,32 @@ class TestPredict:
     def test_paraphrase_without_backward_model_rejected(self, toy_fwd_series, toy_prompts):
         with pytest.raises(ValidationError, match="backward model"):
             predict("paraphrase", decoders(toy_fwd_series), [], toy_prompts, params())
+
+
+# arbitrary text, or punctuation, symbols and spaces alone, which has no words
+WORDLESS = st.characters(whitelist_categories=("P", "S", "Z"))
+PROMPT_TEXT = (st.text(max_size=25) | st.text(WORDLESS, max_size=25)).filter(str.strip)
+
+
+class TestDegradedPrompt:
+    """A prompt degrades only when its canonical form has no words; the
+    parsers, ``Prompt`` (its text is not blank) and ``MethodParams`` check
+    every other input before any decode, so no method needs to catch an
+    error."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @settings(max_examples=100, deadline=None)
+    @given(texts=st.lists(PROMPT_TEXT, min_size=1, max_size=3))
+    def test_set_is_empty_exactly_when_the_prompt_has_no_words(
+        self, toy_fwd_series, toy_bwd_series, method, texts
+    ):
+        prompts = [Prompt(f"p{i}", text) for i, text in enumerate(texts)]
+        sets = predict(
+            method, decoders(toy_fwd_series), decoders(toy_bwd_series), prompts,
+            params(n=4, n_prime=2, m=3),
+        )
+        assert [s.prompt_id for s in sets] == [p.id for p in prompts]
+        assert [not s.candidates for s in sets] == [not sentence_tokens(t) for t in texts]
 
 
 class TestDeterminism:
