@@ -18,6 +18,7 @@ from stapleforge import __version__
 from oracles import FULL_WIDTH_DIGITS, first_value_rewritten, rewrite_model_file
 from stapleforge.cli import _parse_parallel, main
 from stapleforge.corpus import normalize
+from stapleforge.textproc import BPE_HEADER
 from stapleforge.translator import load_series
 
 
@@ -855,7 +856,7 @@ class TestUnwritableOut:
         def boom(*args, **kwargs):
             raise AssertionError("work started before --out was checked")
 
-        for name in ("_read_text", "train_toy", "predict", "score_corpus"):
+        for name in ("Run.read", "train_toy", "predict", "score_corpus"):
             monkeypatch.setattr(f"stapleforge.cli.{name}", boom)
 
     @pytest.mark.parametrize("out, reason", [
@@ -923,7 +924,7 @@ class TestUnwritableOut:
     @pytest.mark.parametrize("command, out, made, reason", [
         ("learn", "missing/m.bpe", None, "missing does not exist"),
         ("learn", "m.bpe", "dir", "it is a directory"),
-        ("learn", "", None, "it is a directory"),  # the current directory
+        ("learn", "", None, "argument --out: empty path"),  # a usage error
         ("apply", "file/x", "file", "file is not a directory"),
         ("decode", "out.txt", "dir", "it is a directory"),
         ("decode", "missing/out.txt", None, "missing does not exist"),
@@ -939,7 +940,7 @@ class TestUnwritableOut:
         model = ["--model", "model.bpe"] if command == "apply" else []
         rc = run_cli(["bpe", command, *model, "--input", words, "--out", out])
         assert rc == 2
-        assert f"cannot write {out or '.'}: {reason}" in capsys.readouterr().err
+        assert (f"cannot write {out}: " if out else "") + reason in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ([made_name] if made else [])
         if made == "dir":
             assert list(Path(made_name).iterdir()) == []
@@ -1563,3 +1564,173 @@ def test_bad_oldest_checkpoint_found_late_exits_2_and_writes_nothing(
     assert rc == 2
     assert "checksum mismatch for checkpoint" in capsys.readouterr().err
     assert list(tmp_path.glob("out.txt*")) == []
+
+
+# every path argument of every command, in valid command lines whose
+# "{name}" values are the paths of the path_args fixture
+_PATH_ARGVS = {
+    "score": ["score", "--gold", "{sgold}", "--pred", "{pred}", "--out", "{out}"],
+    "train": ["train", "--parallel", "{parallel}", "--iterations", "2", "--out", "{out}"],
+    "generate": ["generate", "--method", "paraphrase", "--series", "{fwd}",
+                 "--bwd-series", "{bwd}", "--prompts", "{prompts}", "--out", "{out}"],
+    "generate-ckpt": ["generate", "--method", "paraphrase", "--ckpt", "{fwd}/ckpt-0005",
+                      "--bwd-ckpt", "{bwd}/ckpt-0005", "--prompts", "{prompts}",
+                      "--out", "{out}"],
+    "sweep": ["sweep", "--series", "{fwd}", "--bwd-series", "{bwd}", "--gold", "{gold}",
+              "--prompts", "{prompts}", "--out", "{out}", "--m", "2"],
+    "bpe-learn": ["bpe", "learn", "--input", "{words}", "--out", "{out}"],
+    "bpe-apply": ["bpe", "apply", "--model", "{model}", "--input", "{words}", "--out", "{out}"],
+    "bpe-decode": ["bpe", "decode", "--input", "{words}", "--out", "{out}"],
+}
+
+
+def _empty_path_cases() -> dict[str, tuple[list[str], int]]:
+    """One (command line, index of the path to blank) per command and path
+    flag, by "<command> <flag>"."""
+    cases: dict[str, tuple[list[str], int]] = {}
+    for argv in _PATH_ARGVS.values():
+        command = " ".join(argv[:2] if argv[0] == "bpe" else argv[:1])
+        for i, value in enumerate(argv):
+            if value.startswith("{"):
+                cases.setdefault(f"{command} {argv[i - 1]}", (argv, i))
+    return cases
+
+
+@pytest.fixture()
+def path_args(trained_world, fixtures_path, tmp_path, monkeypatch):
+    """The paths of _PATH_ARGVS, with a BPE model in tmp_path, "{out}" in an
+    empty tmp_path/run and the current directory that one."""
+    (tmp_path / "m.bpe").write_text(BPE_HEADER + "\n" + "a\tn\n", encoding="utf-8")
+    (tmp_path / "run").mkdir()
+    monkeypatch.chdir(tmp_path / "run")
+    return {"sgold": fixtures_path / "example_gold_single.txt",
+            "pred": fixtures_path / "example_pred_top1.txt",
+            "gold": fixtures_path / "toy_gold.txt",
+            "prompts": fixtures_path / "toy_prompts.txt",
+            "parallel": fixtures_path / "toy_parallel.tsv",
+            "words": fixtures_path / "bpe_words.txt",
+            "model": tmp_path / "m.bpe",
+            "fwd": trained_world / "fwd", "bwd": trained_world / "bwd",
+            "out": tmp_path / "run" / "out"}
+
+
+@pytest.mark.parametrize("argv, blank", list(_empty_path_cases().values()),
+                         ids=list(_empty_path_cases()))
+def test_empty_path_is_a_usage_error(path_args, tmp_path, capsys, argv, blank):
+    """An empty path used to mean something different in each command: train
+    trained into the current directory, score wrote to stdout, bpe --input
+    read stdin, and the others could not write '.'."""
+    argv = [arg.format(**path_args) for arg in argv]
+    argv[blank] = ""
+    assert run_cli(argv) == 2
+    assert f"argument {argv[blank - 1]}: empty path" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.bpe", "run"]
+    assert list((tmp_path / "run").iterdir()) == []
+
+
+# the files each command writes: for train, 3 per checkpoint
+_WRITTEN = {"score": 1, "train": 3 * 2, "generate": 3, "sweep": 2, "bpe-learn": 1, "bpe-apply": 1}
+
+
+@pytest.mark.parametrize("name", list(_WRITTEN))
+def test_no_command_opens_a_file_twice(path_args, tmp_path, opens, name):
+    """Each text input is read once and hashed from the bytes parsed, and each
+    output written once and hashed from the bytes written: generate and sweep
+    used to read --prompts, --gold and --out again to hash them."""
+    argv = _PATH_ARGVS[name]
+    opens.clear()
+    assert run_cli([arg.format(**path_args) for arg in argv]) == 0
+    inputs = [str(path_args[value[1:-1]]) for value in argv
+              if value.startswith("{") and value not in ("{out}", "{fwd}", "{bwd}")]
+    assert {path: opens[path] for path in inputs} == {path: 1 for path in inputs}
+    outputs = Counter({path: count for path, count in opens.items()
+                       if path.startswith(str(tmp_path / "run"))})
+    if argv[0] == "train":
+        # the index is rewritten whole after each checkpoint, so a reader
+        # never sees a partial one
+        assert outputs.pop(str(tmp_path / "run" / "out" / "series.tsv.partial")) == 2
+    assert len(outputs) == _WRITTEN[name]
+    assert set(outputs.values()) == {1}
+
+
+class TestDisjointIds:
+    """Inputs that share no prompt id exit 3, the empty-work code, with
+    nothing written; they used to exit 0 with a score of zero."""
+
+    def test_score(self, fixtures_path, tmp_path, capsys, caplog):
+        pred = tmp_path / "pred.txt"
+        pred.write_text("z1|\nminha explicação está clara?\n\nz2|\nisto é minha culpa.\n",
+                        encoding="utf-8")
+        for out in ([], ["--out", str(tmp_path / "report.tsv")]):
+            rc = run_cli(["score", "--gold", str(fixtures_path / "example_gold.txt"),
+                          "--pred", str(pred), *out])
+            assert rc == 3
+            assert "no gold prompt has a prediction set" in caplog.text
+            assert capsys.readouterr().out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["pred.txt"]
+
+    def test_sweep_before_any_model_file_is_read(self, trained_world, fixtures_path, tmp_path,
+                                                 caplog, opens):
+        rc = run_cli(["sweep", "--series", str(trained_world / "fwd"),
+                      "--bwd-series", str(trained_world / "bwd"),
+                      "--gold", str(fixtures_path / "example_gold.txt"),
+                      "--prompts", str(fixtures_path / "toy_prompts.txt"),
+                      "--out", str(tmp_path / "table.tsv")])
+        assert rc == 3
+        assert "no prompt is in the gold file" in caplog.text
+        assert list(tmp_path.iterdir()) == []
+        assert [path for path in opens if path.startswith(str(trained_world))] == []
+
+    def test_partial_overlap_scores_a_missing_set_as_zero(self, fixtures_path, tmp_path,
+                                                          capsys):
+        pred = tmp_path / "pred.txt"
+        pred.write_text("q1|\nminha explicação está clara?\n\nz9|\nfoo\n", encoding="utf-8")
+        rc = run_cli(["score", "--gold", str(fixtures_path / "example_gold.txt"),
+                      "--pred", str(pred)])
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[2].startswith("q1\t1.000000\t")
+        assert rows[3] == "q2\t0.000000\t0.000000\t0.000000"
+
+
+# trains, generates with every method and sweeps on the fixture world, into
+# the directory given; exits 1 if a command fails
+_SEEDED_RUN = """
+import sys
+from stapleforge.cli import fixtures_dir, main
+out, fx = sys.argv[1], fixtures_dir()
+prompts, gold = str(fx / "toy_prompts.txt"), str(fx / "toy_gold.txt")
+models = ["--series", f"{out}/fwd", "--bwd-series", f"{out}/bwd"]
+runs = [["train", "--parallel", str(fx / "toy_parallel.tsv"), "--iterations", "5",
+         "--out", f"{out}/{d}", "--direction", d] for d in ("fwd", "bwd")]
+runs += [["generate", "--method", m, *models, "--prompts", prompts, "--out", f"{out}/{m}.txt",
+          "--m", "3"] for m in ("nbest", "paraphrase", "ensemble")]
+runs += [["sweep", *models, "--gold", gold, "--prompts", prompts, "--out", f"{out}/table.tsv"]]
+sys.exit(any(main(argv) for argv in runs))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """String hashing, and so set order, changes with PYTHONHASHSEED; no
+    series, prediction, warnings, table or manifest file may."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(TESTS_DIR.parent / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    children = {
+        seed: subprocess.Popen([sys.executable, "-c", _SEEDED_RUN, str(tmp_path / seed)],
+                               env={**env, "PYTHONHASHSEED": seed},
+                               stderr=subprocess.PIPE, text=True)
+        for seed in ("0", "12345")
+    }
+    trees = []
+    for seed, child in children.items():
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        root = tmp_path / seed
+        trees.append({p.relative_to(root): p.read_bytes() for p in root.rglob("*")
+                      if p.is_file()})
+    # two series of 5 checkpoints and an index; 3 predictions with their
+    # warnings and manifests; a table and its manifest
+    assert len(trees[0]) == 2 * (5 * 3 + 1) + 3 * 3 + 2
+    assert trees[0] == trees[1]
