@@ -42,15 +42,17 @@ nothing about when it was written.
 
 Every command handles its files one way, through a ``Run``. An empty path
 argument is a usage error. The output paths, sidecars included, are checked
-before any input is read: one that cannot be written exits 2 with nothing
-written. Each text input is read once and hashed from the bytes parsed, each
-output is written once and hashed from the bytes written, and the model
-checksums are taken after decoding, before the first write (``_load_model``).
+before any input is read: one that cannot be written, that is the same file
+as a text input the command reads, or that lies inside a model directory it
+reads, exits 2 with nothing written. Each text input is read once and hashed
+from the bytes parsed, each output is written once and hashed from the bytes
+written, and the model checksums are taken after decoding, before the first
+write (``_load_model``).
 ``score`` with no gold prompt in the predictions, and ``sweep`` with no prompt
 in the gold, exit 3 with nothing written.
 
 Exit codes: 0 success, 2 input/validation error, 3 empty-work error,
-1 internal error.
+1 internal error (its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ import logging
 import os
 import sys
 import time
+import traceback
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -126,9 +129,12 @@ class Run:
     ``<out><sidecar>`` then: a file must be a new entry of, or a file in, a
     writable directory; the ``directory`` that ``train`` fills must be a
     writable directory or a new one under the nearest existing, writable
-    directory. With no ``out``, the output goes to stdout. A ``key`` names
-    the manifest row of an input or output, which is hashed only when given;
-    ``models`` holds the checksum functions of ``_load_model``, by key.
+    directory. Each input read is refused if it is the same file as one of
+    them, and each model if one of them lies inside its directory, so an
+    output never replaces what its command read. With no ``out``, the output
+    goes to stdout. A ``key`` names the manifest row of an input, output or
+    model, which is hashed only when given; ``models`` holds the checksum
+    functions of ``_load_model``, by key.
     """
 
     def __init__(self, out: str | None, *sidecars: str, directory: bool = False) -> None:
@@ -137,7 +143,8 @@ class Run:
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
         self.models: dict[str, Callable[[], str]] = {}
-        for target in [] if out is None else [Path(out + s) for s in ("", *sidecars)]:
+        self.targets = [] if out is None else [Path(out + s) for s in ("", *sidecars)]
+        for target in self.targets:
             if target.exists():
                 if target.is_dir() != directory:
                     what = "a file" if directory else "a directory"
@@ -158,6 +165,9 @@ class Run:
         the bytes decoded."""
         if not Path(path).is_file():
             raise ValidationError(f"file not found: {path}")
+        for target in self.targets:
+            if target.exists() and os.path.samefile(path, target):
+                raise ValidationError(f"cannot write {target}: it is the input {path}")
         data = Path(path).read_bytes()
         if key:
             self.inputs[key] = hashlib.sha256(data).hexdigest()
@@ -167,6 +177,19 @@ class Run:
             raise ValidationError(
                 f"{path} is not UTF-8: invalid byte at offset {exc.start}"
             ) from None
+
+    def model(
+        self, key: str, ckpt_arg: str | None, series_arg: str | None, direction: str
+    ) -> list[Decoder]:
+        """The decoders of the model at ``ckpt_arg`` or ``series_arg``
+        (``_load_model``), once no output lies inside its directory; its
+        checksum is recorded under ``key`` at the first write."""
+        root = ckpt_arg if ckpt_arg is not None else series_arg
+        for target in self.targets:
+            if target.resolve().is_relative_to(Path(root).resolve()):
+                raise ValidationError(f"cannot write {target}: it is inside the model {root}")
+        decoders, self.models[key] = _load_model(ckpt_arg, series_arg, direction)
+        return decoders
 
     def write(self, text: str, suffix: str = "", key: str | None = None) -> None:
         """Write ``text`` to ``<out><suffix>``, or to stdout with no ``out``;
@@ -298,10 +321,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     run = Run(args.out, ".warnings.tsv", ".manifest.tsv")
     prompts = parse_prompts(run.read(args.prompts, "prompts"))
     params = MethodParams(n=args.n, n_prime=args.n_prime, m=args.m, top_k_lexicon=args.top_k)
-    fwd, run.models["model"] = _load_model(args.ckpt, args.series, "fwd")
+    fwd = run.model("model", args.ckpt, args.series, "fwd")
     bwd: list[Decoder] = []
     if args.bwd_ckpt is not None or args.bwd_series is not None:
-        bwd, run.models["bwd_model"] = _load_model(args.bwd_ckpt, args.bwd_series, "bwd")
+        bwd = run.model("bwd_model", args.bwd_ckpt, args.bwd_series, "bwd")
     sets = predict(args.method, fwd, bwd, prompts, params)
 
     buf = io.StringIO()
@@ -334,10 +357,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_EMPTY
     # one decoder per checkpoint, shared by every cell; a cell needing more
     # checkpoints than the series holds becomes an NA row
-    fwd, run.models["series"] = _load_model(None, args.series, "fwd")
+    fwd = run.model("series", None, args.series, "fwd")
     bwd: list[Decoder] = []
     if args.bwd_series is not None:
-        bwd, run.models["bwd_series"] = _load_model(None, args.bwd_series, "bwd")
+        bwd = run.model("bwd_series", None, args.bwd_series, "bwd")
 
     header = "method\tparam\tprecision\tweighted_recall\tweighted_f1\n"
     if not cells:
@@ -501,7 +524,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except StapleForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a bug: keep its traceback
+        traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -25,6 +25,7 @@ model.
 
 from __future__ import annotations
 
+import heapq
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -100,8 +101,14 @@ def bpe_learn(corpus: Iterable[TokenSeq], num_merges: int) -> BpeModel:
 
     Pair frequencies are counted over word types weighted by token frequency,
     and statistics are updated incrementally: after a merge only the word
-    types that contained the merged pair are rescanned. Joint BPE is simply a
-    matter of concatenating the source and target corpora before calling this.
+    types that contained the merged pair are rescanned. Each merge is the
+    least ``(-count, pair)`` of a heap with lazy deletion: it is built once
+    from the initial counts, every pair whose count a merge changed is pushed
+    again with its new count, and an entry whose count is no longer the
+    pair's current one is dropped when it reaches the top. So picking a merge
+    costs a few heap operations rather than a scan of every pair count, and
+    the merges are those of the full scan. Joint BPE is simply a matter of
+    concatenating the source and target corpora before calling this.
     """
     if num_merges < 0:
         raise ValidationError(f"num_merges must be >= 0, got {num_merges}")
@@ -124,16 +131,20 @@ def bpe_learn(corpus: Iterable[TokenSeq], num_merges: int) -> BpeModel:
             stats[pair] += freqs[idx]
             where.setdefault(pair, set()).add(idx)
 
+    heap = [(-count, pair) for pair, count in stats.items()]
+    heapq.heapify(heap)
     merges: list[tuple[str, str]] = []
-    for _ in range(num_merges):
-        if not stats:
-            break
-        best = min(stats.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+    while len(merges) < num_merges and heap:
+        neg_count, best = heapq.heappop(heap)
+        if stats.get(best) != -neg_count:  # stale: the pair's count has changed
+            continue
         merges.append(best)
+        touched: set[tuple[str, str]] = set()
         for idx in sorted(where.get(best, ())):
             old = words[idx]
             new = _merge_symbols(old, best)
             freq = freqs[idx]
+            touched.update(_adjacent_pairs(old), _adjacent_pairs(new))
             for pair in _adjacent_pairs(old):
                 stats[pair] -= freq
                 if stats[pair] <= 0:
@@ -147,6 +158,9 @@ def bpe_learn(corpus: Iterable[TokenSeq], num_merges: int) -> BpeModel:
                 stats[pair] += freq
                 where.setdefault(pair, set()).add(idx)
             words[idx] = new
+        for pair in touched:
+            if pair in stats:
+                heapq.heappush(heap, (-stats[pair], pair))
     return BpeModel(merges=tuple(merges))
 
 

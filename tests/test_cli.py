@@ -1314,7 +1314,11 @@ class TestSeriesLoading:
                       "--prompts", str(fixtures_path / "toy_prompts.txt"),
                       "--out", str(tmp_path / "out.txt")])
         assert rc == 1
-        assert "decoder bug" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "internal error: decoder bug" in err
+        # the traceback goes to stderr too, down to the function that raised
+        assert "Traceback (most recent call last)" in err
+        assert ", in boom\n" in err
 
     @pytest.mark.parametrize("field", ["loglik", "direction"])
     def test_index_disagreeing_with_checkpoint_exits_2(
@@ -1651,6 +1655,74 @@ def test_no_command_opens_a_file_twice(path_args, tmp_path, opens, name):
         assert outputs.pop(str(tmp_path / "run" / "out" / "series.tsv.partial")) == 2
     assert len(outputs) == _WRITTEN[name]
     assert set(outputs.values()) == {1}
+
+
+# (command, text input flag, suffix of the output it is given as)
+_INPUT_AS_OUTPUT = [
+    ("score", "--gold", ""),
+    ("score", "--pred", ""),
+    ("generate", "--prompts", ""),
+    ("generate", "--prompts", ".warnings.tsv"),
+    ("generate", "--prompts", ".manifest.tsv"),
+    ("sweep", "--gold", ""),
+    ("sweep", "--prompts", ".manifest.tsv"),
+    ("bpe-learn", "--input", ""),
+    ("bpe-apply", "--model", ""),
+    ("bpe-apply", "--input", ""),
+    ("bpe-decode", "--input", ""),
+]
+
+
+@pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+@pytest.mark.parametrize("name, flag, suffix", _INPUT_AS_OUTPUT,
+                         ids=[f"{n} {f} out{s}" for n, f, s in _INPUT_AS_OUTPUT])
+def test_output_that_is_an_input_exits_2_and_writes_nothing(
+    path_args, tmp_path, capsys, name, flag, suffix, link
+):
+    """An output or sidecar that is the same file as a text input, by the
+    same path or through a link, used to exit 0 having replaced the input."""
+    argv = [arg.format(**path_args) for arg in _PATH_ARGVS[name]]
+    i = argv.index(flag) + 1
+    text = Path(argv[i]).read_bytes()
+    target = tmp_path / "run" / f"out{suffix}"
+    if link:
+        argv[i] = str(tmp_path / "input")
+        Path(argv[i]).write_bytes(text)
+        target.symlink_to(argv[i])
+    else:
+        argv[i] = str(target)
+        target.write_bytes(text)
+    assert run_cli(argv) == 2
+    assert f"cannot write {target}: it is the input {argv[i]}" in capsys.readouterr().err
+    assert list((tmp_path / "run").iterdir()) == [target]
+    assert Path(argv[i]).read_bytes() == text
+
+
+@pytest.mark.parametrize("name, flag, inside", [
+    ("generate", "--series", "series.tsv"),
+    ("generate", "--bwd-series", "ckpt-0005/lm.tsv"),
+    ("generate-ckpt", "--ckpt", "lexicon.tsv"),
+    ("generate-ckpt", "--bwd-ckpt", "new.txt"),
+    ("sweep", "--series", "series.tsv"),
+    ("sweep", "--bwd-series", "new.txt"),
+])
+def test_output_inside_a_model_exits_2_and_writes_nothing(
+    path_args, tmp_path, capsys, name, flag, inside
+):
+    """generate and sweep used to exit 0 having written their output over a
+    model file they had read, such as series.tsv, or into a model directory,
+    whose checksum it then changed."""
+    argv = [arg.format(**path_args) for arg in _PATH_ARGVS[name]]
+    i = argv.index(flag) + 1
+    model = tmp_path / "model"
+    shutil.copytree(argv[i], model)
+    argv[i] = str(model)
+    out = argv[argv.index("--out") + 1] = str(model / inside)
+    before = {p: p.read_bytes() for p in model.rglob("*") if p.is_file()}
+    assert run_cli(argv) == 2
+    assert f"cannot write {out}: it is inside the model {model}" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in model.rglob("*") if p.is_file()} == before
+    assert list((tmp_path / "run").iterdir()) == []
 
 
 class TestDisjointIds:

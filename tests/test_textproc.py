@@ -90,17 +90,28 @@ class TestBpeLearn:
         for k in (0, 1, 2, 5, 50):
             assert list(bpe_learn(BPE_FIXTURE, k).merges) == bpe_learn_oracle(BPE_FIXTURE, k)
 
-    def test_matches_oracle_on_random_corpora(self):
+    @pytest.mark.parametrize("alphabets, max_types, max_len, max_freq, merges", [
+        (["ab", "abc", "abcd"], 30, 6, 9, (0, 40)),
+        # many types over large alphabets: many pairs whose counts change
+        (["abcdef", "abcdefgh"], 80, 8, 9, (0, 80)),
+        # past exhaustion (at most 40 * 7 merges exist): every stale entry is
+        # popped before the heap empties
+        (["ab", "abcd", "abcdefgh"], 40, 8, 9, (300, 400)),
+        # counts of 1 or 2: most merges are picked from ties
+        (["abc", "abcdefgh"], 80, 8, 2, (0, 200)),
+    ], ids=["small", "wide", "exhausted", "ties"])
+    def test_matches_oracle_on_random_corpora(self, alphabets, max_types, max_len, max_freq,
+                                              merges):
         rng = random.Random(20847)
         for _ in range(30):
-            alphabet = rng.choice(["ab", "abc", "abcd"])
-            types = rng.randint(1, 30)
+            alphabet = rng.choice(alphabets)
+            types = rng.randint(1, max_types)
             corpus = [
-                ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))]
-                * rng.randint(1, 9)
+                ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, max_len)))]
+                * rng.randint(1, max_freq)
                 for _ in range(types)
             ]
-            k = rng.randint(0, 40)
+            k = rng.randint(*merges)
             assert list(bpe_learn(corpus, k).merges) == bpe_learn_oracle(corpus, k)
 
 
