@@ -17,12 +17,14 @@ sentences in it, so ``score`` and ``sweep`` compare plain strings.
 ``generate`` and every ``sweep`` cell run a method through the one entry
 point ``methods.predict``; a sweep cell whose method cannot run on the models
 given (paraphrase without ``--bwd-series``, ``m`` beyond the series) is an NA
-row. Both commands read and validate each ``series.tsv`` and refuse a forward
-model that is not ``fwd`` or a backward one that is not ``bwd`` up front,
-whatever the method, then hand ``predict`` one decoder (``methods.Decoder``)
-per listed checkpoint, which loads its checkpoint when it is first decoded
-with, once per command: ``predict`` alone decides which ones a method reads,
-and a checkpoint nothing reads is never opened. An ensemble decodes every
+row. Every model is read one way, through its index: a series' ``series.tsv``
+or a ``--ckpt``'s own ``meta.tsv``. Both commands read each index and refuse
+a forward model that is not ``fwd`` or a backward one that is not ``bwd`` up
+front, whatever the method, then hand ``predict`` one decoder
+(``methods.Decoder``) per listed checkpoint, which loads its checkpoint when
+it is first decoded with, once per command: ``predict`` alone decides which
+ones a method reads, and a checkpoint nothing reads is never loaded, so of a
+lone one only its index is read. An ensemble decodes every
 prompt with one checkpoint before loading the next, so ``generate`` holds one
 checkpoint at a time, or one per side for paraphrase; a sweep's cells share
 one decoder per checkpoint, whose memo of n-best lists, keyed on the source
@@ -46,8 +48,9 @@ before any input is read: one that cannot be written, that is the same file
 as a text input the command reads, or that lies inside a model directory it
 reads, exits 2 with nothing written. Each text input is read once and hashed
 from the bytes parsed, each output is written once and hashed from the bytes
-written, and the model checksums are taken after decoding, before the first
-write (``_load_model``).
+written. A model's checksum covers its index and every file under each
+checkpoint loaded, and is taken after decoding, before the first write
+(``_load_model``).
 ``score`` with no gold prompt in the predictions, and ``sweep`` with no prompt
 in the gold, exit 3 with nothing written.
 
@@ -76,14 +79,7 @@ from .errors import StapleForgeError, ValidationError
 from .metrics import score_corpus, summary_line, write_report
 from .methods import METHODS, Decoder, MethodParams, predict
 from .textproc import bpe_apply, bpe_decode, bpe_learn, load_bpe, save_bpe, sentence_tokens
-from .translator import (
-    SERIES_INDEX,
-    Checkpoint,
-    load_checkpoint,
-    load_indexed_checkpoint,
-    read_series_index,
-    train_toy,
-)
+from .translator import Checkpoint, read_index, train_toy
 
 log = logging.getLogger(__name__)
 
@@ -97,22 +93,19 @@ DEFAULT_SWEEP_N_PRIME = (1, 3, 5)
 DEFAULT_SWEEP_M = (2, 4, 6, 8)
 
 
-def sha256_path(
-    path: Path, members: Sequence[str] | None = None, known: Mapping[Path, str] | None = None
-) -> str:
-    """Checksum a directory as the digest of its sorted file digests.
-
-    ``members`` restricts the digest to those entries under it, each a file or
-    a subdirectory. ``known`` holds digests already taken of files under it,
-    by path, which are used instead of reading those files again.
+def sha256_path(path: Path, members: Sequence[str], known: Mapping[Path, str]) -> str:
+    """Checksum the ``members`` of a directory, each a file or a
+    subdirectory (``.`` for the whole), as the digest of the sorted digests of
+    the files under them, each file once. ``known`` holds digests already
+    taken of files, by path, which are used instead of reading them again.
     """
     digest = hashlib.sha256()
-    roots = [path] if members is None else [path / m for m in members]
+    roots = [path / m for m in members]
     for root in roots:
         if not root.exists():
             raise ValidationError(f"not found: {root}")
-    for sub in sorted(p for root in roots for p in (root, *root.rglob("*")) if p.is_file()):
-        hexdigest = known.get(sub) if known else None
+    for sub in sorted({p for root in roots for p in (root, *root.rglob("*")) if p.is_file()}):
+        hexdigest = known.get(sub)
         if hexdigest is None:
             hexdigest = hashlib.sha256(sub.read_bytes()).hexdigest()
         digest.update(str(sub.relative_to(path)).encode("utf-8"))
@@ -184,11 +177,11 @@ class Run:
         """The decoders of the model at ``ckpt_arg`` or ``series_arg``
         (``_load_model``), once no output lies inside its directory; its
         checksum is recorded under ``key`` at the first write."""
-        root = ckpt_arg if ckpt_arg is not None else series_arg
+        root = series_arg if ckpt_arg is None else ckpt_arg
         for target in self.targets:
             if target.resolve().is_relative_to(Path(root).resolve()):
                 raise ValidationError(f"cannot write {target}: it is inside the model {root}")
-        decoders, self.models[key] = _load_model(ckpt_arg, series_arg, direction)
+        decoders, self.models[key] = _load_model(root, ckpt_arg is None, direction)
         return decoders
 
     def write(self, text: str, suffix: str = "", key: str | None = None) -> None:
@@ -271,45 +264,39 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_model(
-    ckpt_arg: str | None, series_arg: str | None, direction: str
+    root: str, series: bool, direction: str
 ) -> tuple[list[Decoder], Callable[[], str]]:
     """The decoders of a model, one per checkpoint, oldest first, and a
     function giving the checksum of its files, to be called once decoding is
     done.
 
-    A model is one checkpoint directory, loaded here, or a series, whose
-    index is read here and whose listed checkpoints each load when first
-    decoded with, so a missing or corrupt one is found then. Its direction
-    must be ``direction`` (the checkpoint's or ``series.tsv``'s), so a
-    swapped pair of models is refused before any decode. The checksum covers
-    every file under the checkpoint directory, or ``series.tsv`` and every
-    file under the checkpoints loaded. Each file read counts with the digest
-    taken as it was read (``SeriesIndex.digest``, ``Checkpoint.digests``), so
-    the checksum describes the bytes parsed and decoded with; every other
-    file is hashed when it is called.
+    A model is read through its index (``translator.read_index``): a
+    series' series.tsv, or a lone checkpoint's meta.tsv. The index is all
+    that is read here, and its direction must be ``direction``, so a swapped
+    pair of models is refused before any decode; each checkpoint it lists
+    loads when first decoded with, so a missing or corrupt one is found
+    then. The checksum covers the index and every file under each
+    checkpoint loaded. Each file read counts with the digest taken as it
+    was read (``Checkpoint.digests``), so the checksum describes the bytes
+    parsed and decoded with; every other file is hashed when it is called.
     """
-    read: dict[Path, str] = {}  # digests of the files read: series.tsv and those loaded
-    if ckpt_arg is not None:
-        path = Path(ckpt_arg)
-        ckpt = load_checkpoint(path)
-        _check_direction(path, ckpt.direction, direction)
-        read.update(ckpt.digests)
-        return [Decoder.of(ckpt)], lambda: sha256_path(path, None, read)
-    path = Path(series_arg)
-    found, rows, digest = read_series_index(path)
+    path = Path(root)
+    found, loaders, index, digest = read_index(path, series)
     _check_direction(path, found, direction)
-    read[path / SERIES_INDEX] = digest  # of the bytes parsed, not re-read
+    read = {index: digest}  # digests of the files read
+    members = {index.name}  # the index and the directory of each checkpoint loaded
 
-    def load(iteration: int, loglik: float) -> Checkpoint:
-        ckpt = load_indexed_checkpoint(path, direction, iteration, loglik)
+    def load_and_record(load: Callable[[], Checkpoint]) -> Checkpoint:
+        ckpt = load()
         read.update(ckpt.digests)
+        members.update(str(p.parent.relative_to(path)) for p in ckpt.digests)
         return ckpt
 
     def checksum() -> str:
-        # series.tsv and the directory of each checkpoint loaded
-        return sha256_path(path, sorted({p.relative_to(path).parts[0] for p in read}), read)
+        return sha256_path(path, sorted(members), read)
 
-    return [Decoder(functools.partial(load, *row), direction) for row in rows], checksum
+    decoders = [Decoder(functools.partial(load_and_record, load), direction) for load in loaders]
+    return decoders, checksum
 
 
 def _check_direction(path: Path, found: str, expected: str) -> None:

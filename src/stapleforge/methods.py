@@ -35,7 +35,8 @@ from .translator import Checkpoint, DecodeParams, decode_nbest
 class Decoder:
     """One checkpoint's n-best lists, each request decoded once.
 
-    The checkpoint comes from ``load`` when a decode first needs it, and
+    The checkpoint comes from ``load``, a loader of its model's index
+    (``translator.read_index``), when a decode first needs it, and
     ``release`` drops it; the memo outlives it, so a released decoder
     answers every request its memo covers without loading again. The memo
     is keyed on (source, n, top-k): a list is never sliced from a deeper
@@ -48,11 +49,6 @@ class Decoder:
         self._load = load
         self._ckpt: Checkpoint | None = None
         self._memo: dict[tuple[str, int, int], list[str]] = {}
-
-    @classmethod
-    def of(cls, ckpt: Checkpoint) -> Decoder:
-        """A decoder over a checkpoint already in memory."""
-        return cls(lambda: ckpt, ckpt.direction)
 
     def sentences(self, source: Sequence[str], params: DecodeParams) -> list[str]:
         """The hypotheses of ``decode_nbest`` on this decoder's checkpoint,

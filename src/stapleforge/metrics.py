@@ -45,10 +45,6 @@ class CorpusScore:
     mean_weighted_recall: float
     per_prompt: tuple[PromptScore, ...]
 
-    @property
-    def num_prompts(self) -> int:
-        return len(self.per_prompt)
-
 
 def score_prompt(gold: GoldSet, pred: PredictionSet) -> PromptScore:
     """Score one prompt; gold texts and candidates are canonical, so a match is

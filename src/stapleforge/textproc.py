@@ -64,10 +64,6 @@ class BpeModel:
             raise ValidationError("BPE merges must be pairwise distinct")
 
     @property
-    def num_merges(self) -> int:
-        return len(self.merges)
-
-    @property
     def ranks(self) -> dict[tuple[str, str], int]:
         return {pair: rank for rank, pair in enumerate(self.merges)}
 

@@ -91,12 +91,13 @@ only creates directories, and never replaces a checkpoint.
 The index is the source of truth: training rewrites it atomically after each
 checkpoint is in place, so an interrupted run leaves an index of complete
 checkpoints, and a ``ckpt-*`` directory it
-does not list is never loaded. ``read_series_index`` reads the index once,
-validates it and takes the sha256 of the bytes it parsed, and
-``load_indexed_checkpoint`` loads one checkpoint it lists, checked against
-its row, so a caller can load each checkpoint only when it needs it
-(the commands do, through ``methods.Decoder``); ``load_series`` loads them
-all at once. Training refuses a directory that already holds a series.
+does not list is never loaded. Every model is read one way, through its
+index (``read_index``): a series' series.tsv, or a lone checkpoint's own
+meta.tsv. The index is read once, checked and hashed from the bytes parsed,
+and gives one loader per checkpoint it lists, so a caller loads each
+checkpoint only when it needs it (the commands do, through
+``methods.Decoder``); ``load_series`` loads them all at once. Training
+refuses a directory that already holds a series.
 
 A loaded series holds its shared state once, as a trained one does: the
 checkpoints of a series have the same lm.tsv, which is parsed once into one
@@ -109,6 +110,7 @@ the memo misses; a file whose second read hashes otherwise is rejected.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import math
@@ -119,7 +121,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CheckpointError, ValidationError
 from .textproc import TokenSeq, sentence_tokens
@@ -816,9 +818,15 @@ def _load_lm(
     return lm
 
 
-def _read_meta(directory: Path, digest: hashlib._Hash) -> tuple[int, str, float, float, str]:
+def _read_meta(directory: Path) -> tuple[int, str, float, float, str, str]:
     """meta.tsv's iteration, direction, corpus_loglik, alpha and checksum,
-    each checked; blank rows are skipped and unknown keys ignored."""
+    each checked, then the sha256 of the bytes read; blank rows are skipped
+    and unknown keys ignored."""
+    if not directory.is_dir():
+        raise CheckpointError(f"checkpoint directory not found: {directory}")
+    if not (directory / "meta.tsv").is_file():
+        raise CheckpointError(f"missing checkpoint file: {directory / 'meta.tsv'}")
+    digest = hashlib.sha256()
     meta: dict[str, str] = {}
     for block in _blocks(directory / "meta.tsv", (digest,)):
         try:
@@ -847,11 +855,15 @@ def _read_meta(directory: Path, digest: hashlib._Hash) -> tuple[int, str, float,
             numbers.append(_number(meta[key].encode("utf-8")))
         except ValueError:
             raise CheckpointError(f"bad {key} {meta[key]!r} in meta.tsv of {directory}") from None
-    return int(meta["iteration"]), meta["direction"], *numbers, meta["checksum"]
+    return (int(meta["iteration"]), meta["direction"], *numbers, meta["checksum"],
+            digest.hexdigest())
 
 
-def load_checkpoint(directory: Path | str) -> Checkpoint:
-    """Load and verify the checkpoint in ``directory``.
+def load_checkpoint(
+    directory: Path | str, meta: tuple[int, str, float, float, str, str] | None = None
+) -> Checkpoint:
+    """Load and verify the checkpoint in ``directory``; ``meta`` is what
+    ``_read_meta`` gave for it, when its meta.tsv has been read already.
 
     Each file is read in chunks of ``_CHUNK`` bytes, and each chunk feeds
     the checksum (over the bytes on disk), the file's own sha256, recorded
@@ -862,15 +874,13 @@ def load_checkpoint(directory: Path | str) -> Checkpoint:
     checksum holds: a file whose checksum fails is reported as that.
     """
     directory = Path(directory)
-    if not directory.is_dir():
-        raise CheckpointError(f"checkpoint directory not found: {directory}")
-    for name in ("meta.tsv", "lexicon.tsv", "lm.tsv"):  # in the order they are read
+    iteration, direction, corpus_loglik, alpha, expected, meta_digest = (
+        meta or _read_meta(directory)
+    )
+    digests = {name: hashlib.sha256() for name in ("lexicon.tsv", "lm.tsv")}  # in read order
+    for name in digests:
         if not (directory / name).is_file():
             raise CheckpointError(f"missing checkpoint file: {directory / name}")
-    digests = {name: hashlib.sha256() for name in CHECKPOINT_FILES}
-    iteration, direction, corpus_loglik, alpha, expected = _read_meta(
-        directory, digests["meta.tsv"]
-    )
 
     checksum = hashlib.sha256()
     problems = []  # raised only once the checksum, known at the end, holds
@@ -898,6 +908,7 @@ def load_checkpoint(directory: Path | str) -> Checkpoint:
         direction=direction,
     )
     ckpt.digests.update((directory / name, digest.hexdigest()) for name, digest in digests.items())
+    ckpt.digests[directory / "meta.tsv"] = meta_digest
     return ckpt
 
 
@@ -917,23 +928,25 @@ def _write_series_index(
     os.replace(partial, directory / SERIES_INDEX)
 
 
-class SeriesIndex(NamedTuple):
-    """A parsed series.tsv: its direction, its (iteration, loglik) rows, and
-    the sha256 of the bytes they were parsed from."""
+def read_index(
+    directory: Path | str, series: bool
+) -> tuple[str, list[Callable[[], Checkpoint]], Path, str]:
+    """Read a model's index once: a series' series.tsv, or with ``series``
+    false a lone checkpoint's meta.tsv. Returns the model's direction, one
+    loader per checkpoint the index lists, oldest first, the index's path
+    and the sha256 of the bytes read.
 
-    direction: str
-    rows: list[tuple[int, float]]
-    digest: str
-
-
-def read_series_index(directory: Path | str) -> SeriesIndex:
-    """Parse and validate series.tsv, read once.
-
-    Its rows are split on LF alone and each log-likelihood must be a plain
-    ASCII number (``_number``), so a CRLF copy, or a value with
-    surrounding whitespace or ``_``, is malformed.
+    Nothing else is read until a loader is called. A series' loader checks
+    its checkpoint against its index row (iteration, direction and
+    log-likelihood); a lone checkpoint's loader reuses the meta.tsv values
+    and digest read here. series.tsv's rows are split on LF alone and each
+    log-likelihood must be a plain ASCII number (``_number``), so a CRLF
+    copy, or a value with surrounding whitespace or ``_``, is malformed.
     """
     directory = Path(directory)
+    if not series:
+        meta = _read_meta(directory)
+        return meta[1], [lambda: load_checkpoint(directory, meta)], directory / "meta.tsv", meta[5]
     if not directory.is_dir():
         raise CheckpointError(f"checkpoint series directory not found: {directory}")
     path = directory / SERIES_INDEX
@@ -947,6 +960,7 @@ def read_series_index(directory: Path | str) -> SeriesIndex:
     head = lines[0].split("\t")
     if len(head) != 2 or head[0] != "direction" or head[1] not in DIRECTIONS:
         raise CheckpointError(f"{path}: first row must be 'direction<TAB>fwd|bwd'")
+    direction = head[1]
     rows: list[tuple[int, float]] = []
     for lineno, line in enumerate(lines[1:], start=2):
         cols = line.split("\t")
@@ -965,31 +979,24 @@ def read_series_index(directory: Path | str) -> SeriesIndex:
         rows.append((iteration, loglik))
     if not rows:
         raise CheckpointError(f"{path} lists no checkpoints")
-    return SeriesIndex(head[1], rows, hashlib.sha256(data).hexdigest())
 
+    def load(iteration: int, loglik: float) -> Checkpoint:
+        ckpt_dir = directory / checkpoint_name(iteration)
+        ckpt = load_checkpoint(ckpt_dir)
+        if (ckpt.iteration, ckpt.direction, ckpt.corpus_loglik) != (iteration, direction, loglik):
+            raise CheckpointError(
+                f"{ckpt_dir} (iteration {ckpt.iteration}, {ckpt.direction}, loglik "
+                f"{ckpt.corpus_loglik!r}) does not match its {SERIES_INDEX} row "
+                f"(iteration {iteration}, {direction}, loglik {loglik!r})"
+            )
+        return ckpt
 
-def load_indexed_checkpoint(
-    directory: Path | str, direction: str, iteration: int, loglik: float
-) -> Checkpoint:
-    """Load a checkpoint of a series, which must agree with its index row
-    (``read_series_index``) on iteration, direction and log-likelihood."""
-    path = Path(directory) / checkpoint_name(iteration)
-    ckpt = load_checkpoint(path)
-    if (ckpt.iteration, ckpt.direction, ckpt.corpus_loglik) != (iteration, direction, loglik):
-        raise CheckpointError(
-            f"{path} (iteration {ckpt.iteration}, {ckpt.direction}, loglik "
-            f"{ckpt.corpus_loglik!r}) does not match its {SERIES_INDEX} row "
-            f"(iteration {iteration}, {direction}, loglik {loglik!r})"
-        )
-    return ckpt
+    loaders = [functools.partial(load, *row) for row in rows]
+    return direction, loaders, path, hashlib.sha256(data).hexdigest()
 
 
 def load_series(directory: Path | str) -> tuple[Checkpoint, ...]:
     """Load every checkpoint series.tsv lists, oldest first, each checked
-    against its row (``load_indexed_checkpoint``); directories the index
-    does not list are ignored."""
-    direction, rows, _ = read_series_index(directory)
-    return tuple(
-        load_indexed_checkpoint(directory, direction, iteration, loglik)
-        for iteration, loglik in rows
-    )
+    against its row (``read_index``); directories the index does not list
+    are ignored."""
+    return tuple(load() for load in read_index(directory, series=True)[1])

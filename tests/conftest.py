@@ -4,6 +4,7 @@ import pytest
 
 from stapleforge.cli import fixtures_dir
 from stapleforge.corpus import parse_gold, parse_prompts
+from stapleforge.methods import Decoder
 from stapleforge.textproc import sentence_tokens
 from stapleforge.translator import Checkpoint, load_series, train_toy
 
@@ -19,6 +20,11 @@ def load_toy_pairs(swap: bool = False) -> list[tuple[list[str], list[str]]]:
             src, tgt = tgt, src
         pairs.append((sentence_tokens(src), sentence_tokens(tgt)))
     return pairs
+
+
+def decoder_of(ckpt: Checkpoint) -> Decoder:
+    """A decoder over a checkpoint already in memory."""
+    return Decoder(lambda: ckpt, ckpt.direction)
 
 
 def trained_series(directory, pairs, iterations, **kwargs) -> tuple[Checkpoint, ...]:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import trained_series
+from conftest import decoder_of, trained_series
 from oracles import (
     bpe_learn_oracle,
     exhaustive_nbest,
@@ -23,7 +23,6 @@ from oracles import (
 from stapleforge.cli import main
 from stapleforge.corpus import PredictionSet, parse_gold, parse_predictions
 from stapleforge.methods import (
-    Decoder,
     MethodParams,
     multi_checkpoint_predict,
     nbest_predict,
@@ -102,7 +101,7 @@ def test_criterion_3_reference_constants_recorded():
 def test_criterion_3a_ensemble_recall_monotonicity(toy_fwd_series, toy_prompts, toy_golds):
     scores = []
     for m in (1, 2, 3, 4):
-        decoders = [Decoder.of(ckpt) for ckpt in toy_fwd_series]
+        decoders = [decoder_of(ckpt) for ckpt in toy_fwd_series]
         sets = multi_checkpoint_predict(decoders, toy_prompts, _params(n=10, m=m))
         scores.append(score_corpus(toy_golds, sets))
     for prev, cur in zip(scores, scores[1:]):
@@ -116,8 +115,8 @@ def test_criterion_3a_ensemble_recall_monotonicity(toy_fwd_series, toy_prompts, 
 def test_criterion_3b_paraphrase_superset(
     toy_fwd_series, toy_bwd_series, toy_prompts, toy_golds
 ):
-    fwd = Decoder.of(toy_fwd_series[-1])
-    bwd = Decoder.of(toy_bwd_series[-1])
+    fwd = decoder_of(toy_fwd_series[-1])
+    bwd = decoder_of(toy_bwd_series[-1])
     params = _params(n=10, n_prime=3)
     base_sets = nbest_predict(fwd, toy_prompts, params)
     para_sets = paraphrase_predict(fwd, bwd, toy_prompts, params)

@@ -1054,44 +1054,57 @@ class TestSeriesLoading:
         assert dict(loads) == expected
 
     @pytest.mark.parametrize(
-        "argv, checkpoints",
+        "argv, loaded",
         [
-            (["generate", "--method", "nbest", "--series", "{fwd}"], 1),
-            (["generate", "--method", "nbest", "--ckpt", "{fwd}/ckpt-0005"], 1),
-            (["generate", "--method", "ensemble", "--m", "3", "--series", "{fwd}"], 3),
-            (["generate", "--method", "ensemble", "--m", "1", "--ckpt", "{fwd}/ckpt-0005"], 1),
+            (["generate", "--method", "nbest", "--series", "{fwd}"], {"fwd": 1}),
+            (["generate", "--method", "nbest", "--ckpt", "{fwd}/ckpt-0005"], {"fwd": 1}),
+            (["generate", "--method", "nbest", "--ckpt", "{fwd}/ckpt-0005",
+              "--bwd-ckpt", "{bwd}/ckpt-0005"], {"fwd": 1}),
+            (["generate", "--method", "ensemble", "--m", "3", "--series", "{fwd}"], {"fwd": 3}),
+            (["generate", "--method", "ensemble", "--m", "1", "--ckpt", "{fwd}/ckpt-0005"],
+             {"fwd": 1}),
             (["generate", "--method", "paraphrase", "--series", "{fwd}",
-              "--bwd-series", "{bwd}"], 2),
+              "--bwd-series", "{bwd}"], {"fwd": 1, "bwd": 1}),
             (["generate", "--method", "paraphrase", "--ckpt", "{fwd}/ckpt-0005",
-              "--bwd-ckpt", "{bwd}/ckpt-0005"], 2),
+              "--bwd-ckpt", "{bwd}/ckpt-0005"], {"fwd": 1, "bwd": 1}),
             # ensemble m=6 and m=8 are NA rows, so nothing reads ckpt-0001 of
             # either series, nor bwd's ckpt-0001 to ckpt-0004
-            (["sweep", "--gold", "{gold}", "--series", "{fwd}", "--bwd-series", "{bwd}"], 5),
+            (["sweep", "--gold", "{gold}", "--series", "{fwd}", "--bwd-series", "{bwd}"],
+             {"fwd": 4, "bwd": 1}),
         ],
-        ids=["nbest-series", "nbest-ckpt", "ensemble-series", "ensemble-ckpt",
-             "paraphrase-series", "paraphrase-ckpt", "sweep"],
+        ids=["nbest-series", "nbest-ckpt", "nbest-ckpt-unread-bwd-ckpt", "ensemble-series",
+             "ensemble-ckpt", "paraphrase-series", "paraphrase-ckpt", "sweep"],
     )
     def test_each_model_file_is_read_once(
-        self, trained_world, fixtures_path, tmp_path, opens, argv, checkpoints
+        self, trained_world, fixtures_path, tmp_path, monkeypatch, opens, argv, loaded
     ):
         """The loader hashes each file for the manifest as it reads it, and
-        so does the series.tsv reader; the manifest used to read and hash
-        every loaded file, and each series.tsv, a second time."""
+        so does each index reader: a series' series.tsv, or a lone
+        checkpoint's meta.tsv, which its load reuses. The manifest used to
+        read and hash every loaded file, and each series.tsv, a second time.
+        The LM memo starts empty, as in a fresh process, so the first lm.tsv
+        of each model is read twice: hashed, then parsed on the memo miss."""
+        monkeypatch.setattr(translator, "_LMS", {})
         paths = {"fwd": str(trained_world / "fwd"), "bwd": str(trained_world / "bwd"),
                  "gold": str(fixtures_path / "toy_gold.txt")}
         rc = run_cli([*(arg.format(**paths) for arg in argv),
                       "--prompts", str(fixtures_path / "toy_prompts.txt"),
                       "--out", str(tmp_path / "out.txt")])
         assert rc == 0
-        model_files = {path: count for path, count in opens.items()
-                       if Path(path).name in translator.CHECKPOINT_FILES}
-        assert len(model_files) == 3 * checkpoints
-        assert set(model_files.values()) == {1}
-        indexes = {path: count for path, count in opens.items()
-                   if Path(path).name == translator.SERIES_INDEX}
-        series = [value.format(**paths) for flag, value in zip(argv, argv[1:])
-                  if flag in ("--series", "--bwd-series")]
-        assert indexes == {str(Path(d) / translator.SERIES_INDEX): 1 for d in series}
+        models = [value for flag, value in zip(argv, argv[1:])
+                  if flag in ("--series", "--bwd-series", "--ckpt", "--bwd-ckpt")]
+        for model in ("fwd", "bwd"):
+            count = loaded.get(model, 0)
+            expected = Counter({("lexicon.tsv", 1): count, ("meta.tsv", 1): count,
+                                ("lm.tsv", 1): count - 1, ("lm.tsv", 2): 1} if count else {})
+            for value in models:
+                if value == f"{{{model}}}":
+                    expected["series.tsv", 1] += 1
+                elif value.startswith(f"{{{model}}}/") and not count:
+                    expected["meta.tsv", 1] += 1  # the index of a checkpoint never loaded
+            opened = Counter((Path(path).name, times) for path, times in opens.items()
+                             if path.startswith(paths[model] + os.sep))
+            assert opened == +expected, model
 
     @pytest.mark.parametrize(
         "argv, resident",
@@ -1169,28 +1182,57 @@ class TestSeriesLoading:
             # the manifest checksums only series.tsv and the checkpoints loaded
             assert outputs["stray", what, "manifest"] == outputs["clean", what, "manifest"]
 
+    @pytest.mark.parametrize("model", ["--series", "--ckpt"])
     def test_model_checksum_covers_only_loaded_checkpoints(
-        self, trained_world, fixtures_path, tmp_path
+        self, trained_world, fixtures_path, tmp_path, model
     ):
         """Editing a checkpoint the command did not load leaves its manifest
-        unchanged; editing the index or a loaded checkpoint changes it."""
+        unchanged; editing a loaded checkpoint changes its model's row. A
+        --bwd-ckpt that nbest never reads counts by its index, meta.tsv."""
         prompts = str(fixtures_path / "toy_prompts.txt")
-        series = tmp_path / "fwd"
-        shutil.copytree(trained_world / "fwd", series)
+        fwd, bwd = tmp_path / "fwd", tmp_path / "bwd"
+        shutil.copytree(trained_world / "fwd", fwd)
+        shutil.copytree(trained_world / "bwd", bwd)
+        if model == "--series":
+            argv = ["--method", "ensemble", "--m", "2", "--series", str(fwd)]
+            unread, read = fwd / "ckpt-0001", fwd / "ckpt-0004"
+        else:
+            argv = ["--method", "nbest", "--ckpt", str(fwd / "ckpt-0005"),
+                    "--bwd-ckpt", str(bwd / "ckpt-0005")]
+            unread, read = bwd / "ckpt-0005", fwd / "ckpt-0005"
 
-        def manifest() -> str:
+        def manifest() -> set[str]:
             out = tmp_path / "pred.txt"
-            assert run_cli(["generate", "--method", "ensemble", "--m", "2",
-                            "--series", str(series), "--prompts", prompts,
-                            "--out", str(out)]) == 0
+            assert run_cli(["generate", *argv, "--prompts", prompts, "--out", str(out)]) == 0
             rows = Path(f"{out}.manifest.tsv").read_text().splitlines()
-            return next(row for row in rows if row.startswith("input:model\t"))
+            return {row for row in rows if row.startswith(("input:model\t", "input:bwd_model\t"))}
 
         before = manifest()
-        (series / "ckpt-0001" / "note.txt").write_text("not loaded", encoding="utf-8")
+        (unread / "note.txt").write_text("not loaded", encoding="utf-8")
         assert manifest() == before
-        (series / "ckpt-0004" / "note.txt").write_text("loaded", encoding="utf-8")
-        assert manifest() != before
+        (read / "note.txt").write_text("loaded", encoding="utf-8")
+        assert [row.split("\t")[0] for row in manifest() - before] == ["input:model"]
+
+    def test_loaded_checkpoint_checksum_covers_every_file_under_it(
+        self, trained_world, fixtures_path, tmp_path
+    ):
+        """A loaded --ckpt's row is the digest of the sorted relative path and
+        SHA-256 of every file under it, stray and nested files included."""
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(trained_world / "fwd" / "ckpt-0005", ckpt)
+        (ckpt / "note.txt").write_text("stray", encoding="utf-8")
+        (ckpt / "sub").mkdir()
+        (ckpt / "sub" / "deeper.txt").write_text("nested", encoding="utf-8")
+        out = tmp_path / "pred.txt"
+        assert run_cli(["generate", "--method", "nbest", "--ckpt", str(ckpt),
+                        "--prompts", str(fixtures_path / "toy_prompts.txt"),
+                        "--out", str(out)]) == 0
+        expected = hashlib.sha256()
+        for path in sorted(p for p in ckpt.rglob("*") if p.is_file()):
+            file_digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            expected.update(f"{path.relative_to(ckpt)}\0{file_digest}\0".encode("utf-8"))
+        rows = Path(f"{out}.manifest.tsv").read_text().splitlines()
+        assert f"input:model\t{expected.hexdigest()}" in rows
 
     @pytest.mark.parametrize(
         "edit",
@@ -1220,27 +1262,36 @@ class TestSeriesLoading:
         edit(series / "ckpt-0001")
         assert manifest() == before
 
+    @pytest.mark.parametrize("flag", ["--bwd-series", "--bwd-ckpt"])
     @pytest.mark.parametrize("bwd", ["missing", "forward"])
     def test_nbest_checks_a_given_backward_series(
-        self, trained_world, fixtures_path, tmp_path, capsys, bwd
+        self, trained_world, fixtures_path, tmp_path, capsys, bwd, flag
     ):
         """A backward model given to a method that does not read it is still
         read, direction-checked and recorded; nbest used to ignore it."""
-        path = tmp_path / "nowhere" if bwd == "missing" else trained_world / "fwd"
+        if bwd == "missing":
+            path = tmp_path / "nowhere"
+        else:
+            path = trained_world / "fwd" / ("ckpt-0005" if flag == "--bwd-ckpt" else "")
         out = tmp_path / "out.txt"
         rc = run_cli(["generate", "--method", "nbest", "--series", str(trained_world / "fwd"),
-                      "--bwd-series", str(path),
+                      flag, str(path),
                       "--prompts", str(fixtures_path / "toy_prompts.txt"), "--out", str(out)])
         assert rc == 2
-        reason = ("checkpoint series directory not found" if bwd == "missing"
-                  else "is a fwd model, expected a bwd one")
+        missing = ("checkpoint series directory not found" if flag == "--bwd-series"
+                   else "checkpoint directory not found")
+        reason = missing if bwd == "missing" else "is a fwd model, expected a bwd one"
         assert reason in capsys.readouterr().err
         assert list(tmp_path.glob("out.txt*")) == []
 
-    def test_nbest_records_a_given_backward_series(self, trained_world, fixtures_path, tmp_path):
+    @pytest.mark.parametrize("flag", ["--bwd-series", "--bwd-ckpt"])
+    def test_nbest_records_a_given_backward_series(
+        self, trained_world, fixtures_path, tmp_path, flag
+    ):
         prompts = str(fixtures_path / "toy_prompts.txt")
+        bwd = trained_world / "bwd" / ("ckpt-0005" if flag == "--bwd-ckpt" else "")
         outputs = {}
-        for name, extra in (("plain", []), ("bwd", ["--bwd-series", str(trained_world / "bwd")])):
+        for name, extra in (("plain", []), ("bwd", [flag, str(bwd)])):
             out = tmp_path / f"{name}.txt"
             assert run_cli(["generate", "--method", "nbest", "--series",
                             str(trained_world / "fwd"), *extra,

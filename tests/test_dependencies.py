@@ -5,7 +5,9 @@ imports, other than its own, must ship with Python. A sentence is
 canonicalized once, where it is read: the methods and the scorer compare
 canonical strings and never call ``normalize`` themselves. Every source
 file, tests included, parses as Python 3.10, the oldest version README
-supports. And no module binds a name at top level that it never reads."""
+supports. No module binds a name at top level that it never reads, and
+test-only API stays under tests/: every public function, class, method and
+property of the package is read by the package or traced by the benchmark."""
 
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import stapleforge
+from test_benchmark_fit import tracer_module
 
 PACKAGE_DIR = Path(stapleforge.__file__).resolve().parent
 TESTS_DIR = Path(__file__).resolve().parent
@@ -97,3 +100,27 @@ def test_every_top_level_name_is_read(path):
     """An import or a module-level variable left behind by a deletion, such
     as a logger no function logs to, fails here."""
     assert unread_top_level_names(path) == set()
+
+
+def public_definitions(path: Path) -> set[str]:
+    """The public functions and classes a module defines at top level, and
+    the public methods and properties of its classes, as ``Class.method``."""
+    names: set[str] = set()
+    for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(f"{node.name}.{item.name}" for item in node.body
+                         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+    return names
+
+
+def test_every_public_definition_is_read_by_the_package():
+    """A name only tests read, such as a convenience property or
+    constructor, belongs in tests/; one the tracer wraps is kept."""
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
+    read = set().union(*(names_used(path) for path in sources))
+    traced = {*tracer_module.SPANS, *tracer_module.LEAVES}
+    unread = {f"{path.stem}.{name}" for path in sources for name in public_definitions(path)
+              if name.split(".")[-1] not in read and f"{path.stem}.{name}" not in traced}
+    assert unread == set()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import decoder_of
 from stapleforge.corpus import Prompt, normalize
 from stapleforge.errors import ValidationError
 from stapleforge.methods import (
@@ -32,7 +33,7 @@ def params(n=10, n_prime=3, m=1, top_k=8):
 
 
 def decoders(series):
-    return [Decoder.of(ckpt) for ckpt in series]
+    return [decoder_of(ckpt) for ckpt in series]
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +51,7 @@ def identity_pair():
             direction=direction,
         )
 
-    return Decoder.of(ckpt("fwd")), Decoder.of(ckpt("bwd"))
+    return decoder_of(ckpt("fwd")), decoder_of(ckpt("bwd"))
 
 
 class TestDecoder:
@@ -102,7 +103,7 @@ class TestDecoder:
         lm = BigramLm(bigram_logprob=bigram, unseen_logprob={}, unigram_logprob={}, alpha=0.1)
         ckpt = Checkpoint(iteration=1, lexicon=lexicon, lm=lm, corpus_loglik=-1.0)
         source = ["s1", "s2", "s3"]
-        decoder = Decoder.of(ckpt)
+        decoder = decoder_of(ckpt)
         assert decoder.sentences(source, DecodeParams(n_best=2)) == ["a z w", "b z w"]
         assert decoder.sentences(source, DecodeParams(n_best=1)) == ["b z w"]
 
@@ -117,18 +118,18 @@ class TestDedup:
 
 class TestNbestPredict:
     def test_two_candidates_in_score_order(self, toy_fwd_series, toy_prompts):
-        ckpt = Decoder.of(toy_fwd_series[-1])
+        ckpt = decoder_of(toy_fwd_series[-1])
         sets = nbest_predict(ckpt, toy_prompts[:1], params(n=2))
         assert sets[0].prompt_id == "t1"
         assert list(sets[0].candidates) == ["o gato come peixe", "o gato devora peixe"]
 
     def test_n1_returns_single_best(self, toy_fwd_series, toy_prompts):
-        ckpt = Decoder.of(toy_fwd_series[-1])
+        ckpt = decoder_of(toy_fwd_series[-1])
         sets = nbest_predict(ckpt, toy_prompts, params(n=1))
         assert all(len(s.candidates) == 1 for s in sets)
 
     def test_prefix_nesting_in_n(self, toy_fwd_series, toy_prompts):
-        ckpt = Decoder.of(toy_fwd_series[-1])
+        ckpt = decoder_of(toy_fwd_series[-1])
         for k in range(1, 8):
             smaller = nbest_predict(ckpt, toy_prompts, params(n=k))
             larger = nbest_predict(ckpt, toy_prompts, params(n=k + 1))
@@ -147,8 +148,8 @@ class TestNbestPredict:
             raise error("decoder bug")
 
         monkeypatch.setattr("stapleforge.methods.decode_nbest", boom)
-        fwd = Decoder.of(toy_fwd_series[-1])
-        bwd = Decoder.of(toy_bwd_series[-1])
+        fwd = decoder_of(toy_fwd_series[-1])
+        bwd = decoder_of(toy_bwd_series[-1])
         run = {
             "nbest": lambda: nbest_predict(fwd, toy_prompts, params()),
             "paraphrase": lambda: paraphrase_predict(fwd, bwd, toy_prompts, params()),
@@ -160,7 +161,7 @@ class TestNbestPredict:
             run()
 
     def test_no_normalization_equivalent_duplicates(self, toy_fwd_series, toy_prompts):
-        ckpt = Decoder.of(toy_fwd_series[-1])
+        ckpt = decoder_of(toy_fwd_series[-1])
         sets = nbest_predict(ckpt, toy_prompts, params(n=10))
         for s in sets:
             keys = [normalize(c) for c in s.candidates]
@@ -177,8 +178,8 @@ class TestParaphrasePredict:
             assert paraphrase_predict(fwd, bwd, prompts, p) == nbest_predict(fwd, prompts, p)
 
     def test_superset_of_nbest(self, toy_fwd_series, toy_bwd_series, toy_prompts):
-        fwd = Decoder.of(toy_fwd_series[-1])
-        bwd = Decoder.of(toy_bwd_series[-1])
+        fwd = decoder_of(toy_fwd_series[-1])
+        bwd = decoder_of(toy_bwd_series[-1])
         p = params(n=5, n_prime=3)
         base = nbest_predict(fwd, toy_prompts, p)
         extended = paraphrase_predict(fwd, bwd, toy_prompts, p)
@@ -187,8 +188,8 @@ class TestParaphrasePredict:
             assert set(b.candidates) <= set(e.candidates)
 
     def test_candidate_count_bounded_by_pool(self, toy_fwd_series, toy_bwd_series, toy_prompts):
-        fwd = Decoder.of(toy_fwd_series[-1])
-        bwd = Decoder.of(toy_bwd_series[-1])
+        fwd = decoder_of(toy_fwd_series[-1])
+        bwd = decoder_of(toy_bwd_series[-1])
         n, n_prime = 4, 2
         sets = paraphrase_predict(fwd, bwd, toy_prompts, params(n=n, n_prime=n_prime))
         for s in sets:
@@ -196,7 +197,7 @@ class TestParaphrasePredict:
             assert len(s.candidates) <= n + n * n_prime
 
     def test_same_direction_rejected(self, toy_fwd_series, toy_prompts):
-        ckpt = Decoder.of(toy_fwd_series[-1])
+        ckpt = decoder_of(toy_fwd_series[-1])
         with pytest.raises(ValidationError, match="direction"):
             paraphrase_predict(ckpt, ckpt, toy_prompts, params())
 
@@ -205,12 +206,12 @@ class TestMultiCheckpointPredict:
     def test_m1_equals_nbest_on_last(self, toy_fwd_series, toy_prompts):
         p = params(n=10, m=1)
         assert multi_checkpoint_predict(decoders(toy_fwd_series), toy_prompts, p) == (
-            nbest_predict(Decoder.of(toy_fwd_series[-1]), toy_prompts, p)
+            nbest_predict(decoder_of(toy_fwd_series[-1]), toy_prompts, p)
         )
 
     def test_union_latest_first(self, toy_fwd_series, toy_prompts):
-        ckpt_a = Decoder.of(toy_fwd_series[-1])
-        ckpt_b = Decoder.of(toy_fwd_series[-2])
+        ckpt_a = decoder_of(toy_fwd_series[-1])
+        ckpt_b = decoder_of(toy_fwd_series[-2])
         p = params(n=10, m=2)
         merged = multi_checkpoint_predict(decoders(toy_fwd_series), toy_prompts, p)
         from_a = nbest_predict(ckpt_a, toy_prompts, p)
@@ -260,8 +261,8 @@ class TestPredict:
     def test_runs_each_method_on_its_newest_checkpoints(
         self, toy_fwd_series, toy_bwd_series, toy_prompts
     ):
-        fwd = Decoder.of(toy_fwd_series[-1])
-        bwd = Decoder.of(toy_bwd_series[-1])
+        fwd = decoder_of(toy_fwd_series[-1])
+        bwd = decoder_of(toy_bwd_series[-1])
         fwds, bwds = decoders(toy_fwd_series), decoders(toy_bwd_series)
         p = params(n=4, n_prime=2, m=3)
         assert predict("nbest", fwds, [], toy_prompts, p) == nbest_predict(fwd, toy_prompts, p)
@@ -305,8 +306,8 @@ class TestDegradedPrompt:
 
 class TestDeterminism:
     def test_methods_are_deterministic(self, toy_fwd_series, toy_bwd_series, toy_prompts):
-        fwd = Decoder.of(toy_fwd_series[-1])
-        bwd = Decoder.of(toy_bwd_series[-1])
+        fwd = decoder_of(toy_fwd_series[-1])
+        bwd = decoder_of(toy_bwd_series[-1])
         p = params(n=6, n_prime=2, m=3)
         runs = [
             (

@@ -124,7 +124,7 @@ class TestScoreCorpus:
         score = score_corpus([g1, g2], preds)
         s2 = score_prompt(g2, preds[1])
         assert score.macro_f1 == pytest.approx((1.0 + s2.weighted_f1) / 2, abs=1e-12)
-        assert score.num_prompts == 2
+        assert len(score.per_prompt) == 2
 
     def test_missing_prediction_counts_as_empty(self):
         g1 = make_gold({"a": 0.5}, "p1")
@@ -151,7 +151,7 @@ class TestScoreCorpus:
         preds = [make_pred(["a"], "p1"), make_pred(["zzz"], "ghost")]
         with caplog.at_level(logging.WARNING, logger="stapleforge.metrics"):
             score = score_corpus([gold], preds)
-        assert score.num_prompts == 1
+        assert len(score.per_prompt) == 1
         assert score.macro_f1 == 1.0
         assert any("ghost" in r.message for r in caplog.records)
 

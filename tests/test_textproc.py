@@ -130,7 +130,7 @@ class TestBpeApply:
         chars = {c for seq in BPE_FIXTURE for w in seq for c in w} | set("lowest")
         full_vocab = {left + right for left, right in model.merges}
         full_vocab |= chars | {c + "</w>" for c in chars}
-        for k in range(model.num_merges + 1):
+        for k in range(len(model.merges) + 1):
             restricted = BpeModel(merges=model.merges[:k])
             for word in ("low", "lower", "newest", "widest", "lowest"):
                 subwords = bpe_apply(restricted, [word])

@@ -1009,9 +1009,9 @@ class TestSeriesIndex:
 
     def test_index_digest_is_of_the_bytes_read(self, hand_series, tmp_path):
         path = tmp_path / "series" / "series.tsv"
-        index = translator.read_series_index(tmp_path / "series")
-        assert index.digest == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert index.rows == [(c.iteration, c.corpus_loglik) for c in hand_series]
+        direction, loaders, index, digest = translator.read_index(tmp_path / "series", True)
+        assert (index, digest) == (path, hashlib.sha256(path.read_bytes()).hexdigest())
+        assert [load() for load in loaders] == list(hand_series)
 
     def test_iteration_zero_row_rejected(self, hand_series, tmp_path):
         """Iterations count from 1."""
