@@ -61,7 +61,6 @@ Exit codes: 0 success, 2 input/validation error, 3 empty-work error,
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import io
 import logging
@@ -79,7 +78,7 @@ from .errors import StapleForgeError, ValidationError
 from .metrics import score_corpus, summary_line, write_report
 from .methods import METHODS, Decoder, MethodParams, predict
 from .textproc import bpe_apply, bpe_decode, bpe_learn, load_bpe, save_bpe, sentence_tokens
-from .translator import Checkpoint, read_index, train_toy
+from .translator import read_index, train_toy
 
 log = logging.getLogger(__name__)
 
@@ -276,27 +275,19 @@ def _load_model(
     pair of models is refused before any decode; each checkpoint it lists
     loads when first decoded with, so a missing or corrupt one is found
     then. The checksum covers the index and every file under each
-    checkpoint loaded. Each file read counts with the digest taken as it
-    was read (``Checkpoint.digests``), so the checksum describes the bytes
-    parsed and decoded with; every other file is hashed when it is called.
+    checkpoint loaded: the index keeps the digest of each file its loaders
+    read, taken as it was read, so the checksum describes the bytes parsed
+    and decoded with; every other file is hashed when it is called.
     """
     path = Path(root)
-    found, loaders, index, digest = read_index(path, series)
+    found, loaders, index, read = read_index(path, series)
     _check_direction(path, found, direction)
-    read = {index: digest}  # digests of the files read
-    members = {index.name}  # the index and the directory of each checkpoint loaded
-
-    def load_and_record(load: Callable[[], Checkpoint]) -> Checkpoint:
-        ckpt = load()
-        read.update(ckpt.digests)
-        members.update(str(p.parent.relative_to(path)) for p in ckpt.digests)
-        return ckpt
 
     def checksum() -> str:
-        return sha256_path(path, sorted(members), read)
+        loaded = {str(p.parent.relative_to(path)) for p in read if p != index}
+        return sha256_path(path, sorted({index.name, *loaded}), read)
 
-    decoders = [Decoder(functools.partial(load_and_record, load), direction) for load in loaders]
-    return decoders, checksum
+    return [Decoder(load, direction) for load in loaders], checksum
 
 
 def _check_direction(path: Path, found: str, expected: str) -> None:
@@ -384,9 +375,10 @@ def cmd_bpe(args: argparse.Namespace) -> int:
     else:
         model = load_bpe(run.read(args.model)) if args.bpe_command == "apply" else None
         source = run.read(args.input) if args.input is not None else sys.stdin.read()
+        segmented: dict[str, list[str]] = {}  # each distinct word is segmented once
         for line in split_lines(source):
             toks = line.split()
-            result = bpe_decode(toks) if model is None else bpe_apply(model, toks)
+            result = bpe_decode(toks) if model is None else bpe_apply(model, toks, segmented)
             buf.write(" ".join(result) + "\n")
     run.write(buf.getvalue())
     return EXIT_OK

@@ -16,7 +16,7 @@ learning is deterministic. Segmented output uses the ``@@`` continuation
 suffix on every non-final subword of a word, which bpe_decode inverts. The
 suffix is therefore reserved: a token whose own text ends in ``@@`` cannot
 round-trip (its terminal subword is indistinguishable from a continuation),
-and bpe_apply warns when it meets one.
+and bpe_apply warns whenever it segments one.
 
 Model file format: first line ``#bpe v1 eow=</w>``, then one merge per line
 as ``left<TAB>right`` in learned order. Exact bytes matter: the file is the
@@ -25,6 +25,7 @@ model.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import logging
 from collections import Counter
@@ -63,7 +64,7 @@ class BpeModel:
         if len(set(self.merges)) != len(self.merges):
             raise ValidationError("BPE merges must be pairwise distinct")
 
-    @property
+    @functools.cached_property
     def ranks(self) -> dict[tuple[str, str], int]:
         return {pair: rank for rank, pair in enumerate(self.merges)}
 
@@ -160,17 +161,19 @@ def bpe_learn(corpus: Iterable[TokenSeq], num_merges: int) -> BpeModel:
     return BpeModel(merges=tuple(merges))
 
 
-def bpe_apply(model: BpeModel, tokens: Sequence[str]) -> TokenSeq:
-    """Segment each word into subwords using the model's merges in rank order."""
-    ranks = model.ranks
+def bpe_apply(
+    model: BpeModel, tokens: Sequence[str], segmented: dict[str, list[str]] | None = None
+) -> TokenSeq:
+    """Segment each word into subwords using the model's merges in rank order;
+    ``segmented`` maps the words already segmented with ``model`` to their
+    subwords, so calls that share it segment each distinct word once."""
+    segmented = {} if segmented is None else segmented
     out: TokenSeq = []
-    cache: dict[str, list[str]] = {}
     for word in tokens:
-        segmented = cache.get(word)
-        if segmented is None:
-            segmented = _segment_word(word, ranks)
-            cache[word] = segmented
-        out.extend(segmented)
+        subwords = segmented.get(word)
+        if subwords is None:
+            subwords = segmented[word] = _segment_word(word, model.ranks)
+        out.extend(subwords)
     return out
 
 

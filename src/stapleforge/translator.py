@@ -56,12 +56,12 @@ value once, for the value and its text), so a saved checkpoint loads back
 bit-exactly.
 
 ``load_checkpoint`` reads each file in bounded chunks that feed the
-checksum, the file's own sha256 (``Checkpoint.digests``, which the command
-line's manifests use) and the row parser together, so it never holds a whole
-file. It verifies the checksum and parses every value. Both model files are
-read by one row reader (``_rows``), which yields each run of rows sharing
-their first word and rejects a row out of order or repeating a pair, and
-every stored number, a model value, meta.tsv's
+checksum, the file's own sha256 (which its model's index keeps, for the
+command line's manifests) and the row parser together, so it never holds a
+whole file. It verifies the checksum and parses every value. Both model
+files are read by one row reader (``_rows``), which yields each run of rows
+sharing their first word and rejects a row out of order or repeating a
+pair, and every stored number, a model value, meta.tsv's
 ``corpus_loglik`` and ``alpha`` or a series.tsv log-likelihood, by one
 reader (``_number``): a plain ASCII number (no surrounding whitespace, ``_``
 or non-ASCII digit, which ``float`` would accept) whose value is finite.
@@ -101,11 +101,12 @@ refuses a directory that already holds a series.
 
 A loaded series holds its shared state once, as a trained one does: the
 checkpoints of a series have the same lm.tsv, which is parsed once into one
-``BigramLm`` they all refer to, even when loads of a forward and a backward
-series interleave, and words are interned, so every checkpoint and the LM
-share one string per word. LMs are memoized on the lm.tsv digest and alpha:
-each lm.tsv is hashed first, and read a second time, to be parsed, only when
-the memo misses; a file whose second read hashes otherwise is rejected.
+``BigramLm`` they all refer to, and words are interned, so every checkpoint
+and the LM share one string per word. Each ``read_index`` call owns what
+its loads share: the LMs loaded, by lm.tsv digest and alpha, and the sha256
+of each file read; so no load depends on what ran before it. Each lm.tsv is
+hashed first, and read again, to be parsed, only when its model has no LM
+of that digest and alpha; a second read that hashes otherwise is rejected.
 """
 
 from __future__ import annotations
@@ -267,11 +268,6 @@ class Checkpoint:
     # save_checkpoint to write instead of rendering them again; it empties
     # this once written
     rendered: dict[str, list[bytes]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    # the sha256 of each file a loaded checkpoint was read from, by path,
-    # taken as load_checkpoint read it; empty for one built in memory
-    digests: dict[Path, str] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -785,43 +781,40 @@ def _parse_lm(blocks: Iterable[bytes], alpha: float) -> BigramLm:
     )
 
 
-# one LM per series, for the forward and the backward series a command reads:
-# (lm.tsv digest, alpha) -> LM, least recently used first
-_LMS: dict[tuple[str, float], BigramLm] = {}
-_LMS_KEPT = 2
+# the LMs one model's loads share, by (lm.tsv digest, alpha)
+LoadedLms = dict[tuple[str, float], BigramLm]
 
 
 def _load_lm(
-    path: Path, alpha: float, checksum: hashlib._Hash, digest: hashlib._Hash
+    path: Path, alpha: float, checksum: hashlib._Hash, digest: hashlib._Hash, lms: LoadedLms
 ) -> BigramLm:
     """The LM of an lm.tsv, whose bytes update ``checksum`` and the file's
     own ``digest``; raises ValueError naming a malformed row.
 
-    Memoized on (digest, alpha): every checkpoint of a series has the same
-    lm.tsv (training estimates the LM once), so a loaded series holds one LM,
-    as a trained one does, even when loads of two series interleave. The
-    file is hashed first, and read again to be parsed only when its digest
-    and alpha miss the memo; that read must give the same digest.
+    ``lms`` holds the LMs already loaded by the caller's model, by (digest,
+    alpha): every checkpoint of a series has the same lm.tsv (training
+    estimates the LM once), so a series loaded through one index holds one
+    LM, as a trained one does. The file is hashed first, and read again to
+    be parsed only when its digest and alpha are not in ``lms``; that read
+    must give the same digest, and only then is the LM added to ``lms``.
     """
     for _ in _blocks(path, (checksum, digest)):
         pass
     key = (digest.hexdigest(), alpha)
-    lm = _LMS.pop(key, None)
+    lm = lms.get(key)
     if lm is None:
         again = hashlib.sha256()
         lm = _parse_lm(_blocks(path, (again,)), alpha)
         if again.digest() != digest.digest():
             raise ValueError("lm.tsv changed while it was read")
-    _LMS[key] = lm
-    if len(_LMS) > _LMS_KEPT:
-        del _LMS[next(iter(_LMS))]
+        lms[key] = lm
     return lm
 
 
-def _read_meta(directory: Path) -> tuple[int, str, float, float, str, str]:
+def _read_meta(directory: Path, read: dict[Path, str]) -> tuple[int, str, float, float, str]:
     """meta.tsv's iteration, direction, corpus_loglik, alpha and checksum,
-    each checked, then the sha256 of the bytes read; blank rows are skipped
-    and unknown keys ignored."""
+    each checked; the sha256 of the bytes read is added to ``read``, by
+    path. Blank rows are skipped and unknown keys ignored."""
     if not directory.is_dir():
         raise CheckpointError(f"checkpoint directory not found: {directory}")
     if not (directory / "meta.tsv").is_file():
@@ -855,28 +848,32 @@ def _read_meta(directory: Path) -> tuple[int, str, float, float, str, str]:
             numbers.append(_number(meta[key].encode("utf-8")))
         except ValueError:
             raise CheckpointError(f"bad {key} {meta[key]!r} in meta.tsv of {directory}") from None
-    return (int(meta["iteration"]), meta["direction"], *numbers, meta["checksum"],
-            digest.hexdigest())
+    read[directory / "meta.tsv"] = digest.hexdigest()
+    return int(meta["iteration"]), meta["direction"], *numbers, meta["checksum"]
 
 
 def load_checkpoint(
-    directory: Path | str, meta: tuple[int, str, float, float, str, str] | None = None
+    directory: Path | str, meta: tuple[int, str, float, float, str] | None = None,
+    lms: LoadedLms | None = None, read: dict[Path, str] | None = None,
 ) -> Checkpoint:
     """Load and verify the checkpoint in ``directory``; ``meta`` is what
     ``_read_meta`` gave for it, when its meta.tsv has been read already.
+    ``lms`` and ``read``, which a direct call gets fresh, are what the loads
+    of one index share: its LMs (``_load_lm``), and the sha256 of each file
+    read, by path, to which this load adds those of its own files.
 
     Each file is read in chunks of ``_CHUNK`` bytes, and each chunk feeds
-    the checksum (over the bytes on disk), the file's own sha256, recorded
-    in ``Checkpoint.digests``, and the row parser; no whole file, list of its
-    lines or copy of it is held. lexicon.tsv and meta.tsv are read once;
-    lm.tsv is hashed, and read a second time only when its LM is not
-    memoized (``_load_lm``). A malformed row is reported only once the
-    checksum holds: a file whose checksum fails is reported as that.
+    the checksum (over the bytes on disk), the file's own sha256 and the row
+    parser; no whole file, list of its lines or copy of it is held.
+    lexicon.tsv and meta.tsv are read once; lm.tsv is hashed, and read a
+    second time only when its LM is not in ``lms``. A malformed row is
+    reported only once the checksum holds: a file whose checksum fails is
+    reported as that.
     """
     directory = Path(directory)
-    iteration, direction, corpus_loglik, alpha, expected, meta_digest = (
-        meta or _read_meta(directory)
-    )
+    lms = {} if lms is None else lms
+    read = {} if read is None else read
+    iteration, direction, corpus_loglik, alpha, expected = meta or _read_meta(directory, read)
     digests = {name: hashlib.sha256() for name in ("lexicon.tsv", "lm.tsv")}  # in read order
     for name in digests:
         if not (directory / name).is_file():
@@ -893,23 +890,21 @@ def load_checkpoint(
             pass
     checksum.update(b"\x00")
     try:
-        lm = _load_lm(directory / "lm.tsv", alpha, checksum, digests["lm.tsv"])
+        lm = _load_lm(directory / "lm.tsv", alpha, checksum, digests["lm.tsv"], lms)
     except ValueError as exc:
         problems.append(exc)
     if expected != checksum.hexdigest():
         raise CheckpointError(f"checksum mismatch for checkpoint {directory}")
     if problems:
         raise CheckpointError(f"{problems[0]} (in {directory})")
-    ckpt = Checkpoint(
+    read.update((directory / name, digest.hexdigest()) for name, digest in digests.items())
+    return Checkpoint(
         iteration=iteration,
         lexicon=lexicon,
         lm=lm,
         corpus_loglik=corpus_loglik,
         direction=direction,
     )
-    ckpt.digests.update((directory / name, digest.hexdigest()) for name, digest in digests.items())
-    ckpt.digests[directory / "meta.tsv"] = meta_digest
-    return ckpt
 
 
 def checkpoint_name(iteration: int) -> str:
@@ -930,29 +925,34 @@ def _write_series_index(
 
 def read_index(
     directory: Path | str, series: bool
-) -> tuple[str, list[Callable[[], Checkpoint]], Path, str]:
+) -> tuple[str, list[Callable[[], Checkpoint]], Path, dict[Path, str]]:
     """Read a model's index once: a series' series.tsv, or with ``series``
     false a lone checkpoint's meta.tsv. Returns the model's direction, one
     loader per checkpoint the index lists, oldest first, the index's path
-    and the sha256 of the bytes read.
+    and the sha256 of each file read, by path: the index's, then those of
+    each checkpoint loaded. The loaders share their LMs (``_load_lm``).
 
     Nothing else is read until a loader is called. A series' loader checks
     its checkpoint against its index row (iteration, direction and
     log-likelihood); a lone checkpoint's loader reuses the meta.tsv values
-    and digest read here. series.tsv's rows are split on LF alone and each
+    read here. series.tsv's rows are split on LF alone and each
     log-likelihood must be a plain ASCII number (``_number``), so a CRLF
     copy, or a value with surrounding whitespace or ``_``, is malformed.
     """
     directory = Path(directory)
+    lms: LoadedLms = {}
+    read: dict[Path, str] = {}
     if not series:
-        meta = _read_meta(directory)
-        return meta[1], [lambda: load_checkpoint(directory, meta)], directory / "meta.tsv", meta[5]
+        meta = _read_meta(directory, read)
+        return (meta[1], [lambda: load_checkpoint(directory, meta, lms, read)],
+                directory / "meta.tsv", read)
     if not directory.is_dir():
         raise CheckpointError(f"checkpoint series directory not found: {directory}")
     path = directory / SERIES_INDEX
     if not path.is_file():
         raise CheckpointError(f"missing series index: {path}")
     data = path.read_bytes()
+    read[path] = hashlib.sha256(data).hexdigest()
     try:
         lines = data.decode("utf-8").removesuffix("\n").split("\n")
     except UnicodeDecodeError:
@@ -982,7 +982,7 @@ def read_index(
 
     def load(iteration: int, loglik: float) -> Checkpoint:
         ckpt_dir = directory / checkpoint_name(iteration)
-        ckpt = load_checkpoint(ckpt_dir)
+        ckpt = load_checkpoint(ckpt_dir, None, lms, read)
         if (ckpt.iteration, ckpt.direction, ckpt.corpus_loglik) != (iteration, direction, loglik):
             raise CheckpointError(
                 f"{ckpt_dir} (iteration {ckpt.iteration}, {ckpt.direction}, loglik "
@@ -991,8 +991,7 @@ def read_index(
             )
         return ckpt
 
-    loaders = [functools.partial(load, *row) for row in rows]
-    return direction, loaders, path, hashlib.sha256(data).hexdigest()
+    return direction, [functools.partial(load, *row) for row in rows], path, read
 
 
 def load_series(directory: Path | str) -> tuple[Checkpoint, ...]:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import stapleforge.methods as methods
+import stapleforge.textproc as textproc
 import stapleforge.translator as translator
 from stapleforge import __version__
 from oracles import FULL_WIDTH_DIGITS, first_value_rewritten, rewrite_model_file
@@ -494,6 +495,33 @@ class TestBpe:
                         "--out", str(seg)]) == 0
         assert run_cli(["bpe", "decode", "--input", str(seg), "--out", str(back)]) == 0
         assert back.read_text() == inp.read_text()
+
+    def test_apply_segments_each_distinct_word_once(self, fixtures_path, tmp_path,
+                                                    monkeypatch):
+        """Each line used to be applied with a cache of its own, so a word
+        was segmented again on every line that held it."""
+        model = tmp_path / "bpe.model"
+        assert run_cli(["bpe", "learn", "--input", str(fixtures_path / "bpe_words.txt"),
+                        "--merges", "10", "--out", str(model)]) == 0
+        segmented: Counter[str] = Counter()
+        real_segment = textproc._segment_word
+
+        def segment(word, ranks):
+            segmented[word] += 1
+            return real_segment(word, ranks)
+
+        monkeypatch.setattr(textproc, "_segment_word", segment)
+        inp = tmp_path / "in.txt"
+        inp.write_text("low lower low\nlowest low\n\nlower newest\n", encoding="utf-8")
+        out = tmp_path / "seg.txt"
+        assert run_cli(["bpe", "apply", "--model", str(model), "--input", str(inp),
+                        "--out", str(out)]) == 0
+        assert segmented == {"low": 1, "lower": 1, "lowest": 1, "newest": 1}
+        monkeypatch.undo()
+        words = [textproc.bpe_apply(textproc.load_bpe(model.read_text(encoding="utf-8")),
+                                    line.split())
+                 for line in inp.read_text(encoding="utf-8").splitlines()]
+        assert out.read_text(encoding="utf-8") == "".join(" ".join(w) + "\n" for w in words)
 
     def test_bad_model_file_exits_2(self, tmp_path):
         model = tmp_path / "bad.model"
@@ -995,9 +1023,9 @@ def loads(monkeypatch):
     counts: Counter[str] = Counter()
     real_load = translator.load_checkpoint
 
-    def counting_load(directory):
+    def counting_load(directory, *args):
         counts[Path(directory).parent.name] += 1
-        return real_load(directory)
+        return real_load(directory, *args)
 
     monkeypatch.setattr(translator, "load_checkpoint", counting_load)
     return counts
@@ -1082,9 +1110,8 @@ class TestSeriesLoading:
         so does each index reader: a series' series.tsv, or a lone
         checkpoint's meta.tsv, which its load reuses. The manifest used to
         read and hash every loaded file, and each series.tsv, a second time.
-        The LM memo starts empty, as in a fresh process, so the first lm.tsv
-        of each model is read twice: hashed, then parsed on the memo miss."""
-        monkeypatch.setattr(translator, "_LMS", {})
+        The first lm.tsv of each model is read twice: hashed, then parsed,
+        since no LM of the model is loaded yet."""
         paths = {"fwd": str(trained_world / "fwd"), "bwd": str(trained_world / "bwd"),
                  "gold": str(fixtures_path / "toy_gold.txt")}
         rc = run_cli([*(arg.format(**paths) for arg in argv),
@@ -1105,6 +1132,26 @@ class TestSeriesLoading:
             opened = Counter((Path(path).name, times) for path, times in opens.items()
                              if path.startswith(paths[model] + os.sep))
             assert opened == +expected, model
+
+    def test_a_second_run_reads_what_the_first_did(
+        self, trained_world, fixtures_path, tmp_path, opens
+    ):
+        """A command run twice in one process opens each model file as often
+        the second time as the first, as a fresh process does. A process-wide
+        LM memo used to let the second run skip parsing each model's lm.tsv."""
+        argv = ["generate", "--method", "paraphrase", "--series", str(trained_world / "fwd"),
+                "--bwd-series", str(trained_world / "bwd"),
+                "--prompts", str(fixtures_path / "toy_prompts.txt")]
+        runs = []
+        for out in ("first.txt", "second.txt"):
+            opens.clear()
+            assert run_cli([*argv, "--out", str(tmp_path / out)]) == 0
+            runs.append({path: times for path, times in opens.items()
+                         if path.startswith(str(trained_world) + os.sep)})
+        first, second = runs
+        assert second == first
+        for model in ("fwd", "bwd"):
+            assert first[str(trained_world / model / "ckpt-0005" / "lm.tsv")] == 2
 
     @pytest.mark.parametrize(
         "argv, resident",
@@ -1127,8 +1174,8 @@ class TestSeriesLoading:
 
         real_load, real_decode = translator.load_checkpoint, methods.decode_nbest
 
-        def load(directory):
-            ckpt = real_load(directory)
+        def load(directory, *args):
+            ckpt = real_load(directory, *args)
             loads[f"{Path(directory).parent.name}/{Path(directory).name}"] += 1
             loaded.append(weakref.ref(ckpt))
             note_alive()

@@ -7,7 +7,9 @@ canonical strings and never call ``normalize`` themselves. Every source
 file, tests included, parses as Python 3.10, the oldest version README
 supports. No module binds a name at top level that it never reads, and
 test-only API stays under tests/: every public function, class, method and
-property of the package is read by the package or traced by the benchmark."""
+property of the package is read by the package or traced by the benchmark.
+No function changes module-level state, apart from two memos of pure
+functions, so no result depends on what ran before it in the process."""
 
 from __future__ import annotations
 
@@ -124,3 +126,49 @@ def test_every_public_definition_is_read_by_the_package():
     unread = {f"{path.stem}.{name}" for path in sources for name in public_definitions(path)
               if name.split(".")[-1] not in read and f"{path.stem}.{name}" not in traced}
     assert unread == set()
+
+
+MUTATORS = {"update", "pop", "clear", "setdefault", "add", "append"}
+# each memoizes a pure function of its key, a word's canonical check and its
+# interned string, so what is in it never changes a result
+MODULE_MEMOS = {"translator._WORDS", "translator._CANONICAL_WORDS"}
+
+
+def module_state_mutated(path: Path) -> set[str]:
+    """The module-level names that a function of the module assigns or
+    deletes an item of, or calls a mutating method of (``MUTATORS``), where
+    the function does not bind the name itself."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    top = {name.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+           for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+           for name in ast.walk(target) if isinstance(name, ast.Name)}
+    mutated: set[str] = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        nodes = list(ast.walk(function))
+        local = {arg.arg for node in nodes if isinstance(node, ast.arguments)
+                 for arg in (*node.posonlyargs, *node.args, *node.kwonlyargs,
+                             *filter(None, (node.vararg, node.kwarg)))}
+        local |= {node.id for node in nodes
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        local -= {name for node in nodes if isinstance(node, ast.Global) for name in node.names}
+        for node in nodes:
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in MUTATORS:
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in top - local:
+                mutated.add(f"{path.stem}.{target.id}")
+    return mutated
+
+
+def test_no_function_changes_module_state():
+    """A process-wide cache, such as the LM memo that once made a command's
+    reads depend on the commands before it, fails here: what a call shares
+    with later calls belongs to an object its caller holds."""
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
+    assert set().union(*(module_state_mutated(path) for path in sources)) == MODULE_MEMOS

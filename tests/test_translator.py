@@ -517,12 +517,12 @@ class TestStreamingLoad:
 
     def test_digests_are_each_files_sha256(self, hand_series, tmp_path):
         ckpt_dir = tmp_path / "series" / "ckpt-0002"
-        ckpt = load_checkpoint(ckpt_dir)
-        assert ckpt.digests == {
+        read = {}
+        assert load_checkpoint(ckpt_dir, None, None, read) == hand_series[1]
+        assert read == {
             ckpt_dir / name: hashlib.sha256((ckpt_dir / name).read_bytes()).hexdigest()
             for name in ("lexicon.tsv", "lm.tsv", "meta.tsv")
         }
-        assert ckpt == hand_series[1]  # digests do not take part in equality
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
     def test_any_chunk_size_loads_the_same_checkpoint(self, tmp_path, monkeypatch, chunk):
@@ -538,14 +538,12 @@ class TestStreamingLoad:
         text = (ckpt_dir / "lm.tsv").read_text(encoding="utf-8")
         expected = load_checkpoint(ckpt_dir)
         monkeypatch.setattr(translator, "_CHUNK", chunk)
-        monkeypatch.setattr(translator, "_LMS", {})
         assert load_checkpoint(ckpt_dir) == expected
         rewrite_model_file(ckpt_dir, "lm.tsv", text.rstrip("\n"))
-        monkeypatch.setattr(translator, "_LMS", {})
         assert load_checkpoint(ckpt_dir) == expected
 
     def test_lm_is_parsed_once_per_series(self, tmp_path, monkeypatch):
-        """The memo is keyed on lm.tsv's digest and alpha."""
+        """The index's LMs are keyed on lm.tsv's digest and alpha."""
         train_toy(HAND_CORPUS, 3, tmp_path / "s")
         parses = []
         real_parse = translator._parse_lm
@@ -555,7 +553,6 @@ class TestStreamingLoad:
             return real_parse(blocks, alpha)
 
         monkeypatch.setattr(translator, "_parse_lm", parse)
-        monkeypatch.setattr(translator, "_LMS", {})
         load_series(tmp_path / "s")
         assert parses == [0.1]
 
@@ -572,25 +569,32 @@ class TestStreamingLoad:
         assert other.lm == translator._parse_lm(translator._blocks(second / "lm.tsv", ()), 0.1)
 
     def test_lm_changed_between_hash_and_parse_rejected(self, tmp_path, monkeypatch):
-        """lm.tsv is hashed, then read again to be parsed on a memo miss; a
-        file rewritten in between is rejected, and its LM is not memoized."""
+        """lm.tsv is hashed, then read again to be parsed when its model has
+        no such LM yet; a file rewritten in between is rejected, and its LM
+        is not kept: once the file is restored, the same loader parses it
+        afresh and loads."""
         train_toy(HAND_CORPUS, 1, tmp_path / "s")
         ckpt = tmp_path / "s" / "ckpt-0001"
         text = (ckpt / "lm.tsv").read_text(encoding="utf-8")
         digit = re.search(r"[1-8]\n", text).start()
         edited = text[:digit] + str(int(text[digit]) + 1) + text[digit + 1 :]
         real_parse = translator._parse_lm
+        parses = []
 
         def parse(blocks, alpha):
-            (ckpt / "lm.tsv").write_text(edited, encoding="utf-8")  # before the first block
+            parses.append(alpha)
+            if len(parses) == 1:
+                (ckpt / "lm.tsv").write_text(edited, encoding="utf-8")  # before the first block
             return real_parse(blocks, alpha)
 
         monkeypatch.setattr(translator, "_parse_lm", parse)
-        monkeypatch.setattr(translator, "_LMS", {})
+        (load,) = translator.read_index(tmp_path / "s", True)[1]
         with pytest.raises(CheckpointError,
                            match=r"lm.tsv changed while it was read \(in .*ckpt-0001\)"):
-            load_checkpoint(ckpt)
-        assert translator._LMS == {}
+            load()
+        (ckpt / "lm.tsv").write_text(text, encoding="utf-8")
+        assert load() == load_checkpoint(ckpt)
+        assert len(parses) == 3  # the rejected load, the reload, and the fresh load_checkpoint
 
     def test_load_holds_a_bounded_part_of_a_file(self, tmp_path):
         """Loading a checkpoint of 20,000 lexicon rows (about 600 KB) peaks
@@ -643,11 +647,12 @@ class TestNbestPrefix:
 
 def test_models_carry_no_other_side_cache():
     """A model is its values: the only fields a caller cannot set are the
-    checkpoint's three side caches, for the decoder, training's save and the
-    manifest, none of which takes part in equality."""
+    checkpoint's two side caches, for the decoder and training's save,
+    neither of which takes part in equality. The digests of the files a
+    load read belong to its model's index (``read_index``)."""
     assert [f.name for f in dataclasses.fields(translator.BigramLm) if not f.init] == []
     side = [f for f in dataclasses.fields(Checkpoint) if not f.init]
-    assert [f.name for f in side] == ["emissions", "rendered", "digests"]
+    assert [f.name for f in side] == ["emissions", "rendered"]
     assert not any(f.compare for f in side)
 
 
@@ -666,9 +671,11 @@ class TestLoadedModelSharing:
         train_toy(HAND_CORPUS, 2, tmp_path / "fwd")
         train_toy([(tgt, src) for src, tgt in HAND_CORPUS], 1, tmp_path / "bwd",
                   direction="bwd")
-        first = load_checkpoint(tmp_path / "fwd" / "ckpt-0001")
-        bwd = load_checkpoint(tmp_path / "bwd" / "ckpt-0001")
-        second = load_checkpoint(tmp_path / "fwd" / "ckpt-0002")
+        load_first, load_second = translator.read_index(tmp_path / "fwd", True)[1]
+        (load_bwd,) = translator.read_index(tmp_path / "bwd", True)[1]
+        first = load_first()
+        bwd = load_bwd()
+        second = load_second()
         assert second.lm is first.lm
         assert bwd.lm != first.lm
 
@@ -689,7 +696,6 @@ class TestLoadedModelSharing:
         second = tmp_path / "s" / "ckpt-0002"
         text = (second / "lm.tsv").read_text(encoding="utf-8")
         rewrite_model_file(second, "lm.tsv", text.replace("\t", " ", 1))
-        load_checkpoint(tmp_path / "s" / "ckpt-0001")
         with pytest.raises(CheckpointError, match=r"corrupt lm.tsv row 1: .* \(in .*ckpt-0002\)"):
             load_series(tmp_path / "s")
 
@@ -1009,9 +1015,12 @@ class TestSeriesIndex:
 
     def test_index_digest_is_of_the_bytes_read(self, hand_series, tmp_path):
         path = tmp_path / "series" / "series.tsv"
-        direction, loaders, index, digest = translator.read_index(tmp_path / "series", True)
-        assert (index, digest) == (path, hashlib.sha256(path.read_bytes()).hexdigest())
+        direction, loaders, index, read = translator.read_index(tmp_path / "series", True)
+        assert (index, read) == (path, {path: hashlib.sha256(path.read_bytes()).hexdigest()})
         assert [load() for load in loaders] == list(hand_series)
+        assert list(read)[0] == path
+        assert {p.parent.name for p in read if p != path} == {
+            f"ckpt-{c.iteration:04d}" for c in hand_series}
 
     def test_iteration_zero_row_rejected(self, hand_series, tmp_path):
         """Iterations count from 1."""
