@@ -45,12 +45,12 @@ nothing about when it was written.
 Every command handles its files one way, through a ``Run``. An empty path
 argument is a usage error. The output paths, sidecars included, are checked
 before any input is read: one that cannot be written, that is the same file
-as a text input the command reads, or that lies inside a model directory it
-reads, exits 2 with nothing written. Each text input is read once and hashed
-from the bytes parsed, each output is written once and hashed from the bytes
-written. A model's checksum covers its index and every file under each
-checkpoint loaded, and is taken after decoding, before the first write
-(``_load_model``).
+as a text input the command reads or as a file under a model directory it
+reads, or that lies inside such a directory, exits 2 with nothing written.
+Each text input is read once and hashed from the bytes parsed, each output is
+written once and hashed from the bytes written. A model's checksum covers its
+index and every file under each checkpoint loaded, and is taken after
+decoding, before the first write (``_load_model``).
 ``score`` with no gold prompt in the predictions, and ``sweep`` with no prompt
 in the gold, exit 3 with nothing written.
 
@@ -122,11 +122,11 @@ class Run:
     writable directory; the ``directory`` that ``train`` fills must be a
     writable directory or a new one under the nearest existing, writable
     directory. Each input read is refused if it is the same file as one of
-    them, and each model if one of them lies inside its directory, so an
-    output never replaces what its command read. With no ``out``, the output
-    goes to stdout. A ``key`` names the manifest row of an input, output or
-    model, which is hashed only when given; ``models`` holds the checksum
-    functions of ``_load_model``, by key.
+    them, and each model if one of them lies inside its directory or is the
+    same file as one under it, so an output never replaces what its command
+    read. With no ``out``, the output goes to stdout. A ``key`` names the
+    manifest row of an input, output or model, which is hashed only when
+    given; ``models`` holds the checksum functions of ``_load_model``, by key.
     """
 
     def __init__(self, out: str | None, *sidecars: str, directory: bool = False) -> None:
@@ -174,12 +174,16 @@ class Run:
         self, key: str, ckpt_arg: str | None, series_arg: str | None, direction: str
     ) -> list[Decoder]:
         """The decoders of the model at ``ckpt_arg`` or ``series_arg``
-        (``_load_model``), once no output lies inside its directory; its
-        checksum is recorded under ``key`` at the first write."""
+        (``_load_model``), once no output lies inside its directory or is
+        the same file as one under it, such as a hard link; its checksum is
+        recorded under ``key`` at the first write."""
         root = series_arg if ckpt_arg is None else ckpt_arg
         for target in self.targets:
             if target.resolve().is_relative_to(Path(root).resolve()):
                 raise ValidationError(f"cannot write {target}: it is inside the model {root}")
+            for path in Path(root).rglob("*") if target.exists() else ():
+                if path.is_file() and os.path.samefile(path, target):
+                    raise ValidationError(f"cannot write {target}: it is the model file {path}")
         decoders, self.models[key] = _load_model(root, ckpt_arg is None, direction)
         return decoders
 

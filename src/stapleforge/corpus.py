@@ -49,6 +49,16 @@ WEIGHT_SUM_TOLERANCE = 1e-6
 WEIGHT_LITERAL = re.compile(r"[0-9]+(?:\.[0-9]{1,6})?")
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0: the package's one float total,
+    the same on every Python version, where builtin ``sum`` of floats is
+    compensated since 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
@@ -120,10 +130,7 @@ class GoldSet:
 
     @property
     def total_weight(self) -> float:
-        total = 0.0
-        for t in self.translations:
-            total += t.weight
-        return total
+        return ordered_sum(t.weight for t in self.translations)
 
 
 @dataclass(frozen=True)
@@ -198,7 +205,6 @@ def parse_gold(stream: str) -> list[GoldSet]:
             raise ValidationError(f"empty block for prompt {prompt.id!r}", header_lineno)
         translations: list[WeightedTranslation] = []
         seen: dict[str, str] = {}
-        total = 0.0
         for lineno, line in block[1:]:
             if "|" not in line:
                 raise ParseError(f"expected 'translation|weight': {line!r}", lineno)
@@ -224,7 +230,7 @@ def parse_gold(stream: str) -> list[GoldSet]:
                 translations.append(WeightedTranslation(text=text, weight=weight))
             except ValidationError as exc:
                 raise ValidationError(str(exc), lineno) from None
-            total += weight
+        total = ordered_sum(t.weight for t in translations)
         if total > 1.0 + WEIGHT_SUM_TOLERANCE:
             raise ValidationError(
                 f"weights for prompt {prompt.id!r} sum to {total}, above 1", header_lineno

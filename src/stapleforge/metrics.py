@@ -11,8 +11,9 @@ score is the arithmetic mean of per-prompt F1 over the gold prompts.
 Any score whose denominator is zero is defined as 0, which makes the metric
 total (an empty prediction set scores 0). The weighted-recall denominator is
 computed as the direct sum of all gold weights, identical to WTP+WFN in real
-arithmetic; this keeps recall exactly monotone (as floats) when a prediction
-set grows, a property the ensemble method relies on.
+arithmetic; both are ``corpus.ordered_sum`` totals in gold order, so recall
+is exactly monotone (as floats) when a prediction set grows, a property the
+ensemble method relies on, on every Python version.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import logging
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
-from .corpus import GoldSet, PredictionSet
+from .corpus import GoldSet, PredictionSet, ordered_sum
 from .errors import ValidationError
 
 log = logging.getLogger(__name__)
@@ -52,11 +53,8 @@ def score_prompt(gold: GoldSet, pred: PredictionSet) -> PromptScore:
     predicted = set(pred.candidates)
     tp = len(predicted.intersection(t.text for t in gold.translations))
     precision = tp / len(pred.candidates) if pred.candidates else 0.0
-    wtp = 0.0
     # sum in gold order so wtp is float-monotone under prediction growth
-    for t in gold.translations:
-        if t.text in predicted:
-            wtp += t.weight
+    wtp = ordered_sum(t.weight for t in gold.translations if t.text in predicted)
     total = gold.total_weight
     weighted_recall = wtp / total if total > 0.0 else 0.0
     if precision > 0.0 and weighted_recall > 0.0:
@@ -87,17 +85,10 @@ def score_corpus(golds: Sequence[GoldSet], preds: Sequence[PredictionSet]) -> Co
         pred = by_id.get(gold.prompt.id, PredictionSet(prompt_id=gold.prompt.id, candidates=()))
         scores.append(score_prompt(gold, pred))
     n = len(scores)
-    sum_f1 = 0.0
-    sum_p = 0.0
-    sum_wr = 0.0
-    for s in scores:
-        sum_f1 += s.weighted_f1
-        sum_p += s.precision
-        sum_wr += s.weighted_recall
     return CorpusScore(
-        macro_f1=sum_f1 / n if n else 0.0,
-        mean_precision=sum_p / n if n else 0.0,
-        mean_weighted_recall=sum_wr / n if n else 0.0,
+        macro_f1=ordered_sum(s.weighted_f1 for s in scores) / n if n else 0.0,
+        mean_precision=ordered_sum(s.precision for s in scores) / n if n else 0.0,
+        mean_weighted_recall=ordered_sum(s.weighted_recall for s in scores) / n if n else 0.0,
         per_prompt=tuple(scores),
     )
 

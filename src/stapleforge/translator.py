@@ -32,7 +32,8 @@ block per source word, never joined, for save_checkpoint to write; and
 lm.tsv is rendered once per series, from each value's ``repr``
 (``_lm_text``). Training keeps no checkpoint once it is saved, so it holds one
 lexicon and its text at a time, however many iterations it runs. Every file
-is byte-identical to rendering each checkpoint on its own.
+is byte-identical to rendering each checkpoint on its own, and, as both steps
+total floats left to right (``corpus.ordered_sum``), on every Python version.
 On-disk layout, one directory per checkpoint:
 
     meta.tsv     key<TAB>value rows: iteration, direction, corpus_loglik,
@@ -124,6 +125,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .corpus import ordered_sum
 from .errors import CheckpointError, ValidationError
 from .textproc import TokenSeq, sentence_tokens
 
@@ -303,6 +305,7 @@ def corpus_loglikelihood(
     lexicon: LexiconTable, parallel: Sequence[tuple[TokenSeq, TokenSeq]]
 ) -> float:
     """Sum over pairs of sum_j log((1/l) * sum_i t(f_j | e_i)), no NULL word."""
+    # both sums add left to right from 0.0, as corpus.ordered_sum does
     total = 0.0
     for src, tgt in parallel:
         if not src or not tgt:
@@ -435,6 +438,8 @@ def _expected_counts(
     """The E-step: fractional counts under ``lexicon``, each row starting at
     zero with the key order of the lexicon row it reads, and its
     ``corpus_loglikelihood``, added up from the same sums in the same order."""
+    # z and loglik add left to right from 0.0, as corpus.ordered_sum does,
+    # inline in the loops that do the E-step's work
     counts = {e: dict.fromkeys(row, 0.0) for e, row in lexicon.items()}
     loglik = 0.0
     log = math.log
@@ -458,8 +463,8 @@ def _renormalize(
     """The M-step, in place: ``counts`` becomes the quantized lexicon, and
     its lexicon.tsv text is built beside it, one block per source word.
 
-    A row's total is summed before any of its counts is replaced, in the
-    order they were summed in. Each value is formatted once
+    A row's total (``corpus.ordered_sum``) is taken before any count is
+    replaced, in the order they were summed in. Each value is formatted once
     (``_format_value``), for both the lexicon and the text. The blocks are
     never joined, so the text is held once and in small pieces: one buffer
     of the whole text, grown as it is built, fragments the heap, and the
@@ -468,7 +473,7 @@ def _renormalize(
     blocks = []
     for e, targets in support.items():
         row = counts[e]
-        norm = sum(row.values())
+        norm = ordered_sum(row.values())
         lines = []
         for f in targets:
             row[f], value = _format_value(row[f] / norm)
@@ -754,7 +759,7 @@ def _parse_lexicon(blocks: Iterable[bytes]) -> LexiconTable:
     distribution."""
     lexicon: LexiconTable = dict(_rows(blocks, "lexicon.tsv"))
     for e, row in lexicon.items():
-        total = sum(row.values())
+        total = ordered_sum(row.values())
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"lexicon row for {e!r} sums to {total!r}, expected 1")
         if min(row.values()) < 0.0:

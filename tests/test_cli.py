@@ -1823,6 +1823,38 @@ def test_output_inside_a_model_exits_2_and_writes_nothing(
     assert list((tmp_path / "run").iterdir()) == []
 
 
+@pytest.mark.parametrize("name, flag, member, suffix, link", [
+    ("generate", "--series", "ckpt-0005/lexicon.tsv", "", "hard"),
+    ("generate", "--bwd-series", "series.tsv", ".warnings.tsv", "hard"),
+    ("sweep", "--series", "ckpt-0001/meta.tsv", "", "hard"),
+    ("sweep", "--bwd-series", "series.tsv", ".manifest.tsv", "symbolic"),
+])
+def test_output_that_is_a_model_file_exits_2_and_writes_nothing(
+    path_args, tmp_path, capsys, name, flag, member, suffix, link
+):
+    """An output or sidecar that is the same file as a model file, by a hard
+    link outside the model or a link of the model's to it, used to pass as
+    not inside the model: generate and sweep exited 0 having written over
+    it, and the next load of the model failed its checksum."""
+    argv = [arg.format(**path_args) for arg in _PATH_ARGVS[name]]
+    i = argv.index(flag) + 1
+    model = tmp_path / "model"
+    shutil.copytree(argv[i], model)
+    argv[i] = str(model)
+    target = tmp_path / "run" / f"out{suffix}"
+    if link == "hard":
+        os.link(model / member, target)
+    else:
+        (model / member).replace(target)
+        (model / member).symlink_to(target)
+    before = {p: p.read_bytes() for p in model.rglob("*") if p.is_file()}
+    assert run_cli(argv) == 2
+    assert (f"cannot write {target}: it is the model file {model / member}"
+            in capsys.readouterr().err)
+    assert {p: p.read_bytes() for p in model.rglob("*") if p.is_file()} == before
+    assert list((tmp_path / "run").iterdir()) == [target]
+
+
 class TestDisjointIds:
     """Inputs that share no prompt id exit 3, the empty-work code, with
     nothing written; they used to exit 0 with a score of zero."""
@@ -1904,3 +1936,59 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     # warnings and manifests; a table and its manifest
     assert len(trees[0]) == 2 * (5 * 3 + 1) + 3 * 3 + 2
     assert trees[0] == trees[1]
+
+
+# prints the real path and the version of the interpreter running it
+_PROBE = "import os, sys; print(os.path.realpath(sys.executable), *sys.version_info[:2])"
+
+
+def other_interpreters() -> list[str]:
+    """Every Python 3.10-3.13 found other than the running one: the
+    ``python3.1N`` names on PATH, and pyenv's installed versions, that start.
+    A pyenv shim of a version not selected is on PATH but does not start."""
+    candidates = [shutil.which(f"python3.{minor}") for minor in range(10, 14)]
+    candidates += sorted(map(str, (Path.home() / ".pyenv" / "versions").glob("*/bin/python3")))
+    probes = {exe: subprocess.Popen([exe, "-I", "-c", _PROBE], stdout=subprocess.PIPE,
+                                    stderr=subprocess.DEVNULL, text=True)
+              for exe in dict.fromkeys(filter(None, candidates))}
+    seen = {os.path.realpath(sys.executable)}
+    found = []
+    for exe, probe in probes.items():
+        out = probe.communicate(timeout=60)[0].split()
+        if probe.returncode or len(out) != 3 or not 10 <= int(out[2]) <= 13 or out[0] in seen:
+            continue
+        seen.add(out[0])
+        found.append(exe)
+    return found
+
+
+def test_training_does_not_depend_on_the_python_version(tmp_path):
+    """Builtin ``sum`` of floats adds differently since Python 3.12; a
+    series trained under any other Python 3.10-3.13 found on this host must
+    hold the bytes the running interpreter writes."""
+    from test_translator import order_referee_corpus
+
+    others = other_interpreters()
+    if not others:
+        pytest.skip("no other Python 3.10-3.13 found")
+    parallel = tmp_path / "parallel.tsv"
+    parallel.write_text("".join(f"{' '.join(src)}\t{' '.join(tgt)}\n"
+                                for src, tgt in order_referee_corpus()), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(TESTS_DIR.parent / "src")}
+    children = {
+        exe: subprocess.Popen([exe, "-m", "stapleforge.cli", "train", "--parallel", str(parallel),
+                               "--iterations", "4", "--out", str(tmp_path / str(i))],
+                              env=env, stderr=subprocess.PIPE, text=True)
+        for i, exe in enumerate(others)
+    }
+    assert run_cli(["train", "--parallel", str(parallel), "--iterations", "4",
+                    "--out", str(tmp_path / "here")]) == 0
+    expected = {p.relative_to(tmp_path / "here"): p.read_bytes()
+                for p in (tmp_path / "here").rglob("*") if p.is_file()}
+    assert len(expected) == 4 * 3 + 1
+    errors = {exe: child.communicate(timeout=120)[1] for exe, child in children.items()}
+    for i, (exe, child) in enumerate(children.items()):
+        assert child.returncode == 0, (exe, errors[exe])
+        root = tmp_path / str(i)
+        assert {p.relative_to(root): p.read_bytes()
+                for p in root.rglob("*") if p.is_file()} == expected, exe

@@ -9,7 +9,8 @@ supports. No module binds a name at top level that it never reads, and
 test-only API stays under tests/: every public function, class, method and
 property of the package is read by the package or traced by the benchmark.
 No function changes module-level state, apart from two memos of pure
-functions, so no result depends on what ran before it in the process."""
+functions, so no result depends on what ran before it in the process. Builtin
+``sum`` totals ints only, so no float total depends on the Python version."""
 
 from __future__ import annotations
 
@@ -172,3 +173,17 @@ def test_no_function_changes_module_state():
     with later calls belongs to an object its caller holds."""
     sources = sorted(PACKAGE_DIR.glob("*.py"))
     assert set().union(*(module_state_mutated(path) for path in sources)) == MODULE_MEMOS
+
+
+def test_builtin_sum_totals_only_ints():
+    """Builtin ``sum`` of floats compensates its rounding since Python 3.12,
+    so its float totals change with the version; the package totals floats
+    with ``corpus.ordered_sum``, and the one ``sum`` left counts LM events."""
+    callers = {f"{path.stem}.{func.name}"
+               for path in PACKAGE_DIR.glob("*.py")
+               for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+               if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "sum"}
+    assert callers == {"translator.build_bigram_lm"}

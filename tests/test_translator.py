@@ -797,6 +797,23 @@ class TestTrainingExactness:
         }
         assert found == recorded
 
+    def test_series_does_not_depend_on_how_builtin_sum_adds(self, tmp_path, monkeypatch):
+        """Builtin ``sum`` compensates float rounding since Python 3.12, so a
+        float total it takes differs between versions; training totals with
+        ``corpus.ordered_sum`` alone. Shadowing ``sum`` in the module with
+        ``math.fsum``, which rounds once like a compensated sum, must leave
+        every file of a 4-iteration series, both ways, unchanged."""
+        pairs = order_referee_corpus()
+
+        def train(root):
+            train_toy(pairs, 4, root / "fwd")
+            train_toy([(tgt, src) for src, tgt in pairs], 4, root / "bwd", direction="bwd")
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        plain = train(tmp_path / "plain")
+        monkeypatch.setattr(translator, "sum", math.fsum, raising=False)
+        assert train(tmp_path / "fsum") == plain
+
     def test_fixture_logliks_are_the_standalone_sums(self, toy_fwd_series, toy_bwd_series):
         for series, swap in ((toy_fwd_series, False), (toy_bwd_series, True)):
             pairs = load_toy_pairs(swap)
