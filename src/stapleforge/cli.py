@@ -17,10 +17,10 @@ sentences in it, so ``score`` and ``sweep`` compare plain strings.
 ``generate`` and every ``sweep`` cell run a method through the one entry
 point ``methods.predict``; a sweep cell whose method cannot run on the models
 given (paraphrase without ``--bwd-series``, ``m`` beyond the series) is an NA
-row. Every model is read one way, through its index: a series' ``series.tsv``
-or a ``--ckpt``'s own ``meta.tsv``. Both commands read each index and refuse
-a forward model that is not ``fwd`` or a backward one that is not ``bwd`` up
-front, whatever the method, then hand ``predict`` one decoder
+row. Every model is opened by ``Run.model``, through its index: a series'
+``series.tsv`` or a ``--ckpt``'s own ``meta.tsv``. Both commands read each
+index and refuse a forward model that is not ``fwd`` or a backward one that
+is not ``bwd`` up front, whatever the method, then hand ``predict`` one decoder
 (``methods.Decoder``) per listed checkpoint, which loads its checkpoint when
 it is first decoded with, once per command: ``predict`` alone decides which
 ones a method reads, and a checkpoint nothing reads is never loaded, so of a
@@ -50,9 +50,10 @@ reads, or that lies inside such a directory, exits 2 with nothing written.
 Each text input is read once and hashed from the bytes parsed, each output is
 written once and hashed from the bytes written. A model's checksum covers its
 index and every file under each checkpoint loaded, and is taken after
-decoding, before the first write (``_load_model``).
-``score`` with no gold prompt in the predictions, and ``sweep`` with no prompt
-in the gold, exit 3 with nothing written.
+decoding, before the first write (``Run.write``).
+``score`` with no gold prompt in the predictions, ``sweep`` with no prompt in
+the gold, and ``sweep`` with an empty grid, before any input is read, exit 3
+with nothing written.
 
 Exit codes: 0 success, 2 input/validation error, 3 empty-work error,
 1 internal error (its traceback goes to stderr).
@@ -70,7 +71,7 @@ import time
 import traceback
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import __version__
 from .corpus import parse_gold, parse_predictions, parse_prompts, split_lines, write_predictions
@@ -126,7 +127,7 @@ class Run:
     same file as one under it, so an output never replaces what its command
     read. With no ``out``, the output goes to stdout. A ``key`` names the
     manifest row of an input, output or model, which is hashed only when
-    given; ``models`` holds the checksum functions of ``_load_model``, by key.
+    given; ``models`` holds what ``model`` read of each model, by key.
     """
 
     def __init__(self, out: str | None, *sidecars: str, directory: bool = False) -> None:
@@ -134,7 +135,7 @@ class Run:
         self.out = out
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
-        self.models: dict[str, Callable[[], str]] = {}
+        self.models: dict[str, tuple[Path, Path, dict[Path, str]]] = {}
         self.targets = [] if out is None else [Path(out + s) for s in ("", *sidecars)]
         for target in self.targets:
             if target.exists():
@@ -170,28 +171,38 @@ class Run:
                 f"{path} is not UTF-8: invalid byte at offset {exc.start}"
             ) from None
 
-    def model(
-        self, key: str, ckpt_arg: str | None, series_arg: str | None, direction: str
-    ) -> list[Decoder]:
-        """The decoders of the model at ``ckpt_arg`` or ``series_arg``
-        (``_load_model``), once no output lies inside its directory or is
-        the same file as one under it, such as a hard link; its checksum is
-        recorded under ``key`` at the first write."""
-        root = series_arg if ckpt_arg is None else ckpt_arg
+    def model(self, key: str, root: str, series: bool, direction: str) -> list[Decoder]:
+        """The decoders of the model at ``root``, a series or with ``series``
+        false a lone checkpoint, one per checkpoint its index lists, oldest
+        first, once no output lies inside its directory or is the same file
+        as one under it, such as a hard link. Only the index
+        (``translator.read_index``) is read here, and its direction must be
+        ``direction``, so a swapped pair of models is refused before any
+        decode; each checkpoint loads when first decoded with, so a missing
+        or corrupt one is found then. What the first write needs for the
+        model's checksum is kept under ``key``."""
+        path = Path(root)
         for target in self.targets:
-            if target.resolve().is_relative_to(Path(root).resolve()):
+            if target.resolve().is_relative_to(path.resolve()):
                 raise ValidationError(f"cannot write {target}: it is inside the model {root}")
-            for path in Path(root).rglob("*") if target.exists() else ():
-                if path.is_file() and os.path.samefile(path, target):
-                    raise ValidationError(f"cannot write {target}: it is the model file {path}")
-        decoders, self.models[key] = _load_model(root, ckpt_arg is None, direction)
-        return decoders
+            for file in path.rglob("*") if target.exists() else ():
+                if file.is_file() and os.path.samefile(file, target):
+                    raise ValidationError(f"cannot write {target}: it is the model file {file}")
+        found, loaders, index, read = read_index(path, series)
+        if found != direction:
+            raise ValidationError(f"{path} is a {found} model, expected a {direction} one")
+        self.models[key] = (path, index, read)
+        return [Decoder(load, direction) for load in loaders]
 
     def write(self, text: str, suffix: str = "", key: str | None = None) -> None:
         """Write ``text`` to ``<out><suffix>``, or to stdout with no ``out``;
         ``key`` records the digest of the bytes written. The first write takes
-        the model checksums, once decoding is done."""
-        self.inputs.update((name, checksum()) for name, checksum in self.models.items())
+        the model checksums, once decoding is done: each covers the index and
+        every file under each checkpoint loaded, a file a loader read by the
+        digest it took, so the checksum describes the bytes decoded with."""
+        for name, (path, index, read) in self.models.items():
+            loaded = {str(p.parent.relative_to(path)) for p in read if p != index}
+            self.inputs[name] = sha256_path(path, sorted({index.name, *loaded}), read)
         self.models.clear()
         if self.out is None:
             sys.stdout.write(text)
@@ -266,47 +277,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_model(
-    root: str, series: bool, direction: str
-) -> tuple[list[Decoder], Callable[[], str]]:
-    """The decoders of a model, one per checkpoint, oldest first, and a
-    function giving the checksum of its files, to be called once decoding is
-    done.
-
-    A model is read through its index (``translator.read_index``): a
-    series' series.tsv, or a lone checkpoint's meta.tsv. The index is all
-    that is read here, and its direction must be ``direction``, so a swapped
-    pair of models is refused before any decode; each checkpoint it lists
-    loads when first decoded with, so a missing or corrupt one is found
-    then. The checksum covers the index and every file under each
-    checkpoint loaded: the index keeps the digest of each file its loaders
-    read, taken as it was read, so the checksum describes the bytes parsed
-    and decoded with; every other file is hashed when it is called.
-    """
-    path = Path(root)
-    found, loaders, index, read = read_index(path, series)
-    _check_direction(path, found, direction)
-
-    def checksum() -> str:
-        loaded = {str(p.parent.relative_to(path)) for p in read if p != index}
-        return sha256_path(path, sorted({index.name, *loaded}), read)
-
-    return [Decoder(load, direction) for load in loaders], checksum
-
-
-def _check_direction(path: Path, found: str, expected: str) -> None:
-    if found != expected:
-        raise ValidationError(f"{path} is a {found} model, expected a {expected} one")
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     run = Run(args.out, ".warnings.tsv", ".manifest.tsv")
     prompts = parse_prompts(run.read(args.prompts, "prompts"))
     params = MethodParams(n=args.n, n_prime=args.n_prime, m=args.m, top_k_lexicon=args.top_k)
-    fwd = run.model("model", args.ckpt, args.series, "fwd")
+    fwd = run.model("model", args.ckpt or args.series, args.ckpt is None, "fwd")
+    bwd_root = args.bwd_ckpt or args.bwd_series
     bwd: list[Decoder] = []
-    if args.bwd_ckpt is not None or args.bwd_series is not None:
-        bwd = run.model("bwd_model", args.bwd_ckpt, args.bwd_series, "bwd")
+    if bwd_root is not None:
+        bwd = run.model("bwd_model", bwd_root, args.bwd_ckpt is None, "bwd")
     sets = predict(args.method, fwd, bwd, prompts, params)
 
     buf = io.StringIO()
@@ -332,6 +311,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         *(("paraphrase", f"n'={v}", replace(base, n_prime=v)) for v in args.n_prime_values),
         *(("ensemble", f"m={v}", replace(base, m=v)) for v in args.m_values),
     ]
+    if not cells:
+        log.error("empty sweep specification: nothing to run")
+        return EXIT_EMPTY
     golds = parse_gold(run.read(args.gold, "gold"))
     prompts = parse_prompts(run.read(args.prompts, "prompts"))
     if not {g.prompt.id for g in golds} & {p.id for p in prompts}:
@@ -339,16 +321,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_EMPTY
     # one decoder per checkpoint, shared by every cell; a cell needing more
     # checkpoints than the series holds becomes an NA row
-    fwd = run.model("series", None, args.series, "fwd")
+    fwd = run.model("series", args.series, True, "fwd")
     bwd: list[Decoder] = []
     if args.bwd_series is not None:
-        bwd = run.model("bwd_series", None, args.bwd_series, "bwd")
+        bwd = run.model("bwd_series", args.bwd_series, True, "bwd")
 
-    header = "method\tparam\tprecision\tweighted_recall\tweighted_f1\n"
-    if not cells:
-        run.write(header)
-        log.warning("empty sweep specification: nothing to run")
-        return EXIT_EMPTY
     rows: list[str] = []
     for method, label, params in cells:
         try:
@@ -361,6 +338,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except ValidationError as exc:  # a CheckpointError fails the command
             log.warning("sweep cell %s %s failed: %s", method, label, exc)
             rows.append(f"{method}\t{label}\tNA\tNA\tNA\n")
+    header = "method\tparam\tprecision\tweighted_recall\tweighted_f1\n"
     run.write(header + "".join(rows), key="table")
     run.finish(args, "n_values", "n_prime_values", "m_values", "fixed_n", "top_k")
     if all(row.endswith("\tNA\n") for row in rows):

@@ -7,8 +7,8 @@ class StapleForgeError(Exception):
     """Base class for all toolkit errors."""
 
 
-class ParseError(StapleForgeError):
-    """A stream violates a file format. Carries a 1-based line number when known."""
+class _LineError(StapleForgeError):
+    """An error that carries a 1-based line number when known."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -17,14 +17,12 @@ class ParseError(StapleForgeError):
         super().__init__(message)
 
 
-class ValidationError(StapleForgeError):
+class ParseError(_LineError):
+    """A stream violates a file format."""
+
+
+class ValidationError(_LineError):
     """Well-formed input that violates a documented invariant."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class CheckpointError(StapleForgeError):

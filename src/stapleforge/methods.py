@@ -2,10 +2,12 @@
 multi-checkpoint ensembles.
 
 ``predict`` is the one entry point, and the one place that knows which of a
-model's checkpoints a method reads. Methods decode through a ``Decoder`` per
-checkpoint, which loads its checkpoint when it is first decoded with and
-memoizes each source's n-best list per n, so the decoders a sweep shares
-across its cells decode each request once. Each method is one per-prompt
+model's checkpoints a method reads. Every decode request of every method
+goes through ``Decoder.sentences``, on one ``Decoder`` per checkpoint, which
+loads its checkpoint when it is first decoded with and memoizes each
+source's n-best list per n and top-k, so the decoders a sweep shares across
+its cells decode each request once; it alone calls ``decode_nbest``, with a
+``DecodeParams`` built once per decode. Each method is one per-prompt
 composition over the same source path: the prompt's canonical tokens
 (``textproc.sentence_tokens``, once per prompt), decode, join the tokens with
 spaces, de-duplicate. A model trained here knows canonical words only, so
@@ -28,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 from .corpus import PredictionSet, Prompt
 from .errors import ValidationError
-from .textproc import TokenSeq, sentence_tokens, tokenize
+from .textproc import sentence_tokens, tokenize
 from .translator import Checkpoint, DecodeParams, decode_nbest
 
 
@@ -50,18 +52,20 @@ class Decoder:
         self._ckpt: Checkpoint | None = None
         self._memo: dict[tuple[str, int, int], list[str]] = {}
 
-    def sentences(self, source: Sequence[str], params: DecodeParams) -> list[str]:
-        """The hypotheses of ``decode_nbest`` on this decoder's checkpoint,
-        each as its tokens joined by spaces."""
+    def sentences(self, source: Sequence[str], n: int, top_k: int) -> list[str]:
+        """The non-empty hypotheses of ``decode_nbest`` on this decoder's
+        checkpoint, n-best over the ``top_k`` lexicon candidates of each
+        word, each as its tokens joined by spaces. A ``DecodeParams`` is
+        built only on a memo miss, so once per decode."""
         # canonical tokens hold no space, so the joined source identifies it
-        key = (" ".join(source), params.n_best, params.top_k_lexicon)
+        key = (" ".join(source), n, top_k)
         sents = self._memo.get(key)
         if sents is None:
             if self._ckpt is None:
                 self._ckpt = self._load()
-            hyps = decode_nbest(self._ckpt, source, params)
+            hyps = decode_nbest(self._ckpt, source, DecodeParams(n_best=n, top_k_lexicon=top_k))
             # interned: the lists of a series' checkpoints share most sentences
-            sents = self._memo[key] = [sys.intern(" ".join(h.tokens)) for h in hyps]
+            sents = self._memo[key] = [sys.intern(s) for h in hyps if (s := " ".join(h.tokens))]
         return sents
 
     def release(self) -> None:
@@ -92,20 +96,13 @@ def dedup(candidates: Iterable[str]) -> list[str]:
     return list(dict.fromkeys(candidates))
 
 
-def _decode_sentences(
-    decoder: Decoder, tokens: TokenSeq, n: int, params: MethodParams
-) -> list[str]:
-    decode = DecodeParams(n_best=n, top_k_lexicon=params.top_k_lexicon)
-    return [sent for sent in decoder.sentences(tokens, decode) if sent]
-
-
 def nbest_predict(
     decoder: Decoder, prompts: Sequence[Prompt], params: MethodParams
 ) -> list[PredictionSet]:
     """Top-n decoded translations per prompt, de-duplicated in score order."""
     sets: list[PredictionSet] = []
     for prompt in prompts:
-        sents = _decode_sentences(decoder, sentence_tokens(prompt.text), params.n, params)
+        sents = decoder.sentences(sentence_tokens(prompt.text), params.n, params.top_k_lexicon)
         sets.append(PredictionSet(prompt.id, tuple(dedup(sents))))
     return sets
 
@@ -129,15 +126,15 @@ def paraphrase_predict(
     sets: list[PredictionSet] = []
     for prompt in prompts:
         tokens = sentence_tokens(prompt.text)
-        step1 = dedup(_decode_sentences(fwd, tokens, params.n, params))
+        step1 = dedup(fwd.sentences(tokens, params.n, params.top_k_lexicon))
         pool: list[str] = []
         for sent in step1:
-            pool.extend(_decode_sentences(bwd, tokenize(sent), params.n_prime, params))
+            pool.extend(bwd.sentences(tokenize(sent), params.n_prime, params.top_k_lexicon))
         source = " ".join(tokens)
         step3: list[str] = []
         for para in dedup(pool):
             if para != source:
-                step3.extend(_decode_sentences(fwd, tokenize(para), 1, params))
+                step3.extend(fwd.sentences(tokenize(para), 1, params.top_k_lexicon))
         sets.append(PredictionSet(prompt.id, tuple(dedup(step1 + step3))))
     return sets
 
@@ -158,7 +155,7 @@ def multi_checkpoint_predict(
     pooled: list[list[str]] = [[] for _ in prompts]
     for decoder in reversed(decoders[-params.m :]):
         for pool, toks in zip(pooled, tokens):
-            pool.extend(_decode_sentences(decoder, toks, params.n, params))
+            pool.extend(decoder.sentences(toks, params.n, params.top_k_lexicon))
         decoder.release()
     return [PredictionSet(p.id, tuple(dedup(pool))) for p, pool in zip(prompts, pooled)]
 

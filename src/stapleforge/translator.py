@@ -69,10 +69,10 @@ or non-ASCII digit, which ``float`` would accept) whose value is finite.
 The iteration must be a positive decimal integer as written, and
 probabilities non-negative. Every model word must be one canonical token
 (``textproc.sentence_tokens`` of the word is the word alone), reserved
-tokens excepted; each distinct word is checked once per process. A malformed
-checkpoint raises ``CheckpointError`` naming its directory, and the file and
-row where there is one; a malformed row is reported only once the checksum,
-known at the end of the files, holds.
+tokens excepted; the loader checks each distinct word once per process
+(``_WORDS``). A malformed checkpoint raises ``CheckpointError`` naming its
+directory, and the file and row where there is one; a malformed row is
+reported only once the checksum, known at the end of the files, holds.
 Nothing in a checkpoint depends on when it was written, so training the same
 corpus twice gives byte-identical series directories.
 
@@ -664,23 +664,20 @@ def _number(raw: bytes) -> float:
     return value
 
 
-# canonical model words seen so far: each distinct word is checked once
-_CANONICAL_WORDS: set[str] = set(RESERVED_TOKENS)
-# the same words by their UTF-8 bytes, as the loader reads them, interned
+# canonical model words seen so far, by their UTF-8 bytes, as the loader reads
+# them, interned: each distinct word is checked once
 _WORDS: dict[bytes, str] = {w.encode("utf-8"): w for w in RESERVED_TOKENS}
 
 
 def _non_canonical(words: set[str]) -> set[str]:
-    """The words of ``words`` that are not one canonical token, reserved
-    tokens excepted.
+    """The words of ``words`` that are not one canonical token. Reserved
+    tokens never reach it: training rejects them first, and ``_WORDS`` holds
+    them.
 
     A model decodes canonical tokens and its candidates are compared with
     canonical gold as plain strings, so any other word could never match.
     """
-    new = words - _CANONICAL_WORDS
-    bad = {w for w in new if sentence_tokens(w) != [w]}
-    _CANONICAL_WORDS.update(new - bad)
-    return bad
+    return {w for w in words if sentence_tokens(w) != [w]}
 
 
 def _word(raw: bytes) -> str:

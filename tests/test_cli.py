@@ -578,14 +578,57 @@ class TestBpe:
 
 
 class TestSweep:
-    def test_empty_spec_exits_3(self, trained_world, fixtures_path, tmp_path):
+    def test_empty_spec_exits_3(self, trained_world, fixtures_path, tmp_path, caplog, opens):
+        """An empty grid exits 3 before any input or index is read, and
+        writes nothing: it used to replace the table with a header alone
+        and leave the old manifest beside it."""
         out = tmp_path / "table.tsv"
+        argv = ["sweep", "--series", str(trained_world / "fwd"),
+                "--gold", str(fixtures_path / "toy_gold.txt"),
+                "--prompts", str(fixtures_path / "toy_prompts.txt"), "--out", str(out)]
+        assert run_cli([*argv, "--n", "", "--n-prime", "", "--m", ""]) == 3
+        assert "empty sweep specification" in caplog.text
+        assert list(tmp_path.iterdir()) == []
+        assert run_cli([*argv, "--n", "5", "--n-prime", "", "--m", "2"]) == 0
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(p.name for p in before) == ["table.tsv", "table.tsv.manifest.tsv"]
+        opens.clear()
+        assert run_cli([*argv, "--n", "", "--n-prime", "", "--m", ""]) == 3
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert [path for path in opens
+                if path.startswith((str(trained_world), str(fixtures_path)))] == []
+
+    def test_decode_params_are_built_once_per_decode(
+        self, trained_world, fixtures_path, tmp_path, monkeypatch
+    ):
+        """A request the decoder's memo answers builds no ``DecodeParams``."""
+        counts = Counter()
+        real_params, real_decode = methods.DecodeParams, methods.decode_nbest
+        real_sentences = methods.Decoder.sentences
+
+        def params(*args, **kwargs):
+            counts["params"] += 1
+            return real_params(*args, **kwargs)
+
+        def decode(*args):
+            counts["decode"] += 1
+            return real_decode(*args)
+
+        def sentences(*args):
+            counts["request"] += 1
+            return real_sentences(*args)
+
+        monkeypatch.setattr(methods, "DecodeParams", params)
+        monkeypatch.setattr(methods, "decode_nbest", decode)
+        monkeypatch.setattr(methods.Decoder, "sentences", sentences)
         rc = run_cli(["sweep", "--series", str(trained_world / "fwd"),
+                      "--bwd-series", str(trained_world / "bwd"),
                       "--gold", str(fixtures_path / "toy_gold.txt"),
                       "--prompts", str(fixtures_path / "toy_prompts.txt"),
-                      "--out", str(out), "--n", "", "--n-prime", "", "--m", ""])
-        assert rc == 3
-        assert out.read_text() == "method\tparam\tprecision\tweighted_recall\tweighted_f1\n"
+                      "--out", str(tmp_path / "table.tsv")])
+        assert rc == 0
+        assert counts["params"] == counts["decode"] > 0
+        assert counts["request"] > counts["decode"]
 
     def test_paraphrase_cells_na_without_backward_series(
         self, trained_world, fixtures_path, tmp_path

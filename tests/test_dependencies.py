@@ -8,8 +8,8 @@ file, tests included, parses as Python 3.10, the oldest version README
 supports. No module binds a name at top level that it never reads, and
 test-only API stays under tests/: every public function, class, method and
 property of the package is read by the package or traced by the benchmark.
-No function changes module-level state, apart from two memos of pure
-functions, so no result depends on what ran before it in the process. Builtin
+No function changes module-level state, apart from one memo of a pure
+function, so no result depends on what ran before it in the process. Builtin
 ``sum`` totals ints only, so no float total depends on the Python version."""
 
 from __future__ import annotations
@@ -129,10 +129,47 @@ def test_every_public_definition_is_read_by_the_package():
     assert unread == set()
 
 
+def calls_by_owner(path: Path, names: set[str]) -> set[tuple[str, str]]:
+    """``(callee, owner)`` for each call in one source file of a name in
+    ``names``, by itself or as an attribute; the owner is the top-level
+    function or ``Class.method`` holding the call, or the module itself."""
+    found: set[tuple[str, str]] = set()
+    for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+        if isinstance(top, ast.ClassDef):
+            owners = [(f"{top.name}.{item.name}" if isinstance(item, ast.FunctionDef)
+                       else top.name, item) for item in top.body]
+        else:
+            owners = [(top.name if isinstance(top, ast.FunctionDef) else None, top)]
+        for owner, node in owners:
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if callee in names:
+                    found.add((callee, ".".join(filter(None, (path.stem, owner)))))
+    return found
+
+
+def test_one_path_from_a_model_argument_to_decode_nbest():
+    """A model is opened by ``cli.Run.model`` (a library caller uses
+    ``load_series``), and every decode request goes through
+    ``methods.Decoder.sentences``, which alone builds a ``DecodeParams``;
+    a second loading or decoding wrapper fails here."""
+    names = {"decode_nbest", "DecodeParams", "read_index"}
+    calls = set().union(*(calls_by_owner(path, names) for path in PACKAGE_DIR.glob("*.py")))
+    assert calls == {
+        ("decode_nbest", "methods.Decoder.sentences"),
+        ("DecodeParams", "methods.Decoder.sentences"),
+        ("read_index", "cli.Run.model"),
+        ("read_index", "translator.load_series"),
+    }
+
+
 MUTATORS = {"update", "pop", "clear", "setdefault", "add", "append"}
-# each memoizes a pure function of its key, a word's canonical check and its
+# it memoizes a pure function of its key, a word's canonical check and its
 # interned string, so what is in it never changes a result
-MODULE_MEMOS = {"translator._WORDS", "translator._CANONICAL_WORDS"}
+MODULE_MEMOS = {"translator._WORDS"}
 
 
 def module_state_mutated(path: Path) -> set[str]:

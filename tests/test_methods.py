@@ -77,19 +77,27 @@ class TestDecoder:
         source = ["the", "cat", "eats", "fish"]
         for n in (3, 5, 3, 5):
             fresh = [" ".join(h.tokens) for h in decode_nbest(ckpt, source, DecodeParams(n))]
-            assert decoder.sentences(source, DecodeParams(n_best=n)) == fresh
+            assert decoder.sentences(source, n, 8) == fresh
         assert calls == {"load": 1, "decode": 2}
-        decoder.sentences(source, DecodeParams(n_best=3, top_k_lexicon=2))
+        decoder.sentences(source, 3, 2)
         assert calls == {"load": 1, "decode": 3}
 
     def test_released_decoder_loads_again_only_on_a_miss(self, counted):
         decoder, _, calls = counted
-        first = decoder.sentences(["the", "dog"], DecodeParams(n_best=5))
+        first = decoder.sentences(["the", "dog"], 5, 8)
         decoder.release()
-        assert decoder.sentences(["the", "dog"], DecodeParams(n_best=5)) == first
+        assert decoder.sentences(["the", "dog"], 5, 8) == first
         assert calls == {"load": 1, "decode": 1}
-        decoder.sentences(["the", "dog"], DecodeParams(n_best=3))
+        decoder.sentences(["the", "dog"], 3, 8)
         assert calls == {"load": 2, "decode": 2}
+
+    def test_empty_source_is_decoded_and_yields_no_sentence(self, counted):
+        """A prompt with no words still loads the checkpoint, so a corrupt
+        one is found; its one empty hypothesis is no sentence."""
+        decoder, ckpt, calls = counted
+        assert [h.tokens for h in decode_nbest(ckpt, [], DecodeParams(n_best=3))] == [()]
+        assert decoder.sentences([], 3, 8) == []
+        assert calls == {"load": 1, "decode": 1}
 
     def test_rounding_near_tie_is_not_sliced(self):
         """After "s1 s2", "a z" trails "b z" by one rounding step; the third
@@ -104,8 +112,8 @@ class TestDecoder:
         ckpt = Checkpoint(iteration=1, lexicon=lexicon, lm=lm, corpus_loglik=-1.0)
         source = ["s1", "s2", "s3"]
         decoder = decoder_of(ckpt)
-        assert decoder.sentences(source, DecodeParams(n_best=2)) == ["a z w", "b z w"]
-        assert decoder.sentences(source, DecodeParams(n_best=1)) == ["b z w"]
+        assert decoder.sentences(source, 2, 8) == ["a z w", "b z w"]
+        assert decoder.sentences(source, 1, 8) == ["b z w"]
 
 
 class TestDedup:
