@@ -171,16 +171,18 @@ class Run:
                 f"{path} is not UTF-8: invalid byte at offset {exc.start}"
             ) from None
 
-    def model(self, key: str, root: str, series: bool, direction: str) -> list[Decoder]:
+    def model(self, key: str, root: str | None, series: bool, direction: str) -> list[Decoder]:
         """The decoders of the model at ``root``, a series or with ``series``
         false a lone checkpoint, one per checkpoint its index lists, oldest
         first, once no output lies inside its directory or is the same file
-        as one under it, such as a hard link. Only the index
-        (``translator.read_index``) is read here, and its direction must be
-        ``direction``, so a swapped pair of models is refused before any
-        decode; each checkpoint loads when first decoded with, so a missing
-        or corrupt one is found then. What the first write needs for the
-        model's checksum is kept under ``key``."""
+        as one under it, such as a hard link; none, and nothing recorded,
+        with no ``root``. Only the index (``translator.read_index``) is read
+        here, and its direction must be ``direction``, so a swapped pair of
+        models is refused before any decode; each checkpoint loads when first
+        decoded with, so a missing or corrupt one is found then. What the
+        first write needs for the model's checksum is kept under ``key``."""
+        if root is None:
+            return []
         path = Path(root)
         for target in self.targets:
             if target.resolve().is_relative_to(path.resolve()):
@@ -282,10 +284,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     prompts = parse_prompts(run.read(args.prompts, "prompts"))
     params = MethodParams(n=args.n, n_prime=args.n_prime, m=args.m, top_k_lexicon=args.top_k)
     fwd = run.model("model", args.ckpt or args.series, args.ckpt is None, "fwd")
-    bwd_root = args.bwd_ckpt or args.bwd_series
-    bwd: list[Decoder] = []
-    if bwd_root is not None:
-        bwd = run.model("bwd_model", bwd_root, args.bwd_ckpt is None, "bwd")
+    bwd = run.model("bwd_model", args.bwd_ckpt or args.bwd_series, args.bwd_ckpt is None, "bwd")
     sets = predict(args.method, fwd, bwd, prompts, params)
 
     buf = io.StringIO()
@@ -322,9 +321,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # one decoder per checkpoint, shared by every cell; a cell needing more
     # checkpoints than the series holds becomes an NA row
     fwd = run.model("series", args.series, True, "fwd")
-    bwd: list[Decoder] = []
-    if args.bwd_series is not None:
-        bwd = run.model("bwd_series", args.bwd_series, True, "bwd")
+    bwd = run.model("bwd_series", args.bwd_series, True, "bwd")
 
     rows: list[str] = []
     for method, label, params in cells:

@@ -29,7 +29,9 @@ toolkit, applied once where a sentence is read: the parsers hold gold
 translations and candidates in canonical form, so the scorer and the methods
 compare plain strings, and models read canonical text only. Prompts keep
 their surface text; ``textproc.sentence_tokens`` canonicalizes them for
-decoding.
+decoding. A model word (``is_model_word``) is one canonical token other than
+the ``RESERVED_TOKENS``, which mark the LM's own rows: training, the
+checkpoint loader and prompts (in canonical form) admit no other word.
 """
 
 from __future__ import annotations
@@ -76,6 +78,12 @@ class _PunctDeletion(dict):
 _DROP_PUNCT = _PunctDeletion()
 
 
+# the LM's sentence boundaries, the add-alpha row of a successor unseen after
+# its history and the unigram-backoff row of an unknown history; no model
+# reads them as words
+RESERVED_TOKENS = ("<s>", "</s>", "<other>", "<unk>")
+
+
 def normalize(text: str) -> str:
     """Canonicalize a sentence: NFC, lowercase, strip Unicode punctuation,
     collapse whitespace, NFC.
@@ -93,6 +101,13 @@ def normalize(text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
 
+def is_model_word(word: str) -> bool:
+    """Whether a model may read ``word``: one canonical token, since its
+    candidates are compared with canonical gold as plain strings, and not a
+    reserved one."""
+    return normalize(word).split() == [word] and word not in RESERVED_TOKENS
+
+
 @dataclass(frozen=True)
 class Prompt:
     id: str
@@ -105,6 +120,9 @@ class Prompt:
             raise ValidationError(f"prompt id may not contain '|', a tab or newline: {self.id!r}")
         if not self.text.strip():
             raise ValidationError(f"prompt {self.id}: text is empty")
+        reserved = [w for w in normalize(self.text).split() if w in RESERVED_TOKENS]
+        if reserved:
+            raise ValidationError(f"prompt {self.id}: holds the reserved token {reserved[0]!r}")
 
 
 @dataclass(frozen=True)

@@ -49,10 +49,10 @@ Each model file's rows are sorted by their two words, each pair once, so
 every row's (w1, w2) is strictly after the row before's.
 
 All three are UTF-8 with LF line endings, and the checksum is taken over the
-model files' bytes on disk. ``<s> </s> <other> <unk>`` are reserved tokens,
-and training rejects a corpus that uses one. Probabilities are stored with
-12 significant digits; model values are canonicalized to that precision when
-built (``quantize``, or for the lexicon ``_format_value``, which formats each
+model files' bytes on disk. The reserved tokens (``corpus.RESERVED_TOKENS``)
+mark lm.tsv's own rows only. Probabilities are stored with 12 significant
+digits; model values are canonicalized to that precision when built
+(``quantize``, or for the lexicon ``_format_value``, which formats each
 value once, for the value and its text), so a saved checkpoint loads back
 bit-exactly.
 
@@ -67,12 +67,13 @@ pair, and every stored number, a model value, meta.tsv's
 reader (``_number``): a plain ASCII number (no surrounding whitespace, ``_``
 or non-ASCII digit, which ``float`` would accept) whose value is finite.
 The iteration must be a positive decimal integer as written, and
-probabilities non-negative. Every model word must be one canonical token
-(``textproc.sentence_tokens`` of the word is the word alone), reserved
-tokens excepted; the loader checks each distinct word once per process
-(``_WORDS``). A malformed checkpoint raises ``CheckpointError`` naming its
-directory, and the file and row where there is one; a malformed row is
-reported only once the checksum, known at the end of the files, holds.
+probabilities non-negative. Every word of lexicon.tsv, and every word of
+lm.tsv other than the reserved tokens, must be a model word
+(``corpus.is_model_word``); the loader checks each distinct word once per
+process (``_WORDS``). A malformed checkpoint raises ``CheckpointError``
+naming its directory, and the file and row where there is one; a malformed
+row is reported only once the checksum, known at the end of the files,
+holds.
 Nothing in a checkpoint depends on when it was written, so training the same
 corpus twice gives byte-identical series directories.
 
@@ -125,9 +126,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .corpus import ordered_sum
+from .corpus import RESERVED_TOKENS, is_model_word, ordered_sum
 from .errors import CheckpointError, ValidationError
-from .textproc import TokenSeq, sentence_tokens
+from .textproc import TokenSeq
 
 log = logging.getLogger(__name__)
 
@@ -135,11 +136,7 @@ PROB_FLOOR = 1e-12
 FLOOR_LOGPROB = math.log(PROB_FLOOR)
 UNKNOWN_COPY_LOGPROB = -10.0
 
-BOS = "<s>"
-EOS = "</s>"
-UNSEEN = "<other>"
-BACKOFF = "<unk>"
-RESERVED_TOKENS = (BOS, EOS, UNSEEN, BACKOFF)
+BOS, EOS, UNSEEN, BACKOFF = RESERVED_TOKENS
 
 DIRECTIONS = ("fwd", "bwd")
 SERIES_INDEX = "series.tsv"
@@ -339,9 +336,9 @@ def train_toy(
     keys keep the order of first co-occurrence that each E-step's count rows
     take and are summed in. The model's tables key on the corpus's own
     strings: one per word when the corpus holds one, as ``train`` reads it.
-    A pair using a reserved token (the LM file gives those their own
-    meaning) or a non-canonical word (``load_checkpoint`` would reject it)
-    is refused before anything is written. Training is deterministic.
+    The first pair, empty sides included, holding a word that is not a model
+    word (``corpus.is_model_word``), a reserved token named first, is refused
+    before anything is written. Training is deterministic.
     """
     if iterations < 1:
         raise ValidationError(f"iterations must be >= 1, got {iterations}")
@@ -355,31 +352,23 @@ def train_toy(
         raise ValidationError(
             f"{out_dir} already holds a checkpoint series; train into a new directory"
         )
-    pairs: list[tuple[TokenSeq, TokenSeq]] = []
+    bad = {w for w in {w for pair in parallel for side in pair for w in side}
+           if not is_model_word(w)}
     for number, (src, tgt) in enumerate(parallel, start=1):
-        reserved = [w for w in (*src, *tgt) if w in RESERVED_TOKENS]
-        if reserved:
-            raise ValidationError(
-                f"sentence pair {number} uses the reserved token {reserved[0]!r}: "
-                f"{src!r} -> {tgt!r}"
-            )
+        words = (*src, *tgt)
+        if not bad.isdisjoint(words):
+            reserved = [w for w in words if w in RESERVED_TOKENS]
+            what = "uses the reserved token" if reserved else "holds the non-canonical word"
+            word = reserved[0] if reserved else min(bad.intersection(words))
+            raise ValidationError(f"sentence pair {number} {what} {word!r}: {src!r} -> {tgt!r}")
+    pairs: list[tuple[TokenSeq, TokenSeq]] = []
+    for src, tgt in parallel:
         if not src or not tgt:
             log.warning("skipping sentence pair with an empty side: %r -> %r", src, tgt)
             continue
         pairs.append((src, tgt))
     if not pairs:
         raise ValidationError("no usable sentence pairs in the parallel corpus")
-    bad = _non_canonical({w for pair in pairs for side in pair for w in side})
-    if bad:
-        number, src, tgt = next(
-            (number, src, tgt)
-            for number, (src, tgt) in enumerate(parallel, start=1)
-            if src and tgt and not bad.isdisjoint((*src, *tgt))
-        )
-        raise ValidationError(
-            f"sentence pair {number} holds the non-canonical word "
-            f"{min(bad.intersection((*src, *tgt)))!r}: {src!r} -> {tgt!r}"
-        )
 
     # the support never changes: a source word's lexicon row holds the words
     # it co-occurs with, in order of first co-occurrence, which the E-step's
@@ -664,30 +653,20 @@ def _number(raw: bytes) -> float:
     return value
 
 
-# canonical model words seen so far, by their UTF-8 bytes, as the loader reads
-# them, interned: each distinct word is checked once
+# the model words seen so far, and the reserved tokens of lm.tsv's own rows,
+# by their UTF-8 bytes, as the loader reads them, interned: each distinct word
+# is checked once
 _WORDS: dict[bytes, str] = {w.encode("utf-8"): w for w in RESERVED_TOKENS}
 
 
-def _non_canonical(words: set[str]) -> set[str]:
-    """The words of ``words`` that are not one canonical token. Reserved
-    tokens never reach it: training rejects them first, and ``_WORDS`` holds
-    them.
-
-    A model decodes canonical tokens and its candidates are compared with
-    canonical gold as plain strings, so any other word could never match.
-    """
-    return {w for w in words if sentence_tokens(w) != [w]}
-
-
 def _word(raw: bytes) -> str:
-    """The canonical word ``raw`` encodes, interned and added to ``_WORDS``;
-    raises ValueError if it is not UTF-8 or not canonical."""
+    """The model word (``corpus.is_model_word``) ``raw`` encodes, interned and
+    added to ``_WORDS``; raises ValueError if it is not UTF-8 or not one."""
     try:
         word = raw.decode("utf-8")
     except UnicodeDecodeError:
         raise ValueError("invalid UTF-8") from None
-    if _non_canonical({word}):
+    if not is_model_word(word):
         raise ValueError(f"non-canonical word {word!r}")
     word = _WORDS[raw] = sys.intern(word)
     return word
@@ -696,10 +675,11 @@ def _word(raw: bytes) -> str:
 def _rows(blocks: Iterable[bytes], name: str) -> Iterator[tuple[str, dict[str, float]]]:
     """Each run of rows of a model file, lexicon.tsv or lm.tsv, that share
     their first word, as ``(w1, {w2: value})``. A row is
-    ``word<TAB>word<TAB>number``, each word canonical (``_word``), each
-    number plain (``_number``), and its ``(w1, w2)`` strictly after the row
-    before's in UTF-8 byte order, which is the code-point order the files are
-    written in; raises ValueError naming the first row that is not."""
+    ``word<TAB>word<TAB>number``, each word a model word (``_word``) or a
+    reserved token, each number plain (``_number``), and its ``(w1, w2)``
+    strictly after the row before's in UTF-8 byte order, which is the
+    code-point order the files are written in; raises ValueError naming the
+    first row that is not."""
     known = _WORDS.get
     prev = None
     last = b""  # the previous row's second word
@@ -752,10 +732,13 @@ def _rows(blocks: Iterable[bytes], name: str) -> Iterator[tuple[str, dict[str, f
 
 def _parse_lexicon(blocks: Iterable[bytes]) -> LexiconTable:
     """The lexicon lexicon.tsv's line blocks hold; raises ValueError naming
-    the first malformed row, or a source word whose probabilities are not a
-    distribution."""
+    the first malformed row, or a source word whose row holds a reserved token
+    or whose probabilities are not a distribution."""
     lexicon: LexiconTable = dict(_rows(blocks, "lexicon.tsv"))
     for e, row in lexicon.items():
+        for token in RESERVED_TOKENS:
+            if token == e or token in row:
+                raise ValueError(f"lexicon row for {e!r} holds the reserved token {token!r}")
         total = ordered_sum(row.values())
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"lexicon row for {e!r} sums to {total!r}, expected 1")

@@ -232,6 +232,16 @@ def rewrite_model_file(ckpt_dir: Path, name: str, text: str) -> None:
     meta.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
 
 
+def word_renamed(path: Path, old: str, new: str) -> str:
+    """The text of a lexicon.tsv or lm.tsv with every ``old`` word renamed
+    ``new`` and its rows sorted again by their two words' UTF-8 bytes, as
+    they are written, so only the loader's word checks can reject it."""
+    rows = [row.split("\t") for row in path.read_text(encoding="utf-8").splitlines()]
+    rows = [[new if word == old else word for word in row[:2]] + row[2:] for row in rows]
+    rows.sort(key=lambda row: (row[0].encode("utf-8"), row[1].encode("utf-8")))
+    return "".join("\t".join(row) + "\n" for row in rows)
+
+
 FULL_WIDTH_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
 
 

@@ -16,7 +16,7 @@ import stapleforge.methods as methods
 import stapleforge.textproc as textproc
 import stapleforge.translator as translator
 from stapleforge import __version__
-from oracles import FULL_WIDTH_DIGITS, first_value_rewritten, rewrite_model_file
+from oracles import FULL_WIDTH_DIGITS, first_value_rewritten, rewrite_model_file, word_renamed
 from stapleforge.cli import _parse_parallel, main
 from stapleforge.corpus import normalize
 from stapleforge.textproc import BPE_HEADER
@@ -917,6 +917,49 @@ class TestReproducibility:
         assert out.read_bytes() == first
         assert (tmp_path / "pred.txt.manifest.tsv").read_bytes() == first_manifest
 
+    def test_fixture_world_outputs_match_recorded_digests(
+        self, trained_world, fixtures_path, tmp_path, capsys
+    ):
+        """Every file that ``fixture_runs`` writes, sidecars and manifests
+        included, has the SHA-256 recorded in fixture_outputs.sha256
+        (``sha256sum`` format). Model checksums are taken over paths relative
+        to the model, so no digest depends on where the world lies.
+
+        A change meant to keep every output fails here if it moves one byte;
+        the file is re-recorded only with a deliberate change of output."""
+        recorded = {}
+        for line in (TESTS_DIR / "fixture_outputs.sha256").read_text(
+                encoding="utf-8").splitlines():
+            digest, name = line.split("  ", 1)
+            recorded[name] = digest
+        for argv in fixture_runs(trained_world, fixtures_path, tmp_path):
+            assert run_cli(argv) == 0, argv
+        found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert found == recorded
+
+
+def fixture_runs(world: Path, fixtures: Path, out: Path) -> list[list[str]]:
+    """The commands whose outputs into ``out`` fixture_outputs.sha256 records:
+    ``generate`` with each method, paraphrase also through lone checkpoints,
+    ``sweep`` on its default grid (its ``m`` rows beyond the 5 checkpoints are
+    NA) and ``score``, all on ``world``'s fwd and bwd series of 5 iterations."""
+    fwd, bwd = world / "fwd", world / "bwd"
+    data = ["--prompts", str(fixtures / "toy_prompts.txt")]
+    gold = ["--gold", str(fixtures / "toy_gold.txt")]
+    return [
+        ["generate", "--method", "nbest", "--series", str(fwd), *data,
+         "--out", str(out / "nbest.txt")],
+        ["generate", "--method", "ensemble", "--m", "3", "--series", str(fwd), *data,
+         "--out", str(out / "ensemble.txt")],
+        ["generate", "--method", "paraphrase", "--series", str(fwd), "--bwd-series", str(bwd),
+         *data, "--out", str(out / "paraphrase.txt")],
+        ["generate", "--method", "paraphrase", "--ckpt", str(fwd / "ckpt-0005"),
+         "--bwd-ckpt", str(bwd / "ckpt-0005"), *data, "--out", str(out / "paraphrase-ckpt.txt")],
+        ["sweep", "--series", str(fwd), "--bwd-series", str(bwd), *gold, *data,
+         "--out", str(out / "sweep.tsv")],
+        ["score", *gold, "--pred", str(out / "nbest.txt"), "--out", str(out / "score.tsv")],
+    ]
+
 
 class TestUnwritableOut:
     """An --out that cannot be written exits 2 naming it, before any work and
@@ -1523,15 +1566,6 @@ def _meta_value_rewritten(path: Path, key: str, rewrite) -> str:
     return _set_meta_row(path, key, rewrite(meta[key]))
 
 
-def _rename_word(path: Path, old: str, new: str) -> str:
-    """A lexicon.tsv or lm.tsv text with every ``old`` word column renamed ``new``."""
-    rows = [
-        "\t".join(new if col == old else col for col in row.split("\t"))
-        for row in path.read_text(encoding="utf-8").splitlines()
-    ]
-    return "\n".join(rows) + "\n"
-
-
 def _negative_entry_in_a_row_summing_to_1(path: Path) -> str:
     """lexicon.tsv with its first two probabilities, of one source word, moved
     by +1 and -1: the row still sums to 1 but holds a negative probability."""
@@ -1586,9 +1620,12 @@ CHECKPOINT_FAULTS = {
         encoding="utf-8"),
     # never equal to a canonical gold translation's word, so it used to score as a miss
     "non-canonical-lexicon-word": lambda ckpt: rewrite_model_file(
-        ckpt, "lexicon.tsv", _rename_word(ckpt / "lexicon.tsv", "gato", "Gato!")),
+        ckpt, "lexicon.tsv", word_renamed(ckpt / "lexicon.tsv", "gato", "Gato!")),
     "non-canonical-lm-word": lambda ckpt: rewrite_model_file(
-        ckpt, "lm.tsv", _rename_word(ckpt / "lm.tsv", "gato", "Gato!")),
+        ckpt, "lm.tsv", word_renamed(ckpt / "lm.tsv", "gato", "Gato!")),
+    # it used to load, and decoding wrote <s> as a candidate
+    "reserved-lexicon-word": lambda ckpt: rewrite_model_file(
+        ckpt, "lexicon.tsv", word_renamed(ckpt / "lexicon.tsv", "gato", "<s>")),
     # float() reads each of these values as the number it spells, so they used to load
     "space-before-value": lambda ckpt: rewrite_model_file(ckpt, "lexicon.tsv", (
         first_value_rewritten(ckpt / "lexicon.tsv", lambda value: " " + value))),
@@ -1675,7 +1712,7 @@ def test_sweep_rejects_a_non_canonical_model_word(trained_world, fixtures_path, 
     shutil.copytree(trained_world / "fwd", series)
     newest = series / "ckpt-0005"
     for name in ("lexicon.tsv", "lm.tsv"):
-        rewrite_model_file(newest, name, _rename_word(newest / name, "gato", "Gato!"))
+        rewrite_model_file(newest, name, word_renamed(newest / name, "gato", "Gato!"))
     rc = run_cli(["sweep", "--series", str(series), "--n", "10", "--n-prime", "", "--m", "",
                   "--gold", str(fixtures_path / "toy_gold.txt"),
                   "--prompts", str(fixtures_path / "toy_prompts.txt"),
@@ -1685,6 +1722,45 @@ def test_sweep_rejects_a_non_canonical_model_word(trained_world, fixtures_path, 
     assert "non-canonical word 'Gato!' in lexicon.tsv row" in err
     assert "ckpt-0005" in err
     assert list(tmp_path.glob("table.tsv*")) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["generate", "--method", "nbest"],
+     ["generate", "--method", "ensemble", "--m", "3"],
+     ["generate", "--method", "paraphrase", "--bwd-series", "{bwd}"],
+     ["sweep", "--gold", "{gold}", "--bwd-series", "{bwd}"]],
+    ids=["generate-nbest", "generate-ensemble", "generate-paraphrase", "sweep"],
+)
+def test_prompt_holding_a_reserved_token_exits_2_and_writes_nothing(
+    trained_world, fixtures_path, tmp_path, capsys, argv
+):
+    """The copied ``</s>``, which is ``<s>`` in canonical form, used to be
+    decoded as the sentence start: nbest wrote ``o <s> gato <unk>``."""
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("x1|o </s> gato <unk>\n", encoding="utf-8")
+    fills = {"gold": str(fixtures_path / "toy_gold.txt"), "bwd": str(trained_world / "bwd")}
+    rc = run_cli([*(arg.format(**fills) for arg in argv),
+                  "--series", str(trained_world / "fwd"), "--prompts", str(prompts),
+                  "--out", str(tmp_path / "out.txt")])
+    assert rc == 2
+    assert "line 1: prompt x1: holds the reserved token '<s>'" in capsys.readouterr().err
+    assert list(tmp_path.glob("out.txt*")) == []
+
+
+@pytest.mark.parametrize("command", ["score", "sweep"])
+def test_gold_header_holding_a_reserved_token_exits_2_and_writes_nothing(
+    trained_world, fixtures_path, tmp_path, capsys, command
+):
+    gold = tmp_path / "gold.txt"
+    gold.write_text("t1|the <unk> cat\no gato|0.5\n", encoding="utf-8")
+    inputs = (["--pred", str(fixtures_path / "example_pred_top1.txt")] if command == "score"
+              else ["--series", str(trained_world / "fwd"),
+                    "--prompts", str(fixtures_path / "toy_prompts.txt")])
+    rc = run_cli([command, "--gold", str(gold), *inputs, "--out", str(tmp_path / "out.tsv")])
+    assert rc == 2
+    assert "line 1: prompt t1: holds the reserved token '<unk>'" in capsys.readouterr().err
+    assert list(tmp_path.glob("out.tsv*")) == []
 
 
 @pytest.mark.parametrize(

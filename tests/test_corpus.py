@@ -8,10 +8,12 @@ from hypothesis import given, strategies as st
 
 from oracles import normalize_oracle
 from stapleforge.corpus import (
+    RESERVED_TOKENS,
     GoldSet,
     PredictionSet,
     Prompt,
     WeightedTranslation,
+    is_model_word,
     normalize,
     parse_gold,
     parse_predictions,
@@ -20,6 +22,7 @@ from stapleforge.corpus import (
     write_predictions,
 )
 from stapleforge.errors import ParseError, ValidationError
+from stapleforge.textproc import sentence_tokens
 
 TABLE_BLOCK = """q1|is my explanation clear?
 minha explicação está clara?|0.26739
@@ -263,6 +266,37 @@ def test_headers_read_alike(parse, stream, repeat_line):
         parse(stream.replace("p1", " ", 1))
     with pytest.raises(ParseError, match="line 1: malformed header"):
         parse(stream.replace("|", " ", 1))
+
+
+@given(st.text() | st.sampled_from(RESERVED_TOKENS)
+       | st.text(alphabet="<>/sunkother ?!", max_size=8))
+def test_a_model_word_is_one_canonical_token_not_reserved(word):
+    assert is_model_word(word) == (sentence_tokens(word) == [word]
+                                   and word not in RESERVED_TOKENS)
+
+
+@pytest.mark.parametrize(
+    "parse, stream, reason",
+    [(parse_prompts, "x0|o gato\nx1|o </s> gato <unk>\n",
+      "line 2: prompt x1: holds the reserved token '<s>'"),
+     (parse_gold, "q0|x\na|0.5\n\nq1|o gato <unk>\nb|0.5\n",
+      "line 4: prompt q1: holds the reserved token '<unk>'")],
+    ids=["prompts", "gold"],
+)
+def test_prompt_holding_a_reserved_token_is_refused(parse, stream, reason):
+    """A model would read the token as its own (a copied ``<s>`` was decoded
+    as the sentence start), so no prompt may hold one once canonicalized:
+    ``</s>`` is ``<s>`` in canonical form."""
+    with pytest.raises(ValidationError, match=reason):
+        parse(stream)
+
+
+def test_translations_and_candidates_may_hold_reserved_tokens():
+    """Only prompts are decoded; a gold translation or a candidate is a
+    string compared with others, whatever its words."""
+    golds = parse_gold("q1|x\n<unk> </s>|0.5\n")
+    assert golds[0].translations[0].text == "<unk> <s>"
+    assert parse_predictions("q1|\n<s> <other>\n")[0].candidates == ("<s> <other>",)
 
 
 @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c"])

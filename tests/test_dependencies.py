@@ -8,14 +8,15 @@ file, tests included, parses as Python 3.10, the oldest version README
 supports. No module binds a name at top level that it never reads, and
 test-only API stays under tests/: every public function, class, method and
 property of the package is read by the package or traced by the benchmark.
-No function changes module-level state, apart from one memo of a pure
-function, so no result depends on what ran before it in the process. Builtin
+No function changes module-level state, apart from two memos of pure
+functions, so no result depends on what ran before it in the process. Builtin
 ``sum`` totals ints only, so no float total depends on the Python version."""
 
 from __future__ import annotations
 
 import ast
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -167,20 +168,49 @@ def test_one_path_from_a_model_argument_to_decode_nbest():
 
 
 MUTATORS = {"update", "pop", "clear", "setdefault", "add", "append"}
-# it memoizes a pure function of its key, a word's canonical check and its
-# interned string, so what is in it never changes a result
-MODULE_MEMOS = {"translator._WORDS"}
+# two memos of pure functions of their keys, so what is in them never changes
+# a result: a word's model-word check and its interned string, and a code
+# point's punctuation test
+MODULE_MEMOS = {"translator._WORDS", "corpus._DROP_PUNCT"}
+
+
+def mutated_object(node: ast.AST) -> ast.expr | None:
+    """What ``node`` changes, if it assigns or deletes an item of an object
+    or calls a mutating method (``MUTATORS``) of it."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        return node.value
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in MUTATORS:
+        return node.func.value
+    return None
+
+
+def changes_itself(cls: ast.ClassDef) -> bool:
+    """Whether a method of ``cls`` changes its own instance, as a ``dict``
+    subclass whose ``__missing__`` stores the value it computes does."""
+    return any(
+        isinstance(target, ast.Name) and target.id == method.args.args[0].arg
+        for method in cls.body if isinstance(method, ast.FunctionDef) and method.args.args
+        for target in map(mutated_object, ast.walk(method))
+    )
 
 
 def module_state_mutated(path: Path) -> set[str]:
     """The module-level names that a function of the module assigns or
     deletes an item of, or calls a mutating method of (``MUTATORS``), where
-    the function does not bind the name itself."""
+    the function does not bind the name itself, and those bound to an
+    instance of a class of the module whose methods change their instance."""
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    top = {name.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
-           for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    assigns = [(node.targets if isinstance(node, ast.Assign) else [node.target], node.value)
+               for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))]
+    top = {name.id for targets, _ in assigns for target in targets
            for name in ast.walk(target) if isinstance(name, ast.Name)}
-    mutated: set[str] = set()
+    changing = {cls.name for cls in tree.body
+                if isinstance(cls, ast.ClassDef) and changes_itself(cls)}
+    mutated = {f"{path.stem}.{name.id}" for targets, value in assigns
+               if isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+               and value.func.id in changing
+               for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)}
     for function in ast.walk(tree):
         if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
@@ -191,14 +221,7 @@ def module_state_mutated(path: Path) -> set[str]:
         local |= {node.id for node in nodes
                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
         local -= {name for node in nodes if isinstance(node, ast.Global) for name in node.names}
-        for node in nodes:
-            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
-                target = node.value
-            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr in MUTATORS:
-                target = node.func.value
-            else:
-                continue
+        for target in map(mutated_object, nodes):
             if isinstance(target, ast.Name) and target.id in top - local:
                 mutated.add(f"{path.stem}.{target.id}")
     return mutated
@@ -210,6 +233,33 @@ def test_no_function_changes_module_state():
     with later calls belongs to an object its caller holds."""
     sources = sorted(PACKAGE_DIR.glob("*.py"))
     assert set().union(*(module_state_mutated(path) for path in sources)) == MODULE_MEMOS
+
+
+def test_module_state_changed_through_self_is_found(tmp_path):
+    """An instance at module level that grows through its own methods, as
+    ``corpus._DROP_PUNCT`` does, is module state, which no function's own
+    code shows; an instance whose methods only read it is not."""
+    planted = tmp_path / "planted.py"
+    planted.write_text(textwrap.dedent("""
+        class _Memo(dict):
+            def __missing__(self, key):
+                self[key] = key
+                return key
+
+        class _Log(list):
+            def note(me, item):
+                me.append(item)
+
+        class _Reader(dict):
+            def twice(self, key, other):
+                other[key] = self.get(key)
+                return other
+
+        _MEMO: _Memo = _Memo()
+        _LOG = _Log()
+        _READER = _Reader()
+    """), encoding="utf-8")
+    assert module_state_mutated(planted) == {"planted._MEMO", "planted._LOG"}
 
 
 def test_builtin_sum_totals_only_ints():

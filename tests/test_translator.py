@@ -27,6 +27,7 @@ from oracles import (
     gen_random_lattice,
     gen_random_parallel,
     rewrite_model_file,
+    word_renamed,
 )
 from stapleforge.errors import CheckpointError, ValidationError
 from stapleforge.translator import (
@@ -99,6 +100,25 @@ class TestTrainToy:
         pair = (["a", word], ["x"]) if side == "source" else (["b"], ["x", word])
         with pytest.raises(ValidationError, match=f"pair 2 holds the non-canonical word '{word}'"):
             train_toy([(["a"], ["x"]), pair], 2, tmp_path / "s")
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("pair", [(["Gato"], []), ([], ["x", "gato!"])],
+                             ids=["source", "target"])
+    def test_non_canonical_word_in_a_pair_with_an_empty_side_rejected(self, tmp_path, pair):
+        """Such a pair used to be skipped unchecked; every word of every pair
+        is checked alike now."""
+        with pytest.raises(ValidationError, match="pair 2 holds the non-canonical word"):
+            train_toy([(["a"], ["x"]), pair], 2, tmp_path / "s")
+        assert not (tmp_path / "s").exists()
+
+    def test_first_pair_holding_a_word_that_is_not_a_model_word_is_named(self, tmp_path):
+        """A reserved token and a non-canonical word fail one check, so the
+        first pair holding either is named, by its reserved token if it has
+        one; the reserved tokens used to be sought in every pair first."""
+        with pytest.raises(ValidationError, match="pair 2 holds the non-canonical word 'Gato'"):
+            train_toy([(["a"], ["x"]), (["Gato"], ["x"]), (["a"], ["<s>"])], 2, tmp_path / "s")
+        with pytest.raises(ValidationError, match="pair 1 uses the reserved token '<unk>'"):
+            train_toy([(["Gato", "<unk>"], ["x"])], 2, tmp_path / "s")
         assert not (tmp_path / "s").exists()
 
     def test_all_pairs_unusable_rejected(self, tmp_path):
@@ -368,6 +388,18 @@ class TestCheckpointFaults:
         rows[0] = edit(rows[0])
         rewrite_model_file(ckpt, name, "\n".join(rows) + "\n")
         with pytest.raises(CheckpointError, match=f"{reason}: .* \\(in .*ckpt-0001\\)"):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("word, token, row", [("b", "<unk>", "<unk>"), ("y", "<s>", "a")],
+                             ids=["source", "target"])
+    def test_reserved_lexicon_word_rejected(self, hand_series, tmp_path, word, token, row):
+        """Every lexicon word is a model word. A reserved target, its rows in
+        order and its checksum restamped, used to load, and decoding wrote it
+        as a candidate."""
+        ckpt = tmp_path / "series" / "ckpt-0001"
+        rewrite_model_file(ckpt, "lexicon.tsv", word_renamed(ckpt / "lexicon.tsv", word, token))
+        with pytest.raises(CheckpointError,
+                           match=f"lexicon row for '{row}' holds the reserved token '{token}'"):
             load_checkpoint(ckpt)
 
 
