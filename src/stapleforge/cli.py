@@ -10,9 +10,9 @@ runs:
     bpe       learn / apply / decode byte-pair encodings (decode needs no model)
     fixtures  print the path of the bundled fixture corpora
 
-Sentences have one canonical form (``corpus.normalize``): models read it
-(``textproc.sentence_tokens``), and the gold and prediction parsers hold
-sentences in it, so ``score`` and ``sweep`` compare plain strings.
+Sentences have one canonical form (``corpus.normalize``): models read it,
+and the prompts, gold and prediction parsers hold sentences in it, so the
+methods decode, and ``score`` and ``sweep`` compare, plain strings.
 
 ``generate`` and every ``sweep`` cell run a method through the one entry
 point ``methods.predict``; a sweep cell whose method cannot run on the models
@@ -27,7 +27,7 @@ ones a method reads, and a checkpoint nothing reads is never loaded, so of a
 lone one only its index is read. An ensemble decodes every
 prompt with one checkpoint before loading the next, so ``generate`` holds one
 checkpoint at a time, or one per side for paraphrase; a sweep's cells share
-one decoder per checkpoint, whose memo of n-best lists, keyed on the source
+one decoder per checkpoint, whose memo of n-best lists, keyed on the sentence
 and n, lets later cells reuse earlier decodes of the same request, so it
 holds at most two: one forward checkpoint and the newest backward one. A
 checkpoint that is missing or fails to load exits 2 with nothing written,

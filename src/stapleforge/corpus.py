@@ -25,13 +25,12 @@ byte-order mark is dropped.
 
 ``normalize`` defines a sentence's canonical form (NFC, lowercase, strip
 punctuation, collapse whitespace). It is the one comparison rule of the
-toolkit, applied once where a sentence is read: the parsers hold gold
-translations and candidates in canonical form, so the scorer and the methods
-compare plain strings, and models read canonical text only. Prompts keep
-their surface text; ``textproc.sentence_tokens`` canonicalizes them for
-decoding. A model word (``is_model_word``) is one canonical token other than
-the ``RESERVED_TOKENS``, which mark the LM's own rows: training, the
-checkpoint loader and prompts (in canonical form) admit no other word.
+toolkit, applied once where a sentence is read: the parsers hold prompts,
+gold translations and candidates in canonical form, so the methods decode
+prompts as they are, the scorer and the methods compare plain strings, and
+models read canonical text only. A model word (``is_model_word``) is one
+canonical token other than the ``RESERVED_TOKENS``, which mark the LM's own
+rows: training, the checkpoint loader and prompts admit no other word.
 """
 
 from __future__ import annotations
@@ -110,6 +109,8 @@ def is_model_word(word: str) -> bool:
 
 @dataclass(frozen=True)
 class Prompt:
+    """A prompt and its canonical text, empty if it was punctuation alone."""
+
     id: str
     text: str
 
@@ -118,9 +119,9 @@ class Prompt:
             raise ValidationError("prompt id must be non-empty")
         if any(ch in self.id for ch in "|\t\n"):
             raise ValidationError(f"prompt id may not contain '|', a tab or newline: {self.id!r}")
-        if not self.text.strip():
-            raise ValidationError(f"prompt {self.id}: text is empty")
-        reserved = [w for w in normalize(self.text).split() if w in RESERVED_TOKENS]
+        if normalize(self.text) != self.text:
+            raise ValidationError(f"prompt {self.id}: text {self.text!r} is not in canonical form")
+        reserved = [w for w in self.text.split() if w in RESERVED_TOKENS]
         if reserved:
             raise ValidationError(f"prompt {self.id}: holds the reserved token {reserved[0]!r}")
 
@@ -207,7 +208,9 @@ def _read_header(lineno: int, line: str, seen: set[str]) -> tuple[str, str]:
 def _parse_prompt(lineno: int, line: str, seen: set[str]) -> Prompt:
     pid, text = _read_header(lineno, line, seen)
     try:
-        return Prompt(id=pid, text=text)
+        if not text:
+            raise ValidationError(f"prompt {pid}: text is empty")
+        return Prompt(id=pid, text=normalize(text))
     except ValidationError as exc:
         raise ValidationError(str(exc), lineno) from None
 

@@ -5,21 +5,21 @@ multi-checkpoint ensembles.
 model's checkpoints a method reads. Every decode request of every method
 goes through ``Decoder.sentences``, on one ``Decoder`` per checkpoint, which
 loads its checkpoint when it is first decoded with and memoizes each
-source's n-best list per n and top-k, so the decoders a sweep shares across
+sentence's n-best list per n and top-k, so the decoders a sweep shares across
 its cells decode each request once; it alone calls ``decode_nbest``, with a
-``DecodeParams`` built once per decode. Each method is one per-prompt
-composition over the same source path: the prompt's canonical tokens
-(``textproc.sentence_tokens``, once per prompt), decode, join the tokens with
-spaces, de-duplicate. A model trained here knows canonical words only, so
-its candidates are canonical sentences: they are de-duplicated, compared and
-split for back-translation as plain strings, never canonicalized again.
-Every method returns one PredictionSet per prompt, in prompt order, and a
-set is empty exactly when the prompt's canonical form has no words: that is
-the only way a prompt degrades, since the parsers and ``MethodParams`` check
-every other input before any decode. Any exception raised inside a method,
-a checkpoint that fails to load (a CheckpointError) included, propagates.
-Every method is deterministic: identical inputs produce byte-identical
-prediction files.
+``DecodeParams`` built once per decode. Every request is a canonical
+sentence, passed as it is: a prompt's text, which ``corpus`` canonicalized
+where it was read, or a candidate. A model trained here knows canonical
+words only, so its candidates are canonical sentences: they are
+de-duplicated, compared and back-translated as plain strings, never
+canonicalized again. Each method is one per-prompt composition: decode,
+de-duplicate. Every method returns one PredictionSet per prompt, in prompt
+order, and a set is empty exactly when the prompt's text has no words (it
+was punctuation alone): that is the only way a prompt degrades, since the
+parsers and ``MethodParams`` check every other input before any decode. Any
+exception raised inside a method, a checkpoint that fails to load (a
+CheckpointError) included, propagates. Every method is deterministic:
+identical inputs produce byte-identical prediction files.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 from .corpus import PredictionSet, Prompt
 from .errors import ValidationError
-from .textproc import sentence_tokens, tokenize
+from .textproc import tokenize
 from .translator import Checkpoint, DecodeParams, decode_nbest
 
 
@@ -41,7 +41,7 @@ class Decoder:
     (``translator.read_index``), when a decode first needs it, and
     ``release`` drops it; the memo outlives it, so a released decoder
     answers every request its memo covers without loading again. The memo
-    is keyed on (source, n, top-k): a list is never sliced from a deeper
+    is keyed on (sentence, n, top-k): a list is never sliced from a deeper
     one, because rounding can make n-best(n) differ from the first n
     entries of n-best(N) (the caveat in ``decode_nbest``).
     """
@@ -52,18 +52,17 @@ class Decoder:
         self._ckpt: Checkpoint | None = None
         self._memo: dict[tuple[str, int, int], list[str]] = {}
 
-    def sentences(self, source: Sequence[str], n: int, top_k: int) -> list[str]:
+    def sentences(self, sentence: str, n: int, top_k: int) -> list[str]:
         """The non-empty hypotheses of ``decode_nbest`` on this decoder's
-        checkpoint, n-best over the ``top_k`` lexicon candidates of each
-        word, each as its tokens joined by spaces. A ``DecodeParams`` is
-        built only on a memo miss, so once per decode."""
-        # canonical tokens hold no space, so the joined source identifies it
-        key = (" ".join(source), n, top_k)
+        checkpoint for a canonical sentence, n-best over the ``top_k`` lexicon
+        candidates of each word, each as its tokens joined by spaces. Only a
+        memo miss tokenizes it and builds a ``DecodeParams``: once per decode."""
+        key = (sentence, n, top_k)
         sents = self._memo.get(key)
         if sents is None:
             if self._ckpt is None:
                 self._ckpt = self._load()
-            hyps = decode_nbest(self._ckpt, source, DecodeParams(n_best=n, top_k_lexicon=top_k))
+            hyps = decode_nbest(self._ckpt, tokenize(sentence), DecodeParams(n, top_k))
             # interned: the lists of a series' checkpoints share most sentences
             sents = self._memo[key] = [sys.intern(s) for h in hyps if (s := " ".join(h.tokens))]
         return sents
@@ -100,11 +99,8 @@ def nbest_predict(
     decoder: Decoder, prompts: Sequence[Prompt], params: MethodParams
 ) -> list[PredictionSet]:
     """Top-n decoded translations per prompt, de-duplicated in score order."""
-    sets: list[PredictionSet] = []
-    for prompt in prompts:
-        sents = decoder.sentences(sentence_tokens(prompt.text), params.n, params.top_k_lexicon)
-        sets.append(PredictionSet(prompt.id, tuple(dedup(sents))))
-    return sets
+    sents = (decoder.sentences(p.text, params.n, params.top_k_lexicon) for p in prompts)
+    return [PredictionSet(p.id, tuple(dedup(s))) for p, s in zip(prompts, sents)]
 
 
 def paraphrase_predict(
@@ -125,16 +121,12 @@ def paraphrase_predict(
         )
     sets: list[PredictionSet] = []
     for prompt in prompts:
-        tokens = sentence_tokens(prompt.text)
-        step1 = dedup(fwd.sentences(tokens, params.n, params.top_k_lexicon))
+        step1 = dedup(fwd.sentences(prompt.text, params.n, params.top_k_lexicon))
         pool: list[str] = []
         for sent in step1:
-            pool.extend(bwd.sentences(tokenize(sent), params.n_prime, params.top_k_lexicon))
-        source = " ".join(tokens)
-        step3: list[str] = []
-        for para in dedup(pool):
-            if para != source:
-                step3.extend(fwd.sentences(tokenize(para), 1, params.top_k_lexicon))
+            pool.extend(bwd.sentences(sent, params.n_prime, params.top_k_lexicon))
+        step3 = [hyp for para in dedup(pool) if para != prompt.text
+                 for hyp in fwd.sentences(para, 1, params.top_k_lexicon)]
         sets.append(PredictionSet(prompt.id, tuple(dedup(step1 + step3))))
     return sets
 
@@ -151,11 +143,10 @@ def multi_checkpoint_predict(
     """
     if params.m > len(decoders):
         raise ValidationError(f"m={params.m} exceeds the series length {len(decoders)}")
-    tokens = [sentence_tokens(prompt.text) for prompt in prompts]
     pooled: list[list[str]] = [[] for _ in prompts]
     for decoder in reversed(decoders[-params.m :]):
-        for pool, toks in zip(pooled, tokens):
-            pool.extend(decoder.sentences(toks, params.n, params.top_k_lexicon))
+        for pool, prompt in zip(pooled, prompts):
+            pool.extend(decoder.sentences(prompt.text, params.n, params.top_k_lexicon))
         decoder.release()
     return [PredictionSet(p.id, tuple(dedup(pool))) for p, pool in zip(prompts, pooled)]
 

@@ -1,8 +1,8 @@
 """Whitespace tokenization of canonical text and joint byte-pair encoding.
 
-``sentence_tokens`` is the one way text becomes model tokens: the sentence's
-canonical form (``corpus.normalize``), then the tokenizer. Training, BPE
-learning and decoding all call it, so a model reads canonical text only.
+``sentence_tokens`` is the one way raw text becomes model tokens: its
+canonical form (``corpus.normalize``), then the tokenizer. Training and BPE
+learning call it; decoding tokenizes text the parsers hold canonical already.
 
 Canonical text holds no punctuation and single spaces between words, so the
 tokenizer is a whitespace split, and joining tokens with single spaces

@@ -38,7 +38,7 @@ On-disk layout, one directory per checkpoint:
 
     meta.tsv     key<TAB>value rows: iteration, direction, corpus_loglik,
                  alpha, checksum (sha256 over the two model files); each
-                 key at most once, and unknown keys are ignored
+                 key non-empty, at most once; unknown keys are ignored
     lexicon.tsv  source<TAB>target<TAB>prob
     lm.tsv       w1<TAB>w2<TAB>logprob, including <s>/</s> boundary rows,
                  one "<other>" row per history (add-alpha mass for an
@@ -70,7 +70,8 @@ The iteration must be a positive decimal integer as written, and
 probabilities non-negative. Every word of lexicon.tsv, and every word of
 lm.tsv other than the reserved tokens, must be a model word
 (``corpus.is_model_word``); the loader checks each distinct word once per
-process (``_WORDS``). A malformed checkpoint raises ``CheckpointError``
+process (``_WORDS``), and each reserved token only in its lm.tsv role
+(``_parse_lm``). A malformed checkpoint raises ``CheckpointError``
 naming its directory, and the file and row where there is one; a malformed
 row is reported only once the checksum, known at the end of the files,
 holds.
@@ -749,11 +750,17 @@ def _parse_lexicon(blocks: Iterable[bytes]) -> LexiconTable:
 
 def _parse_lm(blocks: Iterable[bytes], alpha: float) -> BigramLm:
     """The LM lm.tsv's line blocks hold; raises ValueError naming the first
-    malformed row."""
+    malformed row, or a reserved token out of its role: ``</s>`` or ``<other>``
+    as a history, ``<s>`` or ``<unk>`` as a successor, or ``<unk> <other>``."""
     bigram: dict[tuple[str, str], float] = {}
     unseen: dict[str, float] = {}
     unigram: dict[str, float] = {}
     for w1, run in _rows(blocks, "lm.tsv"):
+        if w1 in (EOS, UNSEEN):
+            raise ValueError(f"reserved token {w1!r} is never a history in lm.tsv")
+        for token in ((BOS, BACKOFF, UNSEEN) if w1 == BACKOFF else (BOS, BACKOFF)):
+            if token in run:
+                raise ValueError(f"reserved token {token!r} never follows {w1!r} in lm.tsv")
         if UNSEEN in run:
             unseen[w1] = run.pop(UNSEEN)
         if w1 == BACKOFF:
@@ -798,8 +805,8 @@ def _load_lm(
 
 def _read_meta(directory: Path, read: dict[Path, str]) -> tuple[int, str, float, float, str]:
     """meta.tsv's iteration, direction, corpus_loglik, alpha and checksum,
-    each checked; the sha256 of the bytes read is added to ``read``, by
-    path. Blank rows are skipped and unknown keys ignored."""
+    each checked, from rows of ``key<TAB>value``, the key non-empty, unknown
+    keys ignored; the sha256 of the bytes read is added to ``read``, by path."""
     if not directory.is_dir():
         raise CheckpointError(f"checkpoint directory not found: {directory}")
     if not (directory / "meta.tsv").is_file():
@@ -812,10 +819,8 @@ def _read_meta(directory: Path, read: dict[Path, str]) -> tuple[int, str, float,
         except UnicodeDecodeError:
             raise CheckpointError(f"meta.tsv of {directory} is not UTF-8") from None
         for line in text.split("\n"):
-            if not line.strip():
-                continue
             cols = line.split("\t")
-            if len(cols) != 2:
+            if len(cols) != 2 or not cols[0]:
                 raise CheckpointError(f"corrupt meta.tsv row in {directory}: {line!r}")
             if cols[0] in meta:
                 raise CheckpointError(f"repeated key {cols[0]!r} in meta.tsv of {directory}")

@@ -242,6 +242,14 @@ def word_renamed(path: Path, old: str, new: str) -> str:
     return "".join("\t".join(row) + "\n" for row in rows)
 
 
+def row_added(path: Path, row: str) -> str:
+    """The text of a lexicon.tsv or lm.tsv with ``row`` added where its two
+    words sort, for ``rewrite_model_file``."""
+    rows = [*path.read_text(encoding="utf-8").splitlines(), row]
+    rows.sort(key=lambda row: [word.encode("utf-8") for word in row.split("\t")[:2]])
+    return "".join(row + "\n" for row in rows)
+
+
 FULL_WIDTH_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
 
 

@@ -12,11 +12,15 @@ from pathlib import Path
 
 import pytest
 
+import stapleforge.cli as cli
+import stapleforge.corpus as corpus
 import stapleforge.methods as methods
 import stapleforge.textproc as textproc
 import stapleforge.translator as translator
 from stapleforge import __version__
-from oracles import FULL_WIDTH_DIGITS, first_value_rewritten, rewrite_model_file, word_renamed
+from oracles import (
+    FULL_WIDTH_DIGITS, first_value_rewritten, rewrite_model_file, row_added, word_renamed,
+)
 from stapleforge.cli import _parse_parallel, main
 from stapleforge.corpus import normalize
 from stapleforge.textproc import BPE_HEADER
@@ -298,6 +302,21 @@ class TestTrain:
             trees[name] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
                            if p.is_file()}
         assert trees[variant] == trees["plain"]
+
+    def test_blank_parallel_lines_are_skipped(self, tmp_path, fixtures_path):
+        """An empty line and a whitespace-only one train as if absent."""
+        lines = (fixtures_path / "toy_parallel.tsv").read_text(encoding="utf-8").splitlines()
+        parallel = tmp_path / "parallel.tsv"
+        parallel.write_text("\n".join([lines[0], "", *lines[1:3], " \t ", *lines[3:]]) + "\n",
+                            encoding="utf-8")
+        trees = []
+        for name, path in (("plain", fixtures_path / "toy_parallel.tsv"), ("blank", parallel)):
+            out = tmp_path / name
+            assert run_cli(["train", "--parallel", str(path), "--iterations", "2",
+                            "--out", str(out)]) == 0
+            trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                          if p.is_file()})
+        assert trees[0] == trees[1]
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_parallel_corpus_holds_one_string_per_word(self, swap):
@@ -1566,6 +1585,13 @@ def _meta_value_rewritten(path: Path, key: str, rewrite) -> str:
     return _set_meta_row(path, key, rewrite(meta[key]))
 
 
+def _insert_meta_row(ckpt: Path, row: str) -> None:
+    """Add ``row`` to meta.tsv after its first row."""
+    rows = (ckpt / "meta.tsv").read_text(encoding="utf-8").splitlines()
+    (ckpt / "meta.tsv").write_text("\n".join([rows[0], row, *rows[1:]]) + "\n",
+                                   encoding="utf-8")
+
+
 def _negative_entry_in_a_row_summing_to_1(path: Path) -> str:
     """lexicon.tsv with its first two probabilities, of one source word, moved
     by +1 and -1: the row still sums to 1 but holds a negative probability."""
@@ -1618,6 +1644,17 @@ CHECKPOINT_FAULTS = {
     "appended-direction": lambda ckpt: (ckpt / "meta.tsv").write_text(
         (ckpt / "meta.tsv").read_text(encoding="utf-8") + "direction\tbwd\n",
         encoding="utf-8"),
+    # the first three used to load: blank rows were skipped, and a lone tab
+    # was a row of the empty key
+    "meta-blank-row": lambda ckpt: _insert_meta_row(ckpt, ""),
+    "meta-spaces-row": lambda ckpt: _insert_meta_row(ckpt, "   "),
+    "meta-tab-row": lambda ckpt: _insert_meta_row(ckpt, "\t"),
+    "meta-three-column-row": lambda ckpt: _insert_meta_row(ckpt, "created_at\tx\ty"),
+    "meta-missing-key": lambda ckpt: (ckpt / "meta.tsv").write_text("".join(
+        row for row in (ckpt / "meta.tsv").read_text(encoding="utf-8").splitlines(True)
+        if not row.startswith("alpha\t")), encoding="utf-8"),
+    "meta-not-utf8": lambda ckpt: (ckpt / "meta.tsv").write_bytes(
+        (ckpt / "meta.tsv").read_bytes() + b"note\t\xff\n"),
     # never equal to a canonical gold translation's word, so it used to score as a miss
     "non-canonical-lexicon-word": lambda ckpt: rewrite_model_file(
         ckpt, "lexicon.tsv", word_renamed(ckpt / "lexicon.tsv", "gato", "Gato!")),
@@ -1626,6 +1663,17 @@ CHECKPOINT_FAULTS = {
     # it used to load, and decoding wrote <s> as a candidate
     "reserved-lexicon-word": lambda ckpt: rewrite_model_file(
         ckpt, "lexicon.tsv", word_renamed(ckpt / "lexicon.tsv", "gato", "<s>")),
+    # a reserved token in a role lm.tsv never gives it used to load as a bigram
+    "lm-eos-history": lambda ckpt: rewrite_model_file(
+        ckpt, "lm.tsv", row_added(ckpt / "lm.tsv", "</s>\tgato\t-0.5")),
+    "lm-other-history": lambda ckpt: rewrite_model_file(
+        ckpt, "lm.tsv", row_added(ckpt / "lm.tsv", "<other>\tgato\t-0.5")),
+    "lm-bos-successor": lambda ckpt: rewrite_model_file(
+        ckpt, "lm.tsv", row_added(ckpt / "lm.tsv", "gato\t<s>\t-0.5")),
+    "lm-unk-successor": lambda ckpt: rewrite_model_file(
+        ckpt, "lm.tsv", row_added(ckpt / "lm.tsv", "gato\t<unk>\t-0.5")),
+    "lm-unk-other": lambda ckpt: rewrite_model_file(
+        ckpt, "lm.tsv", row_added(ckpt / "lm.tsv", "<unk>\t<other>\t-0.5")),
     # float() reads each of these values as the number it spells, so they used to load
     "space-before-value": lambda ckpt: rewrite_model_file(ckpt, "lexicon.tsv", (
         first_value_rewritten(ckpt / "lexicon.tsv", lambda value: " " + value))),
@@ -1746,6 +1794,49 @@ def test_prompt_holding_a_reserved_token_exits_2_and_writes_nothing(
     assert rc == 2
     assert "line 1: prompt x1: holds the reserved token '<s>'" in capsys.readouterr().err
     assert list(tmp_path.glob("out.txt*")) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["generate", "--method", "paraphrase", "--bwd-series", "{bwd}"],
+     ["generate", "--method", "ensemble", "--m", "3"],
+     ["sweep", "--gold", "{gold}", "--bwd-series", "{bwd}"]],
+    ids=["generate-paraphrase", "generate-ensemble", "sweep"],
+)
+def test_methods_never_canonicalize(trained_world, fixtures_path, tmp_path, monkeypatch, argv):
+    """The prompts parser canonicalizes each prompt, so a method decodes
+    canonical sentences only: with ``normalize`` raising inside
+    ``methods.predict``, except while a checkpoint loads (its model words
+    are checked), surface-form prompts still generate and sweep."""
+    real = corpus.normalize
+    forbidden = []  # whether normalize must not run, one entry per wrapped call, innermost last
+
+    def guarded_normalize(text):
+        if forbidden and forbidden[-1]:
+            raise AssertionError(f"normalize({text!r}) inside methods.predict")
+        return real(text)
+
+    def within(forbid, fn):
+        def call(*args, **kwargs):
+            forbidden.append(forbid)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                forbidden.pop()
+        return call
+
+    monkeypatch.setattr(corpus, "normalize", guarded_normalize)
+    monkeypatch.setattr(textproc, "normalize", guarded_normalize)
+    monkeypatch.setattr(cli, "predict", within(True, methods.predict))
+    monkeypatch.setattr(translator, "load_checkpoint", within(False, translator.load_checkpoint))
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text((fixtures_path / "toy_prompts.txt").read_text(encoding="utf-8")
+                       + "px|?!\n", encoding="utf-8")
+    fills = {"gold": str(fixtures_path / "toy_gold.txt"), "bwd": str(trained_world / "bwd")}
+    rc = run_cli([*(arg.format(**fills) for arg in argv),
+                  "--series", str(trained_world / "fwd"), "--prompts", str(prompts),
+                  "--out", str(tmp_path / "out.txt")])
+    assert rc == 0
 
 
 @pytest.mark.parametrize("command", ["score", "sweep"])

@@ -112,6 +112,15 @@ class TestParseGold:
             with pytest.raises(ValidationError, match="canonical form"):
                 WeightedTranslation(text, 0.5)
 
+    def test_translation_line_without_separator_rejected(self):
+        with pytest.raises(ParseError, match=r"line 3: expected 'translation\|weight': 'olá'"):
+            parse_gold("p|x\na|0.5\nolá\n")
+
+    def test_translation_empty_once_canonical_rejected(self):
+        with pytest.raises(ValidationError,
+                           match=r"line 2: translation is empty after normalization: '\?!'"):
+            parse_gold("p|x\n?!|0.5\n")
+
     def test_weights_sorted_non_increasing(self):
         golds = parse_gold("p|x\na|0.1\nb|0.5\nc|0.2\n")
         weights = [t.weight for t in golds[0].translations]
@@ -216,9 +225,10 @@ def gold_corpora(draw):
     """Gold sets and their rendering, weights written with 0-6 fractional digits."""
     golds, blocks = [], []
     for i in range(draw(st.integers(min_value=0, max_value=4))):
-        prompt = Prompt(id=f"q{i}", text=draw(prompt_texts))
+        surface = draw(prompt_texts)
+        prompt = Prompt(id=f"q{i}", text=normalize(surface))
         texts = draw(st.lists(canonical_texts, min_size=1, max_size=6, unique=True))
-        lines = [f"{prompt.id}|{prompt.text}"]
+        lines = [f"{prompt.id}|{surface}"]
         translations = []
         for text in texts:
             # whole millionths, at most 1e6 // len(texts) each, so the set sums to <= 1
@@ -241,13 +251,32 @@ def test_parse_gold_inverts_rendering(corpus):
 def test_parse_prompts():
     prompts = parse_prompts("p1|First prompt.\n\np2|Second prompt.\n")
     assert [(p.id, p.text) for p in prompts] == [
-        ("p1", "First prompt."),
-        ("p2", "Second prompt."),
+        ("p1", "first prompt"),
+        ("p2", "second prompt"),
     ]
     with pytest.raises(ValidationError, match="duplicate"):
         parse_prompts("p1|a\np1|b\n")
     with pytest.raises(ParseError):
         parse_prompts("no separator\n")
+
+
+def test_prompts_are_held_in_canonical_form():
+    """A prompt is canonicalized where it is read, an all-punctuation one
+    to the empty text, which decodes to no candidate."""
+    prompts = parse_prompts("p1| O  gato, come!\np2|?!\n")
+    assert prompts == [Prompt("p1", "o gato come"), Prompt("p2", "")]
+    assert parse_gold("p1|O gato!\nthe cat|0.5\n")[0].prompt == Prompt("p1", "o gato")
+    for text in ["O gato", "o gato!", "o  gato", " o gato"]:
+        with pytest.raises(ValidationError, match="prompt p1: text .* is not in canonical form"):
+            Prompt("p1", text)
+
+
+@pytest.mark.parametrize("parse, stream",
+                         [(parse_prompts, "q1|\n"), (parse_gold, "q1| \na|0.5\n")],
+                         ids=["prompts", "gold"])
+def test_header_with_empty_text_rejected(parse, stream):
+    with pytest.raises(ValidationError, match="line 1: prompt q1: text is empty"):
+        parse(stream)
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,10 @@
 
 It is stdlib-only: it declares no runtime dependency, so every module it
 imports, other than its own, must ship with Python. A sentence is
-canonicalized once, where it is read: the methods and the scorer compare
-canonical strings and never call ``normalize`` themselves. Every source
+canonicalized once, where it is read: the parsers hold prompts, gold
+translations and candidates in canonical form, so the methods decode and
+compare canonical strings, the scorer compares them, and neither calls
+``normalize`` or ``textproc.sentence_tokens``. Every source
 file, tests included, parses as Python 3.10, the oldest version README
 supports. No module binds a name at top level that it never reads, and
 test-only API stays under tests/: every public function, class, method and
@@ -64,7 +66,9 @@ def names_used(path: Path) -> set[str]:
 
 @pytest.mark.parametrize("module", ["methods.py", "metrics.py"])
 def test_methods_and_metrics_never_normalize(module):
-    assert "normalize" not in names_used(PACKAGE_DIR / module)
+    """Neither calls ``normalize``, by itself or through
+    ``textproc.sentence_tokens``."""
+    assert names_used(PACKAGE_DIR / module) & {"normalize", "sentence_tokens"} == set()
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import decoder_of
-from stapleforge.corpus import Prompt, normalize
+from stapleforge.corpus import RESERVED_TOKENS, Prompt, normalize, parse_prompts
 from stapleforge.errors import ValidationError
 from stapleforge.methods import (
     METHODS,
@@ -17,7 +17,6 @@ from stapleforge.methods import (
     predict,
 )
 from stapleforge.metrics import score_corpus
-from stapleforge.textproc import sentence_tokens
 from stapleforge.translator import (
     BOS,
     BigramLm,
@@ -74,21 +73,21 @@ class TestDecoder:
 
     def test_each_request_decodes_once(self, counted):
         decoder, ckpt, calls = counted
-        source = ["the", "cat", "eats", "fish"]
+        source = "the cat eats fish"
         for n in (3, 5, 3, 5):
-            fresh = [" ".join(h.tokens) for h in decode_nbest(ckpt, source, DecodeParams(n))]
-            assert decoder.sentences(source, n, 8) == fresh
+            hyps = decode_nbest(ckpt, source.split(), DecodeParams(n))
+            assert decoder.sentences(source, n, 8) == [" ".join(h.tokens) for h in hyps]
         assert calls == {"load": 1, "decode": 2}
         decoder.sentences(source, 3, 2)
         assert calls == {"load": 1, "decode": 3}
 
     def test_released_decoder_loads_again_only_on_a_miss(self, counted):
         decoder, _, calls = counted
-        first = decoder.sentences(["the", "dog"], 5, 8)
+        first = decoder.sentences("the dog", 5, 8)
         decoder.release()
-        assert decoder.sentences(["the", "dog"], 5, 8) == first
+        assert decoder.sentences("the dog", 5, 8) == first
         assert calls == {"load": 1, "decode": 1}
-        decoder.sentences(["the", "dog"], 3, 8)
+        decoder.sentences("the dog", 3, 8)
         assert calls == {"load": 2, "decode": 2}
 
     def test_empty_source_is_decoded_and_yields_no_sentence(self, counted):
@@ -96,7 +95,7 @@ class TestDecoder:
         one is found; its one empty hypothesis is no sentence."""
         decoder, ckpt, calls = counted
         assert [h.tokens for h in decode_nbest(ckpt, [], DecodeParams(n_best=3))] == [()]
-        assert decoder.sentences([], 3, 8) == []
+        assert decoder.sentences("", 3, 8) == []
         assert calls == {"load": 1, "decode": 1}
 
     def test_rounding_near_tie_is_not_sliced(self):
@@ -110,7 +109,7 @@ class TestDecoder:
                   ("b", "z"): -0.5, ("z", "w"): -1000.0}
         lm = BigramLm(bigram_logprob=bigram, unseen_logprob={}, unigram_logprob={}, alpha=0.1)
         ckpt = Checkpoint(iteration=1, lexicon=lexicon, lm=lm, corpus_loglik=-1.0)
-        source = ["s1", "s2", "s3"]
+        source = "s1 s2 s3"
         decoder = decoder_of(ckpt)
         assert decoder.sentences(source, 2, 8) == ["a z w", "b z w"]
         assert decoder.sentences(source, 1, 8) == ["b z w"]
@@ -234,7 +233,7 @@ class TestMultiCheckpointPredict:
 
     def test_prompt_without_words_gets_an_empty_set(self, toy_fwd_series, toy_prompts):
         sets = multi_checkpoint_predict(
-            decoders(toy_fwd_series), [*toy_prompts, Prompt("px", "?!")], params(m=3)
+            decoders(toy_fwd_series), [*toy_prompts, *parse_prompts("px|?!\n")], params(m=3)
         )
         assert [s.prompt_id for s in sets] == [*(p.id for p in toy_prompts), "px"]
         assert [s for s in sets if not s.candidates] == [sets[-1]]
@@ -286,16 +285,19 @@ class TestPredict:
             predict("paraphrase", decoders(toy_fwd_series), [], toy_prompts, params())
 
 
-# arbitrary text, or punctuation, symbols and spaces alone, which has no words
+# arbitrary text, or punctuation, symbols and spaces alone, which has no words,
+# that the parsers would read: not blank, and no reserved token once canonical
 WORDLESS = st.characters(whitelist_categories=("P", "S", "Z"))
-PROMPT_TEXT = (st.text(max_size=25) | st.text(WORDLESS, max_size=25)).filter(str.strip)
+PROMPT_TEXT = (st.text(max_size=25) | st.text(WORDLESS, max_size=25)).filter(
+    lambda t: t.strip() and not set(normalize(t).split()) & set(RESERVED_TOKENS)
+)
 
 
 class TestDegradedPrompt:
-    """A prompt degrades only when its canonical form has no words; the
-    parsers, ``Prompt`` (its text is not blank) and ``MethodParams`` check
-    every other input before any decode, so no method needs to catch an
-    error."""
+    """A prompt degrades only when its canonical text has no words; the
+    parsers (its surface text is not blank), ``Prompt`` and ``MethodParams``
+    check every other input before any decode, so no method needs to catch
+    an error."""
 
     @pytest.mark.parametrize("method", METHODS)
     @settings(max_examples=100, deadline=None)
@@ -303,13 +305,13 @@ class TestDegradedPrompt:
     def test_set_is_empty_exactly_when_the_prompt_has_no_words(
         self, toy_fwd_series, toy_bwd_series, method, texts
     ):
-        prompts = [Prompt(f"p{i}", text) for i, text in enumerate(texts)]
+        prompts = [Prompt(f"p{i}", normalize(text)) for i, text in enumerate(texts)]
         sets = predict(
             method, decoders(toy_fwd_series), decoders(toy_bwd_series), prompts,
             params(n=4, n_prime=2, m=3),
         )
         assert [s.prompt_id for s in sets] == [p.id for p in prompts]
-        assert [not s.candidates for s in sets] == [not sentence_tokens(t) for t in texts]
+        assert [not s.candidates for s in sets] == [not p.text for p in prompts]
 
 
 class TestDeterminism:

@@ -27,6 +27,7 @@ from oracles import (
     gen_random_lattice,
     gen_random_parallel,
     rewrite_model_file,
+    row_added,
     word_renamed,
 )
 from stapleforge.errors import CheckpointError, ValidationError
@@ -390,6 +391,42 @@ class TestCheckpointFaults:
         with pytest.raises(CheckpointError, match=f"{reason}: .* \\(in .*ckpt-0001\\)"):
             load_checkpoint(ckpt)
 
+    @pytest.mark.parametrize("row", ["", "   ", "\t", "created_at\tx\ty"],
+                             ids=["blank", "spaces", "tab", "three-columns"])
+    def test_meta_row_out_of_format_rejected(self, hand_series, tmp_path, row):
+        """Every meta.tsv row is ``key<TAB>value`` with a non-empty key: a
+        blank row, a row of spaces and a lone tab used to be skipped."""
+        ckpt = tmp_path / "series" / "ckpt-0001"
+        meta = ckpt / "meta.tsv"
+        meta.write_text(row + "\n" + meta.read_text(encoding="utf-8"), encoding="utf-8")
+        expected = f"corrupt meta.tsv row in .*ckpt-0001: {re.escape(repr(row))}"
+        with pytest.raises(CheckpointError, match=expected):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize(
+        "w1, w2, reason",
+        [("</s>", "x", "reserved token '</s>' is never a history"),
+         ("<other>", "x", "reserved token '<other>' is never a history"),
+         ("x", "<s>", "reserved token '<s>' never follows 'x'"),
+         ("x", "<unk>", "reserved token '<unk>' never follows 'x'"),
+         ("<unk>", "<other>", "reserved token '<other>' never follows '<unk>'")],
+        ids=["eos-history", "other-history", "bos-successor", "unk-successor", "unk-other"],
+    )
+    def test_reserved_lm_token_out_of_its_role_rejected(self, hand_series, tmp_path, w1, w2,
+                                                        reason):
+        """``<s>`` starts a history and ``</s>`` ends one; ``<other>`` is
+        the row of a history's unseen successors and ``<unk>`` the history of
+        the back-off rows, which have no unseen row. Such a row, in order,
+        used to load as a bigram; it is reported once the checksum holds."""
+        ckpt = tmp_path / "series" / "ckpt-0001"
+        text = row_added(ckpt / "lm.tsv", f"{w1}\t{w2}\t-0.5")
+        (ckpt / "lm.tsv").write_text(text, encoding="utf-8")
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
+            load_checkpoint(ckpt)
+        rewrite_model_file(ckpt, "lm.tsv", text)
+        with pytest.raises(CheckpointError, match=f"{re.escape(reason)} in lm.tsv \\(in .*ckpt"):
+            load_checkpoint(ckpt)
+
     @pytest.mark.parametrize("word, token, row", [("b", "<unk>", "<unk>"), ("y", "<s>", "a")],
                              ids=["source", "target"])
     def test_reserved_lexicon_word_rejected(self, hand_series, tmp_path, word, token, row):
@@ -573,6 +610,19 @@ class TestStreamingLoad:
         assert load_checkpoint(ckpt_dir) == expected
         rewrite_model_file(ckpt_dir, "lm.tsv", text.rstrip("\n"))
         assert load_checkpoint(ckpt_dir) == expected
+
+    def test_malformed_first_row_of_a_many_chunk_file_names_the_row(self, tmp_path, monkeypatch):
+        """The parser stops at a malformed row, and the loader reads the rest
+        of the file for the checksum, which holds, so the row is reported."""
+        train_toy(load_toy_pairs(), 1, tmp_path / "s")
+        ckpt = tmp_path / "s" / "ckpt-0001"
+        text = (ckpt / "lexicon.tsv").read_text(encoding="utf-8")
+        rewrite_model_file(ckpt, "lexicon.tsv", first_value_rewritten(
+            ckpt / "lexicon.tsv", lambda value: "abc"))
+        monkeypatch.setattr(translator, "_CHUNK", 64)
+        assert len(text) > 10 * 64
+        with pytest.raises(CheckpointError, match="non-numeric value in lexicon.tsv row 1"):
+            load_checkpoint(ckpt)
 
     def test_lm_is_parsed_once_per_series(self, tmp_path, monkeypatch):
         """The index's LMs are keyed on lm.tsv's digest and alpha."""
