@@ -17,8 +17,9 @@ methods decode, and ``score`` and ``sweep`` compare, plain strings.
 ``generate`` and every ``sweep`` cell run a method through the one entry
 point ``methods.predict``; a sweep cell whose method cannot run on the models
 given (paraphrase without ``--bwd-series``, ``m`` beyond the series) is an NA
-row. Every model is opened by ``Run.model``, through its index: a series'
-``series.tsv`` or a ``--ckpt``'s own ``meta.tsv``. Both commands read each
+row, and a sweep of NA rows alone exits 2 with nothing written. Every model
+is opened by ``Run.model``, through its index: a series' ``series.tsv`` or a
+``--ckpt``'s own ``meta.tsv``. Both commands read each
 index and refuse a forward model that is not ``fwd`` or a backward one that
 is not ``bwd`` up front, whatever the method, then hand ``predict`` one decoder
 (``methods.Decoder``) per listed checkpoint, which loads its checkpoint when
@@ -335,12 +336,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except ValidationError as exc:  # a CheckpointError fails the command
             log.warning("sweep cell %s %s failed: %s", method, label, exc)
             rows.append(f"{method}\t{label}\tNA\tNA\tNA\n")
-    header = "method\tparam\tprecision\tweighted_recall\tweighted_f1\n"
-    run.write(header + "".join(rows), key="table")
-    run.finish(args, "n_values", "n_prime_values", "m_values", "fixed_n", "top_k")
     if all(row.endswith("\tNA\n") for row in rows):
         log.error("every sweep cell failed")
         return EXIT_INPUT
+    header = "method\tparam\tprecision\tweighted_recall\tweighted_f1\n"
+    run.write(header + "".join(rows), key="table")
+    run.finish(args, "n_values", "n_prime_values", "m_values", "fixed_n", "top_k")
     return EXIT_OK
 
 

@@ -30,10 +30,11 @@ renormalizes the counts in place and formats each lexicon value once, for
 both the quantized value and the lexicon.tsv text, which it keeps as one
 block per source word, never joined, for save_checkpoint to write; and
 lm.tsv is rendered once per series, from each value's ``repr``
-(``_lm_text``). Training keeps no checkpoint once it is saved, so it holds one
-lexicon and its text at a time, however many iterations it runs. Every file
-is byte-identical to rendering each checkpoint on its own, and, as both steps
-total floats left to right (``corpus.ordered_sum``), on every Python version.
+(``_table_text``). Training keeps no checkpoint once it is saved, so it
+holds one lexicon and its text at a time, however many iterations it runs.
+Every file is byte-identical to rendering each checkpoint on its own, and,
+as both steps total floats left to right (``corpus.ordered_sum``), on every
+Python version.
 On-disk layout, one directory per checkpoint:
 
     meta.tsv     key<TAB>value rows: iteration, direction, corpus_loglik,
@@ -42,11 +43,14 @@ On-disk layout, one directory per checkpoint:
     lexicon.tsv  source<TAB>target<TAB>prob
     lm.tsv       w1<TAB>w2<TAB>logprob, including <s>/</s> boundary rows,
                  one "<other>" row per history (add-alpha mass for an
-                 unseen in-vocabulary successor) and "<unk>" unigram-backoff
-                 rows used when the history itself is out of vocabulary
+                 unseen in-vocabulary successor), which every history has,
+                 and "<unk>" unigram-backoff rows, which every lm.tsv has,
+                 used when the history itself is out of vocabulary
 
 Each model file's rows are sorted by their two words, each pair once, so
-every row's (w1, w2) is strictly after the row before's.
+every row's (w1, w2) is strictly after the row before's. Both load into one
+shape, ``Table``: the rows by first word, ``{w1: {w2: value}}``, which one
+renderer writes (``_table_text``). A lexicon is a table; a ``BigramLm`` holds one.
 
 All three are UTF-8 with LF line endings, and the checksum is taken over the
 model files' bytes on disk. The reserved tokens (``corpus.RESERVED_TOKENS``)
@@ -71,7 +75,8 @@ probabilities non-negative. Every word of lexicon.tsv, and every word of
 lm.tsv other than the reserved tokens, must be a model word
 (``corpus.is_model_word``); the loader checks each distinct word once per
 process (``_WORDS``), and each reserved token only in its lm.tsv role
-(``_parse_lm``). A malformed checkpoint raises ``CheckpointError``
+(``_parse_lm``, which also requires each history's ``<other>`` row and the
+``<unk>`` rows). A malformed checkpoint raises ``CheckpointError``
 naming its directory, and the file and row where there is one; a malformed
 row is reported only once the checksum, known at the end of the files,
 holds.
@@ -122,7 +127,7 @@ import os
 import re
 import shutil
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -146,7 +151,8 @@ CHECKPOINT_FILES = ("lexicon.tsv", "lm.tsv", "meta.tsv")  # in the order they ar
 _ITERATION = re.compile(r"[1-9][0-9]*")
 _CKPT_NAME = re.compile(rf"ckpt-0*({_ITERATION.pattern})")
 
-LexiconTable = dict[str, dict[str, float]]
+# a model file's rows by their first word: lexicon.tsv's and lm.tsv's in-memory form
+Table = dict[str, dict[str, float]]
 
 
 def quantize(x: float) -> float:
@@ -179,83 +185,69 @@ def _format_value(x: float) -> tuple[float, str]:
 
 @dataclass(frozen=True, eq=True)
 class BigramLm:
-    """Add-alpha bigram model over the target vocabulary plus sentence boundaries."""
+    """Add-alpha bigram model, held as lm.tsv's rows: each history's seen
+    successors and ``<other>`` value (an unseen in-vocabulary successor), and
+    ``<unk>``'s unigram back-off values, for an out-of-vocabulary history."""
 
-    bigram_logprob: dict[tuple[str, str], float]
-    unseen_logprob: dict[str, float]
-    unigram_logprob: dict[str, float]
+    rows: Table
     alpha: float
 
     def logprob(self, w1: str, w2: str) -> float:
-        lp = self.bigram_logprob.get((w1, w2))
+        """log P(w2 | w1) for a word, ``</s>`` or a copied prompt word ``w2``,
+        ``FLOOR_LOGPROB`` out of the vocabulary; no decode asks for
+        ``logprob(w1, "<other>")``, a known history's ``<other>`` value."""
+        row = self.rows.get(w1)
+        if row is None:
+            return self.rows[BACKOFF].get(w2, FLOOR_LOGPROB)
+        lp = row.get(w2)
         if lp is not None:
             return lp
-        if w1 in self.unseen_logprob:
-            if w2 in self.unigram_logprob:
-                return self.unseen_logprob[w1]
-            return FLOOR_LOGPROB
-        if w2 in self.unigram_logprob:
-            return self.unigram_logprob[w2]
-        return FLOOR_LOGPROB
+        return row[UNSEEN] if w2 in self.rows[BACKOFF] else FLOOR_LOGPROB
 
 
 def build_bigram_lm(target_corpus: Iterable[TokenSeq], alpha: float = 0.1) -> BigramLm:
-    """The add-alpha bigram LM of ``target_corpus``, each value quantized
-    (``quantize``), so lm.tsv (``_lm_text``) loads back bit-exactly."""
+    """The add-alpha bigram LM of ``target_corpus``, its rows built as lm.tsv
+    holds them, each value quantized (``quantize``), so lm.tsv
+    (``_table_text``) loads back bit-exactly."""
     if not 0.0 < alpha < math.inf:
         raise ValidationError(f"alpha must be finite and > 0, got {alpha!r}")
     unigram_counts: Counter[str] = Counter()
-    bigram_counts: Counter[tuple[str, str]] = Counter()
-    vocab: set[str] = set()
+    # successor counts by history: <s> and every word, each followed by a word or </s>
+    bigram_counts: defaultdict[str, Counter[str]] = defaultdict(Counter)
     for seq in target_corpus:
         if not seq:
             continue
-        vocab.update(seq)
         unigram_counts.update(seq)
         unigram_counts[EOS] += 1
         prev = BOS
-        for w in seq:
-            bigram_counts[(prev, w)] += 1
+        for w in (*seq, EOS):
+            bigram_counts[prev][w] += 1
             prev = w
-        bigram_counts[(prev, EOS)] += 1
-    if not vocab:
+    if not unigram_counts:
         raise ValidationError("cannot estimate a language model from an empty corpus")
 
-    support = sorted(vocab | {EOS})
-    v = len(support)
-    histories = sorted(vocab | {BOS})
-    context_totals: dict[str, int] = {h: 0 for h in histories}
-    for (w1, _), c in bigram_counts.items():
-        context_totals[w1] += c
-
-    n_events = sum(unigram_counts.values())
-    denom_u = n_events + alpha * v
+    v = len(unigram_counts)  # the vocabulary and </s>
+    denom_u = sum(unigram_counts.values()) + alpha * v
     # denom_u is the largest denominator and alpha the smallest numerator, so
     # when their ratio is positive and finite every log-probability is finite
     if not (math.isfinite(denom_u) and alpha / denom_u > 0.0):
         raise ValidationError(f"alpha={alpha!r} makes language-model values non-finite")
-    unseen_logprob = {
-        w1: quantize(math.log(alpha / (context_totals[w1] + alpha * v))) for w1 in histories
+    rows: Table = {}
+    for w1, successors in bigram_counts.items():
+        denom = sum(successors.values()) + alpha * v
+        row = {w2: quantize(math.log((c + alpha) / denom)) for w2, c in successors.items()}
+        row[UNSEEN] = quantize(math.log(alpha / denom))
+        rows[w1] = row
+    rows[BACKOFF] = {
+        w: quantize(math.log((c + alpha) / denom_u)) for w, c in unigram_counts.items()
     }
-    bigram_logprob = {
-        (w1, w2): quantize(math.log((c + alpha) / (context_totals[w1] + alpha * v)))
-        for (w1, w2), c in bigram_counts.items()
-    }
-    unigram_logprob = {
-        w: quantize(math.log((unigram_counts[w] + alpha) / denom_u)) for w in support
-    }
-    return BigramLm(
-        bigram_logprob=bigram_logprob,
-        unseen_logprob=unseen_logprob,
-        unigram_logprob=unigram_logprob,
-        alpha=alpha,
-    )
+    return BigramLm(rows, alpha)
 
 
 @dataclass(frozen=True, eq=True)
 class Checkpoint:
     iteration: int
-    lexicon: LexiconTable
+    lexicon: Table
     lm: BigramLm
     corpus_loglik: float
     direction: str = "fwd"
@@ -300,7 +292,7 @@ class DecodeParams:
 
 
 def corpus_loglikelihood(
-    lexicon: LexiconTable, parallel: Sequence[tuple[TokenSeq, TokenSeq]]
+    lexicon: Table, parallel: Sequence[tuple[TokenSeq, TokenSeq]]
 ) -> float:
     """Sum over pairs of sum_j log((1/l) * sum_i t(f_j | e_i)), no NULL word."""
     # both sums add left to right from 0.0, as corpus.ordered_sum does
@@ -380,7 +372,7 @@ def train_toy(
         targets = dict.fromkeys(tgt)
         for e in src:
             first_seen.setdefault(e, {}).update(targets)
-    lexicon: LexiconTable = {
+    lexicon: Table = {
         e: dict.fromkeys(row, quantize(1.0 / len(row))) for e, row in sorted(first_seen.items())
     }
     del first_seen
@@ -388,12 +380,12 @@ def train_toy(
 
     lm = build_bigram_lm([tgt for _, tgt in pairs], alpha=alpha)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lm_blocks = [_lm_text(lm).encode("utf-8")]
+    lm_blocks = [_table_text(lm.rows).encode("utf-8")]
 
     rows: list[tuple[int, float]] = []
 
     def finish(
-        iteration: int, lexicon: LexiconTable, blocks: list[bytes], loglik: float
+        iteration: int, lexicon: Table, blocks: list[bytes], loglik: float
     ) -> None:
         ckpt = Checkpoint(
             iteration=iteration,
@@ -423,7 +415,7 @@ def train_toy(
 
 
 def _expected_counts(
-    lexicon: LexiconTable, pairs: Sequence[tuple[TokenSeq, TokenSeq]]
+    lexicon: Table, pairs: Sequence[tuple[TokenSeq, TokenSeq]]
 ) -> tuple[dict[str, dict[str, float]], float]:
     """The E-step: fractional counts under ``lexicon``, each row starting at
     zero with the key order of the lexicon row it reads, and its
@@ -449,7 +441,7 @@ def _expected_counts(
 
 def _renormalize(
     counts: dict[str, dict[str, float]], support: dict[str, list[str]]
-) -> tuple[LexiconTable, list[bytes]]:
+) -> tuple[Table, list[bytes]]:
     """The M-step, in place: ``counts`` becomes the quantized lexicon, and
     its lexicon.tsv text is built beside it, one block per source word.
 
@@ -473,7 +465,7 @@ def _renormalize(
 
 
 def emission_candidates(
-    lexicon: LexiconTable, source_word: str, top_k: int
+    lexicon: Table, source_word: str, top_k: int
 ) -> list[tuple[str, float]]:
     """The per-position emission model: top-k lexicon entries, or a penalized copy."""
     row = lexicon.get(source_word)
@@ -539,22 +531,11 @@ def _checksum(lexicon_blocks: Iterable[bytes], lm_blocks: Iterable[bytes]) -> st
     return digest.hexdigest()
 
 
-def _lexicon_text(lexicon: LexiconTable) -> str:
-    rows = []
-    for e in sorted(lexicon):
-        for f in sorted(lexicon[e]):
-            rows.append(f"{e}\t{f}\t{lexicon[e][f]!r}\n")
-    return "".join(rows)
-
-
-def _lm_text(lm: BigramLm) -> str:
-    """lm.tsv's text: every row, sorted by its two words, with the ``repr``
-    of its value; training renders it once per series."""
-    rows = [(w1, w2, lp) for (w1, w2), lp in lm.bigram_logprob.items()]
-    rows.extend((w1, UNSEEN, lp) for w1, lp in lm.unseen_logprob.items())
-    rows.extend((BACKOFF, w, lp) for w, lp in lm.unigram_logprob.items())
-    rows.sort()  # no two rows share their words, so the values are never compared
-    return "".join([f"{w1}\t{w2}\t{lp!r}\n" for w1, w2, lp in rows])
+def _table_text(table: Table) -> str:
+    """A model file's text, lexicon.tsv's or lm.tsv's: every row, sorted by
+    its two words, with the ``repr`` of its value."""
+    return "".join([f"{w1}\t{w2}\t{value!r}\n"
+                    for w1 in sorted(table) for w2, value in sorted(table[w1].items())])
 
 
 def _check_directory(directory: Path) -> None:
@@ -573,16 +554,17 @@ def save_checkpoint(ckpt: Checkpoint, directory: Path | str) -> None:
     half-written: a save that fails removes the partial directory, and a
     partial directory left by a crash is cleared by the next save of that
     name. A save never replaces anything: an existing ``directory``, or a
-    file above it, raises ValidationError with nothing written.
+    file above it, raises ValidationError with nothing written. The model
+    files are the blocks training rendered (``Checkpoint.rendered``), or
+    else each table rendered here by ``_table_text``.
     """
     directory = Path(directory)
     _check_directory(directory)
     if directory.exists():
         raise ValidationError(f"{directory} already exists; save a checkpoint into a new directory")
-    # training's blocks if it rendered them, else the files rendered here
     rendered = ckpt.rendered
-    lexicon_blocks = rendered.get("lexicon.tsv") or [_lexicon_text(ckpt.lexicon).encode("utf-8")]
-    lm_blocks = rendered.get("lm.tsv") or [_lm_text(ckpt.lm).encode("utf-8")]
+    lexicon_blocks = rendered.get("lexicon.tsv") or [_table_text(ckpt.lexicon).encode("utf-8")]
+    lm_blocks = rendered.get("lm.tsv") or [_table_text(ckpt.lm.rows).encode("utf-8")]
     meta_rows = [
         ("iteration", str(ckpt.iteration)),
         ("direction", ckpt.direction),
@@ -731,11 +713,11 @@ def _rows(blocks: Iterable[bytes], name: str) -> Iterator[tuple[str, dict[str, f
         yield w1, run
 
 
-def _parse_lexicon(blocks: Iterable[bytes]) -> LexiconTable:
+def _parse_lexicon(blocks: Iterable[bytes]) -> Table:
     """The lexicon lexicon.tsv's line blocks hold; raises ValueError naming
     the first malformed row, or a source word whose row holds a reserved token
     or whose probabilities are not a distribution."""
-    lexicon: LexiconTable = dict(_rows(blocks, "lexicon.tsv"))
+    lexicon: Table = dict(_rows(blocks, "lexicon.tsv"))
     for e, row in lexicon.items():
         for token in RESERVED_TOKENS:
             if token == e or token in row:
@@ -749,28 +731,26 @@ def _parse_lexicon(blocks: Iterable[bytes]) -> LexiconTable:
 
 
 def _parse_lm(blocks: Iterable[bytes], alpha: float) -> BigramLm:
-    """The LM lm.tsv's line blocks hold; raises ValueError naming the first
-    malformed row, or a reserved token out of its role: ``</s>`` or ``<other>``
-    as a history, ``<s>`` or ``<unk>`` as a successor, or ``<unk> <other>``."""
-    bigram: dict[tuple[str, str], float] = {}
-    unseen: dict[str, float] = {}
-    unigram: dict[str, float] = {}
+    """The LM lm.tsv's line blocks hold, each run of rows as it is read;
+    raises ValueError naming the first malformed row, or a reserved token out
+    of its role: ``</s>`` or ``<other>`` as a history, ``<s>`` or ``<unk>``
+    as a successor, or ``<unk> <other>``. Once every row is read, so that a
+    row out of order is reported as that, a history with no ``<other>`` row
+    or a file with no ``<unk>`` rows is rejected too."""
+    rows: Table = {}
     for w1, run in _rows(blocks, "lm.tsv"):
         if w1 in (EOS, UNSEEN):
             raise ValueError(f"reserved token {w1!r} is never a history in lm.tsv")
         for token in ((BOS, BACKOFF, UNSEEN) if w1 == BACKOFF else (BOS, BACKOFF)):
             if token in run:
                 raise ValueError(f"reserved token {token!r} never follows {w1!r} in lm.tsv")
-        if UNSEEN in run:
-            unseen[w1] = run.pop(UNSEEN)
-        if w1 == BACKOFF:
-            unigram.update(run)
-        else:
-            for w2, lp in run.items():
-                bigram[w1, w2] = lp
-    return BigramLm(
-        bigram_logprob=bigram, unseen_logprob=unseen, unigram_logprob=unigram, alpha=alpha
-    )
+        rows[w1] = run
+    if BACKOFF not in rows:
+        raise ValueError(f"lm.tsv has no {BACKOFF!r} rows")
+    for w1, run in rows.items():
+        if w1 != BACKOFF and UNSEEN not in run:
+            raise ValueError(f"history {w1!r} has no {UNSEEN!r} row in lm.tsv")
+    return BigramLm(rows, alpha)
 
 
 # the LMs one model's loads share, by (lm.tsv digest, alpha)

@@ -3,7 +3,8 @@ a helper that edits a checkpoint's model files behind its checksum.
 
 Everything here deliberately re-derives results from first principles rather
 than calling the implementation paths it checks: the decoding oracle
-enumerates every candidate sequence, the BPE oracle rescans the whole corpus
+enumerates every candidate sequence, the LM oracle counts each value's
+bigrams in the sentences when asked, the BPE oracle rescans the whole corpus
 every round, the normalization oracle tests each character on its own, and
 the scoring oracle evaluates the metric definitions directly
 on normalized sets.
@@ -30,6 +31,8 @@ from stapleforge.corpus import (
 from stapleforge.errors import ValidationError
 from stapleforge.translator import (
     BOS,
+    EOS,
+    PROB_FLOOR,
     Checkpoint,
     Hypothesis,
     build_bigram_lm,
@@ -133,6 +136,41 @@ def score_prompt_oracle(gold: GoldSet, pred: PredictionSet) -> tuple[float, floa
     recall = wtp / (wtp + wfn) if wtp + wfn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision and recall else 0.0
     return precision, recall, f1
+
+
+def bigram_lm_oracle(corpus: Sequence[Sequence[str]], alpha: float):
+    """The add-alpha bigram LM of ``corpus`` as a function of ``(w1, w2)``,
+    each value counted from the sentences when asked. Each non-empty
+    sentence is ``<s> w ... </s>``; V counts its words and ``</s>``.
+
+    - ``w2`` outside the words and ``</s>`` (``<s>`` among them):
+      ``log(PROB_FLOOR)``.
+    - ``w1`` a word or ``<s>``, a known history: ``c(w1 w2)``, the bigram's
+      count (0 for an unseen successor), over ``c(w1 ·)``, the count of
+      bigrams after ``w1``.
+    - any other ``w1``, an unknown history: the unigram ``c(w2)`` over N,
+      the words plus one ``</s>`` per sentence.
+
+    A value is ``quantize(log((count + alpha) / (total + alpha * V)))``, in
+    exactly that order, with ``count`` and ``total`` ints, so its float is
+    the one the same operations give anywhere (``0 + alpha`` is ``alpha``).
+    """
+    sentences = [[BOS, *s, EOS] for s in corpus if s]
+    words = {w for s in sentences for w in s[1:-1]}
+    v = len(words) + 1
+
+    def logprob(w1: str, w2: str) -> float:
+        if w2 not in words and w2 != EOS:
+            return math.log(PROB_FLOOR)
+        if w1 in words or w1 == BOS:
+            count = sum(s[i:i + 2] == [w1, w2] for s in sentences for i in range(len(s) - 1))
+            total = sum(s[:-1].count(w1) for s in sentences)
+        else:
+            count = sum(s[1:].count(w2) for s in sentences)
+            total = sum(len(s) - 1 for s in sentences)
+        return quantize(math.log((count + alpha) / (total + alpha * v)))
+
+    return logprob
 
 
 def gen_random_parallel(rng: random.Random) -> list[tuple[list[str], list[str]]]:
@@ -248,6 +286,15 @@ def row_added(path: Path, row: str) -> str:
     rows = [*path.read_text(encoding="utf-8").splitlines(), row]
     rows.sort(key=lambda row: [word.encode("utf-8") for word in row.split("\t")[:2]])
     return "".join(row + "\n" for row in rows)
+
+
+def rows_dropped(path: Path, prefix: str) -> str:
+    """The text of a lexicon.tsv or lm.tsv without its rows that start with
+    ``prefix``, at least one, for ``rewrite_model_file``."""
+    rows = path.read_text(encoding="utf-8").splitlines(True)
+    kept = [row for row in rows if not row.startswith(prefix)]
+    assert len(kept) < len(rows)
+    return "".join(kept)
 
 
 FULL_WIDTH_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))

@@ -19,7 +19,8 @@ import stapleforge.textproc as textproc
 import stapleforge.translator as translator
 from stapleforge import __version__
 from oracles import (
-    FULL_WIDTH_DIGITS, first_value_rewritten, rewrite_model_file, row_added, word_renamed,
+    FULL_WIDTH_DIGITS, first_value_rewritten, rewrite_model_file, row_added, rows_dropped,
+    word_renamed,
 )
 from stapleforge.cli import _parse_parallel, main
 from stapleforge.corpus import normalize
@@ -1089,14 +1090,18 @@ class TestMoreCliEdges:
         assert rc == 0
         assert out.read_text().startswith("t1|\n")
 
-    def test_sweep_all_cells_failing_exits_2(self, trained_world, fixtures_path, tmp_path):
+    def test_sweep_all_cells_failing_exits_2(
+        self, trained_world, fixtures_path, tmp_path, caplog
+    ):
+        """It used to write the table of NA rows and its manifest first."""
         out = tmp_path / "table.tsv"
         rc = run_cli(["sweep", "--series", str(trained_world / "fwd"),
                       "--gold", str(fixtures_path / "toy_gold.txt"),
                       "--prompts", str(fixtures_path / "toy_prompts.txt"),
                       "--out", str(out), "--n", "", "--n-prime", "", "--m", "99"])
         assert rc == 2
-        assert "ensemble\tm=99\tNA\tNA\tNA" in out.read_text()
+        assert "every sweep cell failed" in caplog.text
+        assert list(tmp_path.glob("table.tsv*")) == []
 
     def test_python_dash_m_runs_the_command(self):
         """``python -m stapleforge`` used to fail: the package had no __main__."""
@@ -1606,84 +1611,122 @@ def _negative_entry_in_a_row_summing_to_1(path: Path) -> str:
 DIGIT_PAIR = re.compile(r"(\d)(\d)")
 
 CHECKPOINT_FAULTS = {
-    "missing-lm": lambda ckpt: (ckpt / "lm.tsv").unlink(),
-    "checksum": lambda ckpt: (ckpt / "lexicon.tsv").write_text(
+    "missing-lm": (lambda ckpt: (ckpt / "lm.tsv").unlink(), "missing checkpoint file"),
+    "checksum": (lambda ckpt: (ckpt / "lexicon.tsv").write_text(
         _edit_first_row(ckpt / "lexicon.tsv", lambda row: row + "0"), encoding="utf-8"),
-    "meta-value": lambda ckpt: (ckpt / "meta.tsv").write_text(
+        "checksum mismatch"),
+    "meta-value": (lambda ckpt: (ckpt / "meta.tsv").write_text(
         _edit_first_row(ckpt / "meta.tsv", lambda row: "iteration\ttwo"), encoding="utf-8"),
+        "bad iteration 'two'"),
     # int() takes both: 0 then failed without naming the directory, " 2_0" loaded as 20
-    "iteration-0": lambda ckpt: (ckpt / "meta.tsv").write_text(
+    "iteration-0": (lambda ckpt: (ckpt / "meta.tsv").write_text(
         _set_meta_row(ckpt / "meta.tsv", "iteration", "0"), encoding="utf-8"),
-    "iteration-underscore": lambda ckpt: (ckpt / "meta.tsv").write_text(
+        "bad iteration '0'"),
+    "iteration-underscore": (lambda ckpt: (ckpt / "meta.tsv").write_text(
         _set_meta_row(ckpt / "meta.tsv", "iteration", " 2_0"), encoding="utf-8"),
-    "two-column-row": lambda ckpt: rewrite_model_file(ckpt, "lexicon.tsv", _edit_first_row(
+        "bad iteration ' 2_0'"),
+    "two-column-row": (lambda ckpt: rewrite_model_file(ckpt, "lexicon.tsv", _edit_first_row(
         ckpt / "lexicon.tsv", lambda row: row.rsplit("\t", 1)[0])),
-    "non-numeric-prob": lambda ckpt: rewrite_model_file(ckpt, "lexicon.tsv", _edit_first_row(
+        "corrupt lexicon.tsv row 1"),
+    "non-numeric-prob": (lambda ckpt: rewrite_model_file(ckpt, "lexicon.tsv", _edit_first_row(
         ckpt / "lexicon.tsv", lambda row: row.rsplit("\t", 1)[0] + "\tzero")),
+        "non-numeric value in lexicon.tsv row 1"),
     # nan passes the row-sum check: abs(nan - 1.0) > 1e-9 is False
-    "nan-prob": lambda ckpt: rewrite_model_file(ckpt, "lexicon.tsv", _edit_first_row(
+    "nan-prob": (lambda ckpt: rewrite_model_file(ckpt, "lexicon.tsv", _edit_first_row(
         ckpt / "lexicon.tsv", lambda row: row.rsplit("\t", 1)[0] + "\tnan")),
-    "negative-prob": lambda ckpt: rewrite_model_file(
+        "non-finite value in lexicon.tsv row 1"),
+    "negative-prob": (lambda ckpt: rewrite_model_file(
         ckpt, "lexicon.tsv", _negative_entry_in_a_row_summing_to_1(ckpt / "lexicon.tsv")),
-    "inf-lm-value": lambda ckpt: rewrite_model_file(ckpt, "lm.tsv", _edit_first_row(
+        "holds a negative probability"),
+    "inf-lm-value": (lambda ckpt: rewrite_model_file(ckpt, "lm.tsv", _edit_first_row(
         ckpt / "lm.tsv", lambda row: row.rsplit("\t", 1)[0] + "\tinf")),
-    "nan-alpha": lambda ckpt: (ckpt / "meta.tsv").write_text(
+        "non-finite value in lm.tsv row 1"),
+    "nan-alpha": (lambda ckpt: (ckpt / "meta.tsv").write_text(
         _set_meta_row(ckpt / "meta.tsv", "alpha", "nan"), encoding="utf-8"),
+        "bad alpha 'nan'"),
     # float() reads each of these meta.tsv values as the number it spells
-    "space-before-loglik": lambda ckpt: (ckpt / "meta.tsv").write_text(
+    "space-before-loglik": (lambda ckpt: (ckpt / "meta.tsv").write_text(
         _meta_value_rewritten(ckpt / "meta.tsv", "corpus_loglik", lambda v: " " + v),
         encoding="utf-8"),
-    "full-width-alpha": lambda ckpt: (ckpt / "meta.tsv").write_text(
+        "bad corpus_loglik ' -"),
+    "full-width-alpha": (lambda ckpt: (ckpt / "meta.tsv").write_text(
         _meta_value_rewritten(ckpt / "meta.tsv", "alpha", lambda v: v.translate(FULL_WIDTH_DIGITS)),
         encoding="utf-8"),
-    "inf-loglik": lambda ckpt: (ckpt / "meta.tsv").write_text(
+        "bad alpha '０.１'"),
+    "inf-loglik": (lambda ckpt: (ckpt / "meta.tsv").write_text(
         _set_meta_row(ckpt / "meta.tsv", "corpus_loglik", "-inf"), encoding="utf-8"),
+        "bad corpus_loglik '-inf'"),
     # a repeated key used to load quietly, its last row winning
-    "repeated-iteration": lambda ckpt: (ckpt / "meta.tsv").write_text(
+    "repeated-iteration": (lambda ckpt: (ckpt / "meta.tsv").write_text(
         "iteration\t4\n" + (ckpt / "meta.tsv").read_text(encoding="utf-8"), encoding="utf-8"),
-    "appended-direction": lambda ckpt: (ckpt / "meta.tsv").write_text(
+        "repeated key 'iteration'"),
+    "appended-direction": (lambda ckpt: (ckpt / "meta.tsv").write_text(
         (ckpt / "meta.tsv").read_text(encoding="utf-8") + "direction\tbwd\n",
         encoding="utf-8"),
+        "repeated key 'direction'"),
     # the first three used to load: blank rows were skipped, and a lone tab
     # was a row of the empty key
-    "meta-blank-row": lambda ckpt: _insert_meta_row(ckpt, ""),
-    "meta-spaces-row": lambda ckpt: _insert_meta_row(ckpt, "   "),
-    "meta-tab-row": lambda ckpt: _insert_meta_row(ckpt, "\t"),
-    "meta-three-column-row": lambda ckpt: _insert_meta_row(ckpt, "created_at\tx\ty"),
-    "meta-missing-key": lambda ckpt: (ckpt / "meta.tsv").write_text("".join(
+    "meta-blank-row": (lambda ckpt: _insert_meta_row(ckpt, ""), "ckpt-0005: ''"),
+    "meta-spaces-row": (lambda ckpt: _insert_meta_row(ckpt, "   "), "ckpt-0005: '   '"),
+    "meta-tab-row": (lambda ckpt: _insert_meta_row(ckpt, "\t"), "ckpt-0005: '\\t'"),
+    "meta-three-column-row": (lambda ckpt: _insert_meta_row(ckpt, "created_at\tx\ty"),
+        "ckpt-0005: 'created_at\\tx\\ty'"),
+    "meta-missing-key": (lambda ckpt: (ckpt / "meta.tsv").write_text("".join(
         row for row in (ckpt / "meta.tsv").read_text(encoding="utf-8").splitlines(True)
         if not row.startswith("alpha\t")), encoding="utf-8"),
-    "meta-not-utf8": lambda ckpt: (ckpt / "meta.tsv").write_bytes(
+        "is missing key 'alpha'"),
+    "meta-not-utf8": (lambda ckpt: (ckpt / "meta.tsv").write_bytes(
         (ckpt / "meta.tsv").read_bytes() + b"note\t\xff\n"),
+        "is not UTF-8"),
     # never equal to a canonical gold translation's word, so it used to score as a miss
-    "non-canonical-lexicon-word": lambda ckpt: rewrite_model_file(
+    "non-canonical-lexicon-word": (lambda ckpt: rewrite_model_file(
         ckpt, "lexicon.tsv", word_renamed(ckpt / "lexicon.tsv", "gato", "Gato!")),
-    "non-canonical-lm-word": lambda ckpt: rewrite_model_file(
+        "non-canonical word 'Gato!' in lexicon.tsv"),
+    "non-canonical-lm-word": (lambda ckpt: rewrite_model_file(
         ckpt, "lm.tsv", word_renamed(ckpt / "lm.tsv", "gato", "Gato!")),
+        "non-canonical word 'Gato!' in lm.tsv"),
     # it used to load, and decoding wrote <s> as a candidate
-    "reserved-lexicon-word": lambda ckpt: rewrite_model_file(
+    "reserved-lexicon-word": (lambda ckpt: rewrite_model_file(
         ckpt, "lexicon.tsv", word_renamed(ckpt / "lexicon.tsv", "gato", "<s>")),
+        "holds the reserved token '<s>'"),
     # a reserved token in a role lm.tsv never gives it used to load as a bigram
-    "lm-eos-history": lambda ckpt: rewrite_model_file(
+    "lm-eos-history": (lambda ckpt: rewrite_model_file(
         ckpt, "lm.tsv", row_added(ckpt / "lm.tsv", "</s>\tgato\t-0.5")),
-    "lm-other-history": lambda ckpt: rewrite_model_file(
+        "reserved token '</s>' is never a history"),
+    "lm-other-history": (lambda ckpt: rewrite_model_file(
         ckpt, "lm.tsv", row_added(ckpt / "lm.tsv", "<other>\tgato\t-0.5")),
-    "lm-bos-successor": lambda ckpt: rewrite_model_file(
+        "reserved token '<other>' is never a history"),
+    "lm-bos-successor": (lambda ckpt: rewrite_model_file(
         ckpt, "lm.tsv", row_added(ckpt / "lm.tsv", "gato\t<s>\t-0.5")),
-    "lm-unk-successor": lambda ckpt: rewrite_model_file(
+        "reserved token '<s>' never follows 'gato'"),
+    "lm-unk-successor": (lambda ckpt: rewrite_model_file(
         ckpt, "lm.tsv", row_added(ckpt / "lm.tsv", "gato\t<unk>\t-0.5")),
-    "lm-unk-other": lambda ckpt: rewrite_model_file(
+        "reserved token '<unk>' never follows 'gato'"),
+    "lm-unk-other": (lambda ckpt: rewrite_model_file(
         ckpt, "lm.tsv", row_added(ckpt / "lm.tsv", "<unk>\t<other>\t-0.5")),
+        "reserved token '<other>' never follows '<unk>'"),
+    # a history with no <other> row, or an lm.tsv with no <unk> rows, used to
+    # load, and the LM backed off silently where it needed the missing row
+    "lm-no-other-row": (lambda ckpt: rewrite_model_file(
+        ckpt, "lm.tsv", rows_dropped(ckpt / "lm.tsv", "gato\t<other>\t")),
+        "history 'gato' has no '<other>' row"),
+    "lm-no-unk-rows": (lambda ckpt: rewrite_model_file(
+        ckpt, "lm.tsv", rows_dropped(ckpt / "lm.tsv", "<unk>\t")),
+        "lm.tsv has no '<unk>' rows"),
     # float() reads each of these values as the number it spells, so they used to load
-    "space-before-value": lambda ckpt: rewrite_model_file(ckpt, "lexicon.tsv", (
+    "space-before-value": (lambda ckpt: rewrite_model_file(ckpt, "lexicon.tsv", (
         first_value_rewritten(ckpt / "lexicon.tsv", lambda value: " " + value))),
-    "full-width-digits": lambda ckpt: rewrite_model_file(ckpt, "lexicon.tsv", (
+        "badly written number in lexicon.tsv row 1"),
+    "full-width-digits": (lambda ckpt: rewrite_model_file(ckpt, "lexicon.tsv", (
         first_value_rewritten(ckpt / "lexicon.tsv", lambda v: v.translate(FULL_WIDTH_DIGITS)))),
-    "underscore-in-lm-value": lambda ckpt: rewrite_model_file(ckpt, "lm.tsv", (
+        "non-numeric value in lexicon.tsv row 1"),
+    "underscore-in-lm-value": (lambda ckpt: rewrite_model_file(ckpt, "lm.tsv", (
         first_value_rewritten(ckpt / "lm.tsv", lambda v: DIGIT_PAIR.sub(r"\1_\2", v, count=1)))),
+        "badly written number in lm.tsv row 1"),
     # the checksum is over the bytes on disk; a universal-newline read made a CRLF copy load
-    "crlf-copy": lambda ckpt: (ckpt / "lexicon.tsv").write_bytes(
+    "crlf-copy": (lambda ckpt: (ckpt / "lexicon.tsv").write_bytes(
         (ckpt / "lexicon.tsv").read_bytes().replace(b"\n", b"\r\n")),
+        "checksum mismatch"),
 }
 
 
@@ -1694,13 +1737,15 @@ def test_checkpoint_fault_exits_2_and_writes_nothing(
 ):
     series = tmp_path / "fwd"
     shutil.copytree(trained_world / "fwd", series)
-    CHECKPOINT_FAULTS[fault](series / "ckpt-0005")
+    edit, reason = CHECKPOINT_FAULTS[fault]
+    edit(series / "ckpt-0005")
     out = tmp_path / "out.txt"
     rc = run_cli(["generate", "--method", "nbest",
                   model, str(series / "ckpt-0005" if model == "--ckpt" else series),
                   "--prompts", str(fixtures_path / "toy_prompts.txt"), "--out", str(out)])
     assert rc == 2
-    assert "ckpt-0005" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "ckpt-0005" in err and reason in err
     assert list(tmp_path.glob("out.txt*")) == []
 
 
@@ -1868,7 +1913,7 @@ def test_bad_oldest_checkpoint_found_late_exits_2_and_writes_nothing(
     prompts or becoming an NA row."""
     series = tmp_path / "fwd"
     shutil.copytree(trained_world / "fwd", series)
-    CHECKPOINT_FAULTS["checksum"](series / "ckpt-0001")
+    CHECKPOINT_FAULTS["checksum"][0](series / "ckpt-0001")
     paths = {"bwd": str(trained_world / "bwd"), "gold": str(fixtures_path / "toy_gold.txt")}
     out = tmp_path / "out.txt"
     rc = run_cli([*(arg.format(**paths) for arg in argv), "--series", str(series),

@@ -18,6 +18,7 @@ from stapleforge.methods import (
 )
 from stapleforge.metrics import score_corpus
 from stapleforge.translator import (
+    BACKOFF,
     BOS,
     BigramLm,
     Checkpoint,
@@ -105,9 +106,9 @@ class TestDecoder:
         n-best(1) is then no prefix of n-best(2), so the memo, keyed on n,
         answers each n with its own decode."""
         lexicon = {"s1": {"a": 0.5, "b": 0.5}, "s2": {"z": 1.0}, "s3": {"w": 1.0}}
-        bigram = {(BOS, "a"): -1.0, (BOS, "b"): -1.0, ("a", "z"): -(0.5 + 2**-51),
-                  ("b", "z"): -0.5, ("z", "w"): -1000.0}
-        lm = BigramLm(bigram_logprob=bigram, unseen_logprob={}, unigram_logprob={}, alpha=0.1)
+        rows = {BOS: {"a": -1.0, "b": -1.0}, "a": {"z": -(0.5 + 2**-51)}, "b": {"z": -0.5},
+                "z": {"w": -1000.0}, BACKOFF: {}}
+        lm = BigramLm(rows, alpha=0.1)
         ckpt = Checkpoint(iteration=1, lexicon=lexicon, lm=lm, corpus_loglik=-1.0)
         source = "s1 s2 s3"
         decoder = decoder_of(ckpt)

@@ -21,6 +21,7 @@ from conftest import load_toy_pairs, trained_series
 from oracles import (
     FULL_WIDTH_DIGITS,
     SearchSpaceError,
+    bigram_lm_oracle,
     exhaustive_nbest,
     first_value_rewritten,
     gen_random_checkpoint,
@@ -28,6 +29,7 @@ from oracles import (
     gen_random_parallel,
     rewrite_model_file,
     row_added,
+    rows_dropped,
     word_renamed,
 )
 from stapleforge.errors import CheckpointError, ValidationError
@@ -155,11 +157,14 @@ class TestCorpusLoglikelihood:
         assert math.isfinite(got)
 
 
+LM_WORDS = ["a", "b", "ção", "d"]
+
+
 class TestBigramLm:
     def test_distributions_sum_to_one(self):
         lm = build_bigram_lm([["x", "y"], ["x"]], alpha=0.1)
-        support = sorted(lm.unigram_logprob)
-        for history in sorted(lm.unseen_logprob):
+        support = sorted(lm.rows[translator.BACKOFF])
+        for history in sorted(set(lm.rows) - {translator.BACKOFF}):
             total = sum(math.exp(lm.logprob(history, w)) for w in support)
             assert total == pytest.approx(1.0, abs=1e-9), history
         # unknown history falls back to the unigram distribution, also normalized
@@ -168,8 +173,27 @@ class TestBigramLm:
 
     def test_boundaries_present(self):
         lm = build_bigram_lm([["x", "y"]], alpha=0.1)
-        assert (BOS, "x") in lm.bigram_logprob
-        assert ("y", EOS) in lm.bigram_logprob
+        assert "x" in lm.rows[BOS]
+        assert EOS in lm.rows["y"]
+
+    @given(
+        st.lists(st.lists(st.sampled_from(LM_WORDS), max_size=5), min_size=1, max_size=6)
+        .filter(any),
+        st.floats(min_value=1e-6, max_value=1e3),
+    )
+    @example([["a"], []], 0.1)
+    def test_every_value_is_the_oracles(self, corpus, alpha):
+        """Every pair over the words, the boundaries and a word no corpus
+        holds: a seen bigram, an unseen in-vocabulary successor, an unknown
+        history and an out-of-vocabulary successor, built and loaded back
+        from lm.tsv's text."""
+        oracle = bigram_lm_oracle(corpus, alpha)
+        built = build_bigram_lm(corpus, alpha=alpha)
+        text = translator._table_text(built.rows).removesuffix("\n").encode("utf-8")
+        loaded = translator._parse_lm([text], alpha)
+        tokens = [*LM_WORDS, BOS, EOS, "unseen"]
+        for w1, w2 in itertools.product(tokens, repeat=2):
+            assert built.logprob(w1, w2) == loaded.logprob(w1, w2) == oracle(w1, w2), (w1, w2)
 
 
 class TestDecodeParams:
@@ -425,6 +449,22 @@ class TestCheckpointFaults:
             load_checkpoint(ckpt)
         rewrite_model_file(ckpt, "lm.tsv", text)
         with pytest.raises(CheckpointError, match=f"{re.escape(reason)} in lm.tsv \\(in .*ckpt"):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize(
+        "prefix, reason",
+        [("y\t<other>\t", "history 'y' has no '<other>' row in lm.tsv"),
+         ("<s>\t<other>\t", "history '<s>' has no '<other>' row in lm.tsv"),
+         ("<unk>\t", "lm.tsv has no '<unk>' rows")],
+        ids=["word-other", "bos-other", "unk-rows"],
+    )
+    def test_lm_without_a_backoff_row_rejected(self, hand_series, tmp_path, prefix, reason):
+        """Training writes every history's ``<other>`` row and the ``<unk>``
+        rows. An lm.tsv without one, its checksum restamped, used to load,
+        and the LM backed off silently where it needed the missing row."""
+        ckpt = tmp_path / "series" / "ckpt-0001"
+        rewrite_model_file(ckpt, "lm.tsv", rows_dropped(ckpt / "lm.tsv", prefix))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(reason)} \\(in .*ckpt-0001\\)$"):
             load_checkpoint(ckpt)
 
     @pytest.mark.parametrize("word, token, row", [("b", "<unk>", "<unk>"), ("y", "<s>", "a")],
@@ -792,7 +832,7 @@ class TestLoadedModelSharing:
         a, b = words(first), words(second)
         assert a.keys() == b.keys() and all(len(w) > 1 for w in a)
         assert all(a[w] is b[w] for w in a)
-        assert all(w is a[w] for w in first.lm.unigram_logprob if w in a)
+        assert all(w is a[w] for w in first.lm.rows[translator.BACKOFF] if w in a)
 
 
 class TestTrainingMemory:
@@ -919,7 +959,7 @@ class TestTrainingExactness:
             for ckpt in trained_series(Path(tmp) / "s", pairs, iterations):
                 saved = Path(tmp) / "s" / translator.checkpoint_name(ckpt.iteration)
                 text = (saved / "lexicon.tsv").read_text(encoding="utf-8")
-                assert text == translator._lexicon_text(ckpt.lexicon)
+                assert text == translator._table_text(ckpt.lexicon)
 
     def test_fixture_lexicon_files_are_the_lexicons_rendered_afresh(
         self, tmp_path, toy_fwd_series
@@ -928,7 +968,7 @@ class TestTrainingExactness:
         for ckpt in toy_fwd_series:
             saved = tmp_path / "s" / translator.checkpoint_name(ckpt.iteration)
             text = (saved / "lexicon.tsv").read_text(encoding="utf-8")
-            assert text == translator._lexicon_text(ckpt.lexicon)
+            assert text == translator._table_text(ckpt.lexicon)
 
     @given(
         st.floats(allow_nan=False)
@@ -962,11 +1002,9 @@ class TestTrainingExactness:
         """lm.tsv is every LM value's repr, its rows sorted by their words,
         and each value is quantized, so the text parses back to the same LM."""
         lm = build_bigram_lm(corpus, alpha=alpha)
-        values = {**lm.bigram_logprob,
-                  **{(w1, translator.UNSEEN): lp for w1, lp in lm.unseen_logprob.items()},
-                  **{(translator.BACKOFF, w): lp for w, lp in lm.unigram_logprob.items()}}
+        values = {(w1, w2): lp for w1, row in lm.rows.items() for w2, lp in row.items()}
         assert all(lp == translator.quantize(lp) for lp in values.values())
-        text = translator._lm_text(lm)
+        text = translator._table_text(lm.rows)
         assert text == "".join(f"{a}\t{b}\t{values[a, b]!r}\n" for a, b in sorted(values))
         assert translator._parse_lm([text.removesuffix("\n").encode("utf-8")], alpha) == lm
 
